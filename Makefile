@@ -92,7 +92,7 @@ perf-100k:
 	PYTHONPATH=src $(PYTHON) -m repro perf --check \
 	    --only fleet_vector_speedup,fleet_100k --out $(OUTPUT)
 
-## Population-scale gates only: the streaming-trace vs pre-PR-gateway
+## Population-scale gates only: the streaming-trace vs scalar-oracle
 ## routing speedup floor (>=3x, per-request normalized) and the
 ## 1M-request, 32-device diurnal run's hard wall-clock budget (<=60s).
 perf-1m:

@@ -69,12 +69,14 @@ cool-downs), rendezvous digests are cached per (session, device), a
 gateway-maintained outstanding counter replaces the full-fleet pressure
 scan, and the per-event advance/poll sweep skips idle devices (exact:
 ``run_until`` is a no-op without work, and new outcome records require
-the device to have run).  ``legacy_routing=True`` restores the
-uncached per-event scans — the honest baseline for the routing-speedup
-benchmark.  Population-scale streams bypass the per-event loop
-entirely: :meth:`FleetGateway.run_trace` partitions a chunked
-column trace (round-robin or prefix-affinity) and drains each share on
-the array-backed vector core, reporting through the column-native
+the device to have run).  It is the gateway's only per-event loop:
+plain streams and tiered DAG runs pop the same event heap, a tiered
+run adding its job-admission arrival handler, a settle step that
+releases unblocked DAG stages after each event, and its tick source.
+Population-scale streams bypass the per-event loop entirely:
+:meth:`FleetGateway.run_trace` partitions a chunked column trace
+(round-robin or prefix-affinity) and drains each share on the
+array-backed vector core, reporting through the column-native
 :class:`~repro.fleet.trace.FleetTraceReport`.
 """
 
@@ -84,6 +86,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -167,9 +170,7 @@ class FleetGateway:
                  drain_tick_s: float = 0.5,
                  drain_limit_s: float = 600.0,
                  seed: int = 0,
-                 mode: str = "auto",
-                 legacy_routing: bool = False,
-                 verify_routing: bool = False):
+                 mode: str = "auto"):
         if not devices:
             raise ValueError("a fleet needs at least one device")
         if policy not in ROUTING_POLICIES:
@@ -237,13 +238,6 @@ class FleetGateway:
         self._latency_ewma: float | None = None
         self._served_cursor = {name: 0 for name in names}
         self._dropped_cursor = {name: 0 for name in names}
-        #: ``True`` restores the uncached per-event scans everywhere —
-        #: the pre-optimization routing semantics at pre-optimization
-        #: cost, kept as the honest speedup-benchmark baseline.
-        self.legacy_routing = legacy_routing
-        #: Debug cross-check: assert the cached views against fresh
-        #: scans on every use (tests only; defeats the speedup).
-        self.verify_routing = verify_routing
         # Monotone topology stamp: any availability, breaker, or
         # probe-budget change bumps it, invalidating the cached
         # up/routable views.  Time-driven flips (outage recovery,
@@ -268,12 +262,13 @@ class FleetGateway:
         self._full_capacity = sum(d.spec.max_batch_size
                                   for d in self.devices)
         self._name_bytes = tuple(d.name.encode() for d in self.devices)
-        # Tiered-DAG state: empty/False on every untiered run, so the
+        # Tiered-DAG state: None/empty on every untiered run, so the
         # hot paths below stay byte-identical to the pre-tiering
-        # gateway.  ``_tier_pref`` maps a child request id to its
-        # stage's preferred model pool; ``_tier_out_tokens`` feeds
-        # budget refunds.
-        self._tiering_active = False
+        # gateway.  ``_dag`` is the run's DAG coordinator;
+        # ``_tier_pref`` maps a child request id to its stage's
+        # preferred model pool; ``_tier_out_tokens`` feeds budget
+        # refunds.
+        self._dag = None
         self._tier_pref: dict[int, tuple[str, ...]] = {}
         self._tier_out_tokens: dict[int, int] = {}
 
@@ -283,8 +278,6 @@ class FleetGateway:
         self._topo_version += 1
 
     def _up(self, t: float) -> list[FleetDevice]:
-        if self.legacy_routing:
-            return [d for d in self.devices if not d.is_down(t)]
         cache = self._up_cache
         if (cache is not None and cache[0] == self._topo_version
                 and t < cache[1]):
@@ -305,7 +298,7 @@ class FleetGateway:
 
     def _routable_scan(self, t: float, up: "list[FleetDevice]"
                        ) -> list[FleetDevice]:
-        """One uncached routable computation (the pre-cache semantics)."""
+        """One uncached routable computation (what the cache must equal)."""
         if self.autoscale is not None:
             # Lifecycle filter: cordoned/draining/asleep/waking devices
             # accept no new routes (the emergency paths in _pick wake
@@ -333,8 +326,7 @@ class FleetGateway:
         filter read controller state that moves without topology
         events, so those configurations keep the per-call scan.
         """
-        if (self.legacy_routing or self.brownout is not None
-                or self.autoscale is not None):
+        if self.brownout is not None or self.autoscale is not None:
             return self._routable_scan(t, self._up(t))
         cache = self._pool_cache
         if (cache is not None and cache[0] == self._topo_version
@@ -359,10 +351,6 @@ class FleetGateway:
             self._affinity_pool = names
             self._affinity_winner.clear()
         self._pool_cache = (self._topo_version, expiry, pool)
-        if self.verify_routing:
-            fresh = self._routable_scan(
-                t, [d for d in self.devices if not d.is_down(t)])
-            assert [d.name for d in fresh] == list(names)
         return pool
 
     @staticmethod
@@ -377,8 +365,6 @@ class FleetGateway:
         every turn; the digest is a pure function of the pair, so
         repeat turns cost a dict hit instead of a sha256.
         """
-        if self.legacy_routing:
-            return self._rendezvous_digest(session, name)
         key = (session, name)
         weight = self._rdv_cache.get(key)
         if weight is None:
@@ -394,22 +380,10 @@ class FleetGateway:
         shed with an explicit disposition instead of parking forever.
         """
         if not self._up(t):
-            recovering = [d for d in self.devices
-                          if math.isfinite(d.down_until())]
-            if not recovering:
-                return None
-            # Whole fleet down: park on the earliest-recovering device.
-            return min(recovering, key=lambda d: (d.down_until(), d.name))
+            return self._park_target()
         up = self._routable(t)
         if self.autoscale is not None and not up:
-            device = self._autoscale_emergency(t)
-            if device is not None:
-                return device
-            recovering = [d for d in self.devices
-                          if math.isfinite(d.down_until())]
-            if not recovering:
-                return None
-            return min(recovering, key=lambda d: (d.down_until(), d.name))
+            return self._autoscale_emergency(t) or self._park_target()
         if self._tier_pref:
             # Tiered stage steering: Deep stages prefer the big-model
             # devices, Fast stages the quantized replicas.  A soft
@@ -437,8 +411,8 @@ class FleetGateway:
         # prefix-affinity: rendezvous hash pins a session to one device
         # (stable under fleet changes); stateless requests balance.
         if freq.session is not None:
-            if (self.legacy_routing or self.brownout is not None
-                    or self.autoscale is not None or self._tiering_active):
+            if (self.brownout is not None or self.autoscale is not None
+                    or self._dag is not None):
                 return max(up, key=lambda d: (
                     self._rendezvous_weight(freq.session, d.name), d.name))
             # The winner over a given pool is a pure function of the
@@ -451,6 +425,14 @@ class FleetGateway:
                 self._affinity_winner[freq.session] = device
             return device
         return min(up, key=lambda d: (d.outstanding_requests, d.name))
+
+    def _park_target(self) -> FleetDevice | None:
+        """The earliest-recovering device, or None if none recovers."""
+        recovering = [d for d in self.devices
+                      if math.isfinite(d.down_until())]
+        if not recovering:
+            return None
+        return min(recovering, key=lambda d: (d.down_until(), d.name))
 
     def _autoscale_emergency(self, t: float) -> FleetDevice | None:
         """Produce capacity when no ACTIVE device is up.
@@ -484,13 +466,7 @@ class FleetGateway:
         if device is None:
             self._finish(rid, "shed")
             return None
-        breaker = self.health[device.name].breaker
-        before = breaker.state
-        breaker.allow(t)  # consume a probe slot
-        if before is not BreakerState.CLOSED or breaker.state is not before:
-            # A probe slot was consumed or the breaker transitioned:
-            # the cached routable pool may no longer admit this device.
-            self._topo_bump()
+        self._consume_probe(device.name, t)
         ready = ready_s
         if device.is_down(t):
             # Queued behind the outage; admission starts at recovery.
@@ -507,15 +483,29 @@ class FleetGateway:
         device.inject(freq.request, freq.arrival_s,
                       deadline_s=freq.deadline_s, ready_s=ready,
                       session=freq.session, prefix_tokens=freq.prefix_tokens)
-        self._outstanding[device.name] += 1
-        self._outstanding_total += 1
+        self._count(device.name, 1)
         self._arrival.setdefault(rid, freq.arrival_s)
         self._deadline.setdefault(rid, freq.deadline_s)
         self._request_of[rid] = freq.request
         self._copies.setdefault(rid, set()).add(device.name)
         return device
 
+    def _consume_probe(self, name: str, t: float) -> None:
+        """Admit one routed copy through the device's breaker."""
+        breaker = self.health[name].breaker
+        before = breaker.state
+        breaker.allow(t)
+        if before is not BreakerState.CLOSED or breaker.state is not before:
+            # A probe slot was consumed or the breaker transitioned:
+            # the cached routable pool may no longer admit this device.
+            self._topo_bump()
+
     # -- disposition accounting -----------------------------------------
+    def _count(self, name: str, delta: int) -> None:
+        """Move the outstanding-work counters behind :meth:`_pressure`."""
+        self._outstanding[name] += delta
+        self._outstanding_total += delta
+
     def _finish(self, rid: int, kind: str) -> None:
         """Record a request's gateway-level terminal disposition."""
         if rid in self._disposition:
@@ -528,8 +518,7 @@ class FleetGateway:
 
     def _on_served(self, device: FleetDevice, record) -> None:
         rid = record.request_id
-        self._outstanding[device.name] -= 1
-        self._outstanding_total -= 1
+        self._count(device.name, -1)
         health = self.health[device.name]
         before = health.breaker.state
         health.observe_completion(record.finish_s, record.latency_s)
@@ -548,7 +537,7 @@ class FleetGateway:
             self._copies.get(rid, set()).discard(device.name)
             return
         self._disposition[rid] = "served"
-        if self._tiering_active:
+        if self._dag is not None:
             self._tier_out_tokens[rid] = int(record.output_tokens)
         if self._hedge_target.get(rid) == device.name:
             self.hedge_wins += 1
@@ -556,57 +545,62 @@ class FleetGateway:
         copies.discard(device.name)
         for other in sorted(copies):
             if self._by_name[other].cancel(rid):
-                self._outstanding[other] -= 1
-                self._outstanding_total -= 1
+                self._count(other, -1)
 
     def _on_dropped(self, device: FleetDevice, rid: int, kind: str,
                     t: float) -> None:
-        self._outstanding[device.name] -= 1
-        self._outstanding_total -= 1
+        self._count(device.name, -1)
         health = self.health[device.name]
         before = health.breaker.state
         health.observe_failure(t)
         if health.breaker.state is not before:
             self._topo_bump()
-        copies = self._copies.get(rid)
-        if copies is not None:
-            copies.discard(device.name)
-            if copies:
-                return  # another copy is still in flight
-        if rid not in self._disposition:
+        if self._orphaned(rid, device.name):
             # Terminal drop counted by the device's own report; record
             # the disposition without moving the gateway counters.
             self._disposition[rid] = "shed" if kind == "shed" else "failed"
 
+    def _orphaned(self, rid: int, name: str) -> bool:
+        """Drop ``name``'s copy of ``rid``; True if nothing else holds it."""
+        copies = self._copies.get(rid)
+        if copies is not None:
+            copies.discard(name)
+            if copies:
+                return False  # a hedge copy survives elsewhere
+        return rid not in self._disposition
+
+    def _reroute(self, request: GenerationRequest, state, t: float) -> None:
+        """Re-route an evacuated request after the re-dispatch backoff."""
+        session, prefix = self._session_of.get(request.request_id,
+                                               (None, 0))
+        self._route(FleetRequest(request=request,
+                                 arrival_s=state.first_arrival_s,
+                                 deadline_s=state.deadline_s,
+                                 session=session, prefix_tokens=prefix),
+                    t, ready_s=t + self.reroute_backoff_s)
+
     def _poll(self, t: float) -> None:
         """Fold new per-device outcomes into health and dispositions."""
         for device in self.devices:
-            run = device.run
-            name = device.name
-            start = self._served_cursor[name]
-            if len(run.served) > start:
-                for record in run.served[start:]:
-                    self._on_served(device, record)
-                self._served_cursor[name] = len(run.served)
-            start = self._dropped_cursor[name]
-            if len(run.dropped) > start:
-                for index, kind in run.dropped[start:]:
-                    self._on_dropped(device, run.requests[index].request_id,
-                                     kind, t)
-                self._dropped_cursor[name] = len(run.dropped)
+            self._fold(device, t)
             if not device.is_down(t):
-                self.health[name].heartbeat(t)
+                self.health[device.name].heartbeat(t)
 
-    def _advance_poll(self, device: FleetDevice, t: float) -> None:
-        """Advance one device and fold its new outcome records.
+    def _advance_all(self, t: float) -> None:
+        """Advance every device to ``t``, poll, then consider hedges."""
+        for device in self.devices:
+            device.advance_to(t)
+        self._poll(t)
+        self._maybe_hedge(t)
 
-        The fused per-device form of advance + :meth:`_poll`, minus the
-        heartbeat (only :meth:`DeviceHealth.score` reads heartbeats and
-        nothing in routing or reports reads the score).  The fused loop
-        is reserved for hedge-free runs: hedging orders cancellations
-        against the all-device advance, which this form interleaves.
+    def _fold(self, device: FleetDevice, t: float) -> None:
+        """Fold one device's new outcomes into health and dispositions.
+
+        :meth:`_poll` adds a heartbeat; the fused sweep calls this alone
+        right after advancing each busy device.  Dropping the heartbeat
+        there is exact: only :meth:`DeviceHealth.score` reads
+        heartbeats, and nothing in routing or reports reads the score.
         """
-        device.advance_to(t)
         run = device.run
         name = device.name
         start = self._served_cursor[name]
@@ -642,15 +636,11 @@ class FleetGateway:
             capacity = sum(d.spec.max_batch_size for d in active)
             outstanding = sum(d.outstanding_requests for d in self.devices)
             return outstanding / capacity
-        if self.legacy_routing:
-            capacity = sum(d.spec.max_batch_size for d in up)
-            outstanding = sum(d.outstanding_requests for d in up)
-            return outstanding / capacity
         # Counter path: every inject/terminal-record/cancel/evacuate
         # moves the totals, and every call site runs post-poll, so the
         # counter equals the live per-device scan exactly.  Work parked
-        # on still-down devices is excluded (the legacy scan only sums
-        # up devices); recovered parkees rejoin the total lazily.
+        # on still-down devices is excluded (pressure only sums up
+        # devices); recovered parkees rejoin the total lazily.
         outstanding = self._outstanding_total
         for name in sorted(self._maybe_down):
             if self._by_name[name].is_down(t):
@@ -659,8 +649,6 @@ class FleetGateway:
                 self._maybe_down.discard(name)
         capacity = (self._full_capacity if len(up) == len(self.devices)
                     else sum(d.spec.max_batch_size for d in up))
-        if self.verify_routing:
-            assert outstanding == sum(d.outstanding_requests for d in up)
         return outstanding / capacity
 
     def _maybe_hedge(self, t: float) -> None:
@@ -688,14 +676,8 @@ class FleetGateway:
             device.inject(self._request_of[rid], self._arrival[rid],
                           deadline_s=self._deadline.get(rid), ready_s=t,
                           session=session, prefix_tokens=prefix)
-            self._outstanding[device.name] += 1
-            self._outstanding_total += 1
-            breaker = self.health[device.name].breaker
-            before = breaker.state
-            breaker.allow(t)
-            if (before is not BreakerState.CLOSED
-                    or breaker.state is not before):
-                self._topo_bump()
+            self._count(device.name, 1)
+            self._consume_probe(device.name, t)
             copies.add(device.name)
             self._hedge_count[rid] = self._hedge_count.get(rid, 0) + 1
             self._hedge_target[rid] = device.name
@@ -736,29 +718,12 @@ class FleetGateway:
         """
         device = self._by_name[name]
         orphans = device.run.evacuate()
-        self._outstanding[name] -= len(orphans)
-        self._outstanding_total -= len(orphans)
+        self._count(name, -len(orphans))
         device.evacuated += len(orphans)
         self.autoscale.drain_evacuated(len(orphans))
         for request, state in orphans:
-            rid = request.request_id
-            copies = self._copies.get(rid)
-            if copies is not None:
-                copies.discard(name)
-                if copies:
-                    continue  # a hedge copy survives elsewhere
-            if rid in self._disposition:
-                continue
-            session, prefix = self._session_of.get(rid, (None, 0))
-            self._route(
-                FleetRequest(
-                    request=request,
-                    arrival_s=state.first_arrival_s,
-                    deadline_s=state.deadline_s,
-                    session=session,
-                    prefix_tokens=prefix,
-                ),
-                t, ready_s=t + self.reroute_backoff_s)
+            if self._orphaned(request.request_id, name):
+                self._reroute(request, state, t)
 
     # -- event handlers --------------------------------------------------
     def _on_down_event(self, fault, t: float) -> None:
@@ -767,8 +732,7 @@ class FleetGateway:
             return  # schedule names a device not in this fleet
         self.health[device.name].observe_failure(t)
         orphans = device.crash(t, fault.end_s)
-        self._outstanding[device.name] -= len(orphans)
-        self._outstanding_total -= len(orphans)
+        self._count(device.name, -len(orphans))
         # Availability changed (and possibly breaker state, via the
         # per-orphan failure observations below, which run after this
         # bump — safe, because a down device is excluded from the pool
@@ -782,29 +746,15 @@ class FleetGateway:
         for request, state in orphans:
             rid = request.request_id
             self.health[device.name].observe_failure(t)
-            copies = self._copies.get(rid)
-            if copies is not None:
-                copies.discard(device.name)
-                if copies:
-                    continue  # a hedge copy survives elsewhere
-            if rid in self._disposition:
+            if not self._orphaned(rid, device.name):
                 continue
             attempts = self._attempts.get(rid, 0) + 1
             self._attempts[rid] = attempts
             if attempts > self.max_reroutes:
                 self._finish(rid, "failed")
                 continue
-            session, prefix = self._session_of.get(rid, (None, 0))
             self.rerouted += 1
-            self._route(
-                FleetRequest(
-                    request=request,
-                    arrival_s=state.first_arrival_s,
-                    deadline_s=state.deadline_s,
-                    session=session,
-                    prefix_tokens=prefix,
-                ),
-                t, ready_s=t + self.reroute_backoff_s)
+            self._reroute(request, state, t)
 
     def _on_arrival(self, freq: FleetRequest, t: float) -> None:
         rid = freq.request.request_id
@@ -847,10 +797,7 @@ class FleetGateway:
                     device.drain()
                 break
             t += self.drain_tick_s
-            for device in self.devices:
-                device.advance_to(t)
-            self._poll(t)
-            self._maybe_hedge(t)
+            self._advance_all(t)
             if self.brownout is not None:
                 self.brownout.observe(t, self._pressure(t))
             if self.autoscale is not None:
@@ -876,7 +823,6 @@ class FleetGateway:
                 and self.brownout is None
                 and self.hedge is None
                 and self.autoscale is None
-                and not self._tiering_active
                 and all(d.vector_eligible for d in self.devices))
 
     def _run_vector(self, stream: "list[FleetRequest] | tuple[FleetRequest, ...]"
@@ -957,7 +903,6 @@ class FleetGateway:
                 and self.brownout is None
                 and self.hedge is None
                 and self.autoscale is None
-                and not self._tiering_active
                 and all(d.trace_eligible for d in self.devices))
 
     def run_trace(self, trace, chunk_size: int = 65536, *,
@@ -1238,18 +1183,16 @@ class FleetGateway:
         TieringConfig`), ``stream`` must instead be a sequence of
         :class:`~repro.workloads.agentic.DagJob` items: each job is
         expanded into a plan → branches → verify request DAG served
-        through this same routing/disposition machinery (see
-        :meth:`_run_tiered`).  ``tiering=None`` leaves every untiered
-        code path — and its reports — byte-identical.
+        through this same routing/disposition machinery on the scalar
+        core (see :meth:`_run_tiered`).  ``tiering=None`` leaves every
+        untiered code path — and its reports — byte-identical.
         """
-        if tiering is not None:
-            return self._run_tiered(stream, tiering)
         if self.mode != "scalar":
-            eligible = self.vector_eligible()
+            eligible = tiering is None and self.vector_eligible()
             if self.mode == "vector" and not eligible:
                 raise ValueError(
                     "mode='vector' requires round-robin routing with no "
-                    "faults, health, brownout, hedging, autoscaling, or "
+                    "faults, brownout, hedging, autoscaling, tiering, or "
                     "ineligible devices")
             if eligible:
                 try:
@@ -1259,68 +1202,79 @@ class FleetGateway:
                 except VectorFallback:
                     pass  # KV pressure somewhere: scalar oracle rerun
         self.last_mode = "scalar"
+        if tiering is not None:
+            return self._run_tiered(stream, tiering)
         return self._run_scalar(stream)
 
-    def _run_scalar(self, stream: "list[FleetRequest] | tuple[FleetRequest, ...]"
-                    ) -> FleetReport:
-        """The scalar oracle: the merged per-event co-simulation loop."""
-        arrivals = sorted(enumerate(stream),
-                          key=lambda pair: (pair[1].arrival_s, pair[0]))
-        # Merge arrivals with scheduled outages (crashes and flap
-        # cycles); at equal times an outage fires first so an arrival
-        # never routes to a device dying at that same instant.
-        events: list[tuple[float, int, int, object]] = []
-        for order, (_, freq) in enumerate(arrivals):
-            self._session_of[freq.request.request_id] = (
-                freq.session, freq.prefix_tokens)
-            events.append((freq.arrival_s, 1, order, freq))
+    def _run_scalar(self, stream) -> FleetReport:
+        """The scalar oracle: the gateway's one per-event loop.
+
+        Events ``(t, priority, seq, payload)`` pop off one heap: at equal
+        times an outage (0) fires before an arrival (1), so no arrival
+        routes to a device dying at that instant, then ticks (2).  Each
+        event first advances the fleet: hedge-free runs advance and fold
+        only busy devices (exact: ``run_until`` never moves an idle
+        run's clock), hedged runs every device, since hedging orders
+        cancellations against the all-device advance.  A tiered run
+        (``_dag`` set) feeds DAG jobs through :meth:`_on_job` and runs
+        :meth:`_settle_dag` after every event.
+        """
+        dag = self._dag
+        seq = itertools.count()
+        if dag is None:
+            arrivals = [freq for _, freq in sorted(
+                enumerate(stream),
+                key=lambda pair: (pair[1].arrival_s, pair[0]))]
+            for freq in arrivals:
+                self._session_of[freq.request.request_id] = (
+                    freq.session, freq.prefix_tokens)
+            on_arrival = self._on_arrival
+        else:
+            arrivals = sorted(stream, key=lambda j: (j.arrival_s, j.job_id))
+            on_arrival = self._on_job
+            limit = ((arrivals[-1].arrival_s if arrivals else 0.0)
+                     + self.drain_limit_s)
+        events = [(item.arrival_s, 1, next(seq), item) for item in arrivals]
         if self.faults is not None:
-            for order, fault in enumerate(self.faults.downs()):
-                events.append((fault.start_s, 0, order, fault))
+            events.extend((fault.start_s, 0, next(seq), fault)
+                          for fault in self.faults.downs())
         if self.autoscale is not None and events:
             # Synthetic controller ticks over the whole event span —
             # deterministic because every event time is known up front
             # (the drain loop keeps ticking past the last one).
             step = self.autoscale.config.evaluate_every_s
             last = max(e[0] for e in events)
-            for k in range(1, int(last / step) + 2):
-                events.append((k * step, 2, k, None))
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
+            events.extend((k * step, 2, next(seq), None)
+                          for k in range(1, int(last / step) + 2))
+        heapq.heapify(events)
 
+        fused = self.hedge is None
+        outstanding = self._outstanding
+        devices = self.devices
         t = 0.0
-        if self.legacy_routing or self.hedge is not None:
-            for t, priority, _, payload in events:
-                for device in self.devices:
-                    device.advance_to(t)
-                self._poll(t)
-                self._maybe_hedge(t)
-                if priority == 0:
-                    self._on_down_event(payload, t)
-                elif priority == 1:
-                    self._on_arrival(payload, t)
-                else:
-                    self._autoscale_tick(t)
-        else:
-            # Fused sweep: one pass advancing and polling each busy
-            # device.  Skipping idle devices is exact — ``run_until``
-            # never moves the clock of a run with no work, and outcome
-            # records only appear on devices that ran.  Heartbeats are
-            # dropped here (see :meth:`_advance_poll`).
-            outstanding = self._outstanding
-            devices = self.devices
-            for t, priority, _, payload in events:
+        while events:
+            t, priority, _, payload = heapq.heappop(events)
+            if fused:
                 for device in devices:
                     if outstanding[device.name]:
-                        self._advance_poll(device, t)
-                if priority == 1:
-                    self._on_arrival(payload, t)
-                elif priority == 0:
-                    self._on_down_event(payload, t)
-                else:
-                    self._autoscale_tick(t)
+                        device.advance_to(t)
+                        self._fold(device, t)
+            else:
+                self._advance_all(t)
+            if priority == 1:
+                on_arrival(payload, t)
+            elif priority == 0:
+                self._on_down_event(payload, t)
+            elif self.autoscale is not None:
+                self._autoscale_tick(t)
+            if dag is not None and self._settle_dag(dag, t, events, seq,
+                                                    limit):
+                break
 
         t = self._drain_all(t)
         self._poll(t)
+        if dag is not None:
+            dag.ready_children(self._disposition, self._tier_out_tokens, t)
         outcomes = []
         for device in self.devices:
             report = device.report()
@@ -1343,9 +1297,9 @@ class FleetGateway:
         recovered = brownout.recovered_at() if brownout is not None else None
         autoscale = (self.autoscale.report(t)
                      if self.autoscale is not None else None)
-        return FleetReport(
+        report = FleetReport(
             policy=self.policy,
-            offered=len(stream),
+            offered=len(stream) if dag is None else dag.children_offered,
             rerouted=self.rerouted,
             devices=tuple(outcomes),
             gateway_shed=self.gateway_shed,
@@ -1359,6 +1313,10 @@ class FleetGateway:
             recovered_s=recovered,
             autoscale=autoscale,
         )
+        if dag is not None:
+            report = dataclasses.replace(report,
+                                         tiering=dag.aggregate(report))
+        return report
 
     # -- tiered DAG serving ----------------------------------------------
     def _tier_energy_quote(self, models: tuple[str, ...], prompt_tokens: int,
@@ -1387,18 +1345,59 @@ class FleetGateway:
         self._tier_pref[rid] = models
         self._route(freq, t)
 
+    def _on_job(self, job, t: float) -> None:
+        """Admit one DAG job through the tier policy, or shed it whole."""
+        verdict, out = self._dag.admit(job, t, self._pressure(t))
+        if verdict == "shed":
+            for rid in out:
+                self._finish(rid, "shed")
+        else:
+            for freq, models in out:
+                self._tier_inject(freq, models, t)
+
+    def _settle_dag(self, dag, t: float, events: list, seq,
+                    limit: float) -> bool:
+        """A tiered run's step after each event; True ends the loop.
+
+        Releases every stage whose dependencies all have a terminal
+        disposition, then pushes the next ``tick_s`` tick unless another
+        event comes sooner — so release times are deterministic — and
+        stops ticking once every DAG is done and the fleet is idle.
+        Past ``limit`` the safety valve ends the run: a sick fleet must
+        not deadlock, and unreleased stages shed explicitly so
+        conservation stays exact.
+        """
+        for freq, models in dag.ready_children(
+                self._disposition, self._tier_out_tokens, t):
+            self._tier_inject(freq, models, t)
+        if dag.done() and not self._outstanding_total:
+            return False
+        if t > limit:
+            for rid in dag.force_shed_remaining():
+                self._finish(rid, "shed")
+            for device in self.devices:
+                device.drain()
+            t = max(d.run.now for d in self.devices)
+            self._poll(t)
+            dag.ready_children(self._disposition, self._tier_out_tokens, t)
+            return True
+        tick_s = dag.config.tick_s
+        if not events or events[0][0] > t + tick_s:
+            heapq.heappush(events, (t + tick_s, 2, next(seq), None))
+        return False
+
     def _run_tiered(self, jobs, tiering) -> FleetReport:
         """Serve agentic DAG jobs under a tier policy.
 
-        A dedicated scalar event loop: job arrivals admit through the
-        tier policy/budget manager (the hysteretic ladder observes
-        gateway pressure exactly where brownout would), root stages
-        inject immediately, and dependent stages release when every
-        dependency has a terminal disposition — detected on arrival,
-        fault, and ``tiering.tick_s`` tick events, so release times are
-        deterministic.  Conservation counts DAG children: ``offered``
-        is the total child count and jobs shed whole at admission
-        dispose each planned child as a gateway shed.
+        Runs :meth:`_run_scalar` with a :class:`~repro.tiering.dag.
+        DagRun` coordinator: job arrivals admit through the tier
+        policy/budget manager (the hysteretic ladder observes gateway
+        pressure exactly where brownout would), root stages inject
+        immediately, and dependent stages release when every dependency
+        has a terminal disposition — checked after arrival, fault, and
+        ``tiering.tick_s`` tick events.  Conservation counts DAG
+        children: ``offered`` is the total child count and jobs shed
+        whole at admission dispose each planned child as a gateway shed.
         """
         from repro.tiering.dag import DagRun
 
@@ -1408,100 +1407,11 @@ class FleetGateway:
                 "tiered serving brings its own load ladder; construct "
                 "the gateway with brownout=None, hedge=None, "
                 "autoscale=None")
-        coordinator = DagRun(tiering, energy_quote=self._tier_energy_quote)
-        self._tiering_active = True
-        self._tier_pref = {}
-        self._tier_out_tokens = {}
+        self._dag = DagRun(tiering, energy_quote=self._tier_energy_quote)
         try:
-            events: list[tuple[float, int, int, object]] = []
-            seq = 0
-            ordered = sorted(jobs, key=lambda j: (j.arrival_s, j.job_id))
-            for job in ordered:
-                events.append((job.arrival_s, 1, seq, job))
-                seq += 1
-            if self.faults is not None:
-                for fault in self.faults.downs():
-                    events.append((fault.start_s, 0, seq, fault))
-                    seq += 1
-            heapq.heapify(events)
-            limit = (max((j.arrival_s for j in ordered), default=0.0)
-                     + self.drain_limit_s)
-            t = 0.0
-            while events:
-                t, priority, _, payload = heapq.heappop(events)
-                for device in self.devices:
-                    if self._outstanding[device.name]:
-                        self._advance_poll(device, t)
-                if priority == 0:
-                    self._on_down_event(payload, t)
-                elif priority == 1:
-                    verdict, out = coordinator.admit(
-                        payload, t, self._pressure(t))
-                    if verdict == "shed":
-                        for rid in out:
-                            self._finish(rid, "shed")
-                    else:
-                        for freq, models in out:
-                            self._tier_inject(freq, models, t)
-                for freq, models in coordinator.ready_children(
-                        self._disposition, self._tier_out_tokens, t):
-                    self._tier_inject(freq, models, t)
-                if coordinator.done() and not self._outstanding_total:
-                    continue
-                if t > limit:
-                    # Safety valve: a sick fleet must end the run, not
-                    # deadlock.  Unreleased stages shed explicitly so
-                    # conservation stays exact.
-                    for rid in coordinator.force_shed_remaining():
-                        self._finish(rid, "shed")
-                    for device in self.devices:
-                        device.drain()
-                    t = max((d.run.now for d in self.devices), default=t)
-                    self._poll(t)
-                    coordinator.ready_children(
-                        self._disposition, self._tier_out_tokens, t)
-                    break
-                if not events or events[0][0] > t + tiering.tick_s:
-                    events_entry = (t + tiering.tick_s, 2, seq, None)
-                    heapq.heappush(events, events_entry)
-                    seq += 1
-
-            t = self._drain_all(0.0 if not ordered else t)
-            self._poll(t)
-            coordinator.ready_children(
-                self._disposition, self._tier_out_tokens, t)
-            self.last_mode = "scalar"
-            outcomes = []
-            for device in self.devices:
-                report = device.report()
-                device.release()
-                outcomes.append(DeviceOutcome(
-                    name=device.name,
-                    model=device.spec.model,
-                    power_mode=device.spec.power_mode,
-                    report=report,
-                    crashes=device.crashes,
-                    evacuated=device.evacuated,
-                    prefix_hits=device.run.prefix_hits,
-                    prefix_misses=device.run.prefix_misses,
-                ))
-            breaker_opens = sum(
-                1 for h in self.health.values()
-                for _, _, to in h.breaker.transitions
-                if to is BreakerState.OPEN)
-            interim = FleetReport(
-                policy=self.policy,
-                offered=coordinator.children_offered,
-                rerouted=self.rerouted,
-                devices=tuple(outcomes),
-                gateway_shed=self.gateway_shed,
-                gateway_failed=self.gateway_failed,
-                breaker_opens=breaker_opens,
-            )
-            return dataclasses.replace(
-                interim, tiering=coordinator.aggregate(interim))
+            return self._run_scalar(jobs)
         finally:
-            self._tiering_active = False
+            self._dag = None
             self._tier_pref = {}
             self._tier_out_tokens = {}
 

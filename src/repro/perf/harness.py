@@ -27,9 +27,9 @@ paths end to end:
   64-device single-stream fleet on the vector fast path, with a
   wall-clock budget;
 * **fleet_routing_speedup** — the streaming trace driver vs the
-  pre-PR gateway (``legacy_routing=True``, scalar event loop) on the
-  prefix-affinity population workload: a per-request-normalized ratio
-  gate (floor 3x);
+  scalar oracle (``mode="scalar"``, the cached per-event loop that the
+  trace driver falls back to) on the prefix-affinity population
+  workload: a per-request-normalized ratio gate (floor 3x);
 * **fleet_diurnal_1m** — the population flagship: 1M session requests
   (diurnal arrivals, heavy-tailed users, shared prefixes) streamed
   through :meth:`~repro.fleet.gateway.FleetGateway.run_trace` over 32
@@ -89,9 +89,9 @@ FLEET_100K_BUDGET_S = 30.0
 #: 1-core container).
 FLEET_DIURNAL_1M_BUDGET_S = 60.0
 
-#: Floor for the streaming-trace vs pre-PR-gateway speedup ratio on
-#: the prefix-affinity population workload (measured ~40x; the pre-PR
-#: side is ``legacy_routing=True`` on the scalar event loop).
+#: Floor for the streaming-trace vs scalar-oracle speedup ratio on the
+#: prefix-affinity population workload (measured ~30x; the scalar side
+#: is the cached per-event loop, ``mode="scalar"``).
 FLEET_ROUTING_SPEEDUP_MIN = 3.0
 
 BENCH_FILES = {
@@ -470,18 +470,18 @@ def _population_trace(requests: int, seed: int = 11):
 
 
 def bench_fleet_routing_speedup(repeats: int) -> BenchResult:
-    """Streaming trace driver vs the pre-PR gateway, same workload.
+    """Streaming trace driver vs the scalar oracle, same workload.
 
-    The pre-PR side is ``legacy_routing=True`` on the scalar event
-    loop — per-request rendezvous hashing, rebuilt routable lists, and
-    full-fleet pressure scans, exactly the gateway as it stood before
-    the population fast path.  At ~2 ms/request it serves a 10k-request
-    prefix of the trace, once (repeated full-length runs would dominate
-    the whole suite), normalized per request; the streaming side serves
-    the full 100k trace, best-of over ``repeats``.  Both sides route
-    prefix-affinity over identical fleets.
+    The scalar side is ``mode="scalar"``: the per-event loop with its
+    cached routing views, the path a trace falls back to when the
+    vector core cannot serve it.  At ~2 ms/request it serves a
+    10k-request prefix of the trace, once (repeated full-length runs
+    would dominate the whole suite), normalized per request; the
+    streaming side serves the full 100k trace, best-of over
+    ``repeats``.  Both sides route prefix-affinity over identical
+    fleets.
     """
-    requests, legacy_requests = 100_000, 10_000
+    requests, scalar_requests = 100_000, 10_000
     trace = _population_trace(requests)
 
     def streaming_run() -> None:
@@ -498,25 +498,24 @@ def bench_fleet_routing_speedup(repeats: int) -> BenchResult:
 
     trace_s = min(_median_time(streaming_run, repeats)[1])
 
-    stream = trace.materialize(stop=legacy_requests)
-    legacy = _population_gateway(_population_fleet(), mode="scalar",
-                                 legacy_routing=True)
+    stream = trace.materialize(stop=scalar_requests)
+    oracle = _population_gateway(_population_fleet(), mode="scalar")
     start = time.perf_counter()
-    legacy_report = legacy.run(stream)
-    legacy_s = time.perf_counter() - start
-    if legacy_report.completed != legacy_requests:
+    scalar_report = oracle.run(stream)
+    scalar_s = time.perf_counter() - start
+    if scalar_report.completed != scalar_requests:
         raise RuntimeError(
-            f"fleet_routing_speedup legacy side served "
-            f"{legacy_report.completed} of {legacy_requests} requests")
-    ratio = ((legacy_s / legacy_requests) / (trace_s / requests)
+            f"fleet_routing_speedup scalar side served "
+            f"{scalar_report.completed} of {scalar_requests} requests")
+    ratio = ((scalar_s / scalar_requests) / (trace_s / requests)
              if trace_s > 0 else float("inf"))
     return BenchResult("fleet_routing_speedup", "diurnal1m", ratio,
                        (ratio,), unit="x",
                        meta={"min": FLEET_ROUTING_SPEEDUP_MIN,
                              "devices": _POP_DEVICES,
                              "requests": requests,
-                             "legacy_requests": legacy_requests,
-                             "legacy_s": legacy_s, "trace_s": trace_s,
+                             "scalar_requests": scalar_requests,
+                             "scalar_s": scalar_s, "trace_s": trace_s,
                              "normalization": "per-request"})
 
 

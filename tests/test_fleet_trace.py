@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.faults import FleetFaultConfig, FleetFaultSchedule
 from repro.fleet import (
+    ROUTING_POLICIES,
     FleetGateway,
     FleetTraceReport,
     HealthConfig,
     HedgeConfig,
     build_fleet,
+    poisson_stream,
 )
 from repro.fleet.gateway import FleetGateway as _Gateway
 from repro.workloads import PopulationConfig, population_trace, session_key
@@ -25,14 +28,39 @@ def _trace(seed=7, requests=600):
     return population_trace(np.random.default_rng(seed), config)
 
 
-def _gateway(policy, **kwargs):
+class VerifiedGateway(FleetGateway):
+    """A gateway that checks its cached routing state on every use.
+
+    Each routable-pool lookup is compared with an uncached scan of the
+    up devices, and the outstanding-work counter behind ``_pressure``
+    with a live per-device sum, so a stale cache fails at the lookup
+    that used it.
+    """
+
+    checks = 0
+
+    def _routable(self, t):
+        pool = super()._routable(t)
+        up = [d for d in self.devices if not d.is_down(t)]
+        fresh = self._routable_scan(t, up)
+        assert [d.name for d in pool] == [d.name for d in fresh]
+        if up and self.autoscale is None:
+            assert self._pressure(t) == (
+                sum(d.outstanding_requests for d in up)
+                / sum(d.spec.max_batch_size for d in up))
+        self.checks += 1
+        return pool
+
+
+def _gateway(policy, cls=FleetGateway, **kwargs):
+    faults = kwargs.get("faults")
     fleet = build_fleet(4, mix="balanced", max_batch_size=1,
-                        prefix_cache_mb=8.0)
+                        prefix_cache_mb=8.0, faults=faults)
     # Diurnal-peak queues legitimately build minutes of latency on
     # batch-1 devices; the raised spike threshold keeps the breaker out
     # of the equivalence study (breaker dynamics are scalar-only).
     kwargs.setdefault("health", HealthConfig(latency_spike_s=3600.0))
-    return FleetGateway(fleet, policy=policy, **kwargs)
+    return cls(fleet, policy=policy, **kwargs)
 
 
 class TestOracleEquivalence:
@@ -133,13 +161,6 @@ class TestRoutingFastPath:
         gateway._rdv_cache[("s42", name)] = 1234
         assert gateway._rendezvous_weight("s42", name) == 1234
 
-    def test_legacy_routing_bypasses_the_cache(self):
-        gateway = _gateway("prefix-affinity", legacy_routing=True)
-        name = gateway.devices[0].name
-        assert (gateway._rendezvous_weight("s42", name)
-                == _Gateway._rendezvous_digest("s42", name))
-        assert gateway._rdv_cache == {}
-
     def test_trace_winner_matches_scalar_rendezvous(self):
         gateway = _gateway("prefix-affinity")
         for session in (0, 1, 7, 123, 99999):
@@ -151,23 +172,24 @@ class TestRoutingFastPath:
                                d.name))
             assert winner.name == expected.name
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_optimized_routing_matches_legacy_scalar_run(self, policy):
-        trace = _trace(requests=120)
-        stream = trace.materialize()
-        fast = _gateway(policy, mode="scalar")
-        legacy = _gateway(policy, mode="scalar", legacy_routing=True)
-        assert (fast.run(stream).to_json()
-                == legacy.run(trace.materialize()).to_json())
-
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy", ROUTING_POLICIES)
     def test_cached_views_survive_the_verify_cross_check(self, policy):
-        # verify_routing asserts every cached up/routable view against a
-        # fresh scan at use time — a regression in the topology-version
-        # invalidation fails here, not in a flaky report diff.
-        trace = _trace(requests=120)
-        gateway = _gateway(policy, mode="scalar", verify_routing=True)
-        report = gateway.run(trace.materialize())
+        # Every routable-pool lookup and pressure read is checked against
+        # a fresh scan — a regression in the topology-version
+        # invalidation fails here, not in a flaky report diff.  Crashes,
+        # a flapping device and breaker trips make the caches invalidate.
+        stream = poisson_stream(np.random.default_rng(0), 0.6, 120,
+                                sessions=16, prefix_tokens=64)
+        names = [f"edge-{i:02d}" for i in range(4)]
+        faults = FleetFaultSchedule(
+            names, FleetFaultConfig(horizon_s=stream[-1].arrival_s,
+                                    device_crashes=2, flapping_devices=1),
+            seed=0)
+        gateway = _gateway(policy, faults=faults, cls=VerifiedGateway)
+        report = gateway.run(stream)
+        assert gateway.last_mode == "scalar"
+        assert report.rerouted > 0 and report.breaker_opens > 0
+        assert gateway.checks >= 120
         assert report.completed == 120
         assert gateway._outstanding_total == 0
         assert all(v == 0 for v in gateway._outstanding.values())

@@ -102,6 +102,17 @@ class TestGatewayIntegration:
         with pytest.raises(ValueError, match="load ladder"):
             gateway.run(suite, tiering=CONFIG)
 
+    def test_vector_mode_rejects_tiering(self):
+        # Tiered DAGs only run on the scalar core; mode="vector" must
+        # refuse them like every other ineligible configuration.
+        fleet = build_fleet(2, mix="balanced", models=TIER_MODELS)
+        gateway = FleetGateway(fleet, mode="vector")
+        assert gateway.vector_eligible()
+        suite = agentic_suite(np.random.default_rng(0), 2.0, 4)
+        with pytest.raises(ValueError, match="tiering"):
+            gateway.run(suite, tiering=CONFIG)
+        assert gateway.last_mode is None
+
     def test_deep_branches_land_on_deep_devices(self, report):
         # With every device up, the tier preference filter is exact:
         # a Deep branch never runs on a Fast-pool-only device.
