@@ -270,9 +270,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     """Run one fleet simulation and print the fleet report."""
     import numpy as np
 
-    from repro.fleet import FleetGateway, build_fleet, poisson_stream
-
-    from repro.fleet import ROUTING_POLICIES
+    from repro.fleet import (
+        ROUTING_POLICIES,
+        FleetGateway,
+        build_fleet,
+        poisson_stream,
+    )
 
     if args.policy is None:
         # Traces carry sticky sessions, so prefix-affinity is the
@@ -298,7 +301,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(report.to_json())
         return 0 if report.lost == 0 else 1
     print(f"fleet      {args.devices}x {args.mix} ({args.model}), "
-          f"policy {args.policy}")
+          f"policy {args.policy} [{gateway.last_mode}]")
     print(f"offered    {report.offered} requests at {args.qps:g} QPS "
           f"(seed {args.seed})")
     print(f"completed  {report.completed}  shed {report.shed}  "

@@ -45,7 +45,12 @@ from repro.core.stats import nan_percentile
 from repro.engine.engine import InferenceEngine
 from repro.engine.kv_cache import KVCacheExhausted, PagedKVCache
 from repro.engine.request import GenerationRequest
-from repro.engine.state import LiveSequence, RequestState, RunCounters
+from repro.engine.state import (
+    LiveSequence,
+    RequestArrays,
+    RequestState,
+    RunCounters,
+)
 from repro.workloads.arrivals import poisson_arrivals
 
 if TYPE_CHECKING:  # imported lazily to keep repro.faults decoupled
@@ -371,9 +376,15 @@ class ServingSimulator:
 
     # ------------------------------------------------------------------
     def vector_eligible(self) -> bool:
-        """Whether this configuration admits the vector fast path."""
-        from repro.engine.vector_run import serving_vector_eligible
-        return serving_vector_eligible(self)
+        """Whether this configuration admits the vector fast path.
+
+        Static test only — KV exhaustion is dynamic and handled by
+        :class:`~repro.engine.vector_run.VectorFallback` at run time.
+        """
+        return (self.faults is None
+                and self.thermal_config is None
+                and self.degradation is None
+                and self.engine.power.noise_std == 0)
 
     def run(self, requests: list[GenerationRequest],
             arrival_times: np.ndarray,
@@ -404,8 +415,8 @@ class ServingSimulator:
                         "(no faults, thermal, degradation, or power noise)")
             else:
                 try:
-                    report = VectorServingRun(
-                        self, requests, arrivals, deadlines).execute()
+                    report = VectorServingRun(self, arrays=RequestArrays(
+                        requests, arrivals, deadlines)).execute()
                     self.last_mode = "vector"
                     return report
                 except VectorFallback:
@@ -491,10 +502,7 @@ class _ServingRun:
         # length (the kernel jitter is a stateless hash), so admissions
         # may memoize it — the same legality condition as the vector
         # core's ``_prefill_memo``, now shared by the scalar hot path.
-        self._pure_prefill = (sim.faults is None
-                              and sim.thermal_config is None
-                              and sim.degradation is None
-                              and sim.engine.power.noise_std == 0)
+        self._pure_prefill = sim.vector_eligible()
         self._prefill_memo: dict[int, tuple[float, float]] = {}
         self.pending: list[tuple[float, int, int]] = []
         self.ready: list[tuple[float, int, int]] = []

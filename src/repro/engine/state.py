@@ -84,55 +84,28 @@ class RequestArrays:
 
     Column ``i`` describes request ``i`` in injection order.  Static
     columns are fixed at construction; outcome columns (``start_s``,
-    ``prefill_s``, ``finish_s``, ``context``, ``remaining``) are filled
-    in by the vector event loop.  ``deadline_s`` uses ``nan`` for "no
+    ``prefill_s``, ``finish_s``, ``context``) are filled in by the
+    vector event loop.  ``deadline_s`` uses ``nan`` for "no
     deadline" so the whole column stays a float64 array.
     """
 
     __slots__ = ("n", "request_id", "prompt_tokens", "stop_tokens",
                  "arrival_s", "ready_s", "deadline_s", "deadline_mask",
-                 "start_s", "prefill_s", "finish_s", "context", "remaining")
+                 "start_s", "prefill_s", "finish_s", "context")
 
     def __init__(self, requests: "list[GenerationRequest]",
                  arrival_times: np.ndarray,
                  deadlines: np.ndarray | None = None,
                  deadline_mask: np.ndarray | None = None):
         n = len(requests)
-        self.n = n
-        self.request_id = np.fromiter(
-            (r.request_id for r in requests), dtype=np.int64, count=n)
-        self.prompt_tokens = np.fromiter(
-            (r.prompt_tokens for r in requests), dtype=np.int64, count=n)
-        self.stop_tokens = np.fromiter(
-            (max(r.stop_lengths()) for r in requests), dtype=np.int64,
-            count=n)
-        self.arrival_s = np.asarray(arrival_times, dtype=np.float64).copy()
-        if self.arrival_s.shape != (n,):
-            raise ValueError("arrival_times must align with requests")
-        #: Earliest admission time; equals the arrival for batch runs.
-        self.ready_s = self.arrival_s.copy()
-        # ``deadline_mask`` distinguishes a *missing* deadline (scalar
-        # ``None``) from a numeric one; a nan value with the mask set is
-        # passed through faithfully, mirroring the scalar core.
-        if deadlines is None:
-            self.deadline_s = np.full(n, np.nan)
-            self.deadline_mask = np.zeros(n, dtype=bool)
-        else:
-            self.deadline_s = np.asarray(deadlines, dtype=np.float64).copy()
-            if self.deadline_s.shape != (n,):
-                raise ValueError("deadlines must align with requests")
-            if deadline_mask is None:
-                self.deadline_mask = np.ones(n, dtype=bool)
-            else:
-                self.deadline_mask = np.asarray(
-                    deadline_mask, dtype=bool).copy()
-                if self.deadline_mask.shape != (n,):
-                    raise ValueError("deadline_mask must align with requests")
-        self.start_s = np.full(n, np.nan)
-        self.prefill_s = np.zeros(n)
-        self.finish_s = np.full(n, np.nan)
-        self.context = np.zeros(n, dtype=np.int64)
-        self.remaining = np.zeros(n, dtype=np.int64)
+        built = self.from_columns(
+            np.fromiter((r.request_id for r in requests), np.int64, n),
+            np.fromiter((r.prompt_tokens for r in requests), np.int64, n),
+            np.fromiter((max(r.stop_lengths()) for r in requests),
+                        np.int64, n),
+            arrival_times, deadlines, deadline_mask)
+        for name in self.__slots__:
+            setattr(self, name, getattr(built, name))
 
     @classmethod
     def from_columns(cls, request_id: np.ndarray, prompt_tokens: np.ndarray,
@@ -145,9 +118,12 @@ class RequestArrays:
         The population-scale path: a trace generator already holds the
         request population as parallel arrays, and round-tripping a
         million rows through :class:`GenerationRequest` instances just
-        to tear them back apart would dominate the run.  Semantics are
-        identical to ``__init__`` with ``stop_tokens`` standing in for
-        ``max(r.stop_lengths())``.
+        to tear them back apart would dominate the run.  ``__init__``
+        delegates here with ``stop_tokens`` = ``max(r.stop_lengths())``,
+        so this is the one validation site.  ``deadline_mask``
+        distinguishes a *missing* deadline (scalar ``None``) from a
+        numeric one; a nan value with the mask set is passed through
+        faithfully, mirroring the scalar core.
         """
         self = cls.__new__(cls)
         request_id = np.asarray(request_id, dtype=np.int64)
@@ -183,12 +159,7 @@ class RequestArrays:
         self.prefill_s = np.zeros(n)
         self.finish_s = np.full(n, np.nan)
         self.context = np.zeros(n, dtype=np.int64)
-        self.remaining = np.zeros(n, dtype=np.int64)
         return self
-
-    def deadline_of(self, i: int) -> float | None:
-        """Request ``i``'s deadline in the scalar core's convention."""
-        return float(self.deadline_s[i]) if self.deadline_mask[i] else None
 
     # ------------------------------------------------------------------
     def admission_order(self) -> np.ndarray:

@@ -30,11 +30,11 @@ pin this), which is only possible because every accumulation is kept
   memoized per prompt length — legal because with power noise disabled
   the prefill cost is a pure function of the prompt.
 
-Eligibility (checked by :func:`serving_vector_eligible`): no fault
-injector, no thermal model, no degradation policy, no power-model
-noise.  Those features make cost time-varying or stateful, which breaks
-both the memoization and the closed-form span maths; runs that need
-them stay on the scalar oracle.
+Eligibility (checked by :meth:`~repro.engine.server.ServingSimulator.
+vector_eligible`): no fault injector, no thermal model, no degradation
+policy, no power-model noise.  Those features make cost time-varying or
+stateful, which breaks both the memoization and the closed-form span
+maths; runs that need them stay on the scalar oracle.
 
 KV pressure is the one *dynamic* hazard: an eligible run can still
 exhaust the paged cache mid-flight, and the scalar response (admission
@@ -44,6 +44,12 @@ the free pool — never touching the real allocator — and raises
 :class:`VectorFallback` the moment the scalar core would have seen
 ``KVCacheExhausted``; the caller then reruns the whole workload on the
 scalar path, which is deterministic and therefore safe to restart.
+
+Outcomes land in the :class:`~repro.engine.state.RequestArrays` outcome
+columns.  :meth:`VectorServingRun.execute_arrays` returns those columns
+(the population-scale sink, no per-request objects);
+:meth:`VectorServingRun.execute` builds the scalar core's report from
+them.
 
 Two telemetry-only divergences from the scalar path are accepted: the
 vector run does not consume engine sequence ids and does not drive the
@@ -61,7 +67,6 @@ import numpy as np
 from repro.engine.state import RequestArrays
 
 if TYPE_CHECKING:
-    from repro.engine.request import GenerationRequest
     from repro.engine.server import ResilienceReport, ServingSimulator
 
 
@@ -86,61 +91,35 @@ class VectorFallback(Exception):
     """
 
 
-def serving_vector_eligible(sim: "ServingSimulator") -> bool:
-    """Whether a simulator's configuration admits the vector fast path.
-
-    Static test only — KV exhaustion is dynamic and handled by
-    :class:`VectorFallback` at run time.
-    """
-    return (sim.faults is None
-            and sim.thermal_config is None
-            and sim.degradation is None
-            and sim.engine.power.noise_std == 0)
-
-
 class _VecSeq:
     """One live decode slot (the vector core's ``_LiveSequence``)."""
 
-    __slots__ = ("request_id", "index", "arrival_s", "start_s", "prefill_s",
-                 "prompt_tokens", "remaining", "context", "deadline_s")
+    __slots__ = ("index", "start_s", "prefill_s", "prompt_tokens",
+                 "remaining", "context")
 
-    def __init__(self, request_id: int, index: int, arrival_s: float,
-                 start_s: float, prefill_s: float, prompt_tokens: int,
-                 remaining: int, deadline_s: float | None):
-        self.request_id = request_id
+    def __init__(self, index: int, start_s: float, prefill_s: float,
+                 prompt_tokens: int, remaining: int):
         self.index = index
-        self.arrival_s = arrival_s
         self.start_s = start_s
         self.prefill_s = prefill_s
         self.prompt_tokens = prompt_tokens
         self.remaining = remaining
         self.context = prompt_tokens
-        self.deadline_s = deadline_s
 
 
 class VectorServingRun:
     """One batch serving run on the array-backed fast path."""
 
-    def __init__(self, sim: "ServingSimulator",
-                 requests: "list[GenerationRequest] | None" = None,
-                 arrival_times: np.ndarray | None = None,
-                 deadlines: np.ndarray | None = None,
-                 deadline_mask: np.ndarray | None = None, *,
-                 arrays: RequestArrays | None = None,
+    def __init__(self, sim: "ServingSimulator", *, arrays: RequestArrays,
                  session_ids: np.ndarray | None = None,
                  prefix_tokens: np.ndarray | None = None,
-                 prefix_cache=None,
-                 record_objects: bool = True):
-        if not serving_vector_eligible(sim):
+                 prefix_cache=None):
+        if not sim.vector_eligible():
             raise VectorFallback("configuration requires the scalar oracle")
         self.sim = sim
         self.engine = sim.engine
         self.kv = sim.kv_cache
-        if arrays is not None:
-            self.arrays = arrays
-        else:
-            self.arrays = RequestArrays(requests, arrival_times,
-                                        deadlines, deadline_mask)
+        self.arrays = arrays
         # Prefix-cache-aware admission (the trace fast path): replicates
         # ``_DeviceRun._prefill_cost`` bit-for-bit — same LRU lookup /
         # insert call sequence in admission order — against a real
@@ -157,16 +136,12 @@ class VectorServingRun:
         self._suffix_memo: dict[tuple[int, int], tuple[float, float]] = {}
         self.prefix_hits = 0
         self.prefix_misses = 0
-        #: When False, outcomes land in the arrays' outcome columns and
-        #: no per-request :class:`ServedRequest` objects are built (the
-        #: bounded-memory population-scale sink).
-        self._record_objects = record_objects
-        self.completed = 0
+        #: Finished request indices in completion order.
+        self._done: list[int] = []
         self.now = 0.0
         self.energy = 0.0
         self.prefill_stall_s = 0.0
         self.live: list[_VecSeq] = []
-        self.served: list = []
         # Arithmetic shadow of the paged allocator: the real cache is
         # never touched, so a fallback leaves no state to unwind.
         self._free = self.kv.free_blocks
@@ -299,14 +274,11 @@ class VectorServingRun:
         self.energy += base * power
         self.prefill_stall_s += base * len(self.live)
         self.live.append(_VecSeq(
-            request_id=int(arrays.request_id[i]),
             index=i,
-            arrival_s=float(arrays.arrival_s[i]),
             start_s=start_s,
             prefill_s=base,
             prompt_tokens=prompt,
             remaining=int(arrays.stop_tokens[i]),
-            deadline_s=arrays.deadline_of(i),
         ))
 
     # -- decode epochs -------------------------------------------------
@@ -338,28 +310,13 @@ class VectorServingRun:
     def _finish(self, seq: _VecSeq) -> None:
         self.live.remove(seq)
         self._free += self.kv.blocks_for(seq.context)
-        self.completed += 1
-        if not self._record_objects:
-            arrays = self.arrays
-            i = seq.index
-            arrays.start_s[i] = seq.start_s
-            arrays.prefill_s[i] = seq.prefill_s
-            arrays.finish_s[i] = self.now
-            arrays.context[i] = seq.context
-            return
-        from repro.engine.server import ServedRequest
-        self.served.append(ServedRequest(
-            request_id=seq.request_id,
-            arrival_s=seq.arrival_s,
-            start_s=seq.start_s,
-            finish_s=self.now,
-            prompt_tokens=seq.prompt_tokens,
-            output_tokens=seq.context - seq.prompt_tokens,
-            deadline_s=seq.deadline_s,
-            prefill_s=seq.prefill_s,
-            attempts=1,
-            degraded=False,
-        ))
+        arrays = self.arrays
+        i = seq.index
+        arrays.start_s[i] = seq.start_s
+        arrays.prefill_s[i] = seq.prefill_s
+        arrays.finish_s[i] = self.now
+        arrays.context[i] = seq.context
+        self._done.append(i)
 
     def _lookup(self, table: dict[int, np.ndarray], batch: int,
                 keys: np.ndarray, price) -> np.ndarray:
@@ -541,38 +498,65 @@ class VectorServingRun:
                 continue
             self._epoch()
 
-    def execute(self) -> "ResilienceReport":
+    def _serve_all(self) -> RequestArrays:
+        """Run to completion; every request must be served.
+
+        The vector core has no drop path — KV pressure raises
+        :class:`VectorFallback` instead — so a short count is a bug.
+        """
         self._run_loop()
-        return self._report()
+        if len(self._done) != self.arrays.n:
+            raise RuntimeError(
+                f"vector run finished {len(self._done)} of "
+                f"{self.arrays.n} requests")
+        return self.arrays
 
     def execute_arrays(self) -> RequestArrays:
         """Run to completion with outcomes in the array columns only.
 
-        The population-scale sink: requires ``record_objects=False`` at
-        construction, serves every request (the vector core has no drop
-        path — KV pressure raises :class:`VectorFallback` instead), and
-        returns the filled :class:`RequestArrays` without building a
-        single per-request object.
+        The population-scale sink: returns the filled
+        :class:`RequestArrays` without building a single per-request
+        object.
         """
-        if self._record_objects:
-            raise RuntimeError("execute_arrays requires "
-                               "record_objects=False")
-        self._run_loop()
-        if self.completed != self.arrays.n:
-            raise RuntimeError(
-                f"vector trace run finished {self.completed} of "
-                f"{self.arrays.n} requests")
-        return self.arrays
+        return self._serve_all()
 
-    def _report(self) -> "ResilienceReport":
-        from repro.engine.server import ResilienceReport
-        n = self.arrays.n
-        offered_qps = self.arrays.offered_qps(self.now)
+    def execute(self) -> "ResilienceReport":
+        """Run to completion and report like the scalar core.
+
+        The :meth:`execute_arrays` drain plus a report built from the
+        outcome columns: one :class:`ServedRequest` per request in
+        completion order, then stably sorted by request id — the scalar
+        report's order, field for field.
+        """
+        from repro.engine.server import ResilienceReport, ServedRequest
+        arrays = self._serve_all()
+        request_id = arrays.request_id.tolist()
+        arrival = arrays.arrival_s.tolist()
+        start = arrays.start_s.tolist()
+        finish = arrays.finish_s.tolist()
+        prompt = arrays.prompt_tokens.tolist()
+        context = arrays.context.tolist()
+        deadline = arrays.deadline_s.tolist()
+        mask = arrays.deadline_mask.tolist()
+        prefill = arrays.prefill_s.tolist()
+        served = [ServedRequest(
+            request_id=request_id[i],
+            arrival_s=arrival[i],
+            start_s=start[i],
+            finish_s=finish[i],
+            prompt_tokens=prompt[i],
+            output_tokens=context[i] - prompt[i],
+            deadline_s=deadline[i] if mask[i] else None,
+            prefill_s=prefill[i],
+            attempts=1,
+            degraded=False,
+        ) for i in self._done]
+        served.sort(key=lambda r: r.request_id)
         return ResilienceReport(
-            served=sorted(self.served, key=lambda r: r.request_id),
+            served=served,
             wallclock_s=self.now,
             energy_joules=self.energy,
-            offered_qps=offered_qps,
+            offered_qps=arrays.offered_qps(self.now),
             prefill_stall_s=self.prefill_stall_s,
-            offered=n,
+            offered=arrays.n,
         )

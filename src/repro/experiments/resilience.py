@@ -676,18 +676,9 @@ def run_overload_chaos_study(devices: int = 4,
 
     executor_identical = True
     if check_executors:
-        # Function-level imports: the registry imports this module.
-        from repro.experiments.runner import render
-        from repro.pipeline.runner import run_pipeline
-
-        rendered = []
-        for executor in ("thread", "process"):
-            run = run_pipeline(["fleet-overload"], seed=seed, smoke=True,
-                               jobs=2, executor=executor)
-            rendered.append(render(run.outputs["fleet-overload"]))
-        # The artifact embeds the full report sha, so byte-equal text
-        # means byte-equal fleet reports across executors.
-        executor_identical = rendered[0] == rendered[1]
+        # Function-level import: the registry imports this module.
+        from repro.experiments.runner import executors_agree
+        executor_identical = executors_agree("fleet-overload", seed)
 
     by_name = {d.name: d for d in report.devices}
     thermal_delivered = sum(
@@ -1244,16 +1235,9 @@ def run_autoscale_chaos_study(seed: int = 0, check_executors: bool = True,
 
     executor_identical = True
     if check_executors:
-        # Function-level imports: the registry imports this module.
-        from repro.experiments.runner import render
-        from repro.pipeline.runner import run_pipeline
-
-        rendered = []
-        for executor in ("thread", "process"):
-            run = run_pipeline(["fleet-autoscale"], seed=seed, smoke=True,
-                               jobs=2, executor=executor)
-            rendered.append(render(run.outputs["fleet-autoscale"]))
-        executor_identical = rendered[0] == rendered[1]
+        # Function-level import: the registry imports this module.
+        from repro.experiments.runner import executors_agree
+        executor_identical = executors_agree("fleet-autoscale", seed)
 
     return AutoscaleChaosResult(
         devices=points["devices"],

@@ -12,7 +12,9 @@ depends on.  This module keeps the historical entry points:
   intermediates computed exactly once, independent artifacts scheduled
   concurrently, deterministic output ordering at any job count;
 * ``run_all_timed`` — same, returning the per-artifact timing /
-  cache-instrumentation report alongside the outputs.
+  cache-instrumentation report alongside the outputs;
+* ``executors_agree(id, seed)`` — whether thread and process pipelines
+  render one artifact byte-identically.
 """
 
 from __future__ import annotations
@@ -50,6 +52,22 @@ def render(output: Any) -> str:
     if hasattr(output, "to_text"):
         return output.to_text()
     return str(output)
+
+
+def executors_agree(artifact_id: str, seed: int) -> bool:
+    """Whether thread and process pipelines render one artifact alike.
+
+    Runs ``artifact_id`` (smoke tier, two jobs) through the pipeline
+    under each executor and compares the rendered text — the chaos
+    gates' executor-identity probe.  Artifacts that embed a report sha
+    make byte-equal text mean byte-equal reports.
+    """
+    rendered = [
+        render(run_pipeline([artifact_id], seed=seed, smoke=True, jobs=2,
+                            executor=executor).outputs[artifact_id])
+        for executor in ("thread", "process")
+    ]
+    return rendered[0] == rendered[1]
 
 
 def run_all(seed: int = 0, jobs: int = 1,

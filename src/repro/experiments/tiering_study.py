@@ -185,18 +185,9 @@ def run_tiering_chaos_study(seed: int = 0, devices: int = 4,
 
     executor_identical = True
     if check_executors:
-        # Function-level imports: the registry imports this module.
-        from repro.experiments.runner import render
-        from repro.pipeline.runner import run_pipeline
-
-        rendered = []
-        for executor in ("thread", "process"):
-            run = run_pipeline(["tiering-frontier"], seed=seed, smoke=True,
-                               jobs=2, executor=executor)
-            rendered.append(render(run.outputs["tiering-frontier"]))
-        # The artifact embeds each report sha, so byte-equal text means
-        # byte-equal tiered fleet reports across executors.
-        executor_identical = rendered[0] == rendered[1]
+        # Function-level import: the registry imports this module.
+        from repro.experiments.runner import executors_agree
+        executor_identical = executors_agree("tiering-frontier", seed)
 
     return TieringChaosResult(
         seed=seed,

@@ -138,25 +138,29 @@ class FleetDevice:
         self.spec = spec
         self.name = spec.name
         self._faults = faults
-        mode = PowerMode(spec.power_mode)
-        soc = jetson_orin_agx_64gb()
-        if mode is not PowerMode.MAXN:
-            soc = soc.at_mode(mode)
-        model = get_model(spec.model)
-        self.engine = InferenceEngine(model, soc=soc)
-        self.simulator = ServingSimulator(
-            self.engine, max_batch_size=spec.max_batch_size,
-            policy=spec.policy, faults=faults, thermal=spec.thermal)
+        self._build(spec.power_mode)
         prefix_cache = None
         if spec.prefix_cache_mb > 0:
             prefix_cache = PrefixCache(
                 capacity_bytes=spec.prefix_cache_mb * 1e6,
-                kv_bytes_per_token=model.kv_bytes_per_token)
+                kv_bytes_per_token=self.engine.model.kv_bytes_per_token)
         self.run = _DeviceRun(self.simulator, prefix_cache=prefix_cache)
         self.crashes = 0
         self.evacuated = 0
         self.dvfs_switches = 0
         self._down_until: float | None = None
+
+    def _build(self, power_mode: str) -> None:
+        """(Re)build the engine and simulator at ``power_mode``."""
+        mode = PowerMode(power_mode)  # raises ValueError on unknown modes
+        soc = jetson_orin_agx_64gb()
+        if mode is not PowerMode.MAXN:
+            soc = soc.at_mode(mode)
+        self.engine = InferenceEngine(get_model(self.spec.model), soc=soc)
+        self.simulator = ServingSimulator(
+            self.engine, max_batch_size=self.spec.max_batch_size,
+            policy=self.spec.policy, faults=self._faults,
+            thermal=self.spec.thermal)
 
     def set_power_mode(self, power_mode: str) -> None:
         """DVFS: rebuild the engine at ``power_mode`` on an idle device.
@@ -174,15 +178,7 @@ class FleetDevice:
                 "a DVFS switch requires an idle device")
         if power_mode == self.spec.power_mode:
             return
-        mode = PowerMode(power_mode)  # raises ValueError on unknown modes
-        soc = jetson_orin_agx_64gb()
-        if mode is not PowerMode.MAXN:
-            soc = soc.at_mode(mode)
-        self.engine = InferenceEngine(get_model(self.spec.model), soc=soc)
-        self.simulator = ServingSimulator(
-            self.engine, max_batch_size=self.spec.max_batch_size,
-            policy=self.spec.policy, faults=self._faults,
-            thermal=self.spec.thermal)
+        self._build(power_mode)
         run = self.run
         run.sim = self.simulator
         run.engine = self.engine
@@ -190,10 +186,7 @@ class FleetDevice:
         # The pricing kernels changed: cached prefill costs are stale.
         run._prefill_memo.clear()
         run._suffix_memo.clear()
-        run._pure_prefill = (self.simulator.faults is None
-                             and self.simulator.thermal_config is None
-                             and self.simulator.degradation is None
-                             and self.engine.power.noise_std == 0)
+        run._pure_prefill = self.simulator.vector_eligible()
         self.spec = dataclasses.replace(self.spec, power_mode=power_mode)
         self.dvfs_switches += 1
 
@@ -202,24 +195,10 @@ class FleetDevice:
         """Whether this device can run on the vector fast path.
 
         Requires an eligible simulator configuration (no faults,
-        thermal, or power noise), no prefix cache (prefix-aware prefill
-        is stateful), and a fresh run (nothing injected or executed yet
-        through the incremental seam).
-        """
-        return (self.simulator.vector_eligible()
-                and self.run._prefix_cache is None
-                and self.run._next_index == 0
-                and self.run.now == 0.0)
-
-    @property
-    def trace_eligible(self) -> bool:
-        """Vector eligibility for the streaming trace fast path.
-
-        Unlike :attr:`vector_eligible`, a prefix cache is allowed: the
-        trace path's :class:`~repro.engine.vector_run.VectorServingRun`
-        replicates prefix-aware admission against the device's own
-        cache, so only the simulator configuration and run freshness
-        matter.
+        thermal model, degradation policy, or power noise) and a fresh
+        run (nothing injected or executed yet through the incremental
+        seam).  A prefix cache is allowed: the vector core replicates
+        prefix-aware admission against a clone of the device's cache.
         """
         return (self.simulator.vector_eligible()
                 and self.run._next_index == 0

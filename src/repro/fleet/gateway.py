@@ -73,11 +73,14 @@ the device to have run).  It is the gateway's only per-event loop:
 plain streams and tiered DAG runs pop the same event heap, a tiered
 run adding its job-admission arrival handler, a settle step that
 releases unblocked DAG stages after each event, and its tick source.
-Population-scale streams bypass the per-event loop entirely:
-:meth:`FleetGateway.run_trace` partitions a chunked column trace
-(round-robin or prefix-affinity) and drains each share on the
-array-backed vector core, reporting through the column-native
-:class:`~repro.fleet.trace.FleetTraceReport`.
+Eligible runs bypass the per-event loop entirely, through either entry
+point: :meth:`FleetGateway.run` folds its request stream into columns
+and :meth:`FleetGateway.run_trace` collects a chunked column trace;
+both then share one partition (round-robin or prefix-affinity), one
+per-device drain on the array-backed vector core, and one eligibility
+rule.  ``run`` reports a :class:`~repro.fleet.report.FleetReport`,
+``run_trace`` the column-native :class:`~repro.fleet.trace.
+FleetTraceReport`.
 """
 
 from __future__ import annotations
@@ -804,70 +807,182 @@ class FleetGateway:
                 self._autoscale_tick(t)
         return max((d.run.now for d in self.devices), default=t)
 
-    # -- the vector fast path --------------------------------------------
+    # -- the vector partition-and-drain path -----------------------------
     def vector_eligible(self) -> bool:
         """Whether this gateway configuration admits the vector path.
 
-        Round-robin routing is the one state-independent policy (every
-        other policy reads live device state per arrival, which is
-        inherently sequential), and no mid-stream event source may be
-        armed: faults, brownout, and hedging all inject events the
-        merged epoch loop cannot batch.  Every device must itself be
-        vector-eligible.  Health breakers are allowed *statically* —
-        with no failure source they can only trip on completion-latency
-        spikes, which :meth:`_run_vector` detects dynamically and
-        answers with a scalar fallback.
+        Round-robin and prefix-affinity are the state-independent
+        policies (every other policy reads live device state per
+        arrival, which is inherently sequential), and no mid-stream
+        event source may be armed: faults, brownout, hedging, and
+        autoscaling all inject events a per-device drain cannot batch.
+        Every device must itself be vector-eligible.  Health breakers
+        are allowed *statically* — with no failure source they can only
+        trip on completion-latency spikes, which :meth:`_drain` detects
+        dynamically and answers with a scalar fallback.  :meth:`run`
+        also needs no tiering and, under prefix-affinity, a session on
+        every request (stateless requests route by live load).
         """
-        return (self.policy == "round-robin"
+        return (self.policy in ("round-robin", "prefix-affinity")
                 and self.faults is None
                 and self.brownout is None
                 and self.hedge is None
                 and self.autoscale is None
                 and all(d.vector_eligible for d in self.devices))
 
-    def _run_vector(self, stream: "list[FleetRequest] | tuple[FleetRequest, ...]"
-                    ) -> FleetReport:
-        """Batched fleet run: partition up front, drain per device.
+    def _vector(self, eligible: bool, needs: str, drain):
+        """Run ``drain`` when ``mode`` and eligibility allow.
+
+        Returns its report, or None when the scalar oracle must run
+        instead: ``mode="scalar"``, an ineligible configuration, or a
+        :class:`~repro.engine.vector_run.VectorFallback` (the drain runs
+        on device clones, so the rerun starts from pristine state).
+        ``mode="vector"`` raises on ineligibility, naming ``needs``.
+        """
+        if self.mode == "scalar":
+            return None
+        if not eligible:
+            if self.mode == "vector":
+                raise ValueError(f"mode='vector' requires {needs} and no "
+                                 "faults, brownout, hedging, autoscaling, "
+                                 "or ineligible devices")
+            return None
+        try:
+            report = drain()
+        except VectorFallback:
+            return None
+        self.last_mode = "vector"
+        return report
+
+    def _assign(self, session: np.ndarray, head) -> np.ndarray:
+        """Per-row device index: the partition both entry points drain.
 
         With round-robin routing and no faults the scalar event loop is
         exactly equivalent to assigning the k-th arrival (in arrival
         order, ties by stream position — the scalar sort) to the k-th
-        device modulo the fleet, then letting each device drain its
+        device modulo the fleet; under prefix-affinity each session goes
+        to its whole-fleet rendezvous winner (``head(session)`` is the
+        session's key bytes plus the rendezvous separator).
+        ``np.unique`` folds the column to its distinct sessions first,
+        so sha256 work scales with sessions, not requests.
+        """
+        if self.policy != "prefix-affinity":
+            return (np.arange(session.shape[0], dtype=np.int64)
+                    % len(self.devices))
+        uniq, inverse = np.unique(session, return_inverse=True)
+        lut = np.fromiter((self._rendezvous_winner(head(sid))
+                           for sid in uniq.tolist()),
+                          dtype=np.int64, count=uniq.shape[0])
+        return lut[inverse]
+
+    def _rendezvous_winner(self, head: bytes) -> int:
+        """Rendezvous winner index for one session over the whole fleet.
+
+        Reproduces the scalar ``max(up, key=(weight, name))`` exactly:
+        devices iterate in ascending name order, so keeping ties with
+        ``>=`` leaves the largest name holding the best weight — and
+        with no failure source the scalar pool provably stays the full
+        fleet, making the whole-fleet winner the partition.  ``head`` +
+        name are the bytes of the scalar ``f"{session}:{name}"`` digest.
+
+        This loop hashes (sessions x devices) digests per partition, so
+        it stays lean: the hash constructor and byte decoder are bound
+        locally.
+        """
+        sha256 = hashlib.sha256
+        from_bytes = int.from_bytes
+        best = 0
+        best_weight = -1
+        index = 0
+        for name in self._name_bytes:
+            weight = from_bytes(sha256(head + name).digest()[:8], "little")
+            if weight >= best_weight:
+                best = index
+                best_weight = weight
+            index += 1
+        return best
+
+    def _drain(self, columns: dict, objects: bool, jobs: int = 1,
+               executor: str = "thread") -> list:
+        """Drain each device's partition share on the vector core.
+
+        Given the :meth:`_assign` partition, each device drains its
         share independently: ``run_until`` segments compose bitwise when
         nothing is injected between them, so the per-arrival ping-pong
-        of the scalar loop prices the very same epochs.  Each device
-        then runs on the array-backed vector core.  Raises
-        :class:`~repro.engine.vector_run.VectorFallback` (before any
-        state is mutated — the vector core never touches the real
-        allocator) if any device hits KV exhaustion, or if any served
-        latency reaches the health model's spike threshold: past it the
-        scalar loop's circuit breakers could leave CLOSED and start
-        shifting load, so only the oracle is authoritative.  Below it
-        the breakers provably never transition (there is no failure
-        source), making the partition equivalence exact.
+        of the scalar loop prices the very same epochs.  Every share
+        runs through :func:`_drain_share` — a pure task over a fresh
+        clone of the device — so shares may execute on any executor in
+        any order without changing a byte.
+        Returns ``(share columns, outcome)`` per device, in name order.
+        Raises :class:`~repro.engine.vector_run.VectorFallback` on KV
+        exhaustion, or if any served latency reaches the health model's
+        spike threshold: past it the scalar loop's circuit breakers
+        could leave CLOSED and start shifting load, so only the oracle
+        is authoritative.  Below it the breakers provably never
+        transition (there is no failure source), making the partition
+        equivalence exact.
         """
-        arrivals = sorted(enumerate(stream),
-                          key=lambda pair: (pair[1].arrival_s, pair[0]))
-        shares: list[list[FleetRequest]] = [[] for _ in self.devices]
-        for k, (_, freq) in enumerate(arrivals):
-            shares[k % len(self.devices)].append(freq)
+        assign = columns["assign"]
+        order = np.argsort(assign, kind="stable")
+        counts = np.bincount(assign, minlength=len(self.devices))
+        spike_s = (self._health_config or HealthConfig()).latency_spike_s
+        shares = []
+        start = 0
+        for n_d in counts.tolist():
+            idx = order[start:start + n_d]
+            start += n_d
+            shares.append({name: columns[name][idx]
+                           for name in _SHARE_COLUMNS})
+        tasks = [(device.spec, spike_s, objects, share)
+                 for device, share in zip(self.devices, shares)]
+        if jobs == 1:
+            outcomes = [_drain_share(*task) for task in tasks]
+        else:
+            pool_cls = (concurrent.futures.ThreadPoolExecutor
+                        if executor == "thread"
+                        else concurrent.futures.ProcessPoolExecutor)
+            with pool_cls(max_workers=jobs) as pool:
+                futures = [pool.submit(_drain_share, *task)
+                           for task in tasks]
+                # Collected in device order regardless of completion
+                # order; a fallback in any share propagates here.
+                outcomes = [future.result() for future in futures]
+        return list(zip(shares, outcomes))
+
+    def _stream_columns(self, stream) -> dict:
+        """Fold a request stream into the columns :meth:`run_trace` drains.
+
+        Rows follow the scalar loop's order (arrival time, ties by
+        stream position).  Session strings are relabelled to ints by
+        first appearance — a bijection, so every prefix-cache LRU
+        sequence is unchanged — and stateless rows carry no prefix,
+        exactly as the scalar device never looks them up.
+        """
+        ordered = [freq for _, freq in sorted(
+            enumerate(stream), key=lambda pair: (pair[1].arrival_s, pair[0]))]
+        keys: dict[str, int] = {}
+        table = np.array([
+            (f.request.request_id, f.arrival_s, f.request.prompt_tokens,
+             max(f.request.stop_lengths()),
+             np.nan if f.deadline_s is None else f.deadline_s,
+             f.deadline_s is not None,
+             -1 if f.session is None else keys.setdefault(f.session,
+                                                           len(keys)),
+             0 if f.session is None else f.prefix_tokens)
+            for f in ordered], dtype=_SHARE_DTYPE)
+        columns = {name: table[name] for name in _SHARE_COLUMNS}
+        heads = [key.encode() + b":" for key in keys]
+        columns["assign"] = self._assign(columns["session"],
+                                         heads.__getitem__)
+        return columns
+
+    def _fleet_report(self, stream) -> FleetReport:
+        """The vector path of :meth:`run`: stream → columns → drain."""
         outcomes = []
-        for device, share in zip(self.devices, shares):
-            requests = [f.request for f in share]
-            arrival_s = np.array([f.arrival_s for f in share],
-                                 dtype=np.float64)
-            deadlines = np.array(
-                [f.deadline_s if f.deadline_s is not None else np.nan
-                 for f in share], dtype=np.float64)
-            mask = np.array([f.deadline_s is not None for f in share],
-                            dtype=bool)
-            report = VectorServingRun(device.simulator, requests,
-                                      arrival_s, deadlines, mask).execute()
-            spike_s = (self._health_config or HealthConfig()).latency_spike_s
-            if any(r.latency_s >= spike_s for r in report.served):
-                raise VectorFallback(
-                    "completion latency reached the breaker spike "
-                    "threshold; the scalar oracle owns breaker dynamics")
+        for device, (_, outcome) in zip(
+                self.devices, self._drain(self._stream_columns(stream),
+                                          objects=True)):
+            report, _, _, hits, misses = outcome
             outcomes.append(DeviceOutcome(
                 name=device.name,
                 model=device.spec.model,
@@ -875,8 +990,8 @@ class FleetGateway:
                 report=report,
                 crashes=0,
                 evacuated=0,
-                prefix_hits=0,
-                prefix_misses=0,
+                prefix_hits=hits,
+                prefix_misses=misses,
             ))
         return FleetReport(
             policy=self.policy,
@@ -886,25 +1001,6 @@ class FleetGateway:
         )
 
     # -- the population-scale trace driver -------------------------------
-    def trace_eligible(self) -> bool:
-        """Whether this configuration admits the vector trace driver.
-
-        Wider than :meth:`vector_eligible` in one direction (the trace
-        partition equivalence also covers ``prefix-affinity`` — the
-        rendezvous winner is a pure function of the session, so the
-        per-session partition is known up front) and narrower in none
-        that matter at population scale: no mid-stream event source may
-        be armed, and every device must be trace-eligible (fresh run,
-        eligible simulator; a prefix cache is fine — the vector core
-        replicates prefix-aware admission against it).
-        """
-        return (self.policy in ("round-robin", "prefix-affinity")
-                and self.faults is None
-                and self.brownout is None
-                and self.hedge is None
-                and self.autoscale is None
-                and all(d.trace_eligible for d in self.devices))
-
     def run_trace(self, trace, chunk_size: int = 65536, *,
                   jobs: int = 1,
                   executor: str = "thread") -> FleetTraceReport:
@@ -928,14 +1024,12 @@ class FleetGateway:
         render byte-identical reports — the executor choice is purely
         a wall-clock decision.
 
-        Dispatch mirrors :meth:`run`: the vector partition path when
-        ``mode`` allows and :meth:`trace_eligible` holds, with a scalar
+        Dispatch mirrors :meth:`run`: the same partition and drain when
+        ``mode`` allows and :meth:`vector_eligible` holds, with a scalar
         rerun (through :meth:`_run_scalar` on materialized requests —
         small traces only) on :class:`~repro.engine.vector_run.
         VectorFallback`; ``mode="scalar"`` forces the oracle and
-        ``mode="vector"`` raises on ineligibility.  The clone-based
-        shares leave this gateway's own devices untouched, so the
-        fallback rerun starts from pristine state.
+        ``mode="vector"`` raises on ineligibility.
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be positive")
@@ -946,21 +1040,12 @@ class FleetGateway:
         chunks = (trace.chunks(chunk_size)
                   if hasattr(trace, "chunks") else trace)
         columns = self._collect_trace(chunks)
-        if self.mode != "scalar":
-            eligible = self.trace_eligible()
-            if self.mode == "vector" and not eligible:
-                raise ValueError(
-                    "mode='vector' requires round-robin or "
-                    "prefix-affinity routing with no faults, brownout, "
-                    "hedging, autoscaling, or ineligible devices")
-            if eligible:
-                try:
-                    report = self._run_trace_vector(columns, jobs,
-                                                    executor)
-                    self.last_mode = "vector"
-                    return report
-                except VectorFallback:
-                    pass
+        report = self._vector(
+            self.vector_eligible(),
+            "round-robin or prefix-affinity routing",
+            lambda: self._trace_report(columns, jobs, executor))
+        if report is not None:
+            return report
         self.last_mode = "scalar"
         return trace_report_from_fleet(
             self._run_scalar(self._trace_stream(columns)))
@@ -969,21 +1054,14 @@ class FleetGateway:
         """Fold a chunk stream into assignment-ready columns.
 
         One pass: validates ordering (arrivals nondecreasing within and
-        across chunks) and deadline uniformity, and computes the
-        per-request device assignment incrementally — round-robin is
-        position mod fleet, prefix-affinity memoizes one rendezvous
-        winner per distinct session id seen so far (``np.unique`` folds
-        each chunk to its distinct sessions first, so sha256 work scales
-        with sessions, not requests).
+        across chunks) and deadline uniformity, then expands the single
+        deadline into the per-request deadline column and mask that
+        :meth:`_stream_columns` builds, and assigns each row its device.
         """
-        n_dev = len(self.devices)
-        affinity = self.policy == "prefix-affinity"
-        parts: list[list[np.ndarray]] = [[] for _ in range(7)]
+        parts: list[list[np.ndarray]] = [[] for _ in range(6)]
         deadline: float | None = None
         first = True
         prev_last = -math.inf
-        cursor = 0
-        winners: dict[int, int] = {}
         for chunk in chunks:
             n = int(chunk.n)
             if n == 0:
@@ -1000,145 +1078,60 @@ class FleetGateway:
                 first = False
             elif chunk.deadline_s != deadline:
                 raise ValueError("all chunks must share one deadline_s")
-            session = np.ascontiguousarray(chunk.session, dtype=np.int64)
-            if affinity:
-                uniq, inverse = np.unique(session, return_inverse=True)
-                lut = np.empty(uniq.shape[0], dtype=np.int64)
-                for j, sid in enumerate(uniq.tolist()):
-                    winner = winners.get(sid)
-                    if winner is None:
-                        winner = self._trace_winner(sid)
-                        winners[sid] = winner
-                    lut[j] = winner
-                assign = lut[inverse]
-            else:
-                assign = (cursor + np.arange(n, dtype=np.int64)) % n_dev
-            cursor += n
-            for bucket, column in zip(parts, (
-                    np.ascontiguousarray(chunk.request_id, dtype=np.int64),
-                    arrival,
-                    np.ascontiguousarray(chunk.prompt_tokens,
-                                         dtype=np.int64),
-                    np.ascontiguousarray(chunk.output_tokens,
-                                         dtype=np.int64),
-                    session,
-                    np.ascontiguousarray(chunk.prefix_tokens,
-                                         dtype=np.int64),
-                    assign)):
-                bucket.append(column)
+            parts[0].append(arrival)
+            for bucket, column in zip(parts[1:], (
+                    chunk.request_id, chunk.prompt_tokens,
+                    chunk.output_tokens, chunk.session,
+                    chunk.prefix_tokens)):
+                bucket.append(np.ascontiguousarray(column, dtype=np.int64))
         if not parts[0]:
             raise ValueError("the trace is empty")
-        names = ("request_id", "arrival_s", "prompt_tokens",
-                 "output_tokens", "session", "prefix_tokens", "assign")
+        names = ("arrival_s", "request_id", "prompt_tokens", "stop_tokens",
+                 "session", "prefix_tokens")
         columns = {name: np.concatenate(bucket)
                    for name, bucket in zip(names, parts)}
-        columns["deadline_s"] = deadline
+        n = columns["arrival_s"].shape[0]
+        columns["deadline_s"] = np.full(
+            n, np.nan if deadline is None else float(deadline))
+        columns["deadline_mask"] = np.full(n, deadline is not None)
+        # ``b"s%d:"`` is :func:`~repro.workloads.population.session_key`
+        # plus the rendezvous separator, inlined (the oracle-equivalence
+        # tests pin the agreement).
+        columns["assign"] = self._assign(columns["session"],
+                                         lambda sid: b"s%d:" % sid)
         return columns
 
-    def _trace_winner(self, session: int) -> int:
-        """Rendezvous winner index for one session over the whole fleet.
+    def _trace_report(self, columns: dict, jobs: int,
+                      executor: str) -> FleetTraceReport:
+        """The vector path of :meth:`run_trace`: drain, then assemble.
 
-        Reproduces the scalar ``max(up, key=(weight, name))`` exactly:
-        devices iterate in ascending name order, so keeping ties with
-        ``>=`` leaves the largest name holding the best weight — and
-        with no failure source the scalar pool provably stays the full
-        fleet, making the whole-fleet winner the partition.
-
-        This loop hashes (sessions x devices) digests per collection
-        pass, so it stays lean: ``b"s%d:" % session`` is
-        :func:`~repro.workloads.population.session_key` plus the
-        rendezvous separator, inlined (the oracle-equivalence tests pin
-        the agreement), and the hash constructor and byte decoder are
-        bound locally.
+        Outcomes stay in array columns — no per-request object exists —
+        and flow through :func:`~repro.fleet.trace.assemble_trace_report`
+        like the scalar oracle's.
         """
-        head = b"s%d:" % session
-        sha256 = hashlib.sha256
-        from_bytes = int.from_bytes
-        best = 0
-        best_weight = -1
-        index = 0
-        for name in self._name_bytes:
-            weight = from_bytes(sha256(head + name).digest()[:8], "little")
-            if weight >= best_weight:
-                best = index
-                best_weight = weight
-            index += 1
-        return best
-
-    def _run_trace_vector(self, columns: dict, jobs: int = 1,
-                          executor: str = "thread") -> FleetTraceReport:
-        """Drain each device's partition share on the vector core.
-
-        The same partition-equivalence argument as :meth:`_run_vector`,
-        with the assignment already computed per column row; each share
-        runs through :func:`_trace_device_share` — a pure task over a
-        fresh clone of the device — so outcomes land in array columns,
-        no per-request object ever exists, and shares may execute on
-        any executor in any order without changing a byte.  Raises
-        :class:`~repro.engine.vector_run.VectorFallback` on KV
-        exhaustion or any served latency at the breaker spike threshold
-        (past it the scalar oracle's breakers could shift load).
-        """
-        assign = columns["assign"]
-        order = np.argsort(assign, kind="stable")
-        counts = np.bincount(assign, minlength=len(self.devices))
-        spike_s = (self._health_config or HealthConfig()).latency_spike_s
-        deadline = columns["deadline_s"]
-        shares = []
-        start = 0
-        for index, device in enumerate(self.devices):
-            n_d = int(counts[index])
-            idx = order[start:start + n_d]
-            start += n_d
-            shares.append((device.spec, spike_s,
-                           columns["request_id"][idx],
-                           columns["prompt_tokens"][idx],
-                           columns["output_tokens"][idx],
-                           columns["arrival_s"][idx],
-                           deadline,
-                           columns["session"][idx],
-                           columns["prefix_tokens"][idx]))
-        if jobs == 1:
-            outcomes = [_trace_device_share(*share) for share in shares]
-        else:
-            pool_cls = (concurrent.futures.ThreadPoolExecutor
-                        if executor == "thread"
-                        else concurrent.futures.ProcessPoolExecutor)
-            with pool_cls(max_workers=jobs) as pool:
-                futures = [pool.submit(_trace_device_share, *share)
-                           for share in shares]
-                # Collected in device order regardless of completion
-                # order; a fallback in any share propagates here.
-                outcomes = [future.result() for future in futures]
         rows = []
-        for device, share, outcome in zip(self.devices, shares, outcomes):
-            rid, prompts, arrival = share[2], share[3], share[5]
-            start_s, finish_s, context, now, energy, hits, misses = outcome
-            n_d = rid.shape[0]
-            if deadline is not None:
-                deadline_col = np.full(n_d, float(deadline))
-                mask = np.ones(n_d, dtype=bool)
-            else:
-                deadline_col = np.full(n_d, np.nan)
-                mask = np.zeros(n_d, dtype=bool)
+        for device, (share, outcome) in zip(
+                self.devices, self._drain(columns, False, jobs, executor)):
+            (start_s, finish_s, context), now, energy, hits, misses = outcome
             rows.append(TraceDeviceData(
                 device.name, device.spec.model, device.spec.power_mode,
-                offered=n_d,
+                offered=share["request_id"].shape[0],
                 wallclock_s=now,
                 energy_joules=energy,
                 prefix_hits=hits,
                 prefix_misses=misses,
                 unserved_with_deadline=0,
-                request_id=rid,
-                arrival_s=arrival,
+                request_id=share["request_id"],
+                arrival_s=share["arrival_s"],
                 start_s=start_s,
                 finish_s=finish_s,
-                prompt_tokens=prompts,
-                output_tokens=context - prompts,
-                deadline_s=deadline_col,
-                deadline_mask=mask,
+                prompt_tokens=share["prompt_tokens"],
+                output_tokens=context - share["prompt_tokens"],
+                deadline_s=share["deadline_s"],
+                deadline_mask=share["deadline_mask"],
             ))
-        return assemble_trace_report(self.policy, int(assign.shape[0]),
+        return assemble_trace_report(self.policy,
+                                     int(columns["assign"].shape[0]),
                                      0, 0, rows)
 
     def _trace_stream(self, columns: dict) -> "list[FleetRequest]":
@@ -1150,19 +1143,20 @@ class FleetGateway:
         """
         from repro.workloads.population import session_key
 
-        deadline = columns["deadline_s"]
         rid = columns["request_id"]
         arrival = columns["arrival_s"]
         prompt = columns["prompt_tokens"]
-        output = columns["output_tokens"]
+        stop = columns["stop_tokens"]
         session = columns["session"]
         prefix = columns["prefix_tokens"]
+        deadline = columns["deadline_s"]
+        mask = columns["deadline_mask"]
         return [
             FleetRequest(
                 request=GenerationRequest(int(rid[i]), int(prompt[i]),
-                                          int(output[i])),
+                                          int(stop[i])),
                 arrival_s=float(arrival[i]),
-                deadline_s=deadline,
+                deadline_s=float(deadline[i]) if mask[i] else None,
                 session=session_key(int(session[i])),
                 prefix_tokens=int(prefix[i]),
             )
@@ -1174,10 +1168,11 @@ class FleetGateway:
             *, tiering=None) -> FleetReport:
         """Serve one request stream to completion across the fleet.
 
-        Dispatches to the vector fast path when ``mode`` allows and the
-        configuration is eligible (see :meth:`vector_eligible`); both
-        cores produce byte-identical reports, and :attr:`last_mode`
-        records which one ran.
+        Dispatches to the vector partition-and-drain path when ``mode``
+        allows and the configuration is eligible (see
+        :meth:`vector_eligible`; under prefix-affinity every request
+        also needs a session); both cores produce byte-identical
+        reports, and :attr:`last_mode` records which one ran.
 
         With ``tiering`` (a :class:`~repro.tiering.policy.
         TieringConfig`), ``stream`` must instead be a sequence of
@@ -1187,20 +1182,16 @@ class FleetGateway:
         core (see :meth:`_run_tiered`).  ``tiering=None`` leaves every
         untiered code path — and its reports — byte-identical.
         """
-        if self.mode != "scalar":
-            eligible = tiering is None and self.vector_eligible()
-            if self.mode == "vector" and not eligible:
-                raise ValueError(
-                    "mode='vector' requires round-robin routing with no "
-                    "faults, brownout, hedging, autoscaling, tiering, or "
-                    "ineligible devices")
-            if eligible:
-                try:
-                    report = self._run_vector(stream)
-                    self.last_mode = "vector"
-                    return report
-                except VectorFallback:
-                    pass  # KV pressure somewhere: scalar oracle rerun
+        report = self._vector(
+            tiering is None and self.vector_eligible()
+            and (self.policy != "prefix-affinity"
+                 or all(freq.session is not None for freq in stream)),
+            "round-robin routing or prefix-affinity routing with a "
+            "session on every request (a stateless request routes by "
+            "live load), no tiering,",
+            lambda: self._fleet_report(stream))
+        if report is not None:
+            return report
         self.last_mode = "scalar"
         if tiering is not None:
             return self._run_tiered(stream, tiering)
@@ -1416,37 +1407,47 @@ class FleetGateway:
             self._tier_out_tokens = {}
 
 
-# -- the per-device trace task (module level: process-executor picklable)
-def _trace_device_share(spec, spike_s, request_id, prompt_tokens,
-                        output_tokens, arrival_s, deadline_s,
-                        session, prefix_tokens):
+# -- the per-device drain task (module level: process-executor picklable)
+#: The partition columns each device's share carries.
+_SHARE_DTYPE = np.dtype([
+    ("request_id", np.int64), ("arrival_s", np.float64),
+    ("prompt_tokens", np.int64), ("stop_tokens", np.int64),
+    ("deadline_s", np.float64), ("deadline_mask", bool),
+    ("session", np.int64), ("prefix_tokens", np.int64)])
+_SHARE_COLUMNS = _SHARE_DTYPE.names
+
+
+def _drain_share(spec, spike_s, objects, share):
     """Serve one device's partition share on a fresh clone.
 
     A pure task: it builds its own :class:`~repro.fleet.device.
     FleetDevice` from the (picklable) spec — construction is
     deterministic — so serial, thread-pool, and process-pool executions
     perform identical float work on identical fresh state, and the
-    gateway's own devices stay untouched for a scalar fallback.
-    Returns the share's outcome columns plus the run scalars, or raises
+    gateway's own devices (prefix caches included) stay untouched for a
+    scalar fallback.  Returns ``(result, now, energy, prefix hits,
+    prefix misses)``: with ``objects`` the result is the core's
+    :class:`~repro.engine.server.ResilienceReport`, otherwise the
+    outcome columns ``(start_s, finish_s, context)``.  Raises
     :class:`~repro.engine.vector_run.VectorFallback` (picklable across
     a process boundary) on KV exhaustion or a served latency at the
     breaker spike threshold.
     """
     device = FleetDevice(spec)
-    n_d = request_id.shape[0]
     arrays = RequestArrays.from_columns(
-        request_id, prompt_tokens, output_tokens, arrival_s,
-        deadlines=(np.full(n_d, float(deadline_s))
-                   if deadline_s is not None else None))
+        share["request_id"], share["prompt_tokens"], share["stop_tokens"],
+        share["arrival_s"], share["deadline_s"], share["deadline_mask"])
     vrun = VectorServingRun(
         device.simulator, arrays=arrays,
-        session_ids=session, prefix_tokens=prefix_tokens,
-        prefix_cache=device.run._prefix_cache,
-        record_objects=False)
-    vrun.execute_arrays()
-    if n_d and float(np.max(arrays.finish_s - arrays.arrival_s)) >= spike_s:
+        session_ids=share["session"], prefix_tokens=share["prefix_tokens"],
+        prefix_cache=device.run._prefix_cache)
+    if objects:
+        result = vrun.execute()
+    else:
+        vrun.execute_arrays()
+        result = (arrays.start_s, arrays.finish_s, arrays.context)
+    if arrays.n and float(np.max(arrays.finish_s - arrays.arrival_s)) >= spike_s:
         raise VectorFallback(
             "completion latency reached the breaker spike threshold; "
             "the scalar oracle owns breaker dynamics")
-    return (arrays.start_s, arrays.finish_s, arrays.context,
-            vrun.now, vrun.energy, vrun.prefix_hits, vrun.prefix_misses)
+    return result, vrun.now, vrun.energy, vrun.prefix_hits, vrun.prefix_misses

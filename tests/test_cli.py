@@ -86,6 +86,13 @@ class TestCommands:
                      "--output", "64", "--parallel", "8"]) == 0
         assert "batch 8" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("policy, core", [
+        ("prefix-affinity", "vector"), ("latency-aware", "scalar")])
+    def test_fleet_prints_the_core_that_ran(self, capsys, policy, core):
+        assert main(["fleet", "--policy", policy, "--requests", "12",
+                     "--sessions", "3"]) == 0
+        assert f"policy {policy} [{core}]" in capsys.readouterr().out
+
     def test_run_artifact(self, capsys):
         assert main(["run", "table9"]) == 0
         assert "Table IX" in capsys.readouterr().out

@@ -10,6 +10,8 @@ eligible configurations *genuinely* execute on the vector path
 fallback.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +174,46 @@ class TestFleetEquivalence:
     def test_vector_mode_rejects_non_round_robin(self):
         with pytest.raises(ValueError, match="vector"):
             _fleet_json("vector", policy="latency-aware")
+
+
+def _session_gateway(mode, policy, prefix_cache_mb):
+    fleet = build_fleet(4, mix="balanced", prefix_cache_mb=prefix_cache_mb)
+    return FleetGateway(fleet, policy=policy, mode=mode)
+
+
+def _session_stream(seed):
+    return poisson_stream(np.random.default_rng(seed), 6.0, 48,
+                          deadline_s=30.0, sessions=6, prefix_tokens=96)
+
+
+class TestSessionStreamEquivalence:
+    """Sticky-session streams: stream -> columns -> the vector drain."""
+
+    @pytest.mark.parametrize("prefix_cache_mb", [0.0, 8.0, 256.0])
+    @pytest.mark.parametrize("policy", ["round-robin", "prefix-affinity"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_auto_matches_scalar(self, seed, policy, prefix_cache_mb):
+        reports = {}
+        for mode in ("auto", "scalar"):
+            gateway = _session_gateway(mode, policy, prefix_cache_mb)
+            reports[mode] = gateway.run(_session_stream(seed)).to_json()
+            if mode == "auto":
+                assert gateway.last_mode == "vector"
+        assert reports["auto"] == reports["scalar"]
+
+    def test_stateless_request_runs_scalar_under_affinity(self):
+        stream = _session_stream(4)
+        stream[5] = dataclasses.replace(stream[5], session=None,
+                                        prefix_tokens=0)
+        auto = _session_gateway("auto", "prefix-affinity", 8.0)
+        report = auto.run(stream)
+        assert auto.last_mode == "scalar"
+        scalar = _session_gateway("scalar", "prefix-affinity", 8.0)
+        assert report.to_json() == scalar.run(stream).to_json()
+        forced = _session_gateway("vector", "prefix-affinity", 8.0)
+        with pytest.raises(ValueError, match="session on every request"):
+            forced.run(stream)
+        assert forced.last_mode is None
 
 
 class TestAcceptanceWorkloads:

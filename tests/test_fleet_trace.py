@@ -138,13 +138,13 @@ class TestValidationAndEligibility:
     def test_mode_vector_rejects_ineligible_config(self):
         hedged = _gateway("round-robin", mode="vector",
                           hedge=HedgeConfig())
-        assert not hedged.trace_eligible()
+        assert not hedged.vector_eligible()
         with pytest.raises(ValueError):
             hedged.run_trace(_trace(requests=8))
 
     def test_least_outstanding_routes_through_the_scalar_core(self):
         gateway = _gateway("least-outstanding")
-        assert not gateway.trace_eligible()
+        assert not gateway.vector_eligible()
         report = gateway.run_trace(_trace(requests=40))
         assert gateway.last_mode == "scalar"
         assert report.completed == 40
@@ -164,8 +164,11 @@ class TestRoutingFastPath:
     def test_trace_winner_matches_scalar_rendezvous(self):
         gateway = _gateway("prefix-affinity")
         for session in (0, 1, 7, 123, 99999):
-            winner = gateway.devices[gateway._trace_winner(session)]
             key = session_key(session)
+            # The trace partition inlines the key bytes as b"s%d:".
+            assert b"s%d:" % session == key.encode() + b":"
+            winner = gateway.devices[
+                gateway._rendezvous_winner(key.encode() + b":")]
             expected = max(
                 gateway.devices,
                 key=lambda d: (_Gateway._rendezvous_digest(key, d.name),
