@@ -99,11 +99,13 @@ perf-1m:
 	PYTHONPATH=src $(PYTHON) -m repro perf --check \
 	    --only fleet_routing_speedup,fleet_diurnal_1m --out $(OUTPUT)
 
-## Tiered-DAG gate only: one budget-aware agentic suite run through
-## the gateway against its committed absolute-time baseline.
+## Tiered-DAG gates only: one budget-aware agentic suite run through
+## the gateway against its committed absolute-time baseline, and the
+## scalar-oracle vs table-priced-loop ratio floor (>=1.3x) on the same
+## shape with byte-identical reports.
 perf-tiering:
 	PYTHONPATH=src $(PYTHON) -m repro perf --check \
-	    --only fleet_tiered_dag --out $(OUTPUT)
+	    --only fleet_tiered_dag,fleet_tiered_pricing_speedup --out $(OUTPUT)
 
 ## Refresh the committed perf baselines (run on a quiet machine).
 perf-baseline:

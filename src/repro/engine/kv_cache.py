@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class KVCacheConfig:
@@ -159,3 +161,30 @@ class PagedKVCache:
         if blocks_each == 0:
             return self.config.total_blocks
         return self.config.total_blocks // blocks_each
+
+
+def span_growth_cap(seqs, block: int, free: int, span: int) -> int:
+    """Largest ``j <= span`` such that every sequence in ``seqs`` (each
+    with a ``.context``) can grow ``j`` tokens together out of ``free``
+    blocks of ``block`` tokens — the span cap both serving cores use."""
+    # Cheap sufficient test first: a sequence crosses at most
+    # ceil(span/block)+1 block boundaries.
+    if len(seqs) * ((span + block - 1) // block + 1) <= free:
+        return span
+    contexts = np.fromiter((seq.context for seq in seqs), dtype=np.int64,
+                           count=len(seqs))
+    held = (contexts + block - 1) // block
+
+    def fits(j: int) -> bool:
+        return int(((contexts + j + block - 1) // block - held).sum()) <= free
+
+    if fits(span):
+        return span
+    lo, hi = 0, span
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

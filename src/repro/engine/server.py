@@ -43,7 +43,12 @@ import numpy as np
 
 from repro.core.stats import nan_percentile
 from repro.engine.engine import InferenceEngine
-from repro.engine.kv_cache import KVCacheExhausted, PagedKVCache
+from repro.engine.kv_cache import (
+    KVCacheExhausted,
+    PagedKVCache,
+    span_growth_cap,
+)
+from repro.engine.pricing import Pricing, integrate_span
 from repro.engine.request import GenerationRequest
 from repro.engine.state import (
     LiveSequence,
@@ -307,13 +312,6 @@ class ResilienceReport(ServingReport):
         return data
 
 
-# The event-loop state types live in repro.engine.state (shared with the
-# vector fast path); the old private names remain as aliases.
-_LiveSequence = LiveSequence
-_RequestState = RequestState
-_Counters = RunCounters
-
-
 #: Admission policies: first-come-first-served or earliest-deadline-first.
 SCHEDULING_POLICIES = ("fcfs", "edf")
 
@@ -373,6 +371,9 @@ class ServingSimulator:
         #: Core that executed the most recent :meth:`run` ("scalar" or
         #: "vector"); None before the first run.
         self.last_mode: str | None = None
+        #: Prices both cores share, memoized when pure; the oracle
+        #: (``mode="scalar"``) still prices decode spans directly.
+        self.pricing = Pricing(engine, pure=self.vector_eligible())
 
     # ------------------------------------------------------------------
     def vector_eligible(self) -> bool:
@@ -484,26 +485,19 @@ class _ServingRun:
         self.now = 0.0
         self.energy = 0.0
         self.prefill_stall_s = 0.0
-        self.live: list[_LiveSequence] = []
+        self.live: list[LiveSequence] = []
         self.served: list[ServedRequest] = []
         #: Terminal drops in chronological order: ``(index, kind)`` with
         #: kind ``"shed"`` or ``"failed"``.  An incremental driver (the
         #: fleet gateway) reads this with a cursor to attribute each
         #: drop to a specific request; batch runs only need the counters.
         self.dropped: list[tuple[int, str]] = []
-        self.counters = _Counters()
+        self.counters = RunCounters()
         self.requests: dict[int, GenerationRequest] = {}
-        self.states: dict[int, _RequestState] = {}
+        self.states: dict[int, RequestState] = {}
         self._next_index = 0
         self._push_seq = 0
         self._horizon = math.inf
-        # With no fault injector, thermal model, degradation policy, or
-        # power noise, prefill cost is a pure function of the prompt
-        # length (the kernel jitter is a stateless hash), so admissions
-        # may memoize it — the same legality condition as the vector
-        # core's ``_prefill_memo``, now shared by the scalar hot path.
-        self._pure_prefill = sim.vector_eligible()
-        self._prefill_memo: dict[int, tuple[float, float]] = {}
         self.pending: list[tuple[float, int, int]] = []
         self.ready: list[tuple[float, int, int]] = []
         if requests is not None:
@@ -529,7 +523,7 @@ class _ServingRun:
         index = self._next_index
         self._next_index += 1
         self.requests[index] = request
-        self.states[index] = _RequestState(
+        self.states[index] = RequestState(
             index=index,
             first_arrival_s=float(arrival_s),
             deadline_s=deadline_s,
@@ -630,11 +624,11 @@ class _ServingRun:
             self._pressure_blocks = target
 
     # -- request lifecycle ---------------------------------------------
-    def _record_unserved(self, state: _RequestState) -> None:
+    def _record_unserved(self, state: RequestState) -> None:
         if state.deadline_s is not None:
             self.counters.unserved_with_deadline += 1
 
-    def _retry_or_fail(self, state: _RequestState, *, allow_retry: bool) -> None:
+    def _retry_or_fail(self, state: RequestState, *, allow_retry: bool) -> None:
         policy = self.degradation
         if (policy is not None and allow_retry
                 and state.attempts <= policy.max_retries):
@@ -647,12 +641,12 @@ class _ServingRun:
             self.dropped.append((state.index, "failed"))
             self._record_unserved(state)
 
-    def _release_kv(self, seq: _LiveSequence) -> None:
+    def _release_kv(self, seq: LiveSequence) -> None:
         if seq.kv_seq_id is not None:
             self.kv.release_sequence(seq.kv_seq_id)
             self._my_kv_ids.discard(seq.kv_seq_id)
 
-    def _preempt(self, seq: _LiveSequence) -> None:
+    def _preempt(self, seq: LiveSequence) -> None:
         """Evict a live sequence; it re-queues for recompute-on-resume."""
         self.live.remove(seq)
         self._release_kv(seq)
@@ -661,7 +655,7 @@ class _ServingRun:
         state.preempted = True
         self._push_pending(self.now, seq.index)
 
-    def _pick_victim(self, exclude: _LiveSequence) -> _LiveSequence | None:
+    def _pick_victim(self, exclude: LiveSequence) -> LiveSequence | None:
         candidates = [s for s in self.live if s is not exclude]
         if not candidates:
             return None
@@ -675,7 +669,7 @@ class _ServingRun:
         # FCFS preempts the most recently admitted (vLLM-style LIFO).
         return max(candidates, key=lambda s: s.start_s)
 
-    def _finish(self, seq: _LiveSequence) -> None:
+    def _finish(self, seq: LiveSequence) -> None:
         self.live.remove(seq)
         self._release_kv(seq)
         state = self.states[seq.index]
@@ -696,7 +690,7 @@ class _ServingRun:
 
     # -- admission -----------------------------------------------------
     def _admission_budget(self, request: GenerationRequest,
-                          state: _RequestState) -> int:
+                          state: RequestState) -> int:
         """Stop length after any degraded-mode budget shrink."""
         stop = max(request.stop_lengths())
         policy = self.degradation
@@ -772,7 +766,7 @@ class _ServingRun:
             self._retry_or_fail(state, allow_retry=True)
             return True
 
-        self.live.append(_LiveSequence(
+        self.live.append(LiveSequence(
             request_id=request.request_id,
             index=index,
             arrival_s=state.first_arrival_s,
@@ -793,17 +787,7 @@ class _ServingRun:
         The seam subclasses override for prefix-cache-aware admission:
         a warm prefix prefills only the unshared suffix.
         """
-        if self._pure_prefill:
-            hit = self._prefill_memo.get(request.prompt_tokens)
-            if hit is not None:
-                return hit
-        stats = self.engine.kernels.prefill(self.engine.profile,
-                                            request.prompt_tokens)
-        power = self.engine.power.prefill_power(request.prompt_tokens)
-        cost = (stats.seconds, power)
-        if self._pure_prefill:
-            self._prefill_memo[request.prompt_tokens] = cost
-        return cost
+        return self.sim.pricing.prefill(request.prompt_tokens)
 
     # -- epochs --------------------------------------------------------
     def _sweep_timeouts(self) -> None:
@@ -863,29 +847,9 @@ class _ServingRun:
         if self.sim.max_span_steps is not None:
             span = min(span, self.sim.max_span_steps)
         if span > 1:
-            span = max(self._kv_span_limit(span), 1)
+            span = max(span_growth_cap(self.live, self.kv.config.block_tokens,
+                                       self.kv.free_blocks, span), 1)
         return span
-
-    def _kv_span_limit(self, span: int) -> int:
-        """Largest ``j <= span`` where every live sequence can grow ``j``
-        tokens out of the free block pool (no mid-span preemption)."""
-        free = self.kv.free_blocks
-
-        def growth(j: int) -> int:
-            return sum(self.kv.blocks_for(seq.context + j)
-                       - self.kv.blocks_for(seq.context)
-                       for seq in self.live)
-
-        if growth(span) <= free:
-            return span
-        lo, hi = 0, span
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if growth(mid) <= free:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
 
     def _decode_span(self, span: int) -> None:
         """Price up to ``span`` decode steps in one kernel call.
@@ -893,24 +857,17 @@ class _ServingRun:
         The batch is membership-stable for the whole span (guaranteed by
         :meth:`_span_limit`), so the per-step mean context and mean
         generated-token count each advance by exactly one per step — the
-        whole span prices as one vectorized kernel/power evaluation.  The
-        clock and energy integrate step-by-step in the same order as
-        per-token stepping (bit-identical event times), and the span is
-        cut at the first boundary where an arrival promotion or a
-        degradation timeout would have fired.
+        whole span prices as one table read (impure or oracle runs: one
+        kernel/power evaluation).  The clock and energy integrate
+        step-by-step in the same order as per-token stepping
+        (bit-identical event times), and the span is cut at the first
+        boundary where an arrival promotion or a degradation timeout
+        would have fired.
         """
         batch = len(self.live)
         ctx_sum = sum(seq.context for seq in self.live)
         gen_sum = sum(seq.context - seq.prompt_tokens + 1
                       for seq in self.live)
-        steps = np.arange(span, dtype=np.float64)
-        mean_contexts = (ctx_sum + batch * steps) / batch
-        mean_generated = np.maximum((gen_sum + batch * steps) / batch, 1.0)
-        base = self.engine.kernels.decode_step_seconds(
-            self.engine.profile, mean_contexts, batch)
-        power = np.asarray(self.engine.power.decode_power(
-            mean_generated, batch), dtype=np.float64)
-
         # An arrival can only trigger admission while a slot is free; a
         # timeout sweep fires once the clock strictly passes the oldest
         # live sequence's deadline.  An incremental run additionally
@@ -918,23 +875,37 @@ class _ServingRun:
         # crashes) are not known yet.
         next_ready = (self.pending[0][0]
                       if self.pending and batch < self.sim.max_batch_size
-                      else None)
-        policy = self.degradation
-        timeout_at = (min(seq.start_s for seq in self.live) + policy.timeout_s
-                      if policy is not None and policy.timeout_s is not None
-                      else None)
-
-        taken = 0
-        for j in range(span):
-            if j > 0:
-                if next_ready is not None and self.now >= next_ready:
+                      else math.inf)
+        if self.sim.pricing.pure and self.sim.mode != "scalar":
+            # Pure pricing (no timeouts, speed 1.0: ``_spend``'s /1.0,
+            # *1.0 and += 0.0 are exact identities): read the tables and
+            # spend the span the way the vector core does.
+            base, power = self.sim.pricing.span(batch, ctx_sum, gen_sum,
+                                                span)
+            taken, self.now, self.energy = integrate_span(
+                self.now, self.energy, base, power,
+                min(next_ready, self._horizon))
+        else:
+            steps = np.arange(span, dtype=np.float64)
+            base = self.engine.kernels.decode_step_seconds(
+                self.engine.profile, (ctx_sum + batch * steps) / batch,
+                batch)
+            power = np.asarray(self.engine.power.decode_power(
+                np.maximum((gen_sum + batch * steps) / batch, 1.0), batch),
+                dtype=np.float64)
+            policy = self.degradation
+            timeout_at = (min(seq.start_s for seq in self.live)
+                          + policy.timeout_s
+                          if policy is not None
+                          and policy.timeout_s is not None else math.inf)
+            taken = 0
+            for j in range(span):
+                if j > 0 and (self.now >= next_ready
+                              or self.now > timeout_at
+                              or self.now >= self._horizon):
                     break
-                if timeout_at is not None and self.now > timeout_at:
-                    break
-                if self.now >= self._horizon:
-                    break
-            self._spend(float(base[j]), float(power[j]))
-            taken += 1
+                self._spend(float(base[j]), float(power[j]))
+                taken += 1
 
         for seq in list(self.live):
             self.kv.extend(seq.kv_seq_id, taken)
@@ -943,7 +914,7 @@ class _ServingRun:
             if seq.remaining <= 0:
                 self._finish(seq)
 
-    def _append_with_preemption(self, seq: _LiveSequence) -> bool:
+    def _append_with_preemption(self, seq: LiveSequence) -> bool:
         """Grow a sequence's KV by one token, evicting victims if needed."""
         while True:
             try:
@@ -1086,7 +1057,7 @@ class _ServingRun:
                 cancelled = True
         return cancelled
 
-    def evacuate(self) -> list[tuple[GenerationRequest, _RequestState]]:
+    def evacuate(self) -> list[tuple[GenerationRequest, RequestState]]:
         """Crash this run: strip all in-flight and queued work.
 
         Live sequences lose their KV and partial decode; queued requests

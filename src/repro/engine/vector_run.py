@@ -10,25 +10,19 @@ byte-identical to the scalar oracle's (the equivalence property tests
 pin this), which is only possible because every accumulation is kept
 *sequential*:
 
-* ``np.cumsum`` adds strictly left-to-right (unlike ``np.sum``'s
-  pairwise tree), so prepending the running clock/energy to the span's
-  per-step costs and cumsum-ing reproduces the scalar ``now +=`` /
-  ``energy +=`` loop bit-for-bit;
-* span pricing calls the very same vectorized
-  :meth:`~repro.hardware.kernels.KernelEngine.decode_step_seconds` /
-  :meth:`~repro.hardware.power.PowerModel.decode_power` expressions the
-  scalar span path uses, on identical inputs — and memoizes them in
-  dense integer-keyed tables: contexts and generated counts are
-  integers, so a batch of ``b`` sequences prices its steps at mean
-  contexts ``(ctx_sum + b*j) / b`` whose numerators walk a small
-  integer grid, and both pricing functions are elementwise in that
-  argument (each grid point's price is computed once, by the same
-  ufunc, so reuse is bit-exact);
+* decode spans and prefills are priced through the simulator's
+  :class:`~repro.engine.pricing.Pricing` — exact integer-grid tables
+  and prefill memos shared with the scalar loop, which reads the same
+  tables whenever its configuration is pure and it is not the oracle
+  (``mode="scalar"`` keeps pricing spans directly, so every
+  auto-vs-scalar byte comparison checks the tables end to end);
+* each span is spent by :func:`~repro.engine.pricing.integrate_span`,
+  one sequential ``np.cumsum`` (strictly left to right, unlike
+  ``np.sum``'s pairwise tree) that reproduces the scalar ``now +=`` /
+  ``energy +=`` loop bit for bit;
 * admissions run in the scalar pop order (a stable argsort on ready
   time for FCFS, a deadline-keyed heap fed in arrival order for EDF)
-  with the same float operations, just with the batch-1 prefill kernel
-  memoized per prompt length — legal because with power noise disabled
-  the prefill cost is a pure function of the prompt.
+  with the same float operations.
 
 Eligibility (checked by :meth:`~repro.engine.server.ServingSimulator.
 vector_eligible`): no fault injector, no thermal model, no degradation
@@ -64,21 +58,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine.kv_cache import span_growth_cap
+from repro.engine.pricing import integrate_span
 from repro.engine.state import RequestArrays
 
 if TYPE_CHECKING:
     from repro.engine.server import ResilienceReport, ServingSimulator
-
-
-#: Pricing-table keys above this bypass the dense caches (pathological
-#: contexts would otherwise allocate huge tables for no reuse).
-_TABLE_KEY_LIMIT = 1 << 22
-
-# ndarray.sum() routes through two Python wrapper frames before landing
-# on this very reduction; at one call per pricing lookup (millions per
-# population-scale run) the frames are measurable.  Bit-exact: the
-# method is defined as np.add.reduce.
-_sum = np.add.reduce
 
 
 class VectorFallback(Exception):
@@ -92,7 +77,7 @@ class VectorFallback(Exception):
 
 
 class _VecSeq:
-    """One live decode slot (the vector core's ``_LiveSequence``)."""
+    """One live decode slot (the vector core's ``LiveSequence``)."""
 
     __slots__ = ("index", "start_s", "prefill_s", "prompt_tokens",
                  "remaining", "context")
@@ -117,15 +102,12 @@ class VectorServingRun:
         if not sim.vector_eligible():
             raise VectorFallback("configuration requires the scalar oracle")
         self.sim = sim
-        self.engine = sim.engine
         self.kv = sim.kv_cache
         self.arrays = arrays
         # Prefix-cache-aware admission (the trace fast path): replicates
         # ``_DeviceRun._prefill_cost`` bit-for-bit — same LRU lookup /
         # insert call sequence in admission order — against a real
-        # :class:`~repro.engine.prefix_cache.PrefixCache`, with the warm
-        # suffix kernel memoized per (prompt, prefix) pair (pure under
-        # the eligibility guarantees, exactly like ``_prefill_cost``).
+        # :class:`~repro.engine.prefix_cache.PrefixCache`.
         self._session_ids = session_ids
         self._prefix_tokens = prefix_tokens
         self._prefix_cache = prefix_cache
@@ -133,7 +115,6 @@ class VectorServingRun:
                                          or prefix_tokens is None):
             raise ValueError("prefix_cache requires session_ids and "
                              "prefix_tokens columns")
-        self._suffix_memo: dict[tuple[int, int], tuple[float, float]] = {}
         self.prefix_hits = 0
         self.prefix_misses = 0
         #: Finished request indices in completion order.
@@ -146,16 +127,7 @@ class VectorServingRun:
         # never touched, so a fallback leaves no state to unwind.
         self._free = self.kv.free_blocks
         self._block = self.kv.config.block_tokens
-        self._prefill_memo: dict[int, tuple[float, float]] = {}
-        # Dense per-batch pricing tables: tbl[batch][ctx_sum + batch*j]
-        # caches decode_step_seconds((ctx_sum + batch*j)/batch, batch)
-        # (resp. decode_power for generated-count keys).  Exact because
-        # both functions are elementwise and the keys are integers.
-        self._base_tbl: dict[int, np.ndarray] = {}
-        self._power_tbl: dict[int, np.ndarray] = {}
-        self._single_memo: dict[tuple[int, int], float] = {}
-        self._single_power_memo: dict[tuple[int, int], float] = {}
-        self._idx = np.arange(256, dtype=np.int64)
+        self.pricing = sim.pricing
         # Admission order: stable sort on (ready time, injection order)
         # — exactly the scalar pending-heap pop order.  Ready times are
         # pre-gathered in that order so the per-admission peek is one
@@ -170,10 +142,10 @@ class VectorServingRun:
         self._promote_seq = 0
 
     # -- scheduling ----------------------------------------------------
-    def _peek_pending(self) -> float | None:
-        """Ready time of the earliest not-yet-promoted request."""
+    def _peek_pending(self) -> float:
+        """Ready time of the earliest unpromoted request (inf if none)."""
         if self._p >= self.arrays.n:
-            return None
+            return math.inf
         return float(self._ready_sorted[self._p])
 
     def _edf_key(self, i: int) -> float:
@@ -206,23 +178,6 @@ class VectorServingRun:
         return self._p < self.arrays.n or bool(self._promoted)
 
     # -- admission -----------------------------------------------------
-    def _prefill_cost(self, prompt_tokens: int) -> tuple[float, float]:
-        """Memoized (base seconds, watts) of a batch-1 prefill.
-
-        Pure-function memoization: the kernel jitter is a stateless hash
-        of (profile, padded length, seed) and eligibility guarantees the
-        power model is noise-free, so equal prompts price equally.
-        """
-        hit = self._prefill_memo.get(prompt_tokens)
-        if hit is not None:
-            return hit
-        stats = self.engine.kernels.prefill(self.engine.profile,
-                                            prompt_tokens)
-        power = self.engine.power.prefill_power(prompt_tokens)
-        cost = (stats.seconds, power)
-        self._prefill_memo[prompt_tokens] = cost
-        return cost
-
     def _admission_cost(self, i: int, prompt: int) -> tuple[float, float]:
         """Request ``i``'s prefill cost, prefix cache consulted.
 
@@ -235,29 +190,21 @@ class VectorServingRun:
         """
         cache = self._prefix_cache
         if cache is None:
-            return self._prefill_cost(prompt)
+            return self.pricing.prefill(prompt)
         prefix = min(int(self._prefix_tokens[i]), prompt - 1)
         if prefix <= 0:
-            return self._prefill_cost(prompt)
+            return self.pricing.prefill(prompt)
         session = int(self._session_ids[i])
         entry = cache.lookup(session)
         if entry is not None and entry.token_count == prefix:
             self.prefix_hits += 1
-            key = (prompt, prefix)
-            hit = self._suffix_memo.get(key)
-            if hit is None:
-                from repro.engine.prefix_cache import prefill_with_prefix
-                stats = prefill_with_prefix(self.engine, prompt, prefix)
-                power = self.engine.power.prefill_power(prompt - prefix)
-                hit = (stats.seconds, power)
-                self._suffix_memo[key] = hit
-            return hit
+            return self.pricing.prefill(prompt, prefix)
         self.prefix_misses += 1
         try:
             cache.insert(session, prefix)
         except ValueError:
             pass  # prefix exceeds the whole cache: serve uncached
-        return self._prefill_cost(prompt)
+        return self.pricing.prefill(prompt)
 
     def _admit(self, i: int) -> None:
         arrays = self.arrays
@@ -282,31 +229,6 @@ class VectorServingRun:
         ))
 
     # -- decode epochs -------------------------------------------------
-    def _kv_span_cap(self, span: int) -> int:
-        """Largest ``j <= span`` all live sequences can grow together.
-
-        Same binary search as the scalar ``_kv_span_limit``, against the
-        arithmetic free-pool shadow.
-        """
-        block = self._block
-        contexts = np.fromiter((seq.context for seq in self.live),
-                               dtype=np.int64, count=len(self.live))
-        held = (contexts + block - 1) // block
-
-        def growth(j: int) -> int:
-            return int(((contexts + j + block - 1) // block - held).sum())
-
-        if growth(span) <= self._free:
-            return span
-        lo, hi = 0, span
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if growth(mid) <= self._free:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
     def _finish(self, seq: _VecSeq) -> None:
         self.live.remove(seq)
         self._free += self.kv.blocks_for(seq.context)
@@ -318,91 +240,25 @@ class VectorServingRun:
         arrays.context[i] = seq.context
         self._done.append(i)
 
-    def _lookup(self, table: dict[int, np.ndarray], batch: int,
-                keys: np.ndarray, price) -> np.ndarray:
-        """Table-backed elementwise pricing over integer grid keys.
-
-        ``price(values)`` is called once per never-seen grid point with
-        ``values = keys / batch``; hits are returned from the dense
-        per-batch table.  Bit-exact versus pricing the whole span array
-        directly (both paths evaluate the same elementwise ufunc
-        expression on the same float64 inputs).
-        """
-        hi = int(keys[-1])  # keys are nondecreasing
-        if hi >= _TABLE_KEY_LIMIT:
-            return np.asarray(price(keys.astype(np.float64) / batch),
-                              dtype=np.float64)
-        tbl = table.get(batch)
-        if tbl is None or hi >= tbl.shape[0]:
-            size = max(hi + 257, 0 if tbl is None else 2 * tbl.shape[0])
-            grown = np.full(size, np.nan)
-            if tbl is not None:
-                grown[:tbl.shape[0]] = tbl
-            table[batch] = tbl = grown
-        vals = tbl[keys]
-        total = _sum(vals)  # nan probe: one reduction beats isnan+any
-        if total != total:
-            miss = np.isnan(vals)
-            miss_keys = keys[miss]
-            tbl[miss_keys] = np.asarray(
-                price(miss_keys.astype(np.float64) / batch),
-                dtype=np.float64)
-            vals = tbl[keys]
-        return vals
+    def _sums(self) -> tuple[int, int]:
+        """The live batch's summed context and generated-token count
+        (the token about to be emitted included)."""
+        ctx_sum = 0
+        prompt_sum = 0
+        for seq in self.live:
+            ctx_sum += seq.context
+            prompt_sum += seq.prompt_tokens
+        return ctx_sum, ctx_sum - prompt_sum + len(self.live)
 
     def _decode_span(self, span: int) -> None:
         """Price up to ``span`` steps; cumsum replaces the spend loop."""
         live = self.live
         batch = len(live)
-        ctx_sum = 0
-        prompt_sum = 0
-        for seq in live:
-            ctx_sum += seq.context
-            prompt_sum += seq.prompt_tokens
-        gen_sum = ctx_sum - prompt_sum + batch
-        if span > self._idx.shape[0]:
-            self._idx = np.arange(2 * span, dtype=np.int64)
-        # batch == 1 strides by the identity; skipping the multiply is
-        # exact and saves a temporary on every single-slot epoch.
-        strided = (self._idx[:span] if batch == 1
-                   else self._idx[:span] * batch)
-        # mean context at step j is (ctx_sum + batch*j)/batch — integer
-        # numerators, so the dense tables resolve most steps.  Clamping
-        # the generated key at ``batch`` reproduces max(mean, 1.0).
-        base = self._lookup(
-            self._base_tbl, batch, strided + ctx_sum,
-            lambda v: self.engine.kernels.decode_step_seconds(
-                self.engine.profile, v, batch))
-        gen_keys = strided + gen_sum
-        if gen_keys[0] < batch:
-            gen_keys = np.maximum(gen_keys, batch)
-        power = self._lookup(
-            self._power_tbl, batch, gen_keys,
-            lambda v: self.engine.power.decode_power(v, batch))
-
-        # Sequential partial sums: now_path[j] is the clock after j
-        # steps, bit-identical to the scalar per-step ``now +=`` loop.
-        now_path = np.empty(span + 1)
-        now_path[0] = self.now
-        now_path[1:] = base
-        now_path.cumsum(out=now_path)
+        base, power = self.pricing.span(batch, *self._sums(), span)
         next_ready = (self._peek_pending()
-                      if batch < self.sim.max_batch_size else None)
-        taken = span
-        if next_ready is not None:
-            # The scalar loop checks before spending step j (j >= 1);
-            # now_path is nondecreasing, so the first step at or past
-            # next_ready falls out of one binary search.
-            pos = int(np.searchsorted(now_path[1:span], next_ready,
-                                      side="left"))
-            if pos < span - 1:
-                taken = pos + 1
-        energy_path = np.empty(taken + 1)
-        energy_path[0] = self.energy
-        np.multiply(base[:taken], power[:taken], out=energy_path[1:])
-        energy_path.cumsum(out=energy_path)
-        self.now = float(now_path[taken])
-        self.energy = float(energy_path[taken])
+                      if batch < self.sim.max_batch_size else math.inf)
+        taken, self.now, self.energy = integrate_span(
+            self.now, self.energy, base, power, next_ready)
 
         block = self._block
         grown = 0
@@ -426,29 +282,12 @@ class VectorServingRun:
         """One per-token epoch, mirroring the scalar span==1 branch.
 
         The scalar branch prices scalars (``float(np.mean([...]))``);
-        the integer sums make those means exact, so memoizing on
-        ``(batch, ctx_sum)`` / ``(batch, clamped gen_sum)`` is bit-exact
-        (scalar and array ufunc calls agree bitwise).
+        the integer sums make those means exact, so a one-key read of
+        the span tables is bit-exact.
         """
         live = self.live
-        batch = len(live)
-        ctx_sum = 0
-        prompt_sum = 0
-        for seq in live:
-            ctx_sum += seq.context
-            prompt_sum += seq.prompt_tokens
-        gen_sum = ctx_sum - prompt_sum + batch
-        base = self._single_memo.get((batch, ctx_sum))
-        if base is None:
-            base = float(self.engine.kernels.decode_step_seconds(
-                self.engine.profile, ctx_sum / batch, batch))
-            self._single_memo[(batch, ctx_sum)] = base
-        gen_key = max(gen_sum, batch)
-        power = self._single_power_memo.get((batch, gen_key))
-        if power is None:
-            power = float(self.engine.power.decode_power(
-                gen_key / batch, batch))
-            self._single_power_memo[(batch, gen_key)] = power
+        base, power = self.pricing.span(len(live), *self._sums(), 1)
+        base, power = float(base[0]), float(power[0])
         self.now += base
         self.energy += base * power
         block = self._block
@@ -469,13 +308,8 @@ class VectorServingRun:
         if self.sim.max_span_steps is not None:
             span = min(span, self.sim.max_span_steps)
         if span > 1:
-            # Cheap sufficient test first: each sequence can cross at
-            # most ceil(span/block)+1 block boundaries, so a roomy free
-            # pool skips the exact binary search entirely.
-            worst = len(self.live) * (
-                (span + self._block - 1) // self._block + 1)
-            if worst > self._free:
-                span = max(self._kv_span_cap(span), 1)
+            span = max(span_growth_cap(live, self._block, self._free, span),
+                       1)
         if span > 1:
             self._decode_span(span)
         else:
@@ -492,7 +326,7 @@ class VectorServingRun:
                 self._admit(i)
             if not self.live:
                 nxt = self._peek_pending()
-                if nxt is None:
+                if nxt == math.inf:
                     break
                 self.now = max(self.now, nxt)
                 continue

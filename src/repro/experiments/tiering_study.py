@@ -31,7 +31,7 @@ VARIANTS: tuple[tuple[str, str | None], ...] = (
 
 def _tiered_run(seed: int, devices: int, jobs: int, qps: float,
                 deadline_s: float, fixed_tier: str | None,
-                session_token_budget: int):
+                session_token_budget: int, mode: str = "auto"):
     """One fresh tiered fleet run; returns (FleetReport, job count)."""
     from repro.fleet import FleetGateway, build_fleet
     from repro.tiering import TieringConfig
@@ -43,7 +43,8 @@ def _tiered_run(seed: int, devices: int, jobs: int, qps: float,
     tier_models = tuple(dict.fromkeys(
         config.fast_models + config.deep_models + config.verify_models))
     fleet = build_fleet(devices, mix="balanced", models=tier_models)
-    gateway = FleetGateway(fleet, policy="least-outstanding", seed=seed)
+    gateway = FleetGateway(fleet, policy="least-outstanding", seed=seed,
+                           mode=mode)
     suite = agentic_suite(np.random.default_rng(seed), qps, jobs,
                           deadline_s=deadline_s)
     return gateway.run(suite, tiering=config), len(suite)

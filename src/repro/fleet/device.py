@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.engine.engine import InferenceEngine
-from repro.engine.prefix_cache import PrefixCache, prefill_with_prefix
+from repro.engine.prefix_cache import PrefixCache
 from repro.engine.request import GenerationRequest
 from repro.engine.server import (
     ResilienceReport,
@@ -84,9 +84,6 @@ class _DeviceRun(_ServingRun):
         super().__init__(sim)
         self._prefix_cache = prefix_cache
         self._prefix_info: dict[int, tuple[str, int]] = {}
-        #: Warm-suffix kernel memo keyed (prompt, prefix) — pure under
-        #: the same conditions as the base ``_prefill_memo``.
-        self._suffix_memo: dict[tuple[int, int], tuple[float, float]] = {}
         self.prefix_hits = 0
         self.prefix_misses = 0
 
@@ -109,19 +106,7 @@ class _DeviceRun(_ServingRun):
         entry = self._prefix_cache.lookup(session)
         if entry is not None and entry.token_count == prefix:
             self.prefix_hits += 1
-            if self._pure_prefill:
-                key = (request.prompt_tokens, prefix)
-                cached = self._suffix_memo.get(key)
-                if cached is not None:
-                    return cached
-            stats = prefill_with_prefix(self.engine, request.prompt_tokens,
-                                        prefix)
-            power = self.engine.power.prefill_power(
-                request.prompt_tokens - prefix)
-            cost = (stats.seconds, power)
-            if self._pure_prefill:
-                self._suffix_memo[key] = cost
-            return cost
+            return self.sim.pricing.prefill(request.prompt_tokens, prefix)
         self.prefix_misses += 1
         try:
             self._prefix_cache.insert(session, prefix)
@@ -138,7 +123,7 @@ class FleetDevice:
         self.spec = spec
         self.name = spec.name
         self._faults = faults
-        self._build(spec.power_mode)
+        self._build(spec.power_mode, "auto")
         prefix_cache = None
         if spec.prefix_cache_mb > 0:
             prefix_cache = PrefixCache(
@@ -150,7 +135,7 @@ class FleetDevice:
         self.dvfs_switches = 0
         self._down_until: float | None = None
 
-    def _build(self, power_mode: str) -> None:
+    def _build(self, power_mode: str, serving_mode: str) -> None:
         """(Re)build the engine and simulator at ``power_mode``."""
         mode = PowerMode(power_mode)  # raises ValueError on unknown modes
         soc = jetson_orin_agx_64gb()
@@ -160,7 +145,7 @@ class FleetDevice:
         self.simulator = ServingSimulator(
             self.engine, max_batch_size=self.spec.max_batch_size,
             policy=self.spec.policy, faults=self._faults,
-            thermal=self.spec.thermal)
+            thermal=self.spec.thermal, mode=serving_mode)
 
     def set_power_mode(self, power_mode: str) -> None:
         """DVFS: rebuild the engine at ``power_mode`` on an idle device.
@@ -170,7 +155,7 @@ class FleetDevice:
         autoscale controller honors that by only emitting switches
         (downshift or upshift) for idle actives.  Served history,
         the device clock, energy, and the prefix cache all survive the
-        swap; only the pricing kernels change.
+        swap; only the pricing kernels (and their memo) change.
         """
         if self.outstanding_requests:
             raise RuntimeError(
@@ -178,15 +163,11 @@ class FleetDevice:
                 "a DVFS switch requires an idle device")
         if power_mode == self.spec.power_mode:
             return
-        self._build(power_mode)
+        self._build(power_mode, self.simulator.mode)
         run = self.run
         run.sim = self.simulator
         run.engine = self.engine
         run.kv = self.simulator.kv_cache
-        # The pricing kernels changed: cached prefill costs are stale.
-        run._prefill_memo.clear()
-        run._suffix_memo.clear()
-        run._pure_prefill = self.simulator.vector_eligible()
         self.spec = dataclasses.replace(self.spec, power_mode=power_mode)
         self.dvfs_switches += 1
 

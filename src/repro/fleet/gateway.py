@@ -201,6 +201,9 @@ class FleetGateway:
         self.max_reroutes = max_reroutes
         self.hedge = hedge
         self.mode = mode
+        for device in self.devices:
+            # The oracle (mode="scalar") prices decode spans directly.
+            device.simulator.mode = mode
         #: Core that executed the most recent :meth:`run` ("scalar" or
         #: "vector"); None before the first run.
         self.last_mode: str | None = None

@@ -28,15 +28,21 @@ paths end to end:
   wall-clock budget;
 * **fleet_routing_speedup** — the streaming trace driver vs the
   scalar oracle (``mode="scalar"``, the cached per-event loop that the
-  trace driver falls back to) on the prefix-affinity population
-  workload: a per-request-normalized ratio gate (floor 3x);
+  trace driver falls back to; it never reads the shared pricing
+  tables, so its decode pricing is unchanged and they cannot lower
+  this ratio) on the prefix-affinity population workload: a
+  per-request-normalized ratio gate (floor 3x);
 * **fleet_diurnal_1m** — the population flagship: 1M session requests
   (diurnal arrivals, heavy-tailed users, shared prefixes) streamed
   through :meth:`~repro.fleet.gateway.FleetGateway.run_trace` over 32
   devices, with a wall-clock budget;
 * **fleet_tiered_dag** — one budget-aware tiered run of the agentic
   DAG suite (plan / branch / verify children, dependency-gated
-  release, budget ladder, vote aggregation) through the gateway.
+  release, budget ladder, vote aggregation) through the gateway;
+* **fleet_tiered_pricing_speedup** — the same tiered run on the scalar
+  oracle (direct decode pricing) vs ``mode="auto"`` (the scalar loop
+  reading the simulator's pricing tables): a ratio gate (floor 1.3x)
+  on byte-identical reports.
 
 ``run_benchmarks`` reports medians over ``repeats``;
 ``write_bench_files`` emits ``BENCH_pipeline.json`` /
@@ -94,6 +100,10 @@ FLEET_DIURNAL_1M_BUDGET_S = 60.0
 #: is the cached per-event loop, ``mode="scalar"``).
 FLEET_ROUTING_SPEEDUP_MIN = 3.0
 
+#: Floor for the oracle vs table-priced scalar loop ratio on the tiered
+#: DAG run (measured ~1.9x; both sides run the same event loop).
+FLEET_TIERED_PRICING_SPEEDUP_MIN = 1.3
+
 BENCH_FILES = {
     "pipeline": "BENCH_pipeline.json",
     "engine": "BENCH_engine.json",
@@ -121,6 +131,7 @@ WORKLOAD_CATALOG = (
     ("fleet_routing_speedup", "diurnal1m", "x"),
     ("fleet_diurnal_1m", "diurnal1m", "s"),
     ("fleet_tiered_dag", "tiering", "s"),
+    ("fleet_tiered_pricing_speedup", "tiering", "x"),
 )
 
 
@@ -591,6 +602,39 @@ def bench_fleet_tiered_dag(repeats: int) -> BenchResult:
                              "session_token_budget": 6000})
 
 
+def bench_fleet_tiered_pricing_speedup(repeats: int) -> BenchResult:
+    """Oracle (direct decode pricing) vs ``auto`` (the same scalar loop
+    reading the pricing tables) on the ``fleet_tiered_dag`` shape.
+
+    Best-of, like ``fleet_vector_speedup``, over interleaved runs;
+    rejected unless both reports are byte-identical.
+    """
+    from repro.experiments.tiering_study import _tiered_run
+
+    devices, jobs = 4, 48
+    reports: set[str] = set()
+
+    def run(mode: str) -> None:
+        report, _ = _tiered_run(0, devices, jobs, 1.5, 60.0, None, 6000,
+                                mode=mode)
+        reports.add(report.to_json())
+
+    scalar_s = auto_s = float("inf")
+    for _ in range(max(1, repeats)):
+        # Interleaved, so a slow spell on a shared host hits both sides.
+        scalar_s = min(scalar_s, _median_time(lambda: run("scalar"), 1)[0])
+        auto_s = min(auto_s, _median_time(lambda: run("auto"), 1)[0])
+    if len(reports) != 1:
+        raise RuntimeError("fleet_tiered_pricing_speedup: the oracle and "
+                           "the table-priced loop reports differ")
+    ratio = scalar_s / auto_s if auto_s > 0 else float("inf")
+    return BenchResult("fleet_tiered_pricing_speedup", "tiering", ratio,
+                       (ratio,), unit="x",
+                       meta={"min": FLEET_TIERED_PRICING_SPEEDUP_MIN,
+                             "devices": devices, "dag_jobs": jobs,
+                             "scalar_s": scalar_s, "auto_s": auto_s})
+
+
 # ----------------------------------------------------------------------
 # driver / files / gate
 # ----------------------------------------------------------------------
@@ -649,6 +693,8 @@ def run_benchmarks(repeats: int = 3,
         record(bench_fleet_diurnal_1m(repeats))
     if wanted("fleet_tiered_dag"):
         record(bench_fleet_tiered_dag(repeats))
+    if wanted("fleet_tiered_pricing_speedup"):
+        record(bench_fleet_tiered_pricing_speedup(repeats))
     return results
 
 

@@ -131,6 +131,18 @@ class TestRunBenchmarks:
         # The vectorized event-loop acceptance gate: >= 10x scalar.
         assert ratio.value >= ratio.meta["min"] == 10.0
 
+    def test_fleet_tiered_pricing_speedup_meets_floor(self):
+        # Three interleaved repeats: single runs on a shared host vary
+        # by about 15%, against a ~1.9x ratio and a 1.3x floor.
+        results = run_benchmarks(repeats=3,
+                                 only=("fleet_tiered_pricing_speedup",))
+        (ratio,) = results
+        assert ratio.unit == "x"
+        assert ratio.group == "tiering"
+        # The shared pricing tables' gate: the table-priced scalar loop
+        # >= 1.3x the direct-pricing oracle, byte-identical reports.
+        assert ratio.value >= ratio.meta["min"] == 1.3
+
 
 class TestWorkloadCatalog:
     def test_catalog_groups_have_bench_files(self):
