@@ -101,8 +101,8 @@ perf-1m:
 
 ## Tiered-DAG gates only: one budget-aware agentic suite run through
 ## the gateway against its committed absolute-time baseline, and the
-## scalar-oracle vs table-priced-loop ratio floor (>=1.3x) on the same
-## shape with byte-identical reports.
+## scalar-oracle vs auto ratio floor (>=2.5x) on the same shape with
+## byte-identical reports.
 perf-tiering:
 	PYTHONPATH=src $(PYTHON) -m repro perf --check \
 	    --only fleet_tiered_dag,fleet_tiered_pricing_speedup --out $(OUTPUT)

@@ -31,30 +31,50 @@ _TABLE_KEY_LIMIT = 1 << 22
 _sum = np.add.reduce
 
 
-def integrate_span(now: float, energy: float, base: np.ndarray,
-                   power: np.ndarray, cut: float) -> tuple[int, float, float]:
-    """Spend a priced span; returns ``(steps taken, clock, energy)``.
+def span_path(now: float, energy: float, base: np.ndarray,
+              power: np.ndarray) -> np.ndarray:
+    """The clock/energy path of a priced span: a ``(2, L + 1)`` array
+    whose column ``j`` is ``(clock, energy)`` after ``j`` steps.
 
     Bit-identical to the loop ``now += base[j]; energy += base[j] *
-    power[j]`` that stops before any step ``j > 0`` once ``now >= cut``:
-    ``cumsum`` adds strictly left to right (unlike ``np.sum``'s pairwise
-    tree), a prefix sum does not depend on the steps after it, and the
-    nondecreasing clock path puts the first crossing at one binary
-    search.
+    power[j]``: ``cumsum`` adds strictly left to right (unlike
+    ``np.sum``'s pairwise tree), and a prefix sum does not depend on the
+    steps after it.  The same keys continued from an equal column
+    therefore give an equal path, which is what lets a run resume a
+    stored path instead of pricing the rest of it again.
     """
     span = base.shape[0]
-    paths = np.empty((2, span + 1))
-    paths[0, 0] = now
-    paths[0, 1:] = base
-    paths[1, 0] = energy
-    np.multiply(base, power, out=paths[1, 1:])
-    paths.cumsum(axis=1, out=paths)
-    taken = span
+    path = np.empty((2, span + 1))
+    path[0, 0] = now
+    path[0, 1:] = base
+    path[1, 0] = energy
+    np.multiply(base, power, out=path[1, 1:])
+    path.cumsum(axis=1, out=path)
+    return path
+
+
+def cut_span(path: np.ndarray, start: int, stop: int, cut: float) -> int:
+    """Column where a spend from column ``start`` of ``path`` stops.
+
+    Step ``start`` always runs; each later step ``j < stop`` runs only
+    while the clock before it, ``path[0, j]``, is below ``cut``.  The
+    clock path is nondecreasing, so the first crossing is one binary
+    search.
+    """
     if cut < math.inf:
-        pos = int(paths[0, 1:span].searchsorted(cut))
-        if pos < span - 1:
-            taken = pos + 1
-    return taken, float(paths[0, taken]), float(paths[1, taken])
+        end = start + 1 + int(path[0, start + 1:stop].searchsorted(cut))
+        if end < stop:
+            return end
+    return stop
+
+
+def integrate_span(now: float, energy: float, base: np.ndarray,
+                   power: np.ndarray, cut: float) -> tuple[int, float, float]:
+    """Spend a priced span; returns ``(steps taken, clock, energy)``:
+    :func:`span_path` cut from its first column by :func:`cut_span`."""
+    path = span_path(now, energy, base, power)
+    taken = cut_span(path, 0, base.shape[0], cut)
+    return taken, float(path[0, taken]), float(path[1, taken])
 
 
 class Pricing:

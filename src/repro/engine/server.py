@@ -48,7 +48,7 @@ from repro.engine.kv_cache import (
     PagedKVCache,
     span_growth_cap,
 )
-from repro.engine.pricing import Pricing, integrate_span
+from repro.engine.pricing import Pricing, cut_span, span_path
 from repro.engine.request import GenerationRequest
 from repro.engine.state import (
     LiveSequence,
@@ -508,6 +508,11 @@ class _ServingRun:
                                 else None))
         self._pressure_blocks = 0
         self._my_kv_ids: set[int] = set()
+        #: The last table-priced decode span, kept so a later call on
+        #: the same path resumes it: ``(pricing, path, batch, ctx_sum,
+        #: gen_sum)`` with ``path`` from :func:`span_path` and the keys
+        #: of its first step.  The oracle and impure runs never set it.
+        self._span: tuple | None = None
 
     # -- incremental driving (fleet gateway seam) ----------------------
     def inject(self, request: GenerationRequest, arrival_s: float,
@@ -864,10 +869,7 @@ class _ServingRun:
         boundary where an arrival promotion or a degradation timeout
         would have fired.
         """
-        batch = len(self.live)
-        ctx_sum = sum(seq.context for seq in self.live)
-        gen_sum = sum(seq.context - seq.prompt_tokens + 1
-                      for seq in self.live)
+        batch, ctx_sum, gen_sum = self._span_keys()
         # An arrival can only trigger admission while a slot is free; a
         # timeout sweep fires once the clock strictly passes the oldest
         # live sequence's deadline.  An incremental run additionally
@@ -879,12 +881,23 @@ class _ServingRun:
         if self.sim.pricing.pure and self.sim.mode != "scalar":
             # Pure pricing (no timeouts, speed 1.0: ``_spend``'s /1.0,
             # *1.0 and += 0.0 are exact identities): read the tables and
-            # spend the span the way the vector core does.
-            base, power = self.sim.pricing.span(batch, ctx_sum, gen_sum,
-                                                span)
-            taken, self.now, self.energy = integrate_span(
-                self.now, self.energy, base, power,
-                min(next_ready, self._horizon))
+            # spend the span the way the vector core does, resuming the
+            # stored path when the run still stands on it.
+            start = self._span_offset(batch, ctx_sum, gen_sum)
+            # Resume only when the stored path covers the whole span.
+            if start < 0 or start + span >= self._span[1].shape[1]:
+                base, power = self.sim.pricing.span(batch, ctx_sum, gen_sum,
+                                                    span)
+                self._span = (self.sim.pricing,
+                              span_path(self.now, self.energy, base, power),
+                              batch, ctx_sum, gen_sum)
+                start = 0
+            path = self._span[1]
+            end = cut_span(path, start, start + span,
+                           min(next_ready, self._horizon))
+            taken = end - start
+            self.now = float(path[0, end])
+            self.energy = float(path[1, end])
         else:
             steps = np.arange(span, dtype=np.float64)
             base = self.engine.kernels.decode_step_seconds(
@@ -913,6 +926,67 @@ class _ServingRun:
             seq.context += taken
             if seq.remaining <= 0:
                 self._finish(seq)
+
+    def _span_keys(self) -> tuple[int, int, int]:
+        """The live batch's size, summed context and summed generated
+        count (this step's token included): a span's pricing keys."""
+        live = self.live
+        ctx_sum = sum(seq.context for seq in live)
+        return (len(live), ctx_sum,
+                ctx_sum + len(live) - sum(seq.prompt_tokens for seq in live))
+
+    def _span_offset(self, batch: int, ctx_sum: int, gen_sum: int) -> int:
+        """Column of the stored span this state stands on, or -1.
+
+        The keys must lie on the span (``ctx_sum - ctx0 == gen_sum -
+        gen0 == batch*k``) and the clock and energy must equal column
+        ``k`` bit for bit.  The test checks itself: equal keys read equal
+        table prices, so the rest of the stored path is exactly the path
+        a fresh pricing from here would build — whatever the batch's
+        membership.
+        """
+        stored = self._span
+        if stored is None:
+            return -1
+        pricing, path, batch0, ctx0, gen0 = stored
+        grown = ctx_sum - ctx0
+        if (batch != batch0 or pricing is not self.sim.pricing
+                or gen_sum - gen0 != grown or grown % batch):
+            return -1
+        k = grown // batch
+        if (not 0 <= k < path.shape[1] - 1 or path[0, k] != self.now
+                or path[1, k] != self.energy):
+            return -1
+        return k
+
+    def quiet_until(self) -> float:
+        """A time up to which :meth:`run_until` changes nothing visible.
+
+        For any ``horizon <= quiet_until()``, ``run_until(horizon)``
+        appends no served or dropped record and leaves the batch's
+        membership as it is; it may only move the clock along the
+        stored span.  That holds up to the clock before the last step
+        of the span the next decode call would take on the stored path
+        (a step after a call's first runs only while the clock before it
+        is below the horizon, and nobody finishes before that span
+        ends), and up to the next pending ready time while a batch slot
+        is free.  In every other case (no live batch, an admission
+        stalled on KV with a free slot, no stored span on this state:
+        the oracle and impure runs) the bound is the clock itself.
+        """
+        if not self.live:
+            return self.now
+        start = self._span_offset(*self._span_keys())
+        if start < 0:
+            return self.now
+        path = self._span[1]
+        # A one-step span (e.g. an admission stalled on KV with a free
+        # slot) bounds at column ``start``: the clock itself.
+        end = min(start + self._span_limit(), path.shape[1] - 1)
+        bound = float(path[0, end - 1])
+        if self.pending and len(self.live) < self.sim.max_batch_size:
+            bound = min(bound, self.pending[0][0])
+        return max(self.now, bound)
 
     def _append_with_preemption(self, seq: LiveSequence) -> bool:
         """Grow a sequence's KV by one token, evicting victims if needed."""

@@ -72,7 +72,8 @@ scan, and the per-event advance/poll sweep skips idle devices (exact:
 the device to have run).  It is the gateway's only per-event loop:
 plain streams and tiered DAG runs pop the same event heap, a tiered
 run adding its job-admission arrival handler, a settle step that
-releases unblocked DAG stages after each event, and its tick source.
+releases unblocked DAG stages after each event, and its tick source,
+which passes over ticks that provably change nothing.
 Eligible runs bypass the per-event loop entirely, through either entry
 point: :meth:`FleetGateway.run` folds its request stream into columns
 and :meth:`FleetGateway.run_trace` collects a chunked column trace;
@@ -1211,7 +1212,10 @@ class FleetGateway:
         run's clock), hedged runs every device, since hedging orders
         cancellations against the all-device advance.  A tiered run
         (``_dag`` set) feeds DAG jobs through :meth:`_on_job` and runs
-        :meth:`_settle_dag` after every event.
+        :meth:`_settle_dag` after every event; outside the oracle that
+        step skips ticks at which no busy device can finish, drop or
+        admit anything, so the loop wakes only when something can
+        change.
         """
         dag = self._dag
         seq = itertools.count()
@@ -1354,15 +1358,21 @@ class FleetGateway:
         """A tiered run's step after each event; True ends the loop.
 
         Releases every stage whose dependencies all have a terminal
-        disposition, then pushes the next ``tick_s`` tick unless another
-        event comes sooner — so release times are deterministic — and
-        stops ticking once every DAG is done and the fleet is idle.
+        disposition, then schedules the next ``tick_s`` tick unless
+        another event comes sooner — so release times are deterministic
+        — and stops ticking once every DAG is done and the fleet is idle.
         Past ``limit`` the safety valve ends the run: a sick fleet must
         not deadlock, and unreleased stages shed explicitly so
         conservation stays exact.
+
+        Ticks that provably do nothing are skipped (see
+        :meth:`_next_tick`); the oracle (``mode="scalar"``) keeps them
+        all, so every auto-vs-scalar tiered comparison checks the skip.
         """
-        for freq, models in dag.ready_children(
-                self._disposition, self._tier_out_tokens, t):
+        released = dag.ready_children(self._disposition,
+                                      self._tier_out_tokens, t)
+        settled = len(self._disposition)
+        for freq, models in released:
             self._tier_inject(freq, models, t)
         if dag.done() and not self._outstanding_total:
             return False
@@ -1375,10 +1385,40 @@ class FleetGateway:
             self._poll(t)
             dag.ready_children(self._disposition, self._tier_out_tokens, t)
             return True
-        tick_s = dag.config.tick_s
-        if not events or events[0][0] > t + tick_s:
-            heapq.heappush(events, (t + tick_s, 2, next(seq), None))
+        quiet = (self.mode != "scalar"
+                 and len(self._disposition) == settled)
+        self._next_tick(t, dag.config.tick_s, events, seq, limit, quiet)
         return False
+
+    def _next_tick(self, t: float, tick_s: float, events: list, seq,
+                   limit: float, quiet: bool) -> None:
+        """Push the next tick of the chain ``t + tick_s``, ``(t + tick_s)
+        + tick_s``, ... that is not provably quiet.
+
+        Each tick is pushed only when no queued event comes at or before
+        it, exactly as if every tick ran.  With ``quiet`` (nothing became
+        terminal since this settle's release scan) a tick at or before
+        every busy device's :meth:`~repro.engine.server._ServingRun.
+        quiet_until` and at or before ``limit`` would only move device
+        clocks: no record to fold, no stage to release, no valve.
+        Skipping it is exact because ``run_until`` over any sequence of
+        horizons equals one run to the last.  Repeated addition keeps
+        every tick time the float the unskipped chain would produce.
+        """
+        tick = t + tick_s
+        bound = -math.inf
+        if quiet and (not events or events[0][0] > tick):
+            bound = limit
+            for device in self.devices:
+                if bound < tick:
+                    break
+                if self._outstanding[device.name]:
+                    bound = min(bound, device.run.quiet_until())
+        while not events or events[0][0] > tick:
+            if tick > bound:
+                heapq.heappush(events, (tick, 2, next(seq), None))
+                return
+            tick += tick_s
 
     def _run_tiered(self, jobs, tiering) -> FleetReport:
         """Serve agentic DAG jobs under a tier policy.

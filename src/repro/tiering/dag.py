@@ -296,6 +296,11 @@ class DagRun:
         difficulties = np.array(
             [self.dags[j].job.difficulty for j in job_ids], dtype=np.float64)
         prob_cache: dict[tuple[str, str, int], np.ndarray] = {}
+        # The probabilities depend only on (accuracy, difficulty_beta)
+        # and the fixed difficulty array, and token counts outside a
+        # curve's anchored range all clamp to its end accuracy, so
+        # solve each distinct curve once.
+        curve_cache: dict[tuple[float, float], np.ndarray] = {}
         share_cache: dict[str, np.ndarray] = {}
 
         def stage_stats(rid: int) -> tuple[float, float, float, float, int]:
@@ -308,9 +313,12 @@ class DagRun:
             profile = capability_profile(model, config.benchmark)
             key = (model, mode, tokens)
             if key not in prob_cache:
-                acc = profile.accuracy_for_mode(mode, tokens)
-                prob_cache[key] = question_success_probability(
-                    acc, difficulties, profile.difficulty_beta)
+                curve = (profile.accuracy_for_mode(mode, tokens),
+                         profile.difficulty_beta)
+                if curve not in curve_cache:
+                    curve_cache[curve] = question_success_probability(
+                        curve[0], difficulties, curve[1])
+                prob_cache[key] = curve_cache[curve]
             if model not in share_cache:
                 share_cache[model] = distractor_shares(profile, difficulties)
             pos = job_pos[self._job_of[rid].job_id]

@@ -8,6 +8,10 @@ This module pins the three legs of that argument: table reads equal
 direct ufunc evaluation bit for bit, the oracle never touches the
 tables, and the table-priced scalar loop (every tiered, fault, brownout,
 hedge, autoscale and KV-fallback run) reproduces the oracle's reports.
+It also pins what lets the auto loop skip work the oracle still does:
+a stored span resumed across horizon cuts equals fresh pricing, nothing
+visible happens up to ``quiet_until()``, and tiered runs that skip
+quiet ticks match an oracle that runs every one.
 """
 
 import math
@@ -18,9 +22,15 @@ import pytest
 import repro.engine.server as server
 from repro.engine.engine import InferenceEngine
 from repro.engine.kv_cache import KVCacheConfig, PagedKVCache
-from repro.engine.pricing import _TABLE_KEY_LIMIT, Pricing, integrate_span
+from repro.engine.pricing import (
+    _TABLE_KEY_LIMIT,
+    Pricing,
+    cut_span,
+    integrate_span,
+    span_path,
+)
 from repro.engine.request import GenerationRequest
-from repro.engine.server import ServingSimulator
+from repro.engine.server import ServingSimulator, _ServingRun
 from repro.faults import FleetFaultConfig, FleetFaultSchedule
 from repro.fleet import (
     AutoscaleConfig,
@@ -31,6 +41,7 @@ from repro.fleet import (
     build_fleet,
     poisson_stream,
 )
+from repro.fleet.device import FleetDevice
 from repro.hardware.soc import PowerMode, jetson_orin_agx_64gb
 from repro.models.registry import get_model
 from repro.tiering import TieringConfig
@@ -94,37 +105,60 @@ class TestTablesMatchDirectPricing:
 
 
 def test_integrate_span_matches_the_step_loop():
-    """The one span spend both cores use equals the scalar per-step
-    loop bit for bit, cut or uncut."""
+    """The span spend both cores use equals the scalar per-step loop
+    bit for bit, cut or uncut, from the first column (``integrate_span``)
+    and from any later one (a resumed span: ``cut_span`` at offset
+    ``start`` up to ``stop``); and a path priced fresh from column
+    ``start`` equals the stored path's tail, which is why resuming is
+    exact."""
     rng = np.random.default_rng(1)
+    resumed = 0
     for _ in range(500):
         steps = int(rng.integers(1, 300))
         base = rng.random(steps) * 0.05
         power = rng.random(steps) * 40.0
         now, energy = rng.random() * 100.0, rng.random() * 1e4
-        cut = (math.inf if rng.random() < 0.2
-               else now + rng.random() * 1.2 * float(base.sum()))
-        clock, joules, taken = now, energy, 0
+        clocks, joules = [now], [energy]
         for j in range(steps):
-            if j > 0 and clock >= cut:
-                break
-            clock += float(base[j])
-            joules += float(base[j]) * float(power[j])
-            taken += 1
-        assert integrate_span(now, energy, base, power, cut) == (
-            taken, clock, joules)
+            clocks.append(clocks[-1] + float(base[j]))
+            joules.append(joules[-1] + float(base[j]) * float(power[j]))
+        path = span_path(now, energy, base, power)
+        assert _bits(path[0]) == _bits(clocks)
+        assert _bits(path[1]) == _bits(joules)
+
+        start = 0 if rng.random() < 0.3 else int(rng.integers(0, steps))
+        stop = int(rng.integers(start + 1, steps + 1))
+        resumed += start > 0
+        for first, last in ((0, steps), (start, stop)):
+            cut = (math.inf if rng.random() < 0.2 else clocks[first]
+                   + rng.random() * 1.2 * float(base[first:last].sum()))
+            end = first
+            for j in range(first, last):
+                if j > first and clocks[j] >= cut:
+                    break
+                end += 1
+            assert cut_span(path, first, last, cut) == end
+            if first == 0 and last == steps:
+                assert integrate_span(now, energy, base, power, cut) == (
+                    end, clocks[end], joules[end])
+
+        fresh = span_path(float(path[0, start]), float(path[1, start]),
+                          base[start:], power[start:])
+        assert _bits(fresh) == _bits(path[:, start:])
+    assert resumed > 250
 
 
 def _count_table_spans(monkeypatch) -> list[int]:
-    """Count scalar-loop spans spent through the table path."""
+    """Count scalar-loop spans spent through the table path (each one,
+    freshly priced or resumed, is cut exactly once)."""
     calls = [0]
-    spend = server.integrate_span
+    cut = server.cut_span
 
     def counted(*args):
         calls[0] += 1
-        return spend(*args)
+        return cut(*args)
 
-    monkeypatch.setattr(server, "integrate_span", counted)
+    monkeypatch.setattr(server, "cut_span", counted)
     return calls
 
 
@@ -156,6 +190,109 @@ def _both_modes(monkeypatch, build_and_run):
     return out
 
 
+def _pure_run(batch: int, seed: int) -> _ServingRun:
+    """A table-priced scalar run of a seeded stream (own engine)."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    arrivals = np.cumsum(rng.exponential(0.4, n))
+    requests = [GenerationRequest(i, int(rng.integers(16, 600)),
+                                  int(rng.integers(2, 260)))
+                for i in range(n)]
+    simulator = ServingSimulator(InferenceEngine(get_model(MODEL)),
+                                 max_batch_size=batch)
+    return _ServingRun(simulator, requests, arrivals)
+
+
+def _finish(run: _ServingRun) -> str:
+    run.drain()
+    run.release()
+    return run.report().to_json()
+
+
+def _count_resumes(monkeypatch) -> list[int]:
+    """Table-path spans that resumed a stored path (cut, not priced)."""
+    counts = [0]
+    cut, path = server.cut_span, server.span_path
+
+    def counted_cut(*args):
+        counts[0] += 1
+        return cut(*args)
+
+    def counted_path(*args):
+        counts[0] -= 1
+        return path(*args)
+
+    monkeypatch.setattr(server, "cut_span", counted_cut)
+    monkeypatch.setattr(server, "span_path", counted_path)
+    return counts
+
+
+class TestResumedSpansAndQuietBound:
+    """The two facts quiet-tick skipping rests on, on a pure simulator."""
+
+    @pytest.mark.parametrize("batch", range(1, 9))
+    def test_horizon_sequences_equal_one_drain(self, monkeypatch, batch):
+        whole = _finish(_pure_run(batch, seed=batch))
+        resumes = _count_resumes(monkeypatch)
+        for seed in range(3):
+            rng = np.random.default_rng(100 * batch + seed)
+            run = _pure_run(batch, seed=batch)
+            horizon = 0.0
+            while run.pending or run.ready or run.live:
+                # Mostly sub-step horizons (many cuts inside one span),
+                # some long jumps, some repeats of the last horizon.
+                horizon += float(rng.choice(
+                    [0.0, rng.exponential(0.02), rng.exponential(1.0)],
+                    p=[0.1, 0.7, 0.2]))
+                run.run_until(horizon)
+            assert _finish(run) == whole
+        assert resumes[0] > 0
+
+    @pytest.mark.parametrize("batch", range(1, 9))
+    def test_no_record_or_membership_change_up_to_quiet_until(self, batch):
+        rng = np.random.default_rng(batch)
+        run = _pure_run(batch, seed=batch)
+        whole = _finish(_pure_run(batch, seed=batch))
+        horizon, probed = 0.0, 0
+        while run.pending or run.ready or run.live:
+            quiet = run.quiet_until()
+            assert quiet >= run.now
+            if quiet > run.now:
+                probed += 1
+                served, dropped = len(run.served), len(run.dropped)
+                members = [seq.index for seq in run.live]
+                tau = (quiet if rng.random() < 0.4
+                       else run.now + rng.random() * (quiet - run.now))
+                run.run_until(tau)
+                assert (len(run.served), len(run.dropped)) == (served,
+                                                               dropped)
+                assert [seq.index for seq in run.live] == members
+            horizon = max(horizon, run.now) + rng.exponential(0.05)
+            run.run_until(horizon)
+        assert probed > 10
+        assert _finish(run) == whole
+
+
+    def test_quiet_until_follows_the_kv_headroom(self):
+        # Another tenant of the KV pool takes blocks mid-span: the next
+        # span is capped shorter than the stored path, and the bound
+        # must shrink with it or a per-token epoch would preempt.
+        run = _pure_run(4, seed=4)
+        horizon = 0.0
+        while not (len(run.live) > 1 and run.quiet_until() > run.now):
+            horizon += 0.01
+            run.run_until(horizon)
+        roomy = run.quiet_until()
+        run.kv.reserve_blocks(run.kv.free_blocks)
+        assert run.now <= run.quiet_until() < roomy
+        members = [seq.index for seq in run.live]
+        run.run_until(run.quiet_until())
+        assert [seq.index for seq in run.live] == members
+        assert run.counters.preemptions == 0
+        run.kv.release_reserved()
+        run.release()
+
+
 class TestOracleLeavesTablesEmpty:
     def test_scalar_simulator_run(self, monkeypatch):
         calls = _count_table_spans(monkeypatch)
@@ -183,26 +320,87 @@ def _fault_schedule(seed, horizon_s, crashes):
                                 flapping_devices=1), seed=seed)
 
 
+#: ``FleetDevice.advance_to`` calls of the oracle on each tiered case
+#: below.  The oracle processes every DAG tick, so these are the counts
+#: of a gateway that skips none; they change only with a deliberate
+#: change to the event loop.
+ORACLE_ADVANCES = {"flap": 1047, "valve": 274, "tick": 2512}
+
+
+def _count_advances(monkeypatch) -> list[int]:
+    calls = [0]
+    advance = FleetDevice.advance_to
+
+    def counted(device, t):
+        calls[0] += 1
+        return advance(device, t)
+
+    monkeypatch.setattr(FleetDevice, "advance_to", counted)
+    return calls
+
+
+def _tiered_both_modes(monkeypatch, config, oracle_advances,
+                       drain_limit_s=600.0):
+    """A tiered crash + flap run as auto and as the oracle: the JSON is
+    byte-identical, the oracle advances devices exactly
+    ``oracle_advances`` times, and auto strictly fewer (it skips quiet
+    ticks)."""
+    models = tuple(dict.fromkeys(
+        config.fast_models + config.deep_models + config.verify_models))
+    advances = {}
+
+    def run(mode):
+        calls = _count_advances(monkeypatch)
+        faults = _fault_schedule(seed=2, horizon_s=12.0, crashes=1)
+        fleet = build_fleet(4, mix="balanced", models=models, faults=faults)
+        gateway = FleetGateway(fleet, policy="least-outstanding",
+                               faults=faults, drain_limit_s=drain_limit_s,
+                               mode=mode)
+        suite = agentic_suite(np.random.default_rng(2), 2.0, 24,
+                              deadline_s=60.0)
+        report = gateway.run(suite, tiering=config)
+        advances[mode] = calls[0]
+        return report, gateway
+
+    report = _both_modes(monkeypatch, run)["auto"][0]
+    assert advances["scalar"] == oracle_advances
+    assert advances["auto"] < advances["scalar"]
+    return report
+
+
 class TestTablePricedScalarLoopMatchesOracle:
     """Every scalar-loop run of a pure fleet: auto JSON == scalar JSON."""
 
     def test_tiered_run_with_crash_and_flap(self, monkeypatch):
-        config = TieringConfig(seed=0)
-        models = tuple(dict.fromkeys(
-            config.fast_models + config.deep_models + config.verify_models))
-
-        def run(mode):
-            faults = _fault_schedule(seed=2, horizon_s=12.0, crashes=1)
-            fleet = build_fleet(4, mix="balanced", models=models,
-                                faults=faults)
-            gateway = FleetGateway(fleet, policy="least-outstanding",
-                                   faults=faults, mode=mode)
-            suite = agentic_suite(np.random.default_rng(2), 2.0, 24,
-                                  deadline_s=60.0)
-            return gateway.run(suite, tiering=config), gateway
-
-        report = _both_modes(monkeypatch, run)["auto"][0]
+        report = _tiered_both_modes(monkeypatch, TieringConfig(seed=0),
+                                    oracle_advances=ORACLE_ADVANCES["flap"])
         assert report.rerouted > 0 and report.lost == 0
+
+    def test_tiered_run_through_the_drain_limit_valve(self, monkeypatch):
+        valves = []
+        settle = FleetGateway._settle_dag
+
+        def recorded(gateway, dag, t, *args):
+            ended = settle(gateway, dag, t, *args)
+            if ended:
+                valves.append(t)
+            return ended
+
+        monkeypatch.setattr(FleetGateway, "_settle_dag", recorded)
+        report = _tiered_both_modes(monkeypatch, TieringConfig(seed=0),
+                                    oracle_advances=ORACLE_ADVANCES["valve"],
+                                    drain_limit_s=8.0)
+        # The valve fired in both runs, at the same tick.  This limit
+        # falls inside a quiet stretch of the fleet, so a skip that
+        # ignored the limit would fire it tens of seconds late.
+        assert len(valves) == 2 and valves[0] == valves[1]
+        assert report.lost == 0
+
+    def test_tiered_run_with_inexact_tick_sums(self, monkeypatch):
+        # 0.1 has no exact binary form: the skipped chain must still
+        # land every pushed tick on the float repeated addition gives.
+        _tiered_both_modes(monkeypatch, TieringConfig(seed=0, tick_s=0.1),
+                           oracle_advances=ORACLE_ADVANCES["tick"])
 
     def test_fleet_fault_schedule_run(self, monkeypatch):
         def run(mode):
