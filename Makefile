@@ -6,15 +6,19 @@
 PYTHON ?= python
 OUTPUT ?= outputs
 
+# Every target runs the package from this checkout's src/, with or
+# without an editable install.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: setup test lint bench chaos chaos-pipeline chaos-fleet chaos-overload chaos-autoscale chaos-tiering perf perf-100k perf-1m perf-tiering perf-baseline reproduce reproduce-fast examples fidelity takeaways clean
 
 ## Install the package in editable mode (legacy path works offline).
 setup:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
 
-## Run the full test suite.
+## Run the tier-1 test suite.
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest -x -q
 
 ## Static checks (style, imports, bugbear) over src/ and tests/.
 lint:
@@ -41,14 +45,14 @@ chaos:
 ## crash/resume cycle; exits nonzero unless everything recovered with
 ## byte-identical outputs.
 chaos-pipeline:
-	PYTHONPATH=src $(PYTHON) -m repro chaos --pipeline --seed 0
+	$(PYTHON) -m repro chaos --pipeline --seed 0
 
 ## Fleet chaos: kill 2 of 4 devices mid-run under seeded faults; exits
 ## nonzero unless every request reached a terminal outcome, the kills
 ## actually fired, and a rerun reproduced the report byte-for-byte.
 chaos-fleet:
 	$(PYTHON) -m pytest tests/test_fleet_chaos.py
-	PYTHONPATH=src $(PYTHON) -m repro chaos --fleet --seed 0
+	$(PYTHON) -m repro chaos --fleet --seed 0
 
 ## Overload survival: 3x-capacity flash crowd into a flapping,
 ## thermally throttled fleet; exits nonzero unless conservation holds
@@ -56,7 +60,7 @@ chaos-fleet:
 ## are byte-identical under both thread and process executors.
 chaos-overload:
 	$(PYTHON) -m pytest tests/test_fleet_overload.py tests/test_fleet_health.py
-	PYTHONPATH=src $(PYTHON) -m repro chaos --overload --seed 0
+	$(PYTHON) -m repro chaos --overload --seed 0
 
 ## Autoscale lifecycle survival drill: a diurnal cycle plus flash crowd
 ## into an autoscaled fleet with crashes delivered mid-drain and
@@ -66,7 +70,7 @@ chaos-overload:
 ## under both thread and process executors.
 chaos-autoscale:
 	$(PYTHON) -m pytest tests/test_fleet_autoscale.py
-	PYTHONPATH=src $(PYTHON) -m repro chaos --autoscale --seed 0
+	$(PYTHON) -m repro chaos --autoscale --seed 0
 
 ## Tiering gate: budget-aware Fast/Deep/Verify routing of the agentic
 ## DAG suite; exits nonzero unless the budget-aware frontier strictly
@@ -77,26 +81,26 @@ chaos-autoscale:
 chaos-tiering:
 	$(PYTHON) -m pytest tests/test_tiering_policy.py \
 	    tests/test_tiering_dag.py tests/test_tiering_gateway.py
-	PYTHONPATH=src $(PYTHON) -m repro chaos --tiering --seed 0
+	$(PYTHON) -m repro chaos --tiering --seed 0
 
 ## Perf-regression harness: time the representative workloads, write
 ## BENCH_pipeline.json / BENCH_engine.json, and fail on >25% regression
 ## against benchmarks/baselines/ (or the span-speedup ratio floor).
 perf:
-	PYTHONPATH=src $(PYTHON) -m repro perf --check --out $(OUTPUT)
+	$(PYTHON) -m repro perf --check --out $(OUTPUT)
 
 ## 100k-scale vector event-loop gates only: the scalar/vector speedup
 ## ratio floor (>=10x, machine-independent) and the 100k-request,
 ## 64-device run's hard wall-clock budget.
 perf-100k:
-	PYTHONPATH=src $(PYTHON) -m repro perf --check \
+	$(PYTHON) -m repro perf --check \
 	    --only fleet_vector_speedup,fleet_100k --out $(OUTPUT)
 
 ## Population-scale gates only: the streaming-trace vs scalar-oracle
 ## routing speedup floor (>=3x, per-request normalized) and the
 ## 1M-request, 32-device diurnal run's hard wall-clock budget (<=60s).
 perf-1m:
-	PYTHONPATH=src $(PYTHON) -m repro perf --check \
+	$(PYTHON) -m repro perf --check \
 	    --only fleet_routing_speedup,fleet_diurnal_1m --out $(OUTPUT)
 
 ## Tiered-DAG gates only: one budget-aware agentic suite run through
@@ -104,12 +108,12 @@ perf-1m:
 ## scalar-oracle vs auto ratio floor (>=2.5x) on the same shape with
 ## byte-identical reports.
 perf-tiering:
-	PYTHONPATH=src $(PYTHON) -m repro perf --check \
+	$(PYTHON) -m repro perf --check \
 	    --only fleet_tiered_dag,fleet_tiered_pricing_speedup --out $(OUTPUT)
 
 ## Refresh the committed perf baselines (run on a quiet machine).
 perf-baseline:
-	PYTHONPATH=src $(PYTHON) -m repro perf --out benchmarks/baselines
+	$(PYTHON) -m repro perf --out benchmarks/baselines
 
 ## Write every artifact's text into $(OUTPUT)/.
 reproduce:
@@ -119,7 +123,7 @@ reproduce:
 ## small producer sizes, 4 parallel jobs, shared intermediates computed
 ## exactly once, per-artifact timing printed at the end.
 reproduce-fast:
-	PYTHONPATH=src $(PYTHON) -m repro run --all --jobs 4 --smoke --timing
+	$(PYTHON) -m repro run --all --jobs 4 --smoke --timing
 
 ## Run all example applications.
 examples:

@@ -338,9 +338,6 @@ def _cmd_fleet_trace(args: argparse.Namespace) -> int:
     if args.requests < 1:
         print("repro fleet: --requests must be positive", file=sys.stderr)
         return 2
-    if args.chunk_size < 1:
-        print("repro fleet: --chunk-size must be positive", file=sys.stderr)
-        return 2
     try:
         config = PopulationConfig(requests=args.requests,
                                   deadline_s=args.deadline)
@@ -351,13 +348,12 @@ def _cmd_fleet_trace(args: argparse.Namespace) -> int:
     fleet = build_fleet(args.devices, mix=args.mix, model=args.model,
                         prefix_cache_mb=args.prefix_cache_mb)
     gateway = FleetGateway(fleet, policy=args.policy)
-    report = gateway.run_trace(trace, chunk_size=args.chunk_size)
+    report = gateway.run_trace(trace)
     if args.json:
         print(report.to_json())
         return 0 if report.lost == 0 else 1
     print(f"trace      population: {args.requests} requests over "
-          f"{trace.num_sessions} sessions (seed {args.seed}, "
-          f"chunk {args.chunk_size})")
+          f"{trace.num_sessions} sessions (seed {args.seed})")
     print(f"fleet      {args.devices}x {args.mix} ({args.model}), "
           f"policy {args.policy} [{gateway.last_mode}]")
     print(f"completed  {report.completed}  shed {report.shed}  "
@@ -834,9 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="drive a generated column trace through the "
                             "streaming gateway instead of a Poisson "
                             "stream; the only generator is 'population'")
-    fleet.add_argument("--chunk-size", type=int, default=65536,
-                       help="trace rows per column chunk "
-                            "(--trace only; default 65536)")
     fleet.add_argument("--qps", type=float, default=8.0,
                        help="offered Poisson load (default 8)")
     fleet.add_argument("--requests", type=int, default=64,

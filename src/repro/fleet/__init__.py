@@ -41,7 +41,6 @@ from repro.fleet.gateway import (
 from repro.fleet.health import (
     BreakerState,
     CircuitBreaker,
-    DeviceHealth,
     HealthConfig,
 )
 from repro.fleet.report import DeviceOutcome, FleetReport
@@ -138,7 +137,6 @@ __all__ = [
     "BrownoutConfig",
     "BrownoutController",
     "CircuitBreaker",
-    "DeviceHealth",
     "DeviceOutcome",
     "DeviceSpec",
     "FLEET_MIXES",

@@ -18,11 +18,13 @@ does not chatter at a boundary):
 * **tier 3** — shed: the gateway refuses admission with an explicit
   ``shed`` disposition rather than queueing work it cannot finish.
 
-Every tier change is appended to :attr:`BrownoutController.transitions`
-(time, from, to); time-to-SLO-recovery after a storm is read off this
-log as the last return to tier 0.  The controller is pure arithmetic on
-observed pressure — no wall clock, no RNG — so reruns are
-byte-identical.
+The hysteresis itself is :class:`PressureLadder`, which the tiered DAG
+scheduler (:class:`~repro.tiering.dag.DagRun`) walks with its own
+thresholds.  Every tier change is appended to
+:attr:`PressureLadder.transitions` (time, from, to); time-to-SLO-recovery
+after a storm is read off this log as the last return to tier 0.  The
+ladder is pure arithmetic on observed pressure — no wall clock, no RNG —
+so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -34,6 +36,64 @@ from repro.engine.request import GenerationRequest
 
 #: Number of degradation tiers above normal service.
 MAX_TIER = 3
+
+
+def check_ladder(enter_pressure, exit_pressure) -> None:
+    """Validate a :class:`PressureLadder`'s thresholds.
+
+    Each side needs one ascending threshold per tier, and each exit
+    threshold must sit strictly below its enter threshold.
+    """
+    for name, rungs in (("enter_pressure", enter_pressure),
+                        ("exit_pressure", exit_pressure)):
+        if len(rungs) != MAX_TIER:
+            raise ValueError(f"{name} needs {MAX_TIER} thresholds")
+        if list(rungs) != sorted(rungs):
+            raise ValueError(f"{name} must be ascending")
+    for exit_p, enter_p in zip(exit_pressure, enter_pressure):
+        if not exit_p < enter_p:
+            raise ValueError(
+                "each exit_pressure must sit below its enter_pressure")
+
+
+class PressureLadder:
+    """Hysteretic tier ladder driven by observed pressure.
+
+    ``config`` supplies validated ``enter_pressure``/``exit_pressure``
+    thresholds (a :class:`BrownoutConfig` or a
+    :class:`~repro.tiering.policy.TieringConfig`).
+    """
+
+    def __init__(self, config) -> None:
+        self.config = config
+        self.tier = 0
+        self.transitions: list[tuple[float, int, int]] = []
+
+    def observe(self, t: float, pressure: float) -> int:
+        """Fold one pressure sample; returns the tier now in force.
+
+        Moves at most one tier per observation in each direction, so a
+        pressure spike walks the ladder step-by-step (each step visible
+        in the transition log) instead of teleporting to shed.
+        """
+        cfg = self.config
+        tier = self.tier
+        if tier < MAX_TIER and pressure >= cfg.enter_pressure[tier]:
+            tier += 1
+        elif tier > 0 and pressure < cfg.exit_pressure[tier - 1]:
+            tier -= 1
+        if tier != self.tier:
+            self.transitions.append((t, self.tier, tier))
+            self.tier = tier
+        return self.tier
+
+    def should_shed(self) -> bool:
+        """Whether the current tier refuses admission outright."""
+        return self.tier >= MAX_TIER
+
+    def max_tier_reached(self) -> int:
+        """Deepest tier the ladder ever engaged."""
+        return max((to for _, _, to in self.transitions), default=self.tier)
 
 
 @dataclass(frozen=True)
@@ -59,18 +119,7 @@ class BrownoutConfig:
     downgrade_models: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.enter_pressure) != MAX_TIER:
-            raise ValueError(f"enter_pressure needs {MAX_TIER} thresholds")
-        if len(self.exit_pressure) != MAX_TIER:
-            raise ValueError(f"exit_pressure needs {MAX_TIER} thresholds")
-        if list(self.enter_pressure) != sorted(self.enter_pressure):
-            raise ValueError("enter_pressure must be ascending")
-        if list(self.exit_pressure) != sorted(self.exit_pressure):
-            raise ValueError("exit_pressure must be ascending")
-        for exit_p, enter_p in zip(self.exit_pressure, self.enter_pressure):
-            if not exit_p < enter_p:
-                raise ValueError(
-                    "each exit_pressure must sit below its enter_pressure")
+        check_ladder(self.enter_pressure, self.exit_pressure)
         if not 0 < self.deep_trim_fraction <= self.trim_fraction <= 1:
             raise ValueError(
                 "need 0 < deep_trim_fraction <= trim_fraction <= 1")
@@ -78,13 +127,11 @@ class BrownoutConfig:
             raise ValueError("min_budget_tokens must be at least 1")
 
 
-class BrownoutController:
-    """Hysteretic tier ladder driven by observed fleet pressure."""
+class BrownoutController(PressureLadder):
+    """The pressure ladder plus each tier's admission action."""
 
     def __init__(self, config: BrownoutConfig | None = None):
-        self.config = config or BrownoutConfig()
-        self.tier = 0
-        self.transitions: list[tuple[float, int, int]] = []
+        super().__init__(config or BrownoutConfig())
         #: Requests whose budgets were trimmed (tiers 1-2).
         self.trimmed = 0
         #: Requests steered toward downgrade models (tier 2).
@@ -93,29 +140,6 @@ class BrownoutController:
         self.shed = 0
 
     # ------------------------------------------------------------------
-    def observe(self, t: float, pressure: float) -> int:
-        """Fold one pressure sample; returns the tier now in force.
-
-        Moves at most one tier per observation in each direction, so a
-        pressure spike walks the ladder step-by-step (each step visible
-        in the transition log) instead of teleporting to shed.
-        """
-        cfg = self.config
-        tier = self.tier
-        if tier < MAX_TIER and pressure >= cfg.enter_pressure[tier]:
-            tier += 1
-        elif tier > 0 and pressure < cfg.exit_pressure[tier - 1]:
-            tier -= 1
-        if tier != self.tier:
-            self.transitions.append((t, self.tier, tier))
-            self.tier = tier
-        return self.tier
-
-    # ------------------------------------------------------------------
-    def should_shed(self) -> bool:
-        """Whether the current tier refuses admission outright."""
-        return self.tier >= MAX_TIER
-
     def prefers_downgrade(self) -> bool:
         """Whether routing should steer toward downgrade models."""
         return self.tier >= 2 and bool(self.config.downgrade_models)
@@ -143,10 +167,6 @@ class BrownoutController:
         return dataclasses.replace(request, max_new_tokens=budget)
 
     # ------------------------------------------------------------------
-    def max_tier_reached(self) -> int:
-        """Deepest tier the controller ever engaged."""
-        return max((to for _, _, to in self.transitions), default=self.tier)
-
     def recovered_at(self) -> float | None:
         """Time of the last return to tier 0 (None if never degraded
         or still degraded)."""

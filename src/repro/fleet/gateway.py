@@ -12,11 +12,11 @@ After the last event, every device drains to completion.
 
 Self-healing (this layer's additions over plain routing):
 
-* **Health model** — a :class:`~repro.fleet.health.DeviceHealth` per
-  device folds heartbeats, completion-latency EWMAs, and failures into
-  a per-device circuit breaker; routing skips devices whose breaker is
-  open.  Breakers *shift* load — if every breaker rejects, routing
-  falls back to all up devices rather than manufacturing an outage.
+* **Circuit breakers** — a :class:`~repro.fleet.health.CircuitBreaker`
+  per device folds its completion latencies and failures; routing skips
+  devices whose breaker is open.  Breakers *shift* load — if every
+  breaker rejects, routing falls back to all up devices rather than
+  manufacturing an outage.
 * **Brownout admission** — when constructed with a
   :class:`~repro.fleet.brownout.BrownoutConfig`, arrivals pass the
   tier ladder: token-budget trims, preference for quantized downgrade
@@ -67,9 +67,10 @@ version (bumped on crashes, breaker transitions, and probe-slot
 consumption, with a time-based expiry for outage recoveries and breaker
 cool-downs), rendezvous digests are cached per (session, device), a
 gateway-maintained outstanding counter replaces the full-fleet pressure
-scan, and the per-event advance/poll sweep skips idle devices (exact:
-``run_until`` is a no-op without work, and new outcome records require
-the device to have run).  It is the gateway's only per-event loop:
+scan, and the per-event sweep advances and folds only busy devices
+(exact: ``run_until`` is a no-op without work, and a device's unfolded
+outcome records still count as its outstanding work).  It is the
+gateway's only per-event loop:
 plain streams and tiered DAG runs pop the same event heap, a tiered
 run adding its job-admission arrival handler, a settle step that
 releases unblocked DAG stages after each event, and its tick source,
@@ -108,7 +109,12 @@ from repro.fleet.autoscale import (
 )
 from repro.fleet.brownout import BrownoutConfig, BrownoutController
 from repro.fleet.device import FleetDevice
-from repro.fleet.health import BreakerState, DeviceHealth, HealthConfig
+from repro.fleet.health import (
+    BreakerState,
+    CircuitBreaker,
+    HealthConfig,
+    breaker_seed,
+)
 from repro.fleet.report import DeviceOutcome, FleetReport
 from repro.fleet.trace import (
     FleetTraceReport,
@@ -211,8 +217,8 @@ class FleetGateway:
         self._health_config = health
         self.drain_tick_s = drain_tick_s
         self.drain_limit_s = drain_limit_s
-        self.health = {d.name: DeviceHealth(d.name, health, seed=seed)
-                       for d in self.devices}
+        self.breakers = {d.name: CircuitBreaker(
+            health, seed=breaker_seed(seed, d.name)) for d in self.devices}
         self.brownout = (BrownoutController(brownout)
                          if brownout is not None else None)
         #: The lifecycle controller (None keeps every legacy code path
@@ -269,15 +275,8 @@ class FleetGateway:
         self._full_capacity = sum(d.spec.max_batch_size
                                   for d in self.devices)
         self._name_bytes = tuple(d.name.encode() for d in self.devices)
-        # Tiered-DAG state: None/empty on every untiered run, so the
-        # hot paths below stay byte-identical to the pre-tiering
-        # gateway.  ``_dag`` is the run's DAG coordinator;
-        # ``_tier_pref`` maps a child request id to its stage's
-        # preferred model pool; ``_tier_out_tokens`` feeds budget
-        # refunds.
+        #: The running tiered run's DAG coordinator (None when untiered).
         self._dag = None
-        self._tier_pref: dict[int, tuple[str, ...]] = {}
-        self._tier_out_tokens: dict[int, int] = {}
 
     # -- routing --------------------------------------------------------
     def _topo_bump(self) -> None:
@@ -311,7 +310,7 @@ class FleetGateway:
             # accept no new routes (the emergency paths in _pick wake
             # or reactivate capacity when this empties the pool).
             up = [d for d in up if self.autoscale.accepts_routes(d.name)]
-        fit = [d for d in up if self.health[d.name].routable(t)]
+        fit = [d for d in up if self.breakers[d.name].admits(t)]
         pool = fit or up
         if self.brownout is not None and self.brownout.prefers_downgrade():
             downgrade = [d for d in pool if d.spec.model
@@ -343,7 +342,7 @@ class FleetGateway:
         expiry = self._up_cache[1]
         fit = []
         for d in up:
-            breaker = self.health[d.name].breaker
+            breaker = self.breakers[d.name]
             if breaker.admits(t):
                 fit.append(d)
             elif breaker.state is BreakerState.OPEN:
@@ -391,16 +390,8 @@ class FleetGateway:
         up = self._routable(t)
         if self.autoscale is not None and not up:
             return self._autoscale_emergency(t) or self._park_target()
-        if self._tier_pref:
-            # Tiered stage steering: Deep stages prefer the big-model
-            # devices, Fast stages the quantized replicas.  A soft
-            # preference — when no preferred device is routable the
-            # whole pool serves, so availability beats affinity.
-            pref = self._tier_pref.get(freq.request.request_id)
-            if pref:
-                preferred = [d for d in up if d.spec.model in pref]
-                if preferred:
-                    up = preferred
+        if self._dag is not None:
+            up = self._dag.steer(freq.request.request_id, up)
         if self.policy == "round-robin":
             device = up[self._rr_next % len(up)]
             self._rr_next += 1
@@ -499,7 +490,7 @@ class FleetGateway:
 
     def _consume_probe(self, name: str, t: float) -> None:
         """Admit one routed copy through the device's breaker."""
-        breaker = self.health[name].breaker
+        breaker = self.breakers[name]
         before = breaker.state
         breaker.allow(t)
         if before is not BreakerState.CLOSED or breaker.state is not before:
@@ -526,17 +517,18 @@ class FleetGateway:
     def _on_served(self, device: FleetDevice, record) -> None:
         rid = record.request_id
         self._count(device.name, -1)
-        health = self.health[device.name]
-        before = health.breaker.state
-        health.observe_completion(record.finish_s, record.latency_s)
-        if health.breaker.state is not before:
+        breaker = self.breakers[device.name]
+        before = breaker.state
+        breaker.record_success(record.finish_s, record.latency_s)
+        if breaker.state is not before:
             self._topo_bump()
-        alpha = self.hedge.ewma_alpha if self.hedge is not None else 0.2
-        if self._latency_ewma is None:
-            self._latency_ewma = record.latency_s
-        else:
-            self._latency_ewma = (alpha * record.latency_s
-                                  + (1 - alpha) * self._latency_ewma)
+        if self.hedge is not None:
+            # The fleet latency estimate only sets the hedge age.
+            alpha = self.hedge.ewma_alpha
+            self._latency_ewma = (
+                record.latency_s if self._latency_ewma is None
+                else alpha * record.latency_s
+                + (1 - alpha) * self._latency_ewma)
         if self._disposition.get(rid) == "served":
             # The losing copy finished inside the same advance window
             # before it could be cancelled; dedup in FleetReport keeps
@@ -545,7 +537,7 @@ class FleetGateway:
             return
         self._disposition[rid] = "served"
         if self._dag is not None:
-            self._tier_out_tokens[rid] = int(record.output_tokens)
+            self._dag.note_served(rid, int(record.output_tokens))
         if self._hedge_target.get(rid) == device.name:
             self.hedge_wins += 1
         copies = self._copies.pop(rid, set())
@@ -557,10 +549,10 @@ class FleetGateway:
     def _on_dropped(self, device: FleetDevice, rid: int, kind: str,
                     t: float) -> None:
         self._count(device.name, -1)
-        health = self.health[device.name]
-        before = health.breaker.state
-        health.observe_failure(t)
-        if health.breaker.state is not before:
+        breaker = self.breakers[device.name]
+        before = breaker.state
+        breaker.record_failure(t)
+        if breaker.state is not before:
             self._topo_bump()
         if self._orphaned(rid, device.name):
             # Terminal drop counted by the device's own report; record
@@ -586,28 +578,31 @@ class FleetGateway:
                                  session=session, prefix_tokens=prefix),
                     t, ready_s=t + self.reroute_backoff_s)
 
-    def _poll(self, t: float) -> None:
-        """Fold new per-device outcomes into health and dispositions."""
-        for device in self.devices:
-            self._fold(device, t)
-            if not device.is_down(t):
-                self.health[device.name].heartbeat(t)
+    def _sweep(self, t: float) -> None:
+        """The per-event step: advance the fleet to ``t``, collect, hedge.
 
-    def _advance_all(self, t: float) -> None:
-        """Advance every device to ``t``, poll, then consider hedges."""
+        Only busy devices advance: ``run_until`` never moves an idle
+        run's clock.  Every advance runs before any fold, so a hedge
+        winner's cancellations see every copy advanced to ``t``.
+        """
         for device in self.devices:
-            device.advance_to(t)
-        self._poll(t)
+            if self._outstanding[device.name]:
+                device.advance_to(t)
+        self._collect(t)
         self._maybe_hedge(t)
 
-    def _fold(self, device: FleetDevice, t: float) -> None:
-        """Fold one device's new outcomes into health and dispositions.
+    def _collect(self, t: float) -> None:
+        """Fold every busy device's new outcomes (no advance).
 
-        :meth:`_poll` adds a heartbeat; the fused sweep calls this alone
-        right after advancing each busy device.  Dropping the heartbeat
-        there is exact: only :meth:`DeviceHealth.score` reads
-        heartbeats, and nothing in routing or reports reads the score.
+        Skipping idle devices is exact: a device's unfolded records
+        still count in its outstanding work until they are folded.
         """
+        for device in self.devices:
+            if self._outstanding[device.name]:
+                self._fold(device, t)
+
+    def _fold(self, device: FleetDevice, t: float) -> None:
+        """Fold one device's new outcomes into breakers and dispositions."""
         run = device.run
         name = device.name
         start = self._served_cursor[name]
@@ -737,7 +732,8 @@ class FleetGateway:
         device = self._by_name.get(fault.device)
         if device is None:
             return  # schedule names a device not in this fleet
-        self.health[device.name].observe_failure(t)
+        breaker = self.breakers[device.name]
+        breaker.record_failure(t)
         orphans = device.crash(t, fault.end_s)
         self._count(device.name, -len(orphans))
         # Availability changed (and possibly breaker state, via the
@@ -752,7 +748,7 @@ class FleetGateway:
             self.autoscale.on_crash(t, device.name)
         for request, state in orphans:
             rid = request.request_id
-            self.health[device.name].observe_failure(t)
+            breaker.record_failure(t)
             if not self._orphaned(rid, device.name):
                 continue
             attempts = self._attempts.get(rid, 0) + 1
@@ -786,25 +782,24 @@ class FleetGateway:
     def _drain_all(self, t: float) -> float:
         """Run every device to completion after the last event.
 
-        With brownout or hedging active the drain advances in fixed
-        ticks so the controller observes the backlog clearing (tier
-        recovery) and late hedges still fire; the loop is hard-bounded
-        by ``drain_limit_s`` and then force-drains, so a sick fleet
-        ends the run instead of deadlocking.
+        With brownout, hedging or autoscaling active the drain advances
+        in fixed ticks so the controller observes the backlog clearing
+        (tier recovery) and late hedges still fire; the loop is
+        hard-bounded by ``drain_limit_s`` and then force-drains, so a
+        sick fleet ends the run instead of deadlocking.  Without them
+        the tick window is empty: the fleet force-drains at once.
         """
-        if (self.brownout is None and self.hedge is None
-                and self.autoscale is None):
-            for device in self.devices:
-                device.drain()
-            return max((d.run.now for d in self.devices), default=t)
-        deadline = t + self.drain_limit_s
+        deadline = t
+        if (self.brownout is not None or self.hedge is not None
+                or self.autoscale is not None):
+            deadline += self.drain_limit_s
         while any(d.outstanding_requests for d in self.devices):
             if t >= deadline:
                 for device in self.devices:
                     device.drain()
                 break
             t += self.drain_tick_s
-            self._advance_all(t)
+            self._sweep(t)
             if self.brownout is not None:
                 self.brownout.observe(t, self._pressure(t))
             if self.autoscale is not None:
@@ -1005,20 +1000,18 @@ class FleetGateway:
         )
 
     # -- the population-scale trace driver -------------------------------
-    def run_trace(self, trace, chunk_size: int = 65536, *,
-                  jobs: int = 1,
+    def run_trace(self, trace, *, jobs: int = 1,
                   executor: str = "thread") -> FleetTraceReport:
         """Serve a population-scale column trace across the fleet.
 
         ``trace`` is a :class:`~repro.workloads.population.
-        PopulationTrace` (chunked internally at ``chunk_size`` rows) or
-        any iterable of :class:`~repro.workloads.population.TraceChunk`
-        column slices with nondecreasing arrivals.  The driver holds
-        only column arrays — bounded memory at any request count — and
-        returns the column-native :class:`~repro.fleet.trace.
-        FleetTraceReport`.  Chunking is a view decision: chunked and
-        unchunked streams collect byte-identical columns, hence
-        byte-identical reports.
+        PopulationTrace` (read as one chunk) or any iterable of
+        :class:`~repro.workloads.population.TraceChunk` column slices
+        with nondecreasing arrivals.  The driver holds only column
+        arrays — bounded memory at any request count — and returns the
+        column-native :class:`~repro.fleet.trace.FleetTraceReport`.
+        Chunking is a view decision: chunked and unchunked streams
+        collect byte-identical columns, hence byte-identical reports.
 
         ``jobs`` > 1 drains the per-device partition shares
         concurrently on a ``"thread"`` or ``"process"`` ``executor``.
@@ -1035,14 +1028,12 @@ class FleetGateway:
         VectorFallback`; ``mode="scalar"`` forces the oracle and
         ``mode="vector"`` raises on ineligibility.
         """
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
         if jobs < 1:
             raise ValueError("jobs must be positive")
         if executor not in ("thread", "process"):
             raise ValueError("executor must be 'thread' or 'process'")
-        chunks = (trace.chunks(chunk_size)
-                  if hasattr(trace, "chunks") else trace)
+        # A trace carries every column a chunk does.
+        chunks = (trace,) if hasattr(trace, "chunks") else trace
         columns = self._collect_trace(chunks)
         report = self._vector(
             self.vector_eligible(),
@@ -1180,11 +1171,12 @@ class FleetGateway:
 
         With ``tiering`` (a :class:`~repro.tiering.policy.
         TieringConfig`), ``stream`` must instead be a sequence of
-        :class:`~repro.workloads.agentic.DagJob` items: each job is
-        expanded into a plan → branches → verify request DAG served
-        through this same routing/disposition machinery on the scalar
-        core (see :meth:`_run_tiered`).  ``tiering=None`` leaves every
-        untiered code path — and its reports — byte-identical.
+        :class:`~repro.workloads.agentic.DagJob` items: a
+        :class:`~repro.tiering.dag.DagRun` expands each job into a plan
+        → branches → verify request DAG and releases its stages on the
+        scalar core, and ``offered`` counts DAG children.
+        ``tiering=None`` leaves every untiered code path — and its
+        reports — byte-identical.
         """
         report = self._vector(
             tiering is None and self.vector_eligible()
@@ -1196,28 +1188,34 @@ class FleetGateway:
             lambda: self._fleet_report(stream))
         if report is not None:
             return report
-        self.last_mode = "scalar"
+        dag = None
         if tiering is not None:
-            return self._run_tiered(stream, tiering)
-        return self._run_scalar(stream)
+            from repro.tiering.dag import DagRun
 
-    def _run_scalar(self, stream) -> FleetReport:
+            if (self.brownout is not None or self.hedge is not None
+                    or self.autoscale is not None):
+                raise ValueError(
+                    "tiered serving brings its own load ladder; construct "
+                    "the gateway with brownout=None, hedge=None, "
+                    "autoscale=None")
+            dag = DagRun(tiering, energy_quote=self._tier_energy_quote)
+        self.last_mode = "scalar"
+        return self._run_scalar(stream, dag)
+
+    def _run_scalar(self, stream, dag=None) -> FleetReport:
         """The scalar oracle: the gateway's one per-event loop.
 
         Events ``(t, priority, seq, payload)`` pop off one heap: at equal
         times an outage (0) fires before an arrival (1), so no arrival
         routes to a device dying at that instant, then ticks (2).  Each
-        event first advances the fleet: hedge-free runs advance and fold
-        only busy devices (exact: ``run_until`` never moves an idle
-        run's clock), hedged runs every device, since hedging orders
-        cancellations against the all-device advance.  A tiered run
-        (``_dag`` set) feeds DAG jobs through :meth:`_on_job` and runs
+        event first runs :meth:`_sweep`.  A tiered run (``dag`` given)
+        feeds DAG jobs through :meth:`_on_job` and runs
         :meth:`_settle_dag` after every event; outside the oracle that
         step skips ticks at which no busy device can finish, drop or
         admit anything, so the loop wakes only when something can
         change.
         """
-        dag = self._dag
+        self._dag = dag
         seq = itertools.count()
         if dag is None:
             arrivals = [freq for _, freq in sorted(
@@ -1246,19 +1244,10 @@ class FleetGateway:
                           for k in range(1, int(last / step) + 2))
         heapq.heapify(events)
 
-        fused = self.hedge is None
-        outstanding = self._outstanding
-        devices = self.devices
         t = 0.0
         while events:
             t, priority, _, payload = heapq.heappop(events)
-            if fused:
-                for device in devices:
-                    if outstanding[device.name]:
-                        device.advance_to(t)
-                        self._fold(device, t)
-            else:
-                self._advance_all(t)
+            self._sweep(t)
             if priority == 1:
                 on_arrival(payload, t)
             elif priority == 0:
@@ -1270,9 +1259,9 @@ class FleetGateway:
                 break
 
         t = self._drain_all(t)
-        self._poll(t)
+        self._collect(t)
         if dag is not None:
-            dag.ready_children(self._disposition, self._tier_out_tokens, t)
+            dag.ready_children(self._disposition, t)
         outcomes = []
         for device in self.devices:
             report = device.report()
@@ -1288,8 +1277,8 @@ class FleetGateway:
                 prefix_misses=device.run.prefix_misses,
             ))
         breaker_opens = sum(
-            1 for h in self.health.values()
-            for _, _, to in h.breaker.transitions
+            1 for breaker in self.breakers.values()
+            for _, _, to in breaker.transitions
             if to is BreakerState.OPEN)
         brownout = self.brownout
         recovered = brownout.recovered_at() if brownout is not None else None
@@ -1336,11 +1325,9 @@ class FleetGateway:
             pool = list(self.devices)
         return min(d.predicted_energy_j(request, 0.0) for d in pool)
 
-    def _tier_inject(self, freq: FleetRequest, models: tuple[str, ...],
-                     t: float) -> None:
-        rid = freq.request.request_id
-        self._session_of[rid] = (freq.session, freq.prefix_tokens)
-        self._tier_pref[rid] = models
+    def _tier_inject(self, freq: FleetRequest, t: float) -> None:
+        self._session_of[freq.request.request_id] = (freq.session,
+                                                     freq.prefix_tokens)
         self._route(freq, t)
 
     def _on_job(self, job, t: float) -> None:
@@ -1350,8 +1337,8 @@ class FleetGateway:
             for rid in out:
                 self._finish(rid, "shed")
         else:
-            for freq, models in out:
-                self._tier_inject(freq, models, t)
+            for freq in out:
+                self._tier_inject(freq, t)
 
     def _settle_dag(self, dag, t: float, events: list, seq,
                     limit: float) -> bool:
@@ -1363,27 +1350,22 @@ class FleetGateway:
         — and stops ticking once every DAG is done and the fleet is idle.
         Past ``limit`` the safety valve ends the run: a sick fleet must
         not deadlock, and unreleased stages shed explicitly so
-        conservation stays exact.
+        conservation stays exact (the post-loop drain and collect then
+        settle the rest).
 
         Ticks that provably do nothing are skipped (see
         :meth:`_next_tick`); the oracle (``mode="scalar"``) keeps them
         all, so every auto-vs-scalar tiered comparison checks the skip.
         """
-        released = dag.ready_children(self._disposition,
-                                      self._tier_out_tokens, t)
+        released = dag.ready_children(self._disposition, t)
         settled = len(self._disposition)
-        for freq, models in released:
-            self._tier_inject(freq, models, t)
+        for freq in released:
+            self._tier_inject(freq, t)
         if dag.done() and not self._outstanding_total:
             return False
         if t > limit:
             for rid in dag.force_shed_remaining():
                 self._finish(rid, "shed")
-            for device in self.devices:
-                device.drain()
-            t = max(d.run.now for d in self.devices)
-            self._poll(t)
-            dag.ready_children(self._disposition, self._tier_out_tokens, t)
             return True
         quiet = (self.mode != "scalar"
                  and len(self._disposition) == settled)
@@ -1419,35 +1401,6 @@ class FleetGateway:
                 heapq.heappush(events, (tick, 2, next(seq), None))
                 return
             tick += tick_s
-
-    def _run_tiered(self, jobs, tiering) -> FleetReport:
-        """Serve agentic DAG jobs under a tier policy.
-
-        Runs :meth:`_run_scalar` with a :class:`~repro.tiering.dag.
-        DagRun` coordinator: job arrivals admit through the tier
-        policy/budget manager (the hysteretic ladder observes gateway
-        pressure exactly where brownout would), root stages inject
-        immediately, and dependent stages release when every dependency
-        has a terminal disposition — checked after arrival, fault, and
-        ``tiering.tick_s`` tick events.  Conservation counts DAG
-        children: ``offered`` is the total child count and jobs shed
-        whole at admission dispose each planned child as a gateway shed.
-        """
-        from repro.tiering.dag import DagRun
-
-        if (self.brownout is not None or self.hedge is not None
-                or self.autoscale is not None):
-            raise ValueError(
-                "tiered serving brings its own load ladder; construct "
-                "the gateway with brownout=None, hedge=None, "
-                "autoscale=None")
-        self._dag = DagRun(tiering, energy_quote=self._tier_energy_quote)
-        try:
-            return self._run_scalar(jobs)
-        finally:
-            self._dag = None
-            self._tier_pref = {}
-            self._tier_out_tokens = {}
 
 
 # -- the per-device drain task (module level: process-executor picklable)

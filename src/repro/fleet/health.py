@@ -1,11 +1,10 @@
-"""Per-device health scores and circuit breakers for the gateway.
+"""Per-device circuit breakers for the gateway.
 
 Routing a flash crowd by queue depth alone piles work onto the sickest
 device: a flapping or thermally capped box reports a short queue exactly
 because it is failing to make progress.  The gateway therefore keeps a
-:class:`DeviceHealth` observer per device — a heartbeat (last time the
-device was seen up) plus a latency EWMA over its completions — feeding a
-:class:`CircuitBreaker` per device.
+:class:`CircuitBreaker` per device, fed by that device's completions
+(with their latencies) and failures.
 
 The breaker is the classic three-state machine, made deterministic for
 the simulator:
@@ -53,7 +52,7 @@ LEGAL_TRANSITIONS = frozenset({
 
 @dataclass(frozen=True)
 class HealthConfig:
-    """Thresholds for the health model and its circuit breakers."""
+    """Thresholds for the per-device circuit breakers."""
 
     #: Consecutive failures (evacuation/timeout) that trip the breaker.
     failure_threshold: int = 3
@@ -69,10 +68,6 @@ class HealthConfig:
     max_probes: int = 2
     #: Consecutive probe successes that close the breaker.
     probe_successes: int = 2
-    #: EWMA smoothing factor for the latency estimate.
-    ewma_alpha: float = 0.3
-    #: Heartbeat age (s) beyond which the health score decays to zero.
-    heartbeat_timeout_s: float = 10.0
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
@@ -90,18 +85,15 @@ class HealthConfig:
         if not 1 <= self.probe_successes <= self.max_probes:
             raise ValueError(
                 "probe_successes must be in [1, max_probes]")
-        if not 0 < self.ewma_alpha <= 1:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.heartbeat_timeout_s <= 0:
-            raise ValueError("heartbeat_timeout_s must be positive")
 
 
 class CircuitBreaker:
     """Deterministic three-state breaker for one device.
 
-    The seed is derived by the health model from ``(seed, device
-    name)`` so a fleet of breakers probes deterministically but not in
-    lockstep, and reruns reproduce byte-identical probe schedules.
+    The gateway derives the seed from ``(seed, device name)`` through
+    :func:`breaker_seed`, so a fleet of breakers probes deterministically
+    but not in lockstep, and reruns reproduce byte-identical probe
+    schedules.
     """
 
     def __init__(self, config: HealthConfig | None = None, *, seed: int = 0):
@@ -189,58 +181,11 @@ class CircuitBreaker:
             self._open(t)
 
 
-class DeviceHealth:
-    """Heartbeat + latency-EWMA health observer for one device."""
+def breaker_seed(seed: int, name: str) -> int:
+    """The breaker RNG seed for device ``name`` in a fleet seeded ``seed``.
 
-    def __init__(self, name: str, config: HealthConfig | None = None, *,
-                 seed: int = 0):
-        self.name = name
-        self.config = config or HealthConfig()
-        # Derive the breaker seed from (seed, name) so fleets of
-        # breakers are decorrelated yet independent of device order.
-        digest = int.from_bytes(
-            name.encode("utf-8")[-8:].rjust(8, b"\0"), "big")
-        self.breaker = CircuitBreaker(self.config,
-                                      seed=(seed * 1_000_003 + digest)
-                                      % (2 ** 63))
-        self.latency_ewma_s: float | None = None
-        self.last_seen_s = 0.0
-        self.completions = 0
-        self.failures = 0
-
-    # ------------------------------------------------------------------
-    def heartbeat(self, t: float) -> None:
-        """The device was observed up at ``t``."""
-        self.last_seen_s = max(self.last_seen_s, t)
-
-    def observe_completion(self, t: float, latency_s: float) -> None:
-        """Fold one served request into the EWMA and the breaker."""
-        alpha = self.config.ewma_alpha
-        if self.latency_ewma_s is None:
-            self.latency_ewma_s = latency_s
-        else:
-            self.latency_ewma_s = (alpha * latency_s
-                                   + (1 - alpha) * self.latency_ewma_s)
-        self.completions += 1
-        self.heartbeat(t)
-        self.breaker.record_success(t, latency_s)
-
-    def observe_failure(self, t: float) -> None:
-        """Fold one failure (evacuation/timeout) into the breaker."""
-        self.failures += 1
-        self.breaker.record_failure(t)
-
-    # ------------------------------------------------------------------
-    def score(self, t: float) -> float:
-        """Health in [0, 1]: heartbeat freshness times latency quality."""
-        age = max(t - self.last_seen_s, 0.0)
-        freshness = max(1.0 - age / self.config.heartbeat_timeout_s, 0.0)
-        if self.latency_ewma_s is None:
-            return freshness
-        quality = min(self.config.latency_spike_s
-                      / max(self.latency_ewma_s, 1e-9), 1.0)
-        return freshness * quality
-
-    def routable(self, t: float) -> bool:
-        """Whether the breaker admits traffic at ``t`` (non-consuming)."""
-        return self.breaker.admits(t)
+    Derived from ``(seed, name)`` so a fleet's breakers are decorrelated
+    yet independent of device order.
+    """
+    digest = int.from_bytes(name.encode("utf-8")[-8:].rjust(8, b"\0"), "big")
+    return (seed * 1_000_003 + digest) % (2 ** 63)

@@ -28,7 +28,6 @@ from repro.tiering.policy import (
     BudgetManager,
     TierAssignment,
     TieringConfig,
-    TierLadder,
     TierPolicy,
 )
 from repro.tiering.report import TieringReport
@@ -47,7 +46,6 @@ __all__ = [
     "TIER_FAST",
     "TIER_VERIFY",
     "TierAssignment",
-    "TierLadder",
     "TierPolicy",
     "TieringConfig",
     "TieringReport",

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from repro.engine.request import GenerationRequest
+from repro.fleet.brownout import PressureLadder
 from repro.models.capability import (
     capability_profile,
     distractor_shares,
@@ -35,13 +36,13 @@ from repro.tiering.policy import (
     EnergyQuote,
     TierAssignment,
     TieringConfig,
-    TierLadder,
     TierPolicy,
 )
 from repro.tiering.report import TieringReport
 from repro.workloads.agentic import DagJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.fleet.device import FleetDevice
     from repro.fleet.gateway import FleetRequest
     from repro.fleet.report import FleetReport
 
@@ -138,12 +139,14 @@ class DagRun:
         self.config = config
         self.policy = TierPolicy(config)
         self.budget = BudgetManager(config)
-        self.ladder = TierLadder(config)
+        self.ladder = PressureLadder(config)
         self._quote = energy_quote
         self.dags: dict[int, RequestDAG] = {}
         self._stage: dict[int, DagStage] = {}
         self._job_of: dict[int, DagJob] = {}
         self._granted: dict[int, int] = {}
+        #: Generated tokens of each served stage, for budget refunds.
+        self._out_tokens: dict[int, int] = {}
         #: Stage rids not yet released to the gateway.
         self._waiting: set[int] = set()
         #: Released rids whose reservation has not been settled yet.
@@ -170,8 +173,8 @@ class DagRun:
 
         Returns ``("shed", rids)`` when the whole job is shed (its
         planned children must be disposed as gateway sheds), or
-        ``("go", [(FleetRequest, preferred_models), ...])`` with the
-        root stages to inject now.
+        ``("go", [FleetRequest, ...])`` with the root stages to inject
+        now.
         """
         self.jobs += 1
         level = self.ladder.observe(t, pressure)
@@ -215,7 +218,7 @@ class DagRun:
         out = []
         for stage in roots:
             self._unsettled.add(stage.rid)
-            out.append((self._make_request(stage, t), stage.models))
+            out.append(self._make_request(stage, t))
         return ("go", out)
 
     def _make_request(self, stage: DagStage, t: float) -> "FleetRequest":
@@ -233,19 +236,34 @@ class DagRun:
         return FleetRequest(request=request, arrival_s=t,
                             deadline_s=deadline, session=job.session)
 
+    def steer(self, rid: int,
+              devices: "list[FleetDevice]") -> "list[FleetDevice]":
+        """The devices carrying ``rid``'s stage pool, else all of them.
+
+        A soft preference: Deep stages prefer the big-model devices,
+        Fast stages the quantized replicas, and when no preferred device
+        is routable the whole pool serves — availability beats affinity.
+        """
+        models = self._stage[rid].models
+        return [d for d in devices if d.spec.model in models] or devices
+
+    def note_served(self, rid: int, output_tokens: int) -> None:
+        """Record a stage's first completion, for its budget refund."""
+        self._out_tokens[rid] = output_tokens
+
     def ready_children(self, terminal: Mapping[int, object],
-                       out_tokens: Mapping[int, int],
                        t: float) -> list:
         """Settle finished stages, then release newly unblocked ones.
 
         ``terminal`` maps rid → any terminal disposition (served, shed,
-        failed); ``out_tokens`` maps served rids to generated tokens so
-        under-spend refunds the session budget.
+        failed); served stages refund what they did not generate (see
+        :meth:`note_served`) to the session budget.
         """
         for rid in sorted(self._unsettled):
             if rid in terminal:
                 session = self._job_of[rid].session
-                self.budget.refund(session, rid, int(out_tokens.get(rid, 0)))
+                self.budget.refund(session, rid,
+                                   self._out_tokens.get(rid, 0))
                 self._unsettled.discard(rid)
         released = []
         for rid in sorted(self._waiting):
@@ -262,7 +280,7 @@ class DagRun:
                 full = self.config.branch_tokens(stage.tier)
                 self._granted[rid] = self.budget.top_up(
                     session, rid, self._granted[rid], full)
-            released.append((self._make_request(stage, t), stage.models))
+            released.append(self._make_request(stage, t))
         return released
 
     def done(self) -> bool:
@@ -395,7 +413,7 @@ class DagRun:
             load_downgrades=self.load_downgraded_jobs,
             budget_downgrades=self.budget.downgrades,
             budget_shed_jobs=self.budget.shed_jobs,
-            max_ladder_level=self.ladder.max_level_reached(),
+            max_ladder_level=self.ladder.max_tier_reached(),
             ladder_transitions=tuple(self.ladder.transitions),
             tokens_reserved=self.budget.tokens_reserved,
             tokens_refunded=self.budget.tokens_refunded,

@@ -10,10 +10,10 @@ per-request decisions made under live load:
   (seeded, imperfect) into a **Fast** tier (small/quantized models) or a
   **Deep** tier (8B/14B models with parallel reasoning branches), with a
   small-model **Verify** re-check stage.
-* :class:`TierLadder` is the hysteretic load ladder — the brownout
-  idiom from :mod:`repro.fleet.brownout` — that downgrades tiers one
-  step at a time as gateway pressure rises and restores them (with a
-  gap) as it falls.
+* The load ladder is the brownout controller's hysteretic
+  :class:`~repro.fleet.brownout.PressureLadder` on this config's
+  thresholds: it downgrades tiers one step at a time as gateway
+  pressure rises and restores them (with a gap) as it falls.
 * :class:`BudgetManager` enforces a hard per-session token (and
   optional energy) budget by walking a downgrade ladder until the
   planned DAG fits, and redistributes surplus from under-spend stages
@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from repro.fleet.brownout import MAX_TIER, check_ladder
 from repro.models.capability import has_profile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,7 +39,7 @@ TIER_VERIFY = "verify"
 
 #: Ladder levels: 0 normal, 1 fewer deeps / one fewer branch,
 #: 2 everything fast single-branch without verify, 3 shed new jobs.
-MAX_LADDER_LEVEL = 3
+MAX_LADDER_LEVEL = MAX_TIER
 
 
 @dataclass(frozen=True)
@@ -103,15 +104,7 @@ class TieringConfig:
         if (self.session_energy_budget_j is not None
                 and self.session_energy_budget_j <= 0):
             raise ValueError("session_energy_budget_j must be positive when set")
-        if (len(self.enter_pressure) != MAX_LADDER_LEVEL
-                or len(self.exit_pressure) != MAX_LADDER_LEVEL):
-            raise ValueError(
-                f"pressure ladders must have {MAX_LADDER_LEVEL} rungs")
-        if list(self.enter_pressure) != sorted(self.enter_pressure):
-            raise ValueError("enter_pressure must be non-decreasing")
-        for enter, exit_ in zip(self.enter_pressure, self.exit_pressure):
-            if exit_ >= enter:
-                raise ValueError("exit_pressure must sit below enter_pressure")
+        check_ladder(self.enter_pressure, self.exit_pressure)
         if self.ladder_margin < 0:
             raise ValueError("ladder_margin must be non-negative")
         if self.tick_s <= 0:
@@ -152,41 +145,6 @@ class TierAssignment:
     #: True when the load ladder lowered this job below its
     #: difficulty-classified tier or trimmed its fan-out.
     load_downgraded: bool
-
-
-class TierLadder:
-    """Hysteretic load ladder (the brownout-controller idiom).
-
-    Moves at most one level per observation; the exit threshold for a
-    level sits strictly below its entry threshold so assignment churn
-    does not oscillate with the queue.
-    """
-
-    def __init__(self, config: TieringConfig) -> None:
-        self.config = config
-        self.level = 0
-        self._max_level = 0
-        #: (time, from_level, to_level) movements for the report.
-        self.transitions: list[tuple[float, int, int]] = []
-
-    def observe(self, t: float, pressure: float) -> int:
-        level = self.level
-        if level < MAX_LADDER_LEVEL and pressure >= self.config.enter_pressure[level]:
-            self._move(t, level + 1)
-        elif level > 0 and pressure < self.config.exit_pressure[level - 1]:
-            self._move(t, level - 1)
-        return self.level
-
-    def _move(self, t: float, to_level: int) -> None:
-        self.transitions.append((t, self.level, to_level))
-        self.level = to_level
-        self._max_level = max(self._max_level, to_level)
-
-    def should_shed(self) -> bool:
-        return self.level >= MAX_LADDER_LEVEL
-
-    def max_level_reached(self) -> int:
-        return self._max_level
 
 
 class TierPolicy:

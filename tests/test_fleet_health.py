@@ -1,9 +1,10 @@
-"""Breaker state machine, health scores, and the brownout ladder.
+"""Breaker state machine, the pressure ladder, and brownout admission.
 
 The hypothesis suite drives :class:`CircuitBreaker` through arbitrary
 seeded traffic/failure sequences and asserts the machine only ever
 takes edges in :data:`LEGAL_TRANSITIONS` — the invariant the gateway's
-self-healing rests on.
+self-healing rests on — and drives the one hysteretic
+:class:`PressureLadder` through both configs that parameterize it.
 """
 
 import pytest
@@ -15,11 +16,13 @@ from repro.fleet import (
     BrownoutConfig,
     BrownoutController,
     CircuitBreaker,
-    DeviceHealth,
+    FleetGateway,
     HealthConfig,
+    build_fleet,
 )
-from repro.fleet.brownout import MAX_TIER
-from repro.fleet.health import LEGAL_TRANSITIONS
+from repro.fleet.brownout import MAX_TIER, PressureLadder
+from repro.fleet.health import LEGAL_TRANSITIONS, breaker_seed
+from repro.tiering import TieringConfig
 
 # One observation fed to the breaker: a completion (with latency),
 # a failure, or a (consuming) admission attempt.
@@ -165,73 +168,75 @@ class TestBreakerStateMachine:
 
 class TestDeviceHealth:
     def test_breaker_seed_derives_from_name(self):
-        a = DeviceHealth("edge-00", seed=0)
-        b = DeviceHealth("edge-00", seed=0)
-        c = DeviceHealth("edge-01", seed=0)
-        assert a.breaker._rng.bit_generator.state == \
-            b.breaker._rng.bit_generator.state
-        assert a.breaker._rng.bit_generator.state != \
-            c.breaker._rng.bit_generator.state
-
-    def test_score_decays_with_heartbeat_age(self):
-        health = DeviceHealth("edge-00",
-                              HealthConfig(heartbeat_timeout_s=10.0))
-        health.heartbeat(0.0)
-        assert health.score(0.0) == pytest.approx(1.0)
-        assert health.score(5.0) == pytest.approx(0.5)
-        assert health.score(20.0) == 0.0
-
-    def test_score_penalises_slow_completions(self):
-        health = DeviceHealth("edge-00",
-                              HealthConfig(latency_spike_s=10.0))
-        health.observe_completion(0.0, 40.0)
-        assert health.score(0.0) == pytest.approx(0.25)
-
-    def test_ewma_folds_completions(self):
-        health = DeviceHealth("edge-00", HealthConfig(ewma_alpha=0.5))
-        health.observe_completion(0.0, 10.0)
-        health.observe_completion(1.0, 20.0)
-        assert health.latency_ewma_s == pytest.approx(15.0)
+        assert breaker_seed(0, "edge-00") == breaker_seed(0, "edge-00")
+        assert breaker_seed(0, "edge-00") != breaker_seed(0, "edge-01")
+        # The value is part of every pinned probe schedule.
+        digest = int.from_bytes(b"\0edge-00", "big")
+        assert breaker_seed(0, "edge-00") == digest
+        assert breaker_seed(7, "edge-00") == (7 * 1_000_003 + digest) % 2 ** 63
+        gateway = FleetGateway(build_fleet(2), seed=7)
+        for name, breaker in gateway.breakers.items():
+            assert breaker._rng.bit_generator.state == CircuitBreaker(
+                seed=breaker_seed(7, name))._rng.bit_generator.state
 
     def test_routable_tracks_breaker(self):
-        health = DeviceHealth("edge-00",
-                              HealthConfig(failure_threshold=1))
-        assert health.routable(0.0)
-        health.observe_failure(0.0)
-        assert not health.routable(0.1)
+        gateway = FleetGateway(build_fleet(2),
+                               health=HealthConfig(failure_threshold=1))
+        assert [d.name for d in gateway._routable(0.0)] == ["edge-00",
+                                                            "edge-01"]
+        gateway.breakers["edge-00"].record_failure(0.0)
+        gateway._topo_bump()
+        assert [d.name for d in gateway._routable(0.1)] == ["edge-01"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HealthConfig(failure_threshold=0)
         with pytest.raises(ValueError):
             HealthConfig(probe_successes=3, max_probes=2)
-        with pytest.raises(ValueError):
-            HealthConfig(ewma_alpha=0.0)
+
+
+_exits = st.lists(st.floats(0.0, 8.0), min_size=MAX_TIER,
+                  max_size=MAX_TIER).map(sorted)
+
+
+class TestPressureLadder:
+    @given(exits=_exits, gap=st.floats(0.1, 4.0),
+           pressures=st.lists(st.floats(0.0, 15.0), min_size=1,
+                              max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_one_step_hysteresis(self, exits, gap, pressures):
+        # The one ladder, on brownout's and on tiering's thresholds.
+        enter = tuple(x + gap for x in exits)
+        exit_ = tuple(exits)
+        ladders = [
+            BrownoutController(BrownoutConfig(enter_pressure=enter,
+                                              exit_pressure=exit_)),
+            PressureLadder(TieringConfig(enter_pressure=enter,
+                                         exit_pressure=exit_)),
+        ]
+        tier = deepest = 0
+        for t, pressure in enumerate(pressures):
+            # Climb one rung at its enter threshold, descend one below
+            # its exit threshold, and hold in between.
+            if tier < MAX_TIER and pressure >= enter[tier]:
+                tier += 1
+            elif tier > 0 and pressure < exit_[tier - 1]:
+                tier -= 1
+            deepest = max(deepest, tier)
+            for ladder in ladders:
+                assert ladder.observe(float(t), pressure) == tier
+                assert ladder.tier == tier
+                assert ladder.should_shed() == (tier == MAX_TIER)
+        for ladder in ladders:
+            assert ladder.max_tier_reached() == deepest
+            state = 0
+            for _, src, dst in ladder.transitions:
+                assert src == state and abs(dst - src) == 1
+                state = dst
+            assert state == tier
 
 
 class TestBrownoutLadder:
-    def test_climbs_one_tier_per_observation(self):
-        controller = BrownoutController()
-        controller.observe(0.0, 100.0)       # way past every threshold
-        assert controller.tier == 1
-        controller.observe(1.0, 100.0)
-        assert controller.tier == 2
-        controller.observe(2.0, 100.0)
-        assert controller.tier == MAX_TIER
-        controller.observe(3.0, 100.0)       # already at the top
-        assert controller.tier == MAX_TIER
-
-    def test_hysteresis_holds_between_thresholds(self):
-        config = BrownoutConfig(enter_pressure=(2.0, 4.0, 6.0),
-                                exit_pressure=(1.5, 3.0, 4.5))
-        controller = BrownoutController(config)
-        controller.observe(0.0, 2.5)
-        assert controller.tier == 1
-        controller.observe(1.0, 1.8)         # between exit and enter
-        assert controller.tier == 1
-        controller.observe(2.0, 1.0)         # below exit
-        assert controller.tier == 0
-
     def test_recovery_is_read_off_the_transition_log(self):
         controller = BrownoutController()
         controller.observe(0.0, 100.0)

@@ -98,7 +98,7 @@ class TestStreamingIdentity:
         trace = _trace()
         baseline = _gateway("prefix-affinity").run_trace(trace)
         chunked = _gateway("prefix-affinity").run_trace(
-            trace, chunk_size=chunk_size)
+            trace.chunks(chunk_size))
         assert chunked.to_json() == baseline.to_json()
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
@@ -128,8 +128,6 @@ class TestValidationAndEligibility:
     def test_argument_validation(self):
         gateway = _gateway("round-robin")
         trace = _trace(requests=8)
-        with pytest.raises(ValueError):
-            gateway.run_trace(trace, chunk_size=0)
         with pytest.raises(ValueError):
             gateway.run_trace(trace, jobs=0)
         with pytest.raises(ValueError):

@@ -3,10 +3,10 @@
 Each pin is the sha256 of a seeded run's canonical report JSON, so a
 refactor of the loop that reorders one tie, moves one float operation,
 or drops one event shows up here as a changed digest.  Together the
-runs cover both sweeps of the loop (the fused busy-device sweep and the
-all-device advance + poll + hedge sweep), every event source (arrivals,
-crashes, flaps, autoscale ticks, tiering ticks), reroutes, breakers,
-and the prefix-affinity winner memo.  The fleet-study stream, batched
+runs cover the loop's one busy-device sweep (with and without hedging)
+and its post-drain collect, every event source (arrivals, crashes,
+flaps, autoscale ticks, tiering ticks), reroutes, breakers, and the
+prefix-affinity winner memo.  The fleet-study stream, batched
 round-robin and trace pins cover the partition-and-drain vector path
 (and the scalar runs it must equal).  A pin changes only with a
 deliberate change to simulated behaviour; update it in that change.
@@ -52,10 +52,15 @@ def _faults(seed, horizon_s, crashes):
                                 flapping_devices=1), seed=seed)
 
 
+OVERLOAD_PIN = (
+    "c80a892943beacaf24b5c0a8a64f25473b527ae82d45d5824ae07c68af1968a5")
+TIERED_FAULT_PIN = (
+    "ce260760a3c304a7b6cda1c8539dd4a74decfce0e0152b3487561259d59c2f5e")
+
+
 def test_overload_run_pin():
-    # Brownout, hedging and flaps: the all-device sweep.
-    assert run_overload_points(seed=0)["report_sha"] == (
-        "c80a892943beacaf24b5c0a8a64f25473b527ae82d45d5824ae07c68af1968a5")
+    # Brownout, hedging and flaps: the sweep orders hedge cancellations.
+    assert run_overload_points(seed=0)["report_sha"] == OVERLOAD_PIN
 
 
 def test_autoscale_run_pin():
@@ -92,9 +97,7 @@ def test_prefix_affinity_run_pin():
         "98566b76ba9d89f11da3998b37b4fb7993d4033fcf0f10d1ffb5ffb401037255")
 
 
-def test_tiered_fault_run_pin():
-    # The tiering frontier below runs fault-free; this run adds a crash
-    # and a flapping device under the DAG release and tiering ticks.
+def _tiered_fault_sha() -> str:
     config = TieringConfig(seed=0)
     models = tuple(dict.fromkeys(
         config.fast_models + config.deep_models + config.verify_models))
@@ -104,8 +107,51 @@ def test_tiered_fault_run_pin():
     report = gateway.run(agentic_suite(np.random.default_rng(2), 2.0, 24,
                                        deadline_s=60.0), tiering=config)
     assert report.rerouted > 0 and report.lost == 0
-    assert _sha(report) == (
-        "ce260760a3c304a7b6cda1c8539dd4a74decfce0e0152b3487561259d59c2f5e")
+    return _sha(report)
+
+
+def test_tiered_fault_run_pin():
+    # The tiering frontier below runs fault-free; this run adds a crash
+    # and a flapping device under the DAG release and tiering ticks.
+    assert _tiered_fault_sha() == TIERED_FAULT_PIN
+
+
+@pytest.mark.parametrize("shape", ["overload", "tiered_fault"])
+def test_every_sweep_folds_every_record(shape, monkeypatch):
+    # The sweep and the post-drain collect fold only busy devices.  That
+    # is exact only if no idle device holds an unfolded record, so after
+    # every call each device's fold cursors must have caught up with its
+    # run's served and dropped records.
+    calls = {"_sweep": 0, "_collect": 0}
+    gateways = []
+
+    def caught_up(gateway):
+        for device in gateway.devices:
+            assert gateway._served_cursor[device.name] == len(
+                device.run.served)
+            assert gateway._dropped_cursor[device.name] == len(
+                device.run.dropped)
+
+    def checked(name):
+        method = getattr(FleetGateway, name)
+
+        def wrapper(gateway, t):
+            method(gateway, t)
+            caught_up(gateway)
+            calls[name] += 1
+            if gateway not in gateways:
+                gateways.append(gateway)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(FleetGateway, name, checked(name))
+    if shape == "overload":
+        assert run_overload_points(seed=0)["report_sha"] == OVERLOAD_PIN
+    else:
+        assert _tiered_fault_sha() == TIERED_FAULT_PIN
+    assert calls["_sweep"] > 0 and calls["_collect"] > calls["_sweep"]
+    assert len(gateways) == 1
+    caught_up(gateways[0])
 
 
 def test_tiering_frontier_matches_committed_study():

@@ -103,23 +103,23 @@ class TestDagRunCoordinator:
     def test_dependency_gated_release_order(self):
         run = DagRun(TieringConfig(predict_noise=0.0))
         _, released = run.admit(job(difficulty=0.9), 0.0, 0.0)
-        plan_rid = released[0][0].request.request_id
+        plan_rid = released[0].request.request_id
         # Nothing releases while the plan is in flight.
-        assert run.ready_children({}, {}, 1.0) == []
-        branches = run.ready_children({plan_rid: "served"},
-                                      {plan_rid: 64}, 1.0)
+        assert run.ready_children({}, 1.0) == []
+        run.note_served(plan_rid, 64)
+        branches = run.ready_children({plan_rid: "served"}, 1.0)
         assert len(branches) == 3
-        branch_rids = [r.request.request_id for r, _ in branches]
+        branch_rids = [r.request.request_id for r in branches]
         # Verify waits for every branch, not just one.
         partial = {plan_rid: "served", branch_rids[0]: "served"}
-        assert run.ready_children(partial, {}, 2.0) == []
+        assert run.ready_children(partial, 2.0) == []
         terminal = {plan_rid: "served"}
         terminal.update({rid: "served" for rid in branch_rids})
-        verify = run.ready_children(terminal, {}, 3.0)
+        verify = run.ready_children(terminal, 3.0)
         assert len(verify) == 1
-        verify_rid = verify[0][0].request.request_id
+        verify_rid = verify[0].request.request_id
         terminal[verify_rid] = "served"
-        run.ready_children(terminal, {}, 4.0)
+        run.ready_children(terminal, 4.0)
         assert run.done()
 
     def test_ladder_shed_returns_all_rids(self):
@@ -135,7 +135,7 @@ class TestDagRunCoordinator:
         assert verdict == "shed"
         assert len(rids) >= 2  # the whole planned DAG is disposed
         assert run.jobs_shed == 1
-        assert run.ladder.max_level_reached() == 3
+        assert run.ladder.max_tier_reached() == 3
 
     def test_budget_shed_registers_children(self):
         run = DagRun(TieringConfig(session_token_budget=100))
@@ -150,18 +150,18 @@ class TestDagRunCoordinator:
         run.admit(job(difficulty=0.9), 0.0, 0.0)
         rids = run.force_shed_remaining()
         assert len(rids) == 4  # 3 branches + verify were dep-gated
-        assert run.ready_children({}, {}, 1.0) == []
+        assert run.ready_children({}, 1.0) == []
 
     def test_deadline_shrinks_with_release_time(self):
         run = DagRun(TieringConfig(predict_noise=0.0))
         _, released = run.admit(job(difficulty=0.9, deadline_s=30.0),
                                 0.0, 0.0)
-        plan_req = released[0][0]
+        plan_req = released[0]
         assert plan_req.deadline_s == pytest.approx(30.0)
         plan_rid = plan_req.request.request_id
-        branches = run.ready_children({plan_rid: "served"},
-                                      {plan_rid: 64}, 12.0)
-        assert branches[0][0].deadline_s == pytest.approx(18.0)
+        run.note_served(plan_rid, 64)
+        branches = run.ready_children({plan_rid: "served"}, 12.0)
+        assert branches[0].deadline_s == pytest.approx(18.0)
 
     def test_refund_on_settle_tops_up_later_branch(self):
         # A tight session budget admits the first job trimmed; its
@@ -169,10 +169,10 @@ class TestDagRunCoordinator:
         config = TieringConfig(session_token_budget=500, predict_noise=0.0)
         run = DagRun(config)
         _, released = run.admit(job(difficulty=0.1), 0.0, 0.0)
-        plan_rid = released[0][0].request.request_id
+        plan_rid = released[0].request.request_id
         before = run.budget.tokens_redistributed
-        branches = run.ready_children({plan_rid: "served"},
-                                      {plan_rid: 8}, 1.0)
+        run.note_served(plan_rid, 8)
+        branches = run.ready_children({plan_rid: "served"}, 1.0)
         assert branches
         assert run.budget.tokens_refunded > 0
         assert run.budget.tokens_redistributed >= before

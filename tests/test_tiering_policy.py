@@ -1,4 +1,9 @@
-"""Tier policy, hysteretic load ladder, and the session budget manager."""
+"""Tier policy and the session budget manager.
+
+The hysteretic load ladder is the brownout controller's
+:class:`~repro.fleet.brownout.PressureLadder`; ``test_fleet_health``
+drives it through both configs.
+"""
 
 import pytest
 
@@ -7,7 +12,6 @@ from repro.tiering import (
     TIER_FAST,
     BudgetManager,
     TierAssignment,
-    TierLadder,
     TierPolicy,
     TieringConfig,
 )
@@ -50,38 +54,6 @@ class TestConfigValidation:
     def test_models_for_unknown_tier_rejected(self):
         with pytest.raises(ValueError):
             TieringConfig().models_for_tier("bogus")
-
-
-class TestLadderHysteresis:
-    def config(self):
-        return TieringConfig(enter_pressure=(0.5, 1.0, 1.5),
-                             exit_pressure=(0.25, 0.5, 0.75))
-
-    def test_one_step_per_observation(self):
-        ladder = TierLadder(self.config())
-        # Pressure far above every rung still climbs one level at a time.
-        assert ladder.observe(0.0, 99.0) == 1
-        assert ladder.observe(1.0, 99.0) == 2
-        assert ladder.observe(2.0, 99.0) == 3
-        assert ladder.observe(3.0, 99.0) == 3  # saturates
-        assert ladder.should_shed()
-        assert ladder.max_level_reached() == 3
-
-    def test_exit_below_entry_no_oscillation(self):
-        ladder = TierLadder(self.config())
-        ladder.observe(0.0, 0.6)  # enters level 1 (>= 0.5)
-        assert ladder.level == 1
-        # Pressure between exit (0.25) and enter (0.5): holds level 1.
-        ladder.observe(1.0, 0.4)
-        assert ladder.level == 1
-        ladder.observe(2.0, 0.1)  # below exit: descends
-        assert ladder.level == 0
-
-    def test_transitions_recorded(self):
-        ladder = TierLadder(self.config())
-        ladder.observe(0.0, 2.0)
-        ladder.observe(1.0, 0.0)
-        assert ladder.transitions == [(0.0, 0, 1), (1.0, 1, 0)]
 
 
 class TestTierPolicy:
