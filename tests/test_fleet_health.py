@@ -237,6 +237,28 @@ class TestPressureLadder:
 
 
 class TestBrownoutLadder:
+    def test_climbs_one_tier_per_observation(self):
+        controller = BrownoutController()
+        controller.observe(0.0, 100.0)       # way past every threshold
+        assert controller.tier == 1
+        controller.observe(1.0, 100.0)
+        assert controller.tier == 2
+        controller.observe(2.0, 100.0)
+        assert controller.tier == MAX_TIER
+        controller.observe(3.0, 100.0)       # already at the top
+        assert controller.tier == MAX_TIER
+
+    def test_hysteresis_holds_between_thresholds(self):
+        config = BrownoutConfig(enter_pressure=(2.0, 4.0, 6.0),
+                                exit_pressure=(1.5, 3.0, 4.5))
+        controller = BrownoutController(config)
+        controller.observe(0.0, 2.5)
+        assert controller.tier == 1
+        controller.observe(1.0, 1.8)         # between exit and enter
+        assert controller.tier == 1
+        controller.observe(2.0, 1.0)         # below exit
+        assert controller.tier == 0
+
     def test_recovery_is_read_off_the_transition_log(self):
         controller = BrownoutController()
         controller.observe(0.0, 100.0)

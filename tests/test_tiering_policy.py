@@ -1,15 +1,18 @@
-"""Tier policy and the session budget manager.
+"""Tier policy, hysteretic load ladder, and the session budget manager.
 
-The hysteretic load ladder is the brownout controller's
-:class:`~repro.fleet.brownout.PressureLadder`; ``test_fleet_health``
-drives it through both configs.
+The load ladder is the brownout controller's
+:class:`~repro.fleet.brownout.PressureLadder` on tiering thresholds, as
+:class:`~repro.tiering.dag.DagRun` builds it; ``test_fleet_health``
+also drives it through both configs.
 """
 
 import pytest
 
+from repro.fleet.brownout import PressureLadder
 from repro.tiering import (
     TIER_DEEP,
     TIER_FAST,
+    MAX_LADDER_LEVEL,
     BudgetManager,
     TierAssignment,
     TierPolicy,
@@ -54,6 +57,38 @@ class TestConfigValidation:
     def test_models_for_unknown_tier_rejected(self):
         with pytest.raises(ValueError):
             TieringConfig().models_for_tier("bogus")
+
+
+class TestLadderHysteresis:
+    def config(self):
+        return TieringConfig(enter_pressure=(0.5, 1.0, 1.5),
+                             exit_pressure=(0.25, 0.5, 0.75))
+
+    def test_one_step_per_observation(self):
+        ladder = PressureLadder(self.config())
+        # Pressure far above every rung still climbs one level at a time.
+        assert ladder.observe(0.0, 99.0) == 1
+        assert ladder.observe(1.0, 99.0) == 2
+        assert ladder.observe(2.0, 99.0) == MAX_LADDER_LEVEL
+        assert ladder.observe(3.0, 99.0) == MAX_LADDER_LEVEL  # saturates
+        assert ladder.should_shed()
+        assert ladder.max_tier_reached() == MAX_LADDER_LEVEL
+
+    def test_exit_below_entry_no_oscillation(self):
+        ladder = PressureLadder(self.config())
+        ladder.observe(0.0, 0.6)  # enters level 1 (>= 0.5)
+        assert ladder.tier == 1
+        # Pressure between exit (0.25) and enter (0.5): holds level 1.
+        ladder.observe(1.0, 0.4)
+        assert ladder.tier == 1
+        ladder.observe(2.0, 0.1)  # below exit: descends
+        assert ladder.tier == 0
+
+    def test_transitions_recorded(self):
+        ladder = PressureLadder(self.config())
+        ladder.observe(0.0, 2.0)
+        ladder.observe(1.0, 0.0)
+        assert ladder.transitions == [(0.0, 0, 1), (1.0, 1, 0)]
 
 
 class TestTierPolicy:
