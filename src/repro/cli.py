@@ -386,6 +386,7 @@ def _cmd_tier(args: argparse.Namespace) -> int:
         print("repro tier: --budget must be positive", file=sys.stderr)
         return 2
     from repro.experiments.tiering_study import (
+        frontier_checks,
         run_tiering_frontier_points,
         tiering_frontier_table,
     )
@@ -393,13 +394,12 @@ def _cmd_tier(args: argparse.Namespace) -> int:
     points = run_tiering_frontier_points(
         seed=args.seed, devices=args.devices, jobs=args.jobs,
         qps=args.qps, session_token_budget=args.budget)
+    ok = all(frontier_checks(points).values())
     if args.json:
         print(json.dumps(points, sort_keys=True, separators=(",", ":")))
-        return 0 if (points["domination_ok"]
-                     and points["conservation_ok"]) else 1
+        return 0 if ok else 1
     print(tiering_frontier_table(points).to_text())
     print()
-    ok = points["domination_ok"] and points["conservation_ok"]
     dominated = ", ".join(points["dominated"]) or "none"
     line = (f"tier frontier: {'PASS' if ok else 'FAIL'} "
             f"(dominates {dominated}, "
@@ -408,179 +408,45 @@ def _cmd_tier(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _chaos_verdict(variant: str, ok: bool, detail: str) -> int:
-    """The one-line PASS/FAIL summary every chaos variant ends with.
-
-    PASS goes to stdout with exit 0; FAIL goes to stderr with exit 1,
-    so CI jobs fail loudly and uniformly across variants.
-    """
-    line = f"chaos gate ({variant}): {'PASS' if ok else 'FAIL'} ({detail})"
-    print(line, file=sys.stdout if ok else sys.stderr)
-    return 0 if ok else 1
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
+    """Run one chaos gate; print its table and one line per check.
+
+    PASS goes to stdout with exit 0; FAIL goes to stderr, naming every
+    failed check, with exit 1.
+    """
+    from repro.experiments import resilience, tiering_study
+
     if args.pipeline:
-        return _cmd_chaos_pipeline(args)
-    if args.fleet:
-        return _cmd_chaos_fleet(args)
-    if args.overload:
-        return _cmd_chaos_overload(args)
-    if args.autoscale:
-        return _cmd_chaos_autoscale(args)
-    if args.tiering:
-        return _cmd_chaos_tiering(args)
-    from repro.experiments.resilience import resilience_table, run_chaos_study
-
-    points = run_chaos_study(
-        model_name=args.model,
-        qps=args.qps,
-        num_requests=args.requests,
-        deadline_s=args.deadline,
-        seed=args.seed,
-    )
-    print(resilience_table(points).to_text())
-    off, on = points[0].report, points[1].report
+        gate = resilience.pipeline_gate(
+            fail_rate=args.fail_rate, retries=args.retries, seed=args.seed,
+            executor=args.executor)
+    elif args.fleet:
+        gate = resilience.fleet_gate(
+            devices=args.devices, kill=args.kill, qps=args.qps,
+            num_requests=args.requests, deadline_s=args.deadline,
+            seed=args.seed)
+    elif args.overload:
+        gate = resilience.overload_gate(
+            seed=args.seed, devices=args.devices,
+            overload_factor=args.overload_factor)
+    elif args.autoscale:
+        gate = resilience.autoscale_gate(seed=args.seed)
+    elif args.tiering:
+        gate = tiering_study.tiering_gate(seed=args.seed)
+    else:
+        gate = resilience.serving_gate(
+            model_name=args.model, qps=args.qps, num_requests=args.requests,
+            deadline_s=args.deadline, seed=args.seed)
+    print(gate.table)
     print()
-    print(f"throttle residency  {on.throttle_residency_s:.1f} s "
-          f"({on.throttle_residency_frac * 100:.0f}% of wallclock)")
-    print(f"preempt/resume      {on.preemptions}/{on.resumes}")
-    print(f"retries recovered   {on.successful_retries}/{on.retries}")
-    return _chaos_verdict(
-        "serving",
-        on.deadline_hit_rate >= off.deadline_hit_rate,
-        f"hit rate {off.deadline_hit_rate * 100:.1f}% -> "
-        f"{on.deadline_hit_rate * 100:.1f}% with degradation")
-
-
-def _cmd_chaos_pipeline(args: argparse.Namespace) -> int:
-    """Chaos-test the artifact pipeline itself (``chaos --pipeline``)."""
-    from repro.experiments.resilience import (
-        pipeline_chaos_table,
-        run_pipeline_chaos_study,
-    )
-
-    result = run_pipeline_chaos_study(
-        fail_rate=args.fail_rate,
-        retries=args.retries,
-        seed=args.seed,
-        executor=args.executor,
-    )
-    print(pipeline_chaos_table(result).to_text())
-    print()
-    return _chaos_verdict(
-        "pipeline", result.recovery_ok,
-        "all artifacts recovered, outputs byte-identical, resume "
-        "recomputed only uncommitted work" if result.recovery_ok
-        else f"{result.failed} quarantined, "
-             f"identical={result.chaos_identical}, "
-             f"resume_identical={result.resume_identical}")
-
-
-def _cmd_chaos_fleet(args: argparse.Namespace) -> int:
-    """Kill K of N fleet devices mid-run (``chaos --fleet``)."""
-    from repro.experiments.resilience import (
-        fleet_chaos_table,
-        run_fleet_chaos_study,
-    )
-
-    result = run_fleet_chaos_study(
-        devices=args.devices,
-        kill=args.kill,
-        qps=args.qps,
-        num_requests=args.requests,
-        deadline_s=args.deadline,
-        seed=args.seed,
-    )
-    print(fleet_chaos_table(result).to_text())
-    print()
-    return _chaos_verdict(
-        "fleet", result.recovery_ok,
-        "no lost requests, kills delivered, rerun byte-identical"
-        if result.recovery_ok
-        else f"lost={result.lost}, killed={result.killed}, "
-             f"rerun_identical={result.rerun_identical}")
-
-
-def _cmd_chaos_overload(args: argparse.Namespace) -> int:
-    """3x flash crowd into a flapping fleet (``chaos --overload``)."""
-    from repro.experiments.resilience import (
-        overload_chaos_table,
-        run_overload_chaos_study,
-    )
-
-    result = run_overload_chaos_study(
-        devices=args.devices,
-        overload_factor=args.overload_factor,
-        seed=args.seed,
-    )
-    print(overload_chaos_table(result).to_text())
-    print()
-    recovery = result.time_to_slo_recovery_s
-    return _chaos_verdict(
-        "overload", result.survival_ok,
-        f"conservation exact, tier {result.max_brownout_tier} engaged, "
-        f"SLO recovery {recovery:.1f}s after storm, "
-        "reruns byte-identical" if result.survival_ok
-        else f"lost={result.lost}, tier={result.max_brownout_tier}, "
-             f"recovered={result.recovered_s}, "
-             f"rerun_identical={result.rerun_identical}, "
-             f"executor_identical={result.executor_identical}")
-
-
-def _cmd_chaos_autoscale(args: argparse.Namespace) -> int:
-    """Diurnal load + flash crowd against the autoscaler with crashes
-    delivered mid-drain and mid-wake (``chaos --autoscale``)."""
-    from repro.experiments.resilience import (
-        autoscale_chaos_table,
-        run_autoscale_chaos_study,
-    )
-
-    result = run_autoscale_chaos_study(seed=args.seed)
-    print(autoscale_chaos_table(result, args.seed).to_text())
-    print()
-    saved = result.always_on_energy_j - result.autoscaled_energy_j
-    return _chaos_verdict(
-        "autoscale", result.autoscale_ok,
-        f"lost=0, {result.drains_completed} drains, "
-        f"{result.wakes} wakes, crashes landed mid-drain and mid-wake, "
-        f"{saved:.0f} J saved vs always-on, reruns byte-identical"
-        if result.autoscale_ok
-        else f"lost={result.lost}, drains={result.drains_completed}, "
-             f"wakes={result.wakes}, "
-             f"crashes={result.crashes_draining}/{result.crashes_waking}, "
-             f"energy {result.autoscaled_energy_j:.0f} J vs "
-             f"{result.always_on_energy_j:.0f} J, "
-             f"rerun_identical={result.rerun_identical}, "
-             f"executor_identical={result.executor_identical}")
-
-
-def _cmd_chaos_tiering(args: argparse.Namespace) -> int:
-    """Budget-aware tier routing vs fixed tiers, plus determinism
-    (``chaos --tiering``)."""
-    from repro.experiments.tiering_study import (
-        run_tiering_chaos_study,
-        tiering_frontier_table,
-    )
-
-    result = run_tiering_chaos_study(seed=args.seed)
-    points = {
-        "points": list(result.points),
-        "dominated": list(result.dominated),
-        "conservation_ok": result.conservation_ok,
-    }
-    print(tiering_frontier_table(points).to_text())
-    print()
-    dominated = ", ".join(result.dominated) or "none"
-    return _chaos_verdict(
-        "tiering", result.tiering_ok,
-        f"budget-aware dominates {dominated} on accuracy/kJ, "
-        "conservation exact over DAG children, reruns and "
-        "thread/process executors byte-identical" if result.tiering_ok
-        else f"dominated={dominated}, "
-             f"conservation_ok={result.conservation_ok}, "
-             f"rerun_identical={result.rerun_identical}, "
-             f"executor_identical={result.executor_identical}")
+    for name, held in gate.checks.items():
+        print(f"  [{'ok' if held else 'FAIL'}] {name}")
+    if gate.ok:
+        print(f"chaos gate ({gate.variant}): PASS")
+        return 0
+    print(f"chaos gate ({gate.variant}): FAIL ({', '.join(gate.failed)})",
+          file=sys.stderr)
+    return 1
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:

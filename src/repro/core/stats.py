@@ -6,7 +6,10 @@ Every report class (:class:`~repro.engine.server.ServingReport`,
 percentile: a run that served nothing has *no* latency distribution,
 and a 0.0 placeholder would read as an impossibly good measurement.
 Keeping the guard in one place means the all-shed / zero-served edge
-case cannot drift between report types.
+case cannot drift between report types.  The same holds for SLO
+attainment: each report counts its own hits and deadline population,
+and :func:`slo_attainment` applies the one rule that turns the counts
+into a rate.
 """
 
 from __future__ import annotations
@@ -29,3 +32,20 @@ def nan_percentile(values: Iterable[float], q: float) -> float:
     if len(data) == 0:
         return float("nan")
     return float(np.percentile(data, q))
+
+
+def slo_attainment(hits: int, with_deadline: int, unserved: int,
+                   completed: int) -> float:
+    """On-time completions over the deadline-carrying population.
+
+    ``hits`` of the ``with_deadline`` served requests that carried a
+    deadline met it; ``unserved`` deadline-carrying requests ended
+    without being served (shed, failed, expired).  With no
+    deadline-carrying request at all the rate is vacuously 1.0 when
+    anything ``completed``, and ``nan`` otherwise: an empty run has no
+    evidence either way.
+    """
+    denominator = with_deadline + unserved
+    if denominator == 0:
+        return 1.0 if completed else float("nan")
+    return hits / denominator

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.stats import nan_percentile
+from repro.core.stats import nan_percentile, slo_attainment
 from repro.engine.engine import InferenceEngine
 from repro.engine.kv_cache import (
     KVCacheExhausted,
@@ -165,12 +165,9 @@ class ServingReport:
         deadline; ``nan`` when nothing completed at all (an all-shed run
         has no evidence either way).
         """
-        if not self.served:
-            return float("nan")
         with_deadlines = [r for r in self.served if r.deadline_s is not None]
-        if not with_deadlines:
-            return 1.0
-        return float(np.mean([r.met_deadline for r in with_deadlines]))
+        return slo_attainment(sum(bool(r.met_deadline) for r in with_deadlines),
+                              len(with_deadlines), 0, len(self.served))
 
     @property
     def mean_batch_occupancy(self) -> float:
@@ -283,11 +280,9 @@ class ResilienceReport(ServingReport):
         population to score.
         """
         with_deadlines = [r for r in self.served if r.deadline_s is not None]
-        denominator = len(with_deadlines) + self.unserved_with_deadline
-        if denominator == 0:
-            return 1.0 if self.served else float("nan")
-        hits = sum(bool(r.met_deadline) for r in with_deadlines)
-        return hits / denominator
+        return slo_attainment(sum(bool(r.met_deadline) for r in with_deadlines),
+                              len(with_deadlines),
+                              self.unserved_with_deadline, len(self.served))
 
     def to_dict(self) -> dict:
         """The serving rendering extended with resilience counters."""

@@ -11,13 +11,12 @@ resulting :class:`~repro.faults.ResilienceReport` pair quantifies what
 the resilience hooks buy: recovered aborts, shed/ shrunken work, and a
 strictly better deadline hit rate.
 
-The second half of the module turns the same fault model loose on the
-*artifact pipeline itself* (``repro chaos --pipeline``): seeded
-transient producer exceptions and cache corruption are injected into a
-supervised smoke-tier sweep, and :class:`PipelineChaosResult` reports
-the recovery rate, wasted-compute seconds, and whether a crashed run
-resumed from its journal recomputes only uncommitted artifacts while
-producing byte-identical outputs.
+The rest of the module turns the same fault model loose on the
+*artifact pipeline itself* (``repro chaos --pipeline``) and on the
+fleet: device kills, a flash crowd into a flapping fleet, and an
+autoscaled diurnal cycle.  Every ``repro chaos`` variant is one
+:class:`ChaosGate`: a producer's plain-data points, their table, and an
+ordered map of named checks, one per clause of the gate.
 
 Everything is deterministic given ``seed``: the same chaos replays
 bit-for-bit, which is what makes the sweep usable as a regression gate.
@@ -25,6 +24,7 @@ bit-for-bit, which is what makes the sweep usable as a regression gate.
 
 from __future__ import annotations
 
+import hashlib
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -55,6 +55,67 @@ class ChaosPoint:
     def deadline_hit_rate(self) -> float:
         """Offered-population deadline hit rate."""
         return self.report.deadline_hit_rate
+
+
+@dataclass(frozen=True)
+class ChaosGate:
+    """One ``repro chaos`` verdict: a run's points plus named checks.
+
+    ``points`` is the run's plain data and ``table`` its rendering;
+    ``checks`` maps each clause of the gate, in order, to whether it
+    held, so a failing gate names exactly what broke.
+    """
+
+    variant: str
+    points: dict
+    table: str
+    checks: dict[str, bool]
+
+    @property
+    def ok(self) -> bool:
+        return all(self.checks.values())
+
+    @property
+    def failed(self) -> list[str]:
+        """The checks that did not hold, in check order."""
+        return [name for name, held in self.checks.items() if not held]
+
+
+def points_table(title: str, points: dict, keys=None) -> Table:
+    """A Metric/Value table of ``points`` (every key, or ``keys``)."""
+    table = Table(title, ["Metric", "Value"])
+    for key in keys or points:
+        value = points[key]
+        table.add_row(key, value if value is not None else "never")
+    return table
+
+
+def _gate(variant: str, title: str, points: dict, checks) -> ChaosGate:
+    return ChaosGate(variant, points, points_table(title, points).to_text(),
+                     checks(points))
+
+
+def report_sha(report) -> str:
+    """sha256 of a report's canonical JSON."""
+    return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+
+def with_identity(points: dict, rerun_sha: str, artifact_id: str,
+                  seed: int, check_executors: bool) -> dict:
+    """``points`` plus the two identity verdicts a fleet gate requires.
+
+    ``rerun_identical``: the scalar-oracle rerun's sha equals
+    ``points["report_sha"]``.  ``executor_identical``: thread and
+    process pipelines render ``artifact_id`` alike (skipped, and
+    vacuously true, when ``check_executors`` is false).
+    """
+    # Function-level import: the registry imports this module.
+    from repro.experiments.runner import executors_agree
+
+    return {**points,
+            "rerun_identical": rerun_sha == points["report_sha"],
+            "executor_identical": (not check_executors
+                                   or executors_agree(artifact_id, seed))}
 
 
 def chaos_schedule(seed: int = 0, horizon_s: float = 90.0,
@@ -156,6 +217,21 @@ def run_chaos_study(model_name: str = "dsr1-qwen-1.5b",
     return points
 
 
+def serving_checks(points: dict) -> dict[str, bool]:
+    return {"degradation-on hit rate >= degradation-off":
+            points["hit_rate_on"] >= points["hit_rate_off"]}
+
+
+def serving_gate(seed: int = 0, **params) -> ChaosGate:
+    """The serving gate: degradation must not lower the hit rate."""
+    runs = run_chaos_study(seed=seed, **params)
+    off, on = (run.report for run in runs)
+    points = {"hit_rate_off": off.deadline_hit_rate,
+              "hit_rate_on": on.deadline_hit_rate}
+    return ChaosGate("serving", points, resilience_table(runs).to_text(),
+                     serving_checks(points))
+
+
 # ----------------------------------------------------------------------
 # pipeline chaos: supervised sweep under injected producer faults
 # ----------------------------------------------------------------------
@@ -164,41 +240,6 @@ def run_chaos_study(model_name: str = "dsr1-qwen-1.5b",
 #: structure to exercise quarantine/retry without a full 45-way sweep.
 PIPELINE_CHAOS_ARTIFACTS = ("fig6", "fig7", "fig8", "table10", "table11",
                             "optimizations", "power-modes")
-
-
-@dataclass(frozen=True)
-class PipelineChaosResult:
-    """Outcome of one pipeline chaos + crash/resume exercise."""
-
-    artifacts: int
-    #: Chaos run: artifacts completed / quarantined.
-    completed: int
-    failed: int
-    injected_faults: int
-    retries: int
-    recovered_producers: int
-    wasted_seconds: float
-    disk_corruptions: int
-    #: Chaos outputs rendered byte-identical to the fault-free run.
-    chaos_identical: bool
-    #: Crash/resume exercise: artifacts committed before the simulated
-    #: crash, artifacts recomputed after resume, and output fidelity.
-    committed_before_crash: int
-    resume_recomputed: int
-    resume_identical: bool
-
-    @property
-    def recovery_ok(self) -> bool:
-        """The pass/fail gate the chaos smoke job enforces.
-
-        ``injected_faults > 0`` keeps the gate honest: a sweep whose
-        seeded fault draws never fire proves nothing about recovery.
-        """
-        return (self.failed == 0 and self.chaos_identical
-                and self.injected_faults > 0
-                and self.resume_identical
-                and self.resume_recomputed
-                == self.artifacts - self.committed_before_crash)
 
 
 def run_pipeline_chaos_study(artifact_ids: tuple[str, ...] | None = None,
@@ -211,7 +252,7 @@ def run_pipeline_chaos_study(artifact_ids: tuple[str, ...] | None = None,
                              jobs: int = 4,
                              cache_dir: str | Path | None = None,
                              executor: str = "thread",
-                             ) -> PipelineChaosResult:
+                             ) -> dict:
     """Chaos-test the supervised pipeline, then a crash/resume cycle.
 
     Three sweeps over the same artifacts (default: the *entire*
@@ -314,47 +355,42 @@ def run_pipeline_chaos_study(artifact_ids: tuple[str, ...] | None = None,
             1 for t in resumed.report.timings if t.status == "built")
 
     sup = chaos.report.supervisor_stats
-    return PipelineChaosResult(
-        artifacts=len(artifact_ids),
-        completed=len(chaos.outputs),
-        failed=len(chaos.report.failed),
-        injected_faults=sup.injected_faults,
-        retries=sup.retries,
-        recovered_producers=sup.recovered,
-        wasted_seconds=sup.wasted_seconds,
-        disk_corruptions=disk_corruptions,
-        chaos_identical=chaos_identical,
-        committed_before_crash=committed,
-        resume_recomputed=resume_recomputed,
-        resume_identical=resume_identical,
-    )
+    return {
+        "artifacts": len(artifact_ids),
+        "completed": len(chaos.outputs),
+        "failed": len(chaos.report.failed),
+        "injected_faults": sup.injected_faults,
+        "retries": sup.retries,
+        "recovered_producers": sup.recovered,
+        "wasted_seconds": sup.wasted_seconds,
+        "disk_corruptions": disk_corruptions,
+        "chaos_identical": chaos_identical,
+        "committed_before_crash": committed,
+        "resume_recomputed": resume_recomputed,
+        "resume_identical": resume_identical,
+    }
 
 
-def pipeline_chaos_table(result: PipelineChaosResult | None = None,
-                         seed: int = 0) -> Table:
-    """Format the pipeline chaos + crash/resume exercise."""
-    result = (result if result is not None
-              else run_pipeline_chaos_study(seed=seed))
-    table = Table(
-        "Pipeline chaos: supervised smoke sweep under injected producer "
-        "faults, then a crash/resume cycle",
-        ["Metric", "Value"],
-    )
-    table.add_row("artifacts", result.artifacts)
-    table.add_row("completed under chaos", result.completed)
-    table.add_row("quarantined", result.failed)
-    table.add_row("injected faults", result.injected_faults)
-    table.add_row("retries", result.retries)
-    table.add_row("recovered producers", result.recovered_producers)
-    table.add_row("wasted compute (s)", result.wasted_seconds)
-    table.add_row("disk corruptions detected", result.disk_corruptions)
-    table.add_row("chaos outputs identical",
-                  "yes" if result.chaos_identical else "NO")
-    table.add_row("committed before crash", result.committed_before_crash)
-    table.add_row("recomputed after resume", result.resume_recomputed)
-    table.add_row("resume outputs identical",
-                  "yes" if result.resume_identical else "NO")
-    return table
+def pipeline_checks(points: dict) -> dict[str, bool]:
+    """``injected_faults > 0`` keeps the gate honest: a sweep whose
+    seeded fault draws never fire proves nothing about recovery."""
+    return {
+        "failed == 0": points["failed"] == 0,
+        "chaos_identical": points["chaos_identical"],
+        "injected_faults > 0": points["injected_faults"] > 0,
+        "resume_identical": points["resume_identical"],
+        "resume_recomputed == artifacts - committed_before_crash":
+            points["resume_recomputed"]
+            == points["artifacts"] - points["committed_before_crash"],
+    }
+
+
+def pipeline_gate(**params) -> ChaosGate:
+    """The pipeline gate over :func:`run_pipeline_chaos_study`."""
+    return _gate("pipeline",
+                 "Pipeline chaos: supervised smoke sweep under injected "
+                 "producer faults, then a crash/resume cycle",
+                 run_pipeline_chaos_study(**params), pipeline_checks)
 
 
 def resilience_table(points: list[ChaosPoint] | None = None,
@@ -389,167 +425,71 @@ def resilience_table(points: list[ChaosPoint] | None = None,
 # ----------------------------------------------------------------------
 # Fleet chaos (``repro chaos --fleet``): kill K of N devices mid-run.
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FleetChaosResult:
-    """Outcome of one fleet kill-and-recover exercise."""
-
-    devices: int
-    kill: int
-    offered: int
-    completed: int
-    shed: int
-    failed: int
-    lost: int
-    #: Crash events actually delivered (gate non-vacuity).
-    killed: int
-    evacuated: int
-    rerouted: int
-    deadline_hit_rate: float
-    p95_latency_s: float
-    #: Two independent runs rendered byte-identical canonical JSON.
-    rerun_identical: bool
-
-    @property
-    def recovery_ok(self) -> bool:
-        """The pass/fail gate ``make chaos-fleet`` enforces.
-
-        Every offered request must reach a terminal outcome despite the
-        crashes (``lost == 0``), at least one scheduled kill must have
-        actually fired (a chaos run without chaos proves nothing), and
-        an independent rerun must reproduce the fleet report
-        byte-for-byte.
-        """
-        return (self.lost == 0 and self.killed >= 1
-                and self.rerun_identical)
-
-
 def run_fleet_chaos_study(devices: int = 4, kill: int = 2,
                           policy: str = "latency-aware",
                           qps: float = 8.0, num_requests: int = 60,
-                          deadline_s: float = 30.0,
-                          seed: int = 0) -> FleetChaosResult:
-    """Kill ``kill`` of ``devices`` devices mid-run; verify recovery.
+                          deadline_s: float = 30.0, seed: int = 0,
+                          mode: str = "auto") -> dict:
+    """Kill ``kill`` of ``devices`` devices mid-run, as plain data.
 
     A seeded :class:`~repro.faults.FleetFaultSchedule` crashes devices
-    in the middle of the offered stream (outages long enough that
-    evacuation and re-routing must actually happen); the run is then
-    repeated from scratch and the two canonical fleet reports compared
-    byte-for-byte.  The first run uses ``mode="auto"`` and the rerun
-    pins ``mode="scalar"``, so the byte-identity check doubles as the
-    scalar/vector mode-equivalence gate at no extra runtime.
+    in the middle of the offered stream, with outages long enough that
+    evacuation and re-routing must actually happen.
     """
     from repro.faults.injector import FleetFaultConfig, FleetFaultSchedule
     from repro.fleet import FleetGateway, build_fleet, poisson_stream
 
-    def one_run(mode: str) -> "object":
-        fleet = build_fleet(devices, mix="balanced")
-        schedule = FleetFaultSchedule(
-            [device.name for device in fleet],
-            FleetFaultConfig(horizon_s=12.0, device_crashes=kill,
-                             crash_duration_s=(8.0, 15.0)),
-            seed=seed)
-        gateway = FleetGateway(fleet, policy=policy, faults=schedule,
-                               mode=mode)
-        stream = poisson_stream(np.random.default_rng(seed), qps,
-                                num_requests, deadline_s=deadline_s)
-        return gateway.run(stream)
+    fleet = build_fleet(devices, mix="balanced")
+    schedule = FleetFaultSchedule(
+        [device.name for device in fleet],
+        FleetFaultConfig(horizon_s=12.0, device_crashes=kill,
+                         crash_duration_s=(8.0, 15.0)),
+        seed=seed)
+    gateway = FleetGateway(fleet, policy=policy, faults=schedule, mode=mode)
+    report = gateway.run(poisson_stream(np.random.default_rng(seed), qps,
+                                        num_requests, deadline_s=deadline_s))
+    return {
+        "devices": devices,
+        "kill": kill,
+        "offered": report.offered,
+        "completed": report.completed,
+        "shed": report.shed,
+        "failed": report.failed,
+        "lost": report.lost,
+        "killed": report.device_crashes,
+        "evacuated": report.evacuated,
+        "rerouted": report.rerouted,
+        "deadline_hit_rate": report.deadline_hit_rate,
+        "p95_latency_s": report.latency_percentile(95),
+        "report_sha": report_sha(report),
+    }
 
-    first = one_run("auto")
-    second = one_run("scalar")
-    return FleetChaosResult(
-        devices=devices,
-        kill=kill,
-        offered=first.offered,
-        completed=first.completed,
-        shed=first.shed,
-        failed=first.failed,
-        lost=first.lost,
-        killed=first.device_crashes,
-        evacuated=first.evacuated,
-        rerouted=first.rerouted,
-        deadline_hit_rate=first.deadline_hit_rate,
-        p95_latency_s=first.latency_percentile(95),
-        rerun_identical=first.to_json() == second.to_json(),
-    )
+
+def fleet_checks(points: dict) -> dict[str, bool]:
+    """Every request reaches a terminal outcome despite the crashes, at
+    least one kill actually fired (a chaos run without chaos proves
+    nothing), and the scalar oracle reproduces the report."""
+    return {
+        "lost == 0": points["lost"] == 0,
+        "killed >= 1": points["killed"] >= 1,
+        "rerun_identical": points["rerun_identical"],
+    }
+
+
+def fleet_gate(**params) -> ChaosGate:
+    """The fleet gate: one ``auto`` run, rerun on the scalar oracle."""
+    points = run_fleet_chaos_study(**params)
+    rerun = run_fleet_chaos_study(**params, mode="scalar")
+    points["rerun_identical"] = rerun["report_sha"] == points["report_sha"]
+    return _gate("fleet",
+                 "Fleet chaos: seeded mid-run device kills with evacuation "
+                 "and gateway re-routing", points, fleet_checks)
 
 
 # ----------------------------------------------------------------------
 # Overload survival (``repro chaos --overload``): 3x flash crowd into a
 # flapping, thermally throttled fleet with brownout admission + hedging.
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class OverloadChaosResult:
-    """Outcome of one overload-survival exercise."""
-
-    devices: int
-    #: Closed-form aggregate service capacity of the fleet (req/s).
-    capacity_qps: float
-    storm_qps: float
-    overload_factor: float
-    offered: int
-    completed: int
-    shed: int
-    failed: int
-    lost: int
-    #: Devices with at least one flap cycle in the schedule.
-    flapping_devices: int
-    #: Thermal power-mode-cap episodes whose device actually ran
-    #: through them (delivery, not just scheduling).
-    thermal_delivered: int
-    #: Fleet wallclock spent at derated clocks (s).
-    throttle_residency_s: float
-    breaker_opens: int
-    max_brownout_tier: int
-    budget_trims: int
-    hedged: int
-    hedge_wins: int
-    #: Deepest per-request evacuation count observed.
-    max_attempts: int
-    max_reroutes: int
-    #: Last storm arrival (the flash crowd's end).
-    storm_end_s: float
-    #: Brownout controller's last return to tier 0 (None: never
-    #: degraded or never recovered).
-    recovered_s: float | None
-    #: Two independent same-seed runs rendered identical JSON.
-    rerun_identical: bool
-    #: Thread- and process-executor pipeline runs agreed on the sha.
-    executor_identical: bool
-    #: sha256 of the canonical fleet report.
-    report_sha: str
-
-    @property
-    def time_to_slo_recovery_s(self) -> float | None:
-        """Seconds after the storm until service returned to tier 0."""
-        if self.recovered_s is None:
-            return None
-        return max(self.recovered_s - self.storm_end_s, 0.0)
-
-    @property
-    def survival_ok(self) -> bool:
-        """The pass/fail gate ``repro chaos --overload`` enforces.
-
-        Conservation must hold exactly (``lost == 0``) with ``failed``
-        bounded by the re-route retry cap; the chaos must be
-        non-vacuous (a true >=3x storm, >=2 flapping devices, >=1
-        thermal throttle *delivered*); at least one brownout tier must
-        have engaged and later recovered; and the run must be
-        byte-reproducible across reruns and pipeline executors.
-        """
-        return (self.lost == 0
-                and self.offered == (self.completed + self.shed
-                                     + self.failed)
-                and self.max_attempts <= self.max_reroutes + 1
-                and self.overload_factor >= 3.0
-                and self.flapping_devices >= 2
-                and self.thermal_delivered >= 1
-                and self.throttle_residency_s > 0.0
-                and self.max_brownout_tier >= 1
-                and self.recovered_s is not None
-                and self.rerun_identical
-                and self.executor_identical)
-
-
 def _fleet_capacity_qps(fleet, prompt_tokens: int,
                         output_tokens: int) -> float:
     """Closed-form aggregate request rate the fleet can sustain.
@@ -639,81 +579,6 @@ def _overload_run(devices: int, overload_factor: float,
     return report, schedule, storm_end, capacity, storm_qps, max_attempts
 
 
-def run_overload_chaos_study(devices: int = 4,
-                             overload_factor: float = 3.2,
-                             storm_requests: int = 140,
-                             tail_requests: int = 30,
-                             prompt_tokens: int = 96,
-                             output_tokens: int = 128,
-                             deadline_s: float = 20.0,
-                             max_reroutes: int = 3,
-                             seed: int = 0,
-                             check_executors: bool = True,
-                             ) -> OverloadChaosResult:
-    """Drive a 3x-capacity flash crowd into a flapping, throttled fleet.
-
-    The storm phase offers ``overload_factor`` times the fleet's
-    closed-form capacity while two devices flap through down/up cycles
-    and one device is pinned to a 15W thermal cap; a post-storm trickle
-    at a quarter of capacity lets the brownout controller walk back
-    down the tier ladder so time-to-SLO-recovery is observable.  The
-    run is repeated from scratch for byte-identity (the first run in
-    ``mode="auto"``, the rerun pinned to ``mode="scalar"`` so the check
-    doubles as the scalar/vector mode-equivalence gate), and (unless
-    ``check_executors=False``) re-executed through the artifact
-    pipeline under both thread and process executors, which must agree
-    on the report sha.
-    """
-    import hashlib
-
-    args = (devices, overload_factor, storm_requests, tail_requests,
-            prompt_tokens, output_tokens, deadline_s, max_reroutes, seed)
-    report, schedule, storm_end, capacity, storm_qps, max_attempts = (
-        _overload_run(*args, mode="auto"))
-    report2 = _overload_run(*args, mode="scalar")[0]
-    sha = hashlib.sha256(report.to_json().encode()).hexdigest()
-    rerun_identical = report2.to_json() == report.to_json()
-
-    executor_identical = True
-    if check_executors:
-        # Function-level import: the registry imports this module.
-        from repro.experiments.runner import executors_agree
-        executor_identical = executors_agree("fleet-overload", seed)
-
-    by_name = {d.name: d for d in report.devices}
-    thermal_delivered = sum(
-        1 for event in schedule.thermal_events()
-        if event.device in by_name
-        and by_name[event.device].report.wallclock_s > event.start_s)
-    return OverloadChaosResult(
-        devices=devices,
-        capacity_qps=capacity,
-        storm_qps=storm_qps,
-        overload_factor=overload_factor,
-        offered=report.offered,
-        completed=report.completed,
-        shed=report.shed,
-        failed=report.failed,
-        lost=report.lost,
-        flapping_devices=len(schedule.flapping()),
-        thermal_delivered=thermal_delivered,
-        throttle_residency_s=sum(
-            d.report.throttle_residency_s for d in report.devices),
-        breaker_opens=report.breaker_opens,
-        max_brownout_tier=report.max_brownout_tier,
-        budget_trims=report.budget_trims,
-        hedged=report.hedged,
-        hedge_wins=report.hedge_wins,
-        max_attempts=max_attempts,
-        max_reroutes=max_reroutes,
-        storm_end_s=storm_end,
-        recovered_s=report.recovered_s,
-        rerun_identical=rerun_identical,
-        executor_identical=executor_identical,
-        report_sha=sha,
-    )
-
-
 def run_overload_points(seed: int = 0, devices: int = 4,
                         overload_factor: float = 3.2,
                         storm_requests: int = 140,
@@ -721,55 +586,111 @@ def run_overload_points(seed: int = 0, devices: int = 4,
                         prompt_tokens: int = 96,
                         output_tokens: int = 128,
                         deadline_s: float = 20.0,
-                        max_reroutes: int = 3) -> dict:
+                        max_reroutes: int = 3,
+                        mode: str = "auto") -> dict:
     """Pipeline producer: one overload run as a plain (picklable) dict.
 
-    This is the executor-identity probe the overload gate runs under
+    The storm phase offers ``overload_factor`` times the fleet's
+    closed-form capacity while two devices flap through down/up cycles
+    and one device is pinned to a 15W thermal cap; a post-storm trickle
+    at a quarter of capacity lets the brownout controller walk back
+    down the tier ladder so time-to-SLO-recovery is observable.  This
+    is also the executor-identity probe the overload gate runs under
     both thread and process pipelines — it must stay a pure function of
     its arguments, returning only plain data.
     """
-    import hashlib
-
     report, schedule, storm_end, capacity, storm_qps, max_attempts = (
         _overload_run(devices, overload_factor, storm_requests,
                       tail_requests, prompt_tokens, output_tokens,
-                      deadline_s, max_reroutes, seed))
+                      deadline_s, max_reroutes, seed, mode=mode))
+    by_name = {d.name: d for d in report.devices}
+    recovered = report.recovered_s
     return {
         "devices": devices,
         "capacity_qps": capacity,
         "storm_qps": storm_qps,
+        "overload_factor": overload_factor,
         "offered": report.offered,
         "completed": report.completed,
         "shed": report.shed,
         "failed": report.failed,
         "lost": report.lost,
         "flapping_devices": len(schedule.flapping()),
+        # Thermal episodes whose device actually ran through them
+        # (delivery, not just scheduling).
+        "thermal_delivered": sum(
+            1 for event in schedule.thermal_events()
+            if event.device in by_name
+            and by_name[event.device].report.wallclock_s > event.start_s),
+        "throttle_residency_s": sum(
+            d.report.throttle_residency_s for d in report.devices),
         "breaker_opens": report.breaker_opens,
         "max_brownout_tier": report.max_brownout_tier,
         "budget_trims": report.budget_trims,
         "hedged": report.hedged,
-        "recovered_s": report.recovered_s,
+        "hedge_wins": report.hedge_wins,
+        "max_attempts": max_attempts,
+        "max_reroutes": max_reroutes,
+        "recovered_s": recovered,
         "storm_end_s": storm_end,
-        "report_sha": hashlib.sha256(
-            report.to_json().encode()).hexdigest(),
+        "time_to_slo_recovery_s": (None if recovered is None
+                                   else max(recovered - storm_end, 0.0)),
+        "report_sha": report_sha(report),
     }
+
+
+def overload_checks(points: dict) -> dict[str, bool]:
+    """Conservation exact with ``failed`` bounded by the re-route cap;
+    non-vacuous chaos (a true >=3x storm, >=2 flapping devices, >=1
+    thermal throttle *delivered*); a brownout tier engaged and later
+    recovered; byte-reproducible on the scalar oracle and across
+    pipeline executors."""
+    p = points
+    return {
+        "lost == 0": p["lost"] == 0,
+        "offered == completed + shed + failed":
+            p["offered"] == p["completed"] + p["shed"] + p["failed"],
+        "max_attempts <= max_reroutes + 1":
+            p["max_attempts"] <= p["max_reroutes"] + 1,
+        "overload_factor >= 3": p["overload_factor"] >= 3.0,
+        "flapping_devices >= 2": p["flapping_devices"] >= 2,
+        "thermal_delivered >= 1": p["thermal_delivered"] >= 1,
+        "throttle_residency_s > 0": p["throttle_residency_s"] > 0.0,
+        "max_brownout_tier >= 1": p["max_brownout_tier"] >= 1,
+        "recovered_s is not None": p["recovered_s"] is not None,
+        "rerun_identical": p["rerun_identical"],
+        "executor_identical": p["executor_identical"],
+    }
+
+
+def overload_gate(seed: int = 0, check_executors: bool = True,
+                  **params) -> ChaosGate:
+    """The overload gate over :func:`run_overload_points`.
+
+    The ``auto`` run is repeated on the scalar oracle and (unless
+    ``check_executors=False``) the ``fleet-overload`` artifact is
+    re-rendered under thread and process pipelines.
+    """
+    points = run_overload_points(seed=seed, **params)
+    rerun = run_overload_points(seed=seed, mode="scalar", **params)
+    points = with_identity(points, rerun["report_sha"], "fleet-overload",
+                           seed, check_executors)
+    return _gate("overload",
+                 "Overload survival: 3x flash crowd into a flapping fleet "
+                 "with brownout admission, breakers, and hedging",
+                 points, overload_checks)
 
 
 def fleet_overload_table(points: dict | None = None, seed: int = 0) -> Table:
     """Format the overload producer's summary (the pipeline artifact)."""
     points = points if points is not None else run_overload_points(seed=seed)
-    table = Table(
+    return points_table(
         "Fleet overload: flash crowd served through brownout admission, "
-        "circuit breakers, and hedging",
-        ["Metric", "Value"],
-    )
-    for key in ("devices", "capacity_qps", "storm_qps", "offered",
-                "completed", "shed", "failed", "lost", "flapping_devices",
-                "breaker_opens", "max_brownout_tier", "budget_trims",
-                "hedged", "recovered_s", "storm_end_s", "report_sha"):
-        value = points[key]
-        table.add_row(key, value if value is not None else "never")
-    return table
+        "circuit breakers, and hedging", points,
+        ("devices", "capacity_qps", "storm_qps", "offered", "completed",
+         "shed", "failed", "lost", "flapping_devices", "breaker_opens",
+         "max_brownout_tier", "budget_trims", "hedged", "recovered_s",
+         "storm_end_s", "report_sha"))
 
 
 def run_vector_equivalence_points(seed: int = 0, devices: int = 6,
@@ -784,12 +705,9 @@ def run_vector_equivalence_points(seed: int = 0, devices: int = 6,
     capacity keeps every latency under the breaker spike threshold, so
     the auto run genuinely exercises the merged-partition vector drain
     rather than passing vacuously through a fallback.  Returns only
-    plain data, so the probe runs under both thread and process
-    pipelines.
+    plain data, and no wall clock, so the probe renders alike under
+    thread and process pipelines and across reruns.
     """
-    import hashlib
-    import time
-
     from repro.fleet import FleetGateway, build_fleet, poisson_stream
 
     def one_run(mode: str):
@@ -798,12 +716,10 @@ def run_vector_equivalence_points(seed: int = 0, devices: int = 6,
         gateway = FleetGateway(fleet, policy="round-robin", mode=mode)
         stream = poisson_stream(np.random.default_rng(seed), qps=qps,
                                 num_requests=requests)
-        start = time.perf_counter()
-        report = gateway.run(stream)
-        return report, gateway.last_mode, time.perf_counter() - start, qps
+        return gateway.run(stream), gateway.last_mode, qps
 
-    scalar_report, _, scalar_s, qps = one_run("scalar")
-    auto_report, auto_mode, vector_s, _ = one_run("auto")
+    scalar_report, _, qps = one_run("scalar")
+    auto_report, auto_mode, _ = one_run("auto")
     scalar_json = scalar_report.to_json()
     return {
         "devices": devices,
@@ -813,9 +729,6 @@ def run_vector_equivalence_points(seed: int = 0, devices: int = 6,
         "auto_mode": auto_mode,
         "completed": auto_report.completed,
         "lost": auto_report.lost,
-        "scalar_s": scalar_s,
-        "vector_s": vector_s,
-        "speedup_x": scalar_s / vector_s if vector_s > 0 else float("inf"),
         "report_sha": hashlib.sha256(scalar_json.encode()).hexdigest(),
     }
 
@@ -838,152 +751,13 @@ def vector_equivalence_table(points: dict | None = None,
                   "yes" if points["identical"] else "NO")
     table.add_row("completed", points["completed"])
     table.add_row("lost", points["lost"])
-    table.add_row("scalar wall (s)", points["scalar_s"])
-    table.add_row("vector wall (s)", points["vector_s"])
-    table.add_row("speedup (x)", points["speedup_x"])
     table.add_row("report sha", points["report_sha"][:16])
-    return table
-
-
-def overload_chaos_table(result: OverloadChaosResult | None = None,
-                         seed: int = 0) -> Table:
-    """Format the overload-survival exercise."""
-    result = (result if result is not None
-              else run_overload_chaos_study(seed=seed))
-    table = Table(
-        "Overload survival: 3x flash crowd into a flapping fleet with "
-        "brownout admission, breakers, and hedging",
-        ["Metric", "Value"],
-    )
-    table.add_row("devices", result.devices)
-    table.add_row("fleet capacity (req/s)", result.capacity_qps)
-    table.add_row("storm rate (req/s)", result.storm_qps)
-    table.add_row("overload factor", result.overload_factor)
-    table.add_row("offered", result.offered)
-    table.add_row("completed", result.completed)
-    table.add_row("shed / failed", f"{result.shed} / {result.failed}")
-    table.add_row("lost", result.lost)
-    table.add_row("flapping devices", result.flapping_devices)
-    table.add_row("thermal throttles delivered", result.thermal_delivered)
-    table.add_row("throttle residency (s)", result.throttle_residency_s)
-    table.add_row("breaker opens", result.breaker_opens)
-    table.add_row("max brownout tier", result.max_brownout_tier)
-    table.add_row("budget trims", result.budget_trims)
-    table.add_row("hedged / wins", f"{result.hedged} / {result.hedge_wins}")
-    table.add_row("max evacuations per request",
-                  f"{result.max_attempts} (cap {result.max_reroutes})")
-    recovery = result.time_to_slo_recovery_s
-    table.add_row("time to SLO recovery (s)",
-                  recovery if recovery is not None else "never")
-    table.add_row("rerun byte-identical",
-                  "yes" if result.rerun_identical else "NO")
-    table.add_row("thread/process sha identical",
-                  "yes" if result.executor_identical else "NO")
-    table.add_row("report sha", result.report_sha[:16])
-    return table
-
-
-def fleet_chaos_table(result: FleetChaosResult | None = None,
-                      seed: int = 0) -> Table:
-    """Format the fleet kill-and-recover exercise."""
-    result = (result if result is not None
-              else run_fleet_chaos_study(seed=seed))
-    table = Table(
-        "Fleet chaos: seeded mid-run device kills with evacuation and "
-        "gateway re-routing",
-        ["Metric", "Value"],
-    )
-    table.add_row("devices", result.devices)
-    table.add_row("kills scheduled", result.kill)
-    table.add_row("kills delivered", result.killed)
-    table.add_row("offered", result.offered)
-    table.add_row("completed", result.completed)
-    table.add_row("shed / failed", f"{result.shed} / {result.failed}")
-    table.add_row("lost", result.lost)
-    table.add_row("evacuated", result.evacuated)
-    table.add_row("rerouted", result.rerouted)
-    table.add_row("deadline hit rate (%)",
-                  result.deadline_hit_rate * 100.0)
-    table.add_row("p95 latency (s)", result.p95_latency_s)
-    table.add_row("rerun byte-identical",
-                  "yes" if result.rerun_identical else "NO")
     return table
 
 
 # ---------------------------------------------------------------------------
 # Autoscale chaos: diurnal curve + flash crowd + crashes mid-drain/mid-wake
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AutoscaleChaosResult:
-    """Outcome of one autoscale lifecycle chaos exercise."""
-
-    devices: int
-    capacity_qps: float
-    base_qps: float
-    peak_qps: float
-    crowd_qps: float
-    crowd_start_s: float
-    offered: int
-    completed: int
-    shed: int
-    failed: int
-    lost: int
-    wakes: int
-    #: Wakes completing after the flash crowd started (the absorption
-    #: evidence the gate requires).
-    wakes_after_crowd: int
-    sleeps: int
-    drains_completed: int
-    drain_evacuations: int
-    dvfs_switches: int
-    crashes_draining: int
-    crashes_waking: int
-    #: Deepest per-device sleep/wake cycle count vs the hysteresis
-    #: bound the controller's holds guarantee.
-    max_wake_cycles: int
-    cycle_bound: int
-    max_brownout_tier: int
-    attainment: float
-    always_on_attainment: float
-    #: Serving energy + idle/sleep/wake/DVFS floor, autoscaled.
-    autoscaled_energy_j: float
-    #: Serving energy + always-on idle floor for the identical stream.
-    always_on_energy_j: float
-    energy_saved_j: float
-    #: Two independent same-seed runs rendered identical JSON.
-    rerun_identical: bool
-    #: Thread- and process-executor pipeline runs agreed on the sha.
-    executor_identical: bool
-    #: sha256 of the canonical autoscaled fleet report.
-    report_sha: str
-
-    @property
-    def autoscale_ok(self) -> bool:
-        """The pass/fail gate ``repro chaos --autoscale`` enforces.
-
-        Conservation must hold exactly through every lifecycle edge
-        (``lost == 0``); the chaos must be non-vacuous (>=1 wake
-        absorbing the flash crowd, >=2 graceful drains, >=1 crash
-        delivered against a DRAINING or WAKING device); flapping stays
-        within the hysteresis bound; the autoscaled fleet spends
-        strictly less energy than always-on at equal-or-better SLO
-        attainment; and the run is byte-reproducible across reruns and
-        pipeline executors.
-        """
-        return (self.lost == 0
-                and self.offered == (self.completed + self.shed
-                                     + self.failed)
-                and self.wakes >= 1
-                and self.wakes_after_crowd >= 1
-                and self.drains_completed >= 2
-                and (self.crashes_draining + self.crashes_waking) >= 1
-                and self.max_wake_cycles <= self.cycle_bound
-                and self.autoscaled_energy_j < self.always_on_energy_j
-                and self.attainment >= self.always_on_attainment
-                and self.rerun_identical
-                and self.executor_identical)
-
 
 def _diurnal_crowd_stream(seed: int, base_qps: float, peak_qps: float,
                           period_s: float, diurnal_requests: int,
@@ -1029,7 +803,8 @@ def _autoscale_run(devices: int, base_frac: float, peak_frac: float,
                    crowd_factor: float, crowd_requests: int,
                    prompt_tokens: int, output_tokens: int,
                    deadline_s: float, seed: int, *,
-                   crash_events=(), autoscaled: bool = True):
+                   crash_events=(), autoscaled: bool = True,
+                   mode: str = "auto"):
     """One seeded diurnal+crowd fleet run; autoscaled or always-on.
 
     Returns ``(report, gateway, params)`` where ``params`` carries the
@@ -1084,7 +859,7 @@ def _autoscale_run(devices: int, base_frac: float, peak_frac: float,
         brownout=BrownoutConfig(enter_pressure=(4.0, 8.0, 12.0),
                                 exit_pressure=(3.0, 6.0, 9.0)),
         autoscale=AutoscaleConfig() if autoscaled else None,
-        seed=seed)
+        seed=seed, mode=mode)
     report = gateway.run(stream)
     params = {
         "capacity_qps": capacity,
@@ -1139,36 +914,37 @@ _AUTOSCALE_ARGS = dict(devices=6, base_frac=0.08, peak_frac=0.55,
                        deadline_s=45.0)
 
 
+def _autoscale_args(overrides: dict) -> tuple:
+    """:func:`_autoscale_run`'s positional arguments before ``seed``."""
+    args = {**_AUTOSCALE_ARGS, **overrides}
+    return tuple(args[key] for key in _AUTOSCALE_ARGS)
+
+
 def run_autoscale_points(seed: int = 0, **overrides) -> dict:
     """Pipeline producer: one targeted autoscale run as a plain dict.
 
-    This is the executor-identity probe the autoscale gate runs under
-    both thread and process pipelines — a pure function of its
-    arguments returning only plain data (the report sha embeds the
-    full canonical fleet report).
+    The fleet sleeps through the opening trough (graceful drains), the
+    flash crowd at the second trough forces cold wakes, and two
+    targeted crashes land mid-DRAINING and mid-WAKING (see
+    :func:`_autoscale_crash_plan`).  This is also the executor-identity
+    probe the autoscale gate runs under both thread and process
+    pipelines — a pure function of its arguments returning only plain
+    data (the report sha embeds the full canonical fleet report).
     """
-    import hashlib
-
     from repro.fleet import LifecycleState
 
-    args = {**_AUTOSCALE_ARGS, **overrides}
-    run_args = (args["devices"], args["base_frac"], args["peak_frac"],
-                args["period_s"], args["diurnal_requests"],
-                args["crowd_factor"], args["crowd_requests"],
-                args["prompt_tokens"], args["output_tokens"],
-                args["deadline_s"])
+    run_args = _autoscale_args(overrides)
     events = _autoscale_crash_plan(run_args, seed)
     report, gateway, params = _autoscale_run(*run_args, seed,
                                              crash_events=events)
     ctrl = gateway.autoscale
-    end_s = report.wallclock_s
     scale = report.autoscale
     wakes_after_crowd = sum(
         1 for t, _, src, dst in ctrl.transitions
         if src is LifecycleState.WAKING and dst is LifecycleState.ACTIVE
         and t >= params["crowd_start_s"])
     return {
-        "devices": args["devices"],
+        "devices": run_args[0],
         "offered": report.offered,
         "completed": report.completed,
         "shed": report.shed,
@@ -1184,155 +960,88 @@ def run_autoscale_points(seed: int = 0, **overrides) -> dict:
         "crashes_waking": scale.crashes_waking,
         "max_wake_cycles": max(
             (ctrl.wake_cycles(n) for n in ctrl.names), default=0),
-        "cycle_bound": ctrl.max_cycles_bound(end_s),
+        "cycle_bound": ctrl.max_cycles_bound(report.wallclock_s),
         "max_brownout_tier": report.max_brownout_tier,
+        "attainment": report.deadline_hit_rate,
+        # Serving energy plus the idle/sleep/wake/DVFS floor.
+        "autoscaled_energy_j": (report.energy_joules + scale.idle_energy_j
+                                + scale.sleep_energy_j + scale.wake_energy_j
+                                + scale.dvfs_energy_j),
         "crash_events": [list(e) for e in events],
-        "report_sha": hashlib.sha256(
-            report.to_json().encode()).hexdigest(),
+        "report_sha": report_sha(report),
         **params,
     }
 
 
-def run_autoscale_chaos_study(seed: int = 0, check_executors: bool = True,
-                              **overrides) -> AutoscaleChaosResult:
-    """Ride a diurnal curve and flash crowd on an autoscaled fleet.
+def autoscale_checks(points: dict) -> dict[str, bool]:
+    """Conservation exact through every lifecycle edge; non-vacuous
+    chaos (>=1 wake absorbing the flash crowd, >=2 graceful drains,
+    >=1 crash against a DRAINING or WAKING device); flapping within
+    the hysteresis bound; strictly less energy than always-on at
+    equal-or-better attainment; byte-reproducible on the scalar oracle
+    and across pipeline executors."""
+    p = points
+    return {
+        "lost == 0": p["lost"] == 0,
+        "offered == completed + shed + failed":
+            p["offered"] == p["completed"] + p["shed"] + p["failed"],
+        "wakes >= 1": p["wakes"] >= 1,
+        "wakes_after_crowd >= 1": p["wakes_after_crowd"] >= 1,
+        "drains_completed >= 2": p["drains_completed"] >= 2,
+        "crashes_draining + crashes_waking >= 1":
+            p["crashes_draining"] + p["crashes_waking"] >= 1,
+        "max_wake_cycles <= cycle_bound":
+            p["max_wake_cycles"] <= p["cycle_bound"],
+        "autoscaled_energy_j < always_on_energy_j":
+            p["autoscaled_energy_j"] < p["always_on_energy_j"],
+        "attainment >= always_on_attainment":
+            p["attainment"] >= p["always_on_attainment"],
+        "rerun_identical": p["rerun_identical"],
+        "executor_identical": p["executor_identical"],
+    }
 
-    The fleet sleeps through the opening trough (graceful drains), the
-    flash crowd at the second trough forces cold wakes, and two
-    targeted crashes land mid-DRAINING and mid-WAKING (see
-    :func:`_autoscale_crash_plan`).  The identical stream and crash
-    schedule are then served always-on for the energy comparison, the
-    autoscaled run is repeated from scratch for byte-identity, and
-    (unless ``check_executors=False``) the run is re-executed through
-    the artifact pipeline under thread and process executors, which
-    must agree on the report sha.
+
+def autoscale_gate(seed: int = 0, check_executors: bool = True,
+                   **overrides) -> ChaosGate:
+    """The autoscale gate over :func:`run_autoscale_points`.
+
+    The identical stream and crash schedule are served always-on for
+    the energy comparison, the autoscaled run is repeated on the scalar
+    oracle, and (unless ``check_executors=False``) the
+    ``fleet-autoscale`` artifact is re-rendered under thread and
+    process pipelines.
     """
-    import hashlib
-
     points = run_autoscale_points(seed=seed, **overrides)
-    args = {**_AUTOSCALE_ARGS, **overrides}
-    run_args = (args["devices"], args["base_frac"], args["peak_frac"],
-                args["period_s"], args["diurnal_requests"],
-                args["crowd_factor"], args["crowd_requests"],
-                args["prompt_tokens"], args["output_tokens"],
-                args["deadline_s"])
+    run_args = _autoscale_args(overrides)
     events = tuple(tuple(e) for e in points["crash_events"])
-    report, gateway, _ = _autoscale_run(*run_args, seed,
-                                        crash_events=events)
-    rerun_identical = (hashlib.sha256(report.to_json().encode())
-                       .hexdigest() == points["report_sha"])
-
-    always_report, always_gateway, _ = _autoscale_run(
+    rerun, _, _ = _autoscale_run(*run_args, seed, crash_events=events,
+                                 mode="scalar")
+    always, always_gateway, _ = _autoscale_run(
         *run_args, seed, crash_events=events, autoscaled=False)
-    scale = report.autoscale
-    autoscaled_energy = (report.energy_joules + scale.idle_energy_j
-                         + scale.sleep_energy_j + scale.wake_energy_j
-                         + scale.dvfs_energy_j)
-    idle_w = {d.name: float(d.engine.power.idle_power())
-              for d in always_gateway.devices}
-    always_energy = (always_report.energy_joules
-                     + sum(idle_w.values()) * always_report.wallclock_s)
-
-    executor_identical = True
-    if check_executors:
-        # Function-level import: the registry imports this module.
-        from repro.experiments.runner import executors_agree
-        executor_identical = executors_agree("fleet-autoscale", seed)
-
-    return AutoscaleChaosResult(
-        devices=points["devices"],
-        capacity_qps=points["capacity_qps"],
-        base_qps=points["base_qps"],
-        peak_qps=points["peak_qps"],
-        crowd_qps=points["crowd_qps"],
-        crowd_start_s=points["crowd_start_s"],
-        offered=points["offered"],
-        completed=points["completed"],
-        shed=points["shed"],
-        failed=points["failed"],
-        lost=points["lost"],
-        wakes=points["wakes"],
-        wakes_after_crowd=points["wakes_after_crowd"],
-        sleeps=points["sleeps"],
-        drains_completed=points["drains_completed"],
-        drain_evacuations=points["drain_evacuations"],
-        dvfs_switches=points["dvfs_switches"],
-        crashes_draining=points["crashes_draining"],
-        crashes_waking=points["crashes_waking"],
-        max_wake_cycles=points["max_wake_cycles"],
-        cycle_bound=points["cycle_bound"],
-        max_brownout_tier=points["max_brownout_tier"],
-        attainment=report.deadline_hit_rate,
-        always_on_attainment=always_report.deadline_hit_rate,
-        autoscaled_energy_j=autoscaled_energy,
-        always_on_energy_j=always_energy,
-        energy_saved_j=always_energy - autoscaled_energy,
-        rerun_identical=rerun_identical,
-        executor_identical=executor_identical,
-        report_sha=points["report_sha"],
-    )
+    idle_w = sum(float(d.engine.power.idle_power())
+                 for d in always_gateway.devices)
+    always_energy = always.energy_joules + idle_w * always.wallclock_s
+    points = with_identity(
+        {**points,
+         "always_on_attainment": always.deadline_hit_rate,
+         "always_on_energy_j": always_energy,
+         "energy_saved_j": always_energy - points["autoscaled_energy_j"]},
+        report_sha(rerun), "fleet-autoscale", seed, check_executors)
+    return _gate("autoscale",
+                 "Autoscale chaos: diurnal + flash crowd with crashes "
+                 "landed mid-drain and mid-wake", points, autoscale_checks)
 
 
 def fleet_autoscale_table(points: dict | None = None,
                           seed: int = 0) -> Table:
     """Format the autoscale producer's summary (the pipeline artifact)."""
     points = points if points is not None else run_autoscale_points(seed=seed)
-    table = Table(
+    return points_table(
         "Fleet autoscale: diurnal curve and flash crowd served through "
-        "the device lifecycle controller",
-        ["Metric", "Value"],
-    )
-    for key in ("devices", "capacity_qps", "base_qps", "peak_qps",
-                "crowd_qps", "crowd_start_s", "offered", "completed",
-                "shed", "failed", "lost", "wakes", "wakes_after_crowd",
-                "sleeps", "drains_completed", "drain_evacuations",
-                "dvfs_switches", "crashes_draining", "crashes_waking",
-                "max_wake_cycles", "cycle_bound", "max_brownout_tier",
-                "report_sha"):
-        table.add_row(key, points[key])
-    return table
-
-
-def autoscale_chaos_table(result: AutoscaleChaosResult | None = None,
-                          seed: int = 0) -> Table:
-    """Format the autoscale lifecycle chaos exercise."""
-    result = (result if result is not None
-              else run_autoscale_chaos_study(seed=seed))
-    table = Table(
-        "Autoscale chaos: diurnal + flash crowd with crashes landed "
-        "mid-drain and mid-wake",
-        ["Metric", "Value"],
-    )
-    table.add_row("devices", result.devices)
-    table.add_row("fleet capacity (req/s)", result.capacity_qps)
-    table.add_row("base / peak rate (req/s)",
-                  f"{result.base_qps:.2f} / {result.peak_qps:.2f}")
-    table.add_row("crowd rate (req/s)", result.crowd_qps)
-    table.add_row("crowd start (s)", result.crowd_start_s)
-    table.add_row("offered", result.offered)
-    table.add_row("completed", result.completed)
-    table.add_row("shed / failed", f"{result.shed} / {result.failed}")
-    table.add_row("lost", result.lost)
-    table.add_row("wakes (after crowd)",
-                  f"{result.wakes} ({result.wakes_after_crowd})")
-    table.add_row("sleeps", result.sleeps)
-    table.add_row("graceful drains", result.drains_completed)
-    table.add_row("drain evacuations", result.drain_evacuations)
-    table.add_row("DVFS switches", result.dvfs_switches)
-    table.add_row("crashes mid-drain / mid-wake",
-                  f"{result.crashes_draining} / {result.crashes_waking}")
-    table.add_row("max wake cycles (bound)",
-                  f"{result.max_wake_cycles} ({result.cycle_bound})")
-    table.add_row("max brownout tier", result.max_brownout_tier)
-    table.add_row("attainment vs always-on (%)",
-                  f"{result.attainment * 100.0:.2f} vs "
-                  f"{result.always_on_attainment * 100.0:.2f}")
-    table.add_row("autoscaled energy (J)", result.autoscaled_energy_j)
-    table.add_row("always-on energy (J)", result.always_on_energy_j)
-    table.add_row("energy saved (J)", result.energy_saved_j)
-    table.add_row("rerun byte-identical",
-                  "yes" if result.rerun_identical else "NO")
-    table.add_row("thread/process sha identical",
-                  "yes" if result.executor_identical else "NO")
-    table.add_row("report sha", result.report_sha[:16])
-    return table
+        "the device lifecycle controller", points,
+        ("devices", "capacity_qps", "base_qps", "peak_qps", "crowd_qps",
+         "crowd_start_s", "offered", "completed", "shed", "failed", "lost",
+         "wakes", "wakes_after_crowd", "sleeps", "drains_completed",
+         "drain_evacuations", "dvfs_switches", "crashes_draining",
+         "crashes_waking", "max_wake_cycles", "cycle_bound",
+         "max_brownout_tier", "report_sha"))

@@ -8,18 +8,17 @@ budget-aware policy should strictly dominate at least one fixed
 single-tier assignment: pinning Deep burns session budgets (and
 joules) on easy questions, pinning Fast caps accuracy on hard ones.
 
-The chaos gate re-runs the study for same-seed byte-identity and
-re-executes the pipeline artifact under thread and process executors.
+The chaos gate reruns the budget-aware variant on the scalar oracle for
+byte-identity and re-renders the pipeline artifact under thread and
+process executors.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.experiments.report import Table
+from repro.experiments.resilience import ChaosGate, report_sha, with_identity
 
 #: Frontier variants: label -> fixed_tier value for TieringConfig.
 VARIANTS: tuple[tuple[str, str | None], ...] = (
@@ -76,7 +75,7 @@ def _point(label: str, report, jobs: int) -> dict:
         "tokens_redistributed": tier.tokens_redistributed,
         "budget_downgrades": tier.budget_downgrades,
         "mean_branches": tier.mean_branches,
-        "report_sha": hashlib.sha256(report.to_json().encode()).hexdigest(),
+        "report_sha": report_sha(report),
     }
 
 
@@ -140,65 +139,36 @@ def tiering_frontier_table(points: dict | None = None, seed: int = 0) -> Table:
     return table
 
 
-@dataclass(frozen=True)
-class TieringChaosResult:
-    """Verdict of the tiering determinism + frontier gate."""
-
-    seed: int
-    devices: int
-    jobs: int
-    points: tuple[dict, ...]
-    dominated: tuple[str, ...]
-    domination_ok: bool
-    conservation_ok: bool
-    rerun_identical: bool
-    executor_identical: bool
-    report_sha: str
-
-    @property
-    def tiering_ok(self) -> bool:
-        return (self.domination_ok and self.conservation_ok
-                and self.rerun_identical and self.executor_identical)
+def frontier_checks(points: dict) -> dict[str, bool]:
+    """The frontier's own clauses: ``repro tier`` gates on these."""
+    return {"domination_ok": points["domination_ok"],
+            "conservation_ok": points["conservation_ok"]}
 
 
-def run_tiering_chaos_study(seed: int = 0, devices: int = 4,
-                            jobs: int = 48, qps: float = 1.5,
-                            deadline_s: float = 60.0,
-                            session_token_budget: int = 6000,
-                            check_executors: bool = True
-                            ) -> TieringChaosResult:
+def tiering_checks(points: dict) -> dict[str, bool]:
+    return {**frontier_checks(points),
+            "rerun_identical": points["rerun_identical"],
+            "executor_identical": points["executor_identical"]}
+
+
+def tiering_gate(seed: int = 0, devices: int = 4, jobs: int = 48,
+                 qps: float = 1.5, deadline_s: float = 60.0,
+                 session_token_budget: int = 6000,
+                 check_executors: bool = True) -> ChaosGate:
     """The tiering gate: frontier domination plus determinism checks.
 
-    Runs the frontier, re-runs the budget-aware variant from scratch
-    for same-seed byte-identity, and (unless ``check_executors=False``)
-    re-executes the ``tiering-frontier`` artifact through the pipeline
-    under both thread and process executors, which must render
-    byte-equal text.
+    Runs the frontier, reruns the budget-aware variant on the scalar
+    oracle, and (unless ``check_executors=False``) re-renders the
+    ``tiering-frontier`` artifact under thread and process pipelines.
     """
-    result = run_tiering_frontier_points(
+    frontier = run_tiering_frontier_points(
         seed=seed, devices=devices, jobs=jobs, qps=qps,
         deadline_s=deadline_s, session_token_budget=session_token_budget)
     rerun, _ = _tiered_run(seed, devices, jobs, qps, deadline_s, None,
-                           session_token_budget)
-    rerun_sha = hashlib.sha256(rerun.to_json().encode()).hexdigest()
-    aware = result["points"][0]
-    rerun_identical = rerun_sha == aware["report_sha"]
-
-    executor_identical = True
-    if check_executors:
-        # Function-level import: the registry imports this module.
-        from repro.experiments.runner import executors_agree
-        executor_identical = executors_agree("tiering-frontier", seed)
-
-    return TieringChaosResult(
-        seed=seed,
-        devices=devices,
-        jobs=jobs,
-        points=tuple(result["points"]),
-        dominated=tuple(result["dominated"]),
-        domination_ok=result["domination_ok"],
-        conservation_ok=result["conservation_ok"],
-        rerun_identical=rerun_identical,
-        executor_identical=executor_identical,
-        report_sha=aware["report_sha"],
-    )
+                           session_token_budget, mode="scalar")
+    points = with_identity(
+        {**frontier, "report_sha": frontier["points"][0]["report_sha"]},
+        report_sha(rerun), "tiering-frontier", seed, check_executors)
+    return ChaosGate("tiering", points,
+                     tiering_frontier_table(points).to_text(),
+                     tiering_checks(points))

@@ -128,6 +128,16 @@ ROUTING_POLICIES = ("round-robin", "least-outstanding", "latency-aware",
                     "energy-aware", "prefix-affinity")
 
 
+#: Delay before an evacuated request re-enters routing (s).
+REROUTE_BACKOFF_S = 0.05
+#: Tick of the post-stream drain while a controller is armed (s).
+DRAIN_TICK_S = 0.5
+#: Duplicates a hedge may launch per request.
+MAX_HEDGES = 1
+#: EWMA smoothing for the gateway's fleet latency estimate (hedge age).
+HEDGE_EWMA_ALPHA = 0.2
+
+
 @dataclass(frozen=True)
 class FleetRequest:
     """One request offered to the gateway."""
@@ -149,20 +159,12 @@ class HedgeConfig:
     min_age_s: float = 8.0
     #: Hedge when age exceeds this multiple of the latency EWMA.
     age_factor: float = 3.0
-    #: Duplicates allowed per request.
-    max_hedges: int = 1
-    #: EWMA smoothing for the gateway's fleet latency estimate.
-    ewma_alpha: float = 0.2
 
     def __post_init__(self) -> None:
         if self.min_age_s <= 0:
             raise ValueError("min_age_s must be positive")
         if self.age_factor < 1.0:
             raise ValueError("age_factor must be at least 1")
-        if self.max_hedges < 1:
-            raise ValueError("max_hedges must be at least 1")
-        if not 0 < self.ewma_alpha <= 1:
-            raise ValueError("ewma_alpha must be in (0, 1]")
 
 
 class FleetGateway:
@@ -171,13 +173,11 @@ class FleetGateway:
     def __init__(self, devices: "list[FleetDevice] | tuple[FleetDevice, ...]",
                  policy: str = "round-robin", *,
                  faults: FleetFaultSchedule | None = None,
-                 reroute_backoff_s: float = 0.05,
                  max_reroutes: int = 3,
                  health: HealthConfig | None = None,
                  brownout: BrownoutConfig | None = None,
                  hedge: HedgeConfig | None = None,
                  autoscale: AutoscaleConfig | None = None,
-                 drain_tick_s: float = 0.5,
                  drain_limit_s: float = 600.0,
                  seed: int = 0,
                  mode: str = "auto"):
@@ -189,12 +189,8 @@ class FleetGateway:
         if mode not in SERVING_MODES:
             raise ValueError(
                 f"unknown mode {mode!r}; choose from {SERVING_MODES}")
-        if reroute_backoff_s < 0:
-            raise ValueError("reroute_backoff_s must be non-negative")
         if max_reroutes < 0:
             raise ValueError("max_reroutes must be non-negative")
-        if drain_tick_s <= 0:
-            raise ValueError("drain_tick_s must be positive")
         if drain_limit_s <= 0:
             raise ValueError("drain_limit_s must be positive")
         self.devices = tuple(sorted(devices, key=lambda d: d.name))
@@ -204,7 +200,6 @@ class FleetGateway:
         self._by_name = {d.name: d for d in self.devices}
         self.policy = policy
         self.faults = faults
-        self.reroute_backoff_s = reroute_backoff_s
         self.max_reroutes = max_reroutes
         self.hedge = hedge
         self.mode = mode
@@ -215,7 +210,6 @@ class FleetGateway:
         #: "vector"); None before the first run.
         self.last_mode: str | None = None
         self._health_config = health
-        self.drain_tick_s = drain_tick_s
         self.drain_limit_s = drain_limit_s
         self.breakers = {d.name: CircuitBreaker(
             health, seed=breaker_seed(seed, d.name)) for d in self.devices}
@@ -524,11 +518,10 @@ class FleetGateway:
             self._topo_bump()
         if self.hedge is not None:
             # The fleet latency estimate only sets the hedge age.
-            alpha = self.hedge.ewma_alpha
             self._latency_ewma = (
                 record.latency_s if self._latency_ewma is None
-                else alpha * record.latency_s
-                + (1 - alpha) * self._latency_ewma)
+                else HEDGE_EWMA_ALPHA * record.latency_s
+                + (1 - HEDGE_EWMA_ALPHA) * self._latency_ewma)
         if self._disposition.get(rid) == "served":
             # The losing copy finished inside the same advance window
             # before it could be cancelled; dedup in FleetReport keeps
@@ -576,7 +569,7 @@ class FleetGateway:
                                  arrival_s=state.first_arrival_s,
                                  deadline_s=state.deadline_s,
                                  session=session, prefix_tokens=prefix),
-                    t, ready_s=t + self.reroute_backoff_s)
+                    t, ready_s=t + REROUTE_BACKOFF_S)
 
     def _sweep(self, t: float) -> None:
         """The per-event step: advance the fleet to ``t``, collect, hedge.
@@ -664,7 +657,7 @@ class FleetGateway:
             copies = self._copies[rid]
             if rid in self._disposition or not copies:
                 continue
-            if self._hedge_count.get(rid, 0) >= self.hedge.max_hedges:
+            if self._hedge_count.get(rid, 0) >= MAX_HEDGES:
                 continue
             if t - self._arrival.get(rid, t) < threshold:
                 continue
@@ -798,7 +791,7 @@ class FleetGateway:
                 for device in self.devices:
                     device.drain()
                 break
-            t += self.drain_tick_s
+            t += DRAIN_TICK_S
             self._sweep(t)
             if self.brownout is not None:
                 self.brownout.observe(t, self._pressure(t))

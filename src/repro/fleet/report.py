@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.core.cost import CostModel
-from repro.core.stats import nan_percentile
+from repro.core.stats import nan_percentile, slo_attainment
 from repro.engine.server import ResilienceReport, ServedRequest
 from repro.fleet.autoscale import AutoscaleReport
 
@@ -188,12 +188,11 @@ class FleetReport:
         :attr:`ResilienceReport.deadline_hit_rate`'s honesty rule.
         """
         with_deadlines = [r for r in self.served if r.deadline_s is not None]
-        unserved = sum(d.report.unserved_with_deadline for d in self.devices)
-        denominator = len(with_deadlines) + unserved
-        if denominator == 0:
-            return 1.0 if self.served else float("nan")
-        hits = sum(bool(r.met_deadline) for r in with_deadlines)
-        return hits / denominator
+        return slo_attainment(
+            sum(bool(r.met_deadline) for r in with_deadlines),
+            len(with_deadlines),
+            sum(d.report.unserved_with_deadline for d in self.devices),
+            len(self.served))
 
     def cost_per_mtok(self, cost_model: CostModel | None = None) -> float:
         """Fleet $/1M tokens: energy plus per-device amortized hardware.

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.stats import nan_percentile
+from repro.core.stats import nan_percentile, slo_attainment
 from repro.fleet.report import FleetReport
 
 
@@ -235,11 +235,7 @@ def assemble_trace_report(policy: str, offered: int, shed: int,
             with_deadline += int(np.count_nonzero(mask))
         cursor += n_d
         unserved += d.unserved_with_deadline
-    denominator = with_deadline + unserved
-    if denominator == 0:
-        hit_rate = 1.0 if completed else float("nan")
-    else:
-        hit_rate = hits / denominator
+    hit_rate = slo_attainment(hits, with_deadline, unserved, completed)
 
     summaries = tuple(
         TraceDeviceSummary(

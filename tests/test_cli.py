@@ -257,6 +257,23 @@ class TestCommands:
         assert "degradation on" in out
         assert "hit rate" in out
 
+    def test_failing_chaos_gate_names_every_failed_check(self, capsys,
+                                                          monkeypatch):
+        from repro.experiments import resilience
+
+        monkeypatch.setattr(resilience, "serving_checks", lambda points: {
+            "first clause": False, "second clause": True,
+            "third clause": False})
+        code = main(["chaos", "--requests", "12", "--qps", "3",
+                     "--seed", "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "chaos gate (serving): FAIL" in captured.err
+        assert "first clause" in captured.err
+        assert "third clause" in captured.err
+        assert "second clause" not in captured.err
+        assert "PASS" not in captured.out
+
     def test_perf_list_prints_catalog_without_running(self, capsys):
         code = main(["perf", "--list"])
         assert code == 0

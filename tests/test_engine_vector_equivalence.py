@@ -235,3 +235,14 @@ class TestAcceptanceWorkloads:
         auto = _overload_run(*args, mode="auto")[0]
         scalar = _overload_run(*args, mode="scalar")[0]
         assert auto.to_json() == scalar.to_json()
+
+    def test_equivalence_probe_is_deterministic(self):
+        """The ``vector-equivalence`` producer returns plain data that
+        reruns reproduce exactly (no wall clock leaks into it)."""
+        from repro.experiments.resilience import (
+            run_vector_equivalence_points,
+        )
+
+        first = run_vector_equivalence_points(seed=0)
+        assert first["identical"] and first["auto_mode"] == "vector"
+        assert run_vector_equivalence_points(seed=0) == first

@@ -13,9 +13,9 @@ import pytest
 
 from repro.engine.request import GenerationRequest
 from repro.experiments.resilience import (
-    OverloadChaosResult,
-    overload_chaos_table,
-    run_overload_chaos_study,
+    ChaosGate,
+    overload_checks,
+    overload_gate,
 )
 from repro.faults import DeviceFault, FleetFaultConfig, FleetFaultSchedule
 from repro.fleet import FleetGateway, build_fleet, poisson_stream
@@ -130,60 +130,59 @@ class TestCancelSeam:
 
 class TestOverloadGate:
     @pytest.fixture(scope="class")
-    def result(self):
+    def gate(self):
         # Full-size storm, but skip the (slow) thread/process pipeline
         # comparison — the CLI gate exercises it; stub it as passing so
         # the rest of the gate is still asserted.
-        return run_overload_chaos_study(seed=0, check_executors=False)
+        return overload_gate(seed=0, check_executors=False)
+
+    @pytest.fixture(scope="class")
+    def result(self, gate):
+        return gate.points
 
     def test_storm_is_a_real_overload(self, result):
-        assert result.overload_factor >= 3.0
-        assert result.storm_qps > result.capacity_qps
+        assert result["overload_factor"] >= 3.0
+        assert result["storm_qps"] > result["capacity_qps"]
 
     def test_conservation_is_exact(self, result):
-        assert result.offered == (result.completed + result.shed
-                                  + result.failed)
-        assert result.lost == 0
+        assert result["offered"] == (result["completed"] + result["shed"]
+                                     + result["failed"])
+        assert result["lost"] == 0
 
     def test_faults_were_delivered(self, result):
-        assert result.flapping_devices >= 2
-        assert result.thermal_delivered >= 1
-        assert result.throttle_residency_s > 0
+        assert result["flapping_devices"] >= 2
+        assert result["thermal_delivered"] >= 1
+        assert result["throttle_residency_s"] > 0
 
     def test_brownout_engaged_and_recovered(self, result):
-        assert result.max_brownout_tier >= 1
-        assert result.recovered_s is not None
-        assert result.time_to_slo_recovery_s >= 0
+        assert result["max_brownout_tier"] >= 1
+        assert result["recovered_s"] is not None
+        assert result["time_to_slo_recovery_s"] >= 0
 
     def test_attempts_respect_the_cap(self, result):
-        assert result.max_attempts <= result.max_reroutes + 1
+        assert result["max_attempts"] <= result["max_reroutes"] + 1
 
     def test_rerun_is_byte_identical(self, result):
-        assert result.rerun_identical
+        assert result["rerun_identical"]
 
-    def test_gate_passes(self, result):
-        assert result.survival_ok
+    def test_gate_passes(self, gate):
+        assert gate.ok
 
     def test_gate_rejects_lossy_runs(self, result):
-        import dataclasses
-        lossy = dataclasses.replace(result, completed=result.completed - 1,
-                                    lost=1)
-        assert not lossy.survival_ok
+        lossy = {**result, "completed": result["completed"] - 1, "lost": 1}
+        assert not all(overload_checks(lossy).values())
 
     def test_gate_rejects_vacuous_storms(self, result):
-        import dataclasses
-        gentle = dataclasses.replace(result, overload_factor=1.5)
-        assert not gentle.survival_ok
+        gentle = {**result, "overload_factor": 1.5}
+        assert not all(overload_checks(gentle).values())
 
     def test_gate_rejects_unrecovered_brownouts(self, result):
-        import dataclasses
-        stuck = dataclasses.replace(result, recovered_s=None)
-        assert not stuck.survival_ok
+        stuck = {**result, "recovered_s": None}
+        assert not all(overload_checks(stuck).values())
 
-    def test_table_renders(self, result):
-        text = overload_chaos_table(result).to_text()
-        assert "byte-identical" in text
+    def test_table_renders(self, gate):
+        assert "rerun_identical" in gate.table
 
-    def test_result_shape(self, result):
-        assert isinstance(result, OverloadChaosResult)
-        assert result.report_sha
+    def test_result_shape(self, gate, result):
+        assert isinstance(gate, ChaosGate)
+        assert result["report_sha"]

@@ -57,12 +57,12 @@ class TestSeededConservation:
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**16))
     def test_chaos_conserves_requests_for_any_seed(self, seed):
-        from repro.experiments.resilience import run_fleet_chaos_study
+        from repro.experiments.resilience import fleet_gate
 
-        result = run_fleet_chaos_study(devices=3, kill=1, qps=8.0,
-                                       num_requests=20, seed=seed)
-        assert result.lost == 0
-        assert result.rerun_identical
+        result = fleet_gate(devices=3, kill=1, qps=8.0, num_requests=20,
+                            seed=seed).points
+        assert result["lost"] == 0
+        assert result["rerun_identical"]
 
 
 class TestPipelineExecutorIdentity:

@@ -83,14 +83,15 @@ class TestChaosUnderProcessExecutor:
     def test_subset_chaos_study_recovers(self, tmp_path):
         from repro.experiments.resilience import (
             PIPELINE_CHAOS_ARTIFACTS,
-            run_pipeline_chaos_study,
+            pipeline_gate,
         )
 
-        result = run_pipeline_chaos_study(
-            PIPELINE_CHAOS_ARTIFACTS, seed=CHAOS_SEED, jobs=2,
+        gate = pipeline_gate(
+            artifact_ids=PIPELINE_CHAOS_ARTIFACTS, seed=CHAOS_SEED, jobs=2,
             executor="process", cache_dir=Path(tmp_path))
-        assert result.injected_faults > 0
-        assert result.failed == 0
-        assert result.chaos_identical
-        assert result.resume_identical
-        assert result.recovery_ok
+        result = gate.points
+        assert result["injected_faults"] > 0
+        assert result["failed"] == 0
+        assert result["chaos_identical"]
+        assert result["resume_identical"]
+        assert gate.ok

@@ -346,26 +346,27 @@ class TestPipelineChaosStudy:
     def test_small_study_passes_gate_with_real_injection(self, tmp_path):
         from repro.experiments.resilience import (
             PIPELINE_CHAOS_ARTIFACTS,
-            pipeline_chaos_table,
-            run_pipeline_chaos_study,
+            pipeline_gate,
         )
 
-        result = run_pipeline_chaos_study(
+        gate = pipeline_gate(
             artifact_ids=PIPELINE_CHAOS_ARTIFACTS,
             fail_rate=0.9, retries=3, cache_corrupt_rate=1.0,
             crash_after=2, seed=0, smoke=True, jobs=2,
             cache_dir=tmp_path)
-        assert result.recovery_ok
-        assert result.artifacts == len(PIPELINE_CHAOS_ARTIFACTS)
-        assert result.completed == result.artifacts and result.failed == 0
+        result = gate.points
+        assert gate.ok
+        assert result["artifacts"] == len(PIPELINE_CHAOS_ARTIFACTS)
+        assert (result["completed"] == result["artifacts"]
+                and result["failed"] == 0)
         # The gate must not be vacuous: chaos actually fired.
-        assert result.injected_faults > 0
-        assert result.disk_corruptions > 0
-        assert result.chaos_identical and result.resume_identical
-        assert (result.committed_before_crash + result.resume_recomputed
-                == result.artifacts)
-        text = pipeline_chaos_table(result).to_text()
-        assert "injected faults" in text and "recomputed after resume" in text
+        assert result["injected_faults"] > 0
+        assert result["disk_corruptions"] > 0
+        assert result["chaos_identical"] and result["resume_identical"]
+        assert (result["committed_before_crash"]
+                + result["resume_recomputed"] == result["artifacts"])
+        assert ("injected_faults" in gate.table
+                and "resume_recomputed" in gate.table)
 
 
 class TestStoreFaultSeam:
