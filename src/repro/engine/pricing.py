@@ -78,7 +78,13 @@ def integrate_span(now: float, energy: float, base: np.ndarray,
 
 
 class Pricing:
-    """One engine's prefill and decode prices, memoized when ``pure``."""
+    """One engine's prefill and decode prices, memoized when ``pure``.
+
+    Engines with equal model and SoC price equally, so one instance may
+    serve several simulators, on several threads at once: a race at
+    worst prices a key twice or fills a table that a concurrent growth
+    then drops, and every write stores the same bits.
+    """
 
     def __init__(self, engine, pure: bool):
         self.engine = engine

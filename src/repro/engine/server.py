@@ -656,18 +656,25 @@ class _ServingRun:
         self._push_pending(self.now, seq.index)
 
     def _pick_victim(self, exclude: LiveSequence) -> LiveSequence | None:
-        candidates = [s for s in self.live if s is not exclude]
-        if not candidates:
-            return None
+        """The live sequence ``exclude`` may evict to grow, or None.
+
+        FCFS evicts the most recently admitted (vLLM-style LIFO), and
+        only one admitted after ``exclude``: when every other sequence
+        is older, ``exclude`` itself yields.  So the oldest live
+        sequence is never evicted and gains a token every epoch — the
+        progress guarantee that rules out two sequences evicting each
+        other forever under recompute-on-resume.
+        """
         if self.sim.policy == "edf":
             # Latest absolute deadline loses its slot first.  A deadline
             # of 0.0 is real and maximally urgent; only None means none.
-            return max(candidates,
+            return max((s for s in self.live if s is not exclude),
                        key=lambda s: (s.arrival_s + (np.inf if s.deadline_s
                                                      is None else s.deadline_s),
-                                      s.start_s))
-        # FCFS preempts the most recently admitted (vLLM-style LIFO).
-        return max(candidates, key=lambda s: s.start_s)
+                                      s.start_s),
+                       default=None)
+        return max((s for s in self.live if s.start_s > exclude.start_s),
+                   key=lambda s: s.start_s, default=None)
 
     def _finish(self, seq: LiveSequence) -> None:
         self.live.remove(seq)

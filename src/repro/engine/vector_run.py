@@ -39,6 +39,16 @@ the free pool — never touching the real allocator — and raises
 ``KVCacheExhausted``; the caller then reruns the whole workload on the
 scalar path, which is deterministic and therefore safe to restart.
 
+At batch 1 under FCFS the run skips the epoch loop altogether and
+drains the whole population in a few numpy passes per chunk (the
+busy-period kernel, :meth:`VectorServingRun._drain_busy_periods`): a
+batch-1 FCFS server is a single-server queue, ``start_k = max(ready_k,
+finish_{k-1})``, and inside a busy period the clock is one sequential
+``cumsum`` over the period's prefill and decode steps — the epoch
+loop's ``now +=`` chain, bit for bit.  The KV hazard is static there:
+a request whose final context outgrows the free pool raises
+:class:`VectorFallback` up front.
+
 Outcomes land in the :class:`~repro.engine.state.RequestArrays` outcome
 columns.  :meth:`VectorServingRun.execute_arrays` returns those columns
 (the population-scale sink, no per-request objects);
@@ -66,6 +76,11 @@ if TYPE_CHECKING:
     from repro.engine.server import ResilienceReport, ServingSimulator
 
 
+#: Steps (prefills included) per chunk of the batch-1 kernel.  Chunks
+#: hold whole requests, so temporaries stay bounded at any share size.
+_CHUNK_STEPS = 1 << 16
+
+
 class VectorFallback(Exception):
     """The vector run met a condition only the scalar oracle can model.
 
@@ -74,6 +89,65 @@ class VectorFallback(Exception):
     preemption).  The run's caller discards the partial vector state and
     reruns scalar; determinism makes the restart exact.
     """
+
+
+def _guess_resets(service: np.ndarray, ready: np.ndarray,
+                  carry: float) -> np.ndarray:
+    """Which requests open a busy period, by float Lindley: a guess.
+
+    With ``C`` the prefix sum of the service times, the max-plus form
+    ``finish_k = C_k + max(carry, max_{j<=k}(ready_j - C_{j-1}))``
+    gives every finish in one pass; request ``k`` opens a period when
+    it is ready after its predecessor finishes (``carry`` before the
+    first).  Rounding can misjudge a near tie, so callers verify every
+    boundary against the exact clocks.
+    """
+    total = np.cumsum(service)
+    lead = np.maximum(np.maximum.accumulate(ready - (total - service)),
+                      carry)
+    finish = total + lead
+    return ready > np.concatenate(([carry], finish[:-1]))
+
+
+def _period_clocks(steps: np.ndarray, off: np.ndarray, ready: np.ndarray,
+                   reset: np.ndarray, carry: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``(start, finish)`` clocks of consecutive batch-1 requests.
+
+    Request ``k`` owns ``steps[off[k]:off[k+1]]`` (its prefill, then its
+    decode steps).  It opens a busy period at ``ready[k]`` when
+    ``reset[k]``, else it starts at its predecessor's finish (``carry``
+    for the first).  Each period becomes one row ``[start, steps...]``,
+    zero-padded to a power-of-two width; rows of one width form a 2-D
+    slab whose ``cumsum(axis=1)`` adds every row strictly left to right
+    — the epoch loop's ``now +=`` chain — and padding only ever follows
+    the values read back.
+    """
+    opens = reset.copy()
+    opens[0] = True
+    heads = np.flatnonzero(opens)
+    first = off[heads]
+    length = np.diff(first, append=off[-1])
+    # frexp's exponent e has length < 2**e: room for the start value.
+    width = np.left_shift(1, np.frexp(length)[1], dtype=np.int64)
+    rank = np.argsort(width, kind="stable")
+    sorted_width = width[rank]
+    row_sorted = np.cumsum(sorted_width) - sorted_width
+    row = np.empty_like(row_sorted)
+    row[rank] = row_sorted
+    clock = np.zeros(int(row_sorted[-1] + sorted_width[-1]))
+    clock[row] = np.where(reset[heads], ready[heads], carry)
+    dest = np.repeat(row + 1 - first, length) + np.arange(off[-1])
+    clock[dest] = steps
+    bounds = np.flatnonzero(np.diff(sorted_width, append=0)) + 1
+    lo = 0
+    for hi in bounds.tolist():
+        w = int(sorted_width[hi - 1])
+        stop = int(row_sorted[hi - 1]) + w
+        slab = clock[int(row_sorted[lo]):stop].reshape(-1, w)
+        slab.cumsum(axis=1, out=slab)
+        lo = hi
+    return clock[dest[off[:-1]] - 1], clock[dest[off[1:] - 1]]
 
 
 class _VecSeq:
@@ -140,6 +214,11 @@ class VectorServingRun:
         # (absolute deadline, promotion order).
         self._promoted: list[tuple[float, int, int]] = []
         self._promote_seq = 0
+        #: Whether the last drain ran the batch-1 busy-period kernel.
+        self.kernel = False
+        #: Busy-period boundaries the kernel's float guess got wrong and
+        #: re-derived from the exact clocks.
+        self.boundary_repairs = 0
 
     # -- scheduling ----------------------------------------------------
     def _peek_pending(self) -> float:
@@ -332,13 +411,153 @@ class VectorServingRun:
                 continue
             self._epoch()
 
+    # -- the batch-1 busy-period kernel --------------------------------
+    def _prefill_prices(self, prompt: np.ndarray) -> np.ndarray:
+        """``(2, n)`` prefill seconds and watts in admission order.
+
+        The LRU pre-pass: at batch 1 the admission order is fixed up
+        front, so walking it replays :meth:`_admission_cost`'s exact
+        lookup/insert sequence against the prefix cache.
+        """
+        prefill = self.pricing.prefill
+        cache = self._prefix_cache
+        if cache is None:
+            return np.array([prefill(p) for p in prompt.tolist()]).T
+        order = self._order
+        prefix = np.minimum(self._prefix_tokens[order], prompt - 1)
+        lookup, insert = cache.lookup, cache.insert
+        costs = []
+        hits = misses = 0
+        for p, pre, session in zip(prompt.tolist(), prefix.tolist(),
+                                   self._session_ids[order].tolist()):
+            if pre > 0:
+                entry = lookup(session)
+                if entry is not None and entry.token_count == pre:
+                    hits += 1
+                    costs.append(prefill(p, pre))
+                    continue
+                misses += 1
+                try:
+                    insert(session, pre)
+                except ValueError:
+                    pass  # prefix exceeds the whole cache: serve uncached
+            costs.append(prefill(p))
+        self.prefix_hits += hits
+        self.prefix_misses += misses
+        return np.array(costs).T
+
+    def _exact_clocks(self, steps: np.ndarray, off: np.ndarray,
+                      ready: np.ndarray, carry: float
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Start and finish clocks of one chunk, guessed then verified.
+
+        Busy periods are independent given their ready times, so the
+        float guess only has to pick the boundaries.  Every boundary is
+        checked against the exact clocks: a reset needs ``ready_k >=
+        finish_{k-1}``, a continuation ``ready_k <= finish_{k-1}`` (at
+        equality both give the same float).  A wrong guess is flipped
+        and the clocks recomputed from it; requests before it keep
+        theirs, since a clock depends only on its own period's prefix.
+        """
+        reset = _guess_resets(np.add.reduceat(steps, off[:-1]), ready,
+                              carry)
+        start = np.empty(ready.shape[0])
+        finish = np.empty(ready.shape[0])
+        lo = 0
+        while True:
+            base = off[lo]
+            start[lo:], finish[lo:] = _period_clocks(
+                steps[base:], off[lo:] - base, ready[lo:], reset[lo:],
+                carry)
+            prev = np.concatenate(([carry], finish[lo:-1]))
+            bad = np.flatnonzero(np.where(reset[lo:], ready[lo:] < prev,
+                                          ready[lo:] > prev))
+            if not bad.size:
+                return start, finish
+            k = int(bad[0])
+            carry = float(prev[k])
+            lo += k
+            reset[lo] = not reset[lo]
+            self.boundary_repairs += 1
+
+    def _drain_busy_periods(self) -> None:
+        """Serve a batch-1 FCFS population without the epoch loop.
+
+        At batch 1, step ``j`` of a request prices at context key
+        ``prompt + j`` and generated key ``1 + j`` (a request with
+        ``stop_tokens == 0`` still takes one step), so one fill of the
+        pricing tables and one gather per chunk price every step.  The
+        steps lie in admission order as ``[prefill_k, decode steps of
+        k...]``: energy never resets, so it is one ``cumsum`` carried
+        across chunks; the clock is :meth:`_exact_clocks`.
+        """
+        self.kernel = True
+        arrays = self.arrays
+        n = arrays.n
+        if not n:
+            return
+        order = self._order
+        ready = self._ready_sorted
+        prompt = arrays.prompt_tokens[order]
+        count = np.maximum(arrays.stop_tokens[order], 1)
+        final = prompt + count
+        # Each admission finds the whole pool free, so the loop would
+        # meet KV exhaustion exactly when some final context outgrows it.
+        block = self._block
+        if int(((final + block - 1) // block).max()) > self._free:
+            raise VectorFallback("KV exhaustion: a request outgrows the pool")
+        prefill = self._prefill_prices(prompt)
+        lo = int(prompt.min())
+        seconds, power = self.pricing.span(
+            1, lo, 1, max(int(final.max()) - lo, int(count.max())))
+        size = count + 1
+        ends = np.cumsum(size)
+        energy = 0.0
+        now = 0.0
+        a = 0
+        while a < n:
+            done = int(ends[a - 1]) if a else 0
+            b = max(int(np.searchsorted(ends, done + _CHUNK_STEPS,
+                                        side="right")), a + 1)
+            c = size[a:b]
+            off = np.zeros(b - a + 1, dtype=np.int64)
+            np.cumsum(c, out=off[1:])
+            heads = off[:-1]
+            # Per step: the decode index j, and -1 at each prefill.
+            gen = np.arange(off[-1]) - np.repeat(heads + 1, c)
+            steps = seconds[gen + np.repeat(prompt[a:b] - lo, c)]
+            watts = power[gen]
+            steps[heads] = prefill[0, a:b]
+            watts[heads] = prefill[1, a:b]
+            path = np.empty(off[-1] + 1)
+            path[0] = energy
+            np.multiply(steps, watts, out=path[1:])
+            energy = float(np.add.accumulate(path, out=path)[-1])
+            start, finish = self._exact_clocks(steps, off, ready[a:b], now)
+            arrays.start_s[order[a:b]] = start
+            arrays.finish_s[order[a:b]] = finish
+            now = float(finish[-1])
+            a = b
+        arrays.prefill_s[order] = prefill[0]
+        arrays.context[order] = final
+        self.now = now
+        self.energy = energy
+        self._done = order.tolist()
+
     def _serve_all(self) -> RequestArrays:
         """Run to completion; every request must be served.
 
         The vector core has no drop path — KV pressure raises
         :class:`VectorFallback` instead — so a short count is a bug.
+        Batch-1 FCFS runs take the busy-period kernel (whenever every
+        ready time is finite: an infinite one never admits).
         """
-        self._run_loop()
+        ready = self._ready_sorted
+        if (self.sim.max_batch_size == 1 and not self._edf
+                and (not ready.size or math.isfinite(ready[-1]))):
+            self._drain_busy_periods()
+        else:
+            self._run_loop()
         if len(self._done) != self.arrays.n:
             raise RuntimeError(
                 f"vector run finished {len(self._done)} of "

@@ -904,7 +904,12 @@ class FleetGateway:
         of the scalar loop prices the very same epochs.  Every share
         runs through :func:`_drain_share` — a pure task over a fresh
         clone of the device — so shares may execute on any executor in
-        any order without changing a byte.
+        any order without changing a byte.  Shares whose devices run
+        the same ``(model, power_mode)`` share one
+        :class:`~repro.engine.pricing.Pricing`: those two fix the
+        engine, and every memoized price is a pure function of it, so
+        its prefill memo and decode tables are built once per spec
+        (a process pool pickles one copy per task).
         Returns ``(share columns, outcome)`` per device, in name order.
         Raises :class:`~repro.engine.vector_run.VectorFallback` on KV
         exhaustion, or if any served latency reaches the health model's
@@ -925,7 +930,13 @@ class FleetGateway:
             start += n_d
             shares.append({name: columns[name][idx]
                            for name in _SHARE_COLUMNS})
-        tasks = [(device.spec, spike_s, objects, share)
+        pricing = {}
+        for device in self.devices:
+            key = (device.spec.model, device.spec.power_mode)
+            if key not in pricing:
+                pricing[key] = FleetDevice(device.spec).simulator.pricing
+        tasks = [(device.spec, spike_s, objects, share,
+                  pricing[device.spec.model, device.spec.power_mode])
                  for device, share in zip(self.devices, shares)]
         if jobs == 1:
             outcomes = [_drain_share(*task) for task in tasks]
@@ -1406,7 +1417,7 @@ _SHARE_DTYPE = np.dtype([
 _SHARE_COLUMNS = _SHARE_DTYPE.names
 
 
-def _drain_share(spec, spike_s, objects, share):
+def _drain_share(spec, spike_s, objects, share, pricing):
     """Serve one device's partition share on a fresh clone.
 
     A pure task: it builds its own :class:`~repro.fleet.device.
@@ -1414,8 +1425,10 @@ def _drain_share(spec, spike_s, objects, share):
     deterministic — so serial, thread-pool, and process-pool executions
     perform identical float work on identical fresh state, and the
     gateway's own devices (prefix caches included) stay untouched for a
-    scalar fallback.  Returns ``(result, now, energy, prefix hits,
-    prefix misses)``: with ``objects`` the result is the core's
+    scalar fallback.  The clone prices through ``pricing``, the spec's
+    shared memo (memoized prices are pure, so sharing changes no bit).
+    Returns ``(result, now, energy, prefix hits, prefix misses)``:
+    with ``objects`` the result is the core's
     :class:`~repro.engine.server.ResilienceReport`, otherwise the
     outcome columns ``(start_s, finish_s, context)``.  Raises
     :class:`~repro.engine.vector_run.VectorFallback` (picklable across
@@ -1423,6 +1436,7 @@ def _drain_share(spec, spike_s, objects, share):
     breaker spike threshold.
     """
     device = FleetDevice(spec)
+    device.simulator.pricing = pricing
     arrays = RequestArrays.from_columns(
         share["request_id"], share["prompt_tokens"], share["stop_tokens"],
         share["arrival_s"], share["deadline_s"], share["deadline_mask"])

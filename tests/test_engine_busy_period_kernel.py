@@ -1,0 +1,278 @@
+"""The batch-1 busy-period kernel against the scalar oracle, byte for byte.
+
+At batch 1 under FCFS, :class:`~repro.engine.vector_run.VectorServingRun`
+drains the whole population without its epoch loop: a float Lindley
+pass guesses the busy periods, one sequential ``cumsum`` per period
+gives the exact clocks, and every boundary is verified against them.
+These tests aim at the corners of that argument — boundary ties one ulp
+either side, a wrong guess, the static KV check, span caps, degenerate
+shares — and at the paths that must keep the epoch loop (EDF, batch
+> 1) or share one pricing table (the fleet drain on every executor).
+"""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+import repro.engine.vector_run as vector_run
+from repro.engine.engine import InferenceEngine
+from repro.engine.kv_cache import KVCacheConfig, PagedKVCache
+from repro.engine.request import GenerationRequest
+from repro.engine.server import ServingSimulator
+from repro.engine.state import RequestArrays
+from repro.engine.vector_run import VectorFallback, VectorServingRun
+from repro.fleet import FleetGateway, HealthConfig, build_fleet, poisson_stream
+from repro.fleet.device import DeviceSpec, FleetDevice
+from repro.models.registry import get_model
+from repro.workloads import PopulationConfig, population_trace
+
+MODEL = "dsr1-qwen-1.5b"
+
+
+@pytest.fixture(scope="module")
+def engine():
+    return InferenceEngine(get_model(MODEL))
+
+
+def _stream(seed, n=40, gap_s=3.0):
+    rng = np.random.default_rng(seed)
+    prompt = rng.integers(16, 600, n)
+    output = rng.integers(1, 200, n)
+    requests = [GenerationRequest(i, int(prompt[i]), int(output[i]))
+                for i in range(n)]
+    return requests, np.cumsum(rng.exponential(gap_s, n))
+
+
+def _kernel_run(engine, requests, arrivals, **kwargs):
+    """(report JSON, run) of one direct vector run."""
+    sim = ServingSimulator(engine, **kwargs)
+    run = VectorServingRun(sim, arrays=RequestArrays(requests, arrivals))
+    return run.execute().to_json(), run
+
+
+def _scalar_json(engine, requests, arrivals, **kwargs):
+    sim = ServingSimulator(engine, mode="scalar", **kwargs)
+    return sim.run(requests, arrivals).to_json()
+
+
+class TestBoundaryTies:
+    """Ready times at, and one ulp either side of, the previous finish."""
+
+    def test_ties_match_the_oracle_and_exercise_repairs(self, engine):
+        requests, arrivals = _stream(5, n=30)
+        oracle = ServingSimulator(engine, max_batch_size=1, mode="scalar")
+        finish = {r.request_id: r.finish_s
+                  for r in oracle.run(requests, arrivals).served}
+        repairs = 0
+        for toward in (-np.inf, None, np.inf):
+            for k in range(1, len(requests)):
+                tied = arrivals.copy()
+                tied[k] = (finish[k - 1] if toward is None
+                           else np.nextafter(finish[k - 1], toward))
+                got, run = _kernel_run(engine, requests, tied,
+                                       max_batch_size=1)
+                assert run.kernel
+                assert got == _scalar_json(engine, requests, tied,
+                                           max_batch_size=1)
+                repairs += run.boundary_repairs
+        assert repairs > 0
+
+    @pytest.mark.parametrize("guess", ["all-resets", "no-resets"])
+    def test_a_wrong_guess_is_repaired(self, engine, monkeypatch, guess):
+        requests, arrivals = _stream(8, n=50, gap_s=2.0)
+        monkeypatch.setattr(
+            vector_run, "_guess_resets",
+            lambda service, ready, carry: np.full(ready.shape[0],
+                                                  guess == "all-resets"))
+        got, run = _kernel_run(engine, requests, arrivals, max_batch_size=1)
+        assert run.boundary_repairs > 0
+        assert got == _scalar_json(engine, requests, arrivals,
+                                   max_batch_size=1)
+
+
+class TestKVCheck:
+    """The kernel's one upfront KV test equals the epoch loop's hazard."""
+
+    @staticmethod
+    def _sim(engine, tokens, max_batch_size, mode="auto"):
+        model = get_model(MODEL)
+        cache = PagedKVCache(KVCacheConfig(
+            bytes_per_token=model.kv_bytes_per_token,
+            capacity_bytes=model.kv_bytes_per_token * tokens))
+        return ServingSimulator(engine, max_batch_size=max_batch_size,
+                                kv_cache=cache, mode=mode)
+
+    @pytest.mark.parametrize("max_batch_size", [1, 2])
+    def test_outgrowing_the_pool_falls_back(self, engine, max_batch_size):
+        # 256 tokens of pool: the third request's final context
+        # (200 + 64) does not fit, though its prompt does.
+        requests = [GenerationRequest(0, 100, 32), GenerationRequest(1, 50, 8),
+                    GenerationRequest(2, 200, 64)]
+        arrivals = np.array([0.0, 50.0, 100.0])
+        sim = self._sim(engine, 256, max_batch_size)
+        run = VectorServingRun(sim, arrays=RequestArrays(requests, arrivals))
+        with pytest.raises(VectorFallback):
+            run.execute()
+        assert run.kernel == (max_batch_size == 1)
+        auto = self._sim(engine, 256, max_batch_size)
+        report = auto.run(requests, arrivals)
+        assert auto.last_mode == "scalar"
+        scalar = self._sim(engine, 256, max_batch_size, mode="scalar")
+        assert report.to_json() == scalar.run(requests, arrivals).to_json()
+
+    def test_an_exact_fit_stays_on_the_kernel(self, engine):
+        # Final context 240 + 16 = 256 tokens: exactly the pool.
+        requests = [GenerationRequest(0, 240, 16), GenerationRequest(1, 30, 9)]
+        arrivals = np.array([0.0, 0.5])
+        sim = self._sim(engine, 256, 1)
+        run = VectorServingRun(sim, arrays=RequestArrays(requests, arrivals))
+        got = run.execute().to_json()
+        assert run.kernel
+        scalar = self._sim(engine, 256, 1, mode="scalar")
+        assert got == scalar.run(requests, arrivals).to_json()
+
+
+class TestShapes:
+    """Span caps and degenerate shares, byte for byte."""
+
+    @pytest.mark.parametrize("span", [1, 7])
+    def test_max_span_steps(self, engine, span):
+        requests, arrivals = _stream(3)
+        got, run = _kernel_run(engine, requests, arrivals, max_batch_size=1,
+                               max_span_steps=span)
+        assert run.kernel
+        assert got == _scalar_json(engine, requests, arrivals,
+                                   max_batch_size=1, max_span_steps=span)
+
+    def test_empty_share(self, engine):
+        got, run = _kernel_run(engine, [], np.zeros(0), max_batch_size=1)
+        assert run.kernel and run.now == 0.0 and run.energy == 0.0
+        assert got == _scalar_json(engine, [], np.zeros(0), max_batch_size=1)
+
+    @pytest.mark.parametrize("output", [1, 57])
+    def test_single_request(self, engine, output):
+        requests = [GenerationRequest(0, 123, output)]
+        arrivals = np.array([4.25])
+        got, _ = _kernel_run(engine, requests, arrivals, max_batch_size=1)
+        assert got == _scalar_json(engine, requests, arrivals,
+                                   max_batch_size=1)
+
+    def test_one_token_outputs(self, engine):
+        requests, arrivals = _stream(9, n=30, gap_s=0.05)
+        requests = [GenerationRequest(r.request_id, r.prompt_tokens, 1)
+                    for r in requests]
+        got, _ = _kernel_run(engine, requests, arrivals, max_batch_size=1)
+        assert got == _scalar_json(engine, requests, arrivals,
+                                   max_batch_size=1)
+
+    def test_zero_stop_takes_one_step(self, engine):
+        # Population columns may carry stop 0; the epoch loop then runs
+        # one single-token epoch, and so must the kernel.
+        rng = np.random.default_rng(2)
+        n = 25
+        columns = (np.arange(n), rng.integers(16, 400, n),
+                   rng.integers(0, 3, n), np.cumsum(rng.exponential(0.2, n)))
+        runs = []
+        for kernel in (True, False):
+            sim = ServingSimulator(engine, max_batch_size=1)
+            run = VectorServingRun(
+                sim, arrays=RequestArrays.from_columns(*columns))
+            if kernel:
+                run.execute_arrays()
+            else:
+                run._run_loop()
+            runs.append(run)
+        fast, loop = runs
+        assert fast.kernel and not loop.kernel
+        for name in ("start_s", "finish_s", "prefill_s", "context"):
+            assert (getattr(fast.arrays, name).tobytes()
+                    == getattr(loop.arrays, name).tobytes())
+        assert (fast.now, fast.energy) == (loop.now, loop.energy)
+        assert fast._done == loop._done
+
+
+class TestEpochLoopStays:
+    """Only batch-1 FCFS takes the kernel."""
+
+    @pytest.mark.parametrize("policy,max_batch_size,kernel", [
+        ("fcfs", 1, True), ("edf", 1, False), ("fcfs", 2, False)])
+    def test_dispatch(self, engine, policy, max_batch_size, kernel):
+        requests, arrivals = _stream(4, n=20)
+        sim = ServingSimulator(engine, max_batch_size=max_batch_size,
+                               policy=policy)
+        run = VectorServingRun(sim, arrays=RequestArrays(
+            requests, arrivals, np.full(len(requests), 30.0)))
+        run.execute()
+        assert run.kernel is kernel
+
+
+class TestFleetPaths:
+    """The fleet drain: object reports, shared pricing, every executor."""
+
+    def test_objects_path_runs_the_kernel(self, monkeypatch):
+        calls = []
+        drain = VectorServingRun._drain_busy_periods
+
+        def spy(run):
+            calls.append(run.arrays.n)
+            return drain(run)
+
+        monkeypatch.setattr(VectorServingRun, "_drain_busy_periods", spy)
+        reports = {}
+        for mode in ("auto", "scalar"):
+            gateway = FleetGateway(build_fleet(4, max_batch_size=1),
+                                   policy="round-robin", mode=mode)
+            stream = poisson_stream(np.random.default_rng(6), 0.8, 60)
+            reports[mode] = gateway.run(stream).to_json()
+            assert gateway.last_mode == mode.replace("auto", "vector")
+        assert reports["auto"] == reports["scalar"]
+        assert sorted(calls) == [15, 15, 15, 15]
+
+    def test_executors_agree_with_shared_pricing(self):
+        config = PopulationConfig(requests=300, mean_turns=5.0, users=80,
+                                  base_sessions_per_s=0.5,
+                                  peak_sessions_per_s=0.7, period_s=600.0)
+        trace = population_trace(np.random.default_rng(3), config)
+        reports = []
+        for jobs, executor in ((1, "thread"), (3, "thread"), (3, "process")):
+            # Six devices over two power modes: three shares per spec.
+            gateway = FleetGateway(
+                build_fleet(6, max_batch_size=1, prefix_cache_mb=8.0),
+                policy="prefix-affinity",
+                health=HealthConfig(latency_spike_s=3600.0))
+            reports.append(gateway.run_trace(trace, jobs=jobs,
+                                             executor=executor).to_json())
+            assert gateway.last_mode == "vector"
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_threads_race_on_one_pricing(self):
+        """More threads than cores fill and grow one shared table at
+        once, with a tiny switch interval; every price must still equal
+        a single-threaded reference's, bit for bit."""
+        spec = DeviceSpec(name="d", max_batch_size=1)
+        shared = FleetDevice(spec).simulator.pricing
+        reference = FleetDevice(spec).simulator.pricing
+        rng = np.random.default_rng(0)
+        jobs = [(int(first), int(steps)) for first, steps in zip(
+            rng.integers(1, 3000, 96), rng.integers(1, 2500, 96))]
+
+        def price(job):
+            first, steps = job
+            seconds, watts = shared.span(1, first, 1, steps)
+            return (seconds.copy(), watts.copy(),
+                    shared.prefill(first + 1, first // 2))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(price, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for (first, steps), (seconds, watts, prefill) in zip(jobs, results):
+            want_s, want_w = reference.span(1, first, 1, steps)
+            assert seconds.tobytes() == want_s.tobytes()
+            assert watts.tobytes() == want_w.tobytes()
+            assert prefill == reference.prefill(first + 1, first // 2)

@@ -3,16 +3,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.engine import InferenceEngine
 from repro.engine.kv_cache import KVCacheConfig, PagedKVCache
 from repro.engine.request import GenerationRequest
-from repro.engine.server import ResilienceReport, ServingSimulator
+from repro.engine.server import ResilienceReport, ServingSimulator, _ServingRun
 from repro.faults.degradation import DegradationPolicy
 from repro.faults.injector import FaultInjector, FaultScheduleConfig
 from repro.generation.control import hard_budget
 from repro.hardware.thermal import ThermalConfig
 from repro.models.registry import get_model
+from repro.workloads.arrivals import poisson_arrivals
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +99,72 @@ class TestPreemption:
         assert report.preemptions >= 1
         assert cache.used_blocks == 0
         assert cache.reserved_blocks == 0
+
+
+def _bounded_run(sim, requests, arrivals):
+    """Serve with a cap on decode epochs: ``sum(max(stop, 1))``.
+
+    FCFS eviction never takes the oldest live sequence, so every epoch
+    gives it a token (or fails it), and each request is the oldest for
+    at most its own stop length.  Past the cap the run is thrashing.
+    """
+    limit = sum(max(max(r.stop_lengths()), 1) for r in requests)
+    epochs = [0]
+    decode = _ServingRun._decode_epoch
+
+    def counted(run):
+        epochs[0] += 1
+        if epochs[0] > limit:
+            raise AssertionError(f"no progress after {limit} decode epochs")
+        decode(run)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_ServingRun, "_decode_epoch", counted)
+        return sim.run(requests, arrivals)
+
+
+class TestPreemptionProgress:
+    """KV thrash: two sequences must not evict each other forever."""
+
+    @pytest.mark.parametrize("mode", ["scalar", "auto"])
+    def test_batch2_thrash_repro_terminates(self, engine, mode):
+        rng = np.random.default_rng(2)
+        n = 40
+        prompt = rng.integers(16, 601, n)
+        output = rng.integers(2, 261, n)
+        arrivals = poisson_arrivals(rng, 2.5, n)
+        requests = [GenerationRequest(i, int(prompt[i]), int(output[i]))
+                    for i in range(n)]
+        model = engine.model
+        cache = PagedKVCache(KVCacheConfig(
+            bytes_per_token=model.kv_bytes_per_token, capacity_bytes=32e6))
+        sim = ServingSimulator(engine, max_batch_size=2, kv_cache=cache,
+                               mode=mode)
+        report = _bounded_run(sim, requests, arrivals)
+        assert sim.last_mode == "scalar"
+        assert report.completed == n
+        assert report.preemptions > 0
+        assert cache.used_blocks == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**16),
+           kv_tokens=st.integers(min_value=64, max_value=1500),
+           max_batch_size=st.integers(min_value=1, max_value=4),
+           n=st.integers(min_value=1, max_value=14))
+    def test_every_run_ends_within_its_epoch_bound(self, engine, seed,
+                                                   kv_tokens, max_batch_size,
+                                                   n):
+        rng = np.random.default_rng(seed)
+        prompt = rng.integers(8, 400, n)
+        output = rng.integers(1, 200, n)
+        requests = [GenerationRequest(i, int(prompt[i]), int(output[i]))
+                    for i in range(n)]
+        arrivals = poisson_arrivals(rng, float(rng.uniform(0.5, 20.0)), n)
+        sim = ServingSimulator(engine, max_batch_size=max_batch_size,
+                               kv_cache=_tiny_cache(engine, kv_tokens),
+                               mode="scalar")
+        report = _bounded_run(sim, requests, arrivals)
+        assert report.completed + report.failed + report.shed == n
 
 
 class TestRetries:
