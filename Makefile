@@ -90,11 +90,12 @@ perf:
 	$(PYTHON) -m repro perf --check --out $(OUTPUT)
 
 ## 100k-scale vector event-loop gates only: the scalar/vector speedup
-## ratio floor (>=10x, machine-independent) and the 100k-request,
-## 64-device run's hard wall-clock budget.
+## ratio floors (batch 1 >=10x, batch 8 >=15x, machine-independent)
+## and the 100k-request, 64-device run's hard wall-clock budget.
 perf-100k:
 	$(PYTHON) -m repro perf --check \
-	    --only fleet_vector_speedup,fleet_100k --out $(OUTPUT)
+	    --only fleet_vector_speedup,fleet_batched_vector_speedup,fleet_100k \
+	    --out $(OUTPUT)
 
 ## Population-scale gates only: the streaming-trace vs scalar-oracle
 ## routing speedup floor (>=3x, per-request normalized) and the

@@ -107,34 +107,37 @@ class Pricing:
                 self._prefill[key] = cost
         return cost
 
-    def span(self, batch: int, ctx_sum: int, gen_sum: int,
-             steps: int) -> tuple[np.ndarray, np.ndarray]:
+    def span(self, batch: int, ctx_sum: int, gen_sum: int, steps: int,
+             stride: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(seconds, watts) of ``steps`` steps of a stable batch with
         summed context ``ctx_sum`` and summed generated count (this
         step's token included) ``gen_sum``; pure pricing only.  One step
-        is a one-key table read.  The arrays may be views into the
-        tables: read them, never write them."""
+        is a one-key table read.  ``stride=1`` reads ``steps``
+        consecutive keys of each table instead of one span's keys (step
+        ``j`` of a span is key ``+ batch*j``).  The arrays may be views
+        into the tables: read them, never write them."""
         engine = self.engine
+        stride = batch if stride is None else stride
         base = self._lookup(
-            self.tables[0], batch, ctx_sum, steps,
+            self.tables[0], batch, ctx_sum, steps, stride,
             lambda k: engine.kernels.decode_step_seconds(
                 engine.profile, k / batch, batch))
         # Clamping at ``batch`` is the direct path's max(mean, 1.0).
         power = self._lookup(
-            self.tables[1], batch, gen_sum, steps,
+            self.tables[1], batch, gen_sum, steps, stride,
             lambda k: engine.power.decode_power(np.maximum(k, batch) / batch,
                                                 batch))
         return base, power
 
     @staticmethod
     def _lookup(table: dict[int, np.ndarray], batch: int, first: int,
-                steps: int, price) -> np.ndarray:
-        """Prices of the grid keys ``first + batch*j`` for ``j < steps``:
+                steps: int, stride: int, price) -> np.ndarray:
+        """Prices of the grid keys ``first + stride*j`` for ``j < steps``:
         a strided slice of the dense per-batch table, where
         ``price(keys)`` fills each never-seen key once."""
-        last = first + batch * (steps - 1)
+        last = first + stride * (steps - 1)
         if last >= _TABLE_KEY_LIMIT:
-            return np.asarray(price(np.arange(first, last + 1, batch)),
+            return np.asarray(price(np.arange(first, last + 1, stride)),
                               dtype=np.float64)
         tbl = table.get(batch)
         if tbl is None or last >= tbl.shape[0]:
@@ -143,9 +146,9 @@ class Pricing:
             if tbl is not None:
                 grown[:tbl.shape[0]] = tbl
             table[batch] = tbl = grown
-        vals = tbl[first:last + 1:batch]
+        vals = tbl[first:last + 1:stride]
         total = _sum(vals)  # nan probe: one reduction beats isnan+any
         if total != total:
-            keys = np.arange(first, last + 1, batch)[np.isnan(vals)]
+            keys = np.arange(first, last + 1, stride)[np.isnan(vals)]
             tbl[keys] = price(keys)
         return vals

@@ -55,6 +55,7 @@ from repro.engine.state import (
     RequestArrays,
     RequestState,
     RunCounters,
+    require_finite_arrivals,
 )
 from repro.workloads.arrivals import poisson_arrivals
 
@@ -399,6 +400,7 @@ class ServingSimulator:
         if self.policy == "edf" and deadlines is None:
             raise ValueError("the edf policy requires deadlines")
         arrivals = np.asarray(arrival_times, dtype=np.float64)
+        require_finite_arrivals(arrivals)
         if self.mode != "scalar":
             from repro.engine.vector_run import (
                 VectorFallback,

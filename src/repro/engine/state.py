@@ -27,6 +27,22 @@ if TYPE_CHECKING:
     from repro.engine.request import GenerationRequest
 
 
+def require_finite_arrivals(arrival_s: np.ndarray, offset: int = 0) -> None:
+    """Raise ``ValueError`` naming the first non-finite arrival time.
+
+    A NaN arrival never compares as ready, so an event loop waiting on
+    it spins forever; an infinite one is never admitted, so a run ends
+    short.  Both are input errors.  ``offset`` numbers the rows of a
+    slice in its whole stream.
+    """
+    bad = np.flatnonzero(~np.isfinite(arrival_s))
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(f"arrival time of row {row + offset} is "
+                         f"{float(arrival_s[row])}; arrival times must be "
+                         "finite")
+
+
 @dataclass(eq=False)
 class LiveSequence:
     """One sequence currently holding a decode slot (scalar core)."""
@@ -139,6 +155,7 @@ class RequestArrays:
         self.arrival_s = np.asarray(arrival_s, dtype=np.float64).copy()
         if self.arrival_s.shape != (n,):
             raise ValueError("arrival_s must align with request_id")
+        require_finite_arrivals(self.arrival_s)
         self.ready_s = self.arrival_s.copy()
         if deadlines is None:
             self.deadline_s = np.full(n, np.nan)

@@ -39,15 +39,27 @@ the free pool — never touching the real allocator — and raises
 ``KVCacheExhausted``; the caller then reruns the whole workload on the
 scalar path, which is deterministic and therefore safe to restart.
 
-At batch 1 under FCFS the run skips the epoch loop altogether and
-drains the whole population in a few numpy passes per chunk (the
-busy-period kernel, :meth:`VectorServingRun._drain_busy_periods`): a
-batch-1 FCFS server is a single-server queue, ``start_k = max(ready_k,
-finish_{k-1})``, and inside a busy period the clock is one sequential
-``cumsum`` over the period's prefill and decode steps — the epoch
-loop's ``now +=`` chain, bit for bit.  The KV hazard is static there:
-a request whose final context outgrows the free pool raises
-:class:`VectorFallback` up front.
+Under FCFS the run skips the epoch loop altogether:
+
+* at batch 1 it drains the whole population in a few numpy passes per
+  chunk (the busy-period kernel, :meth:`VectorServingRun.
+  _drain_busy_periods`): a batch-1 FCFS server is a single-server
+  queue, ``start_k = max(ready_k, finish_{k-1})``, and inside a busy
+  period the clock is one sequential ``cumsum`` over the period's
+  prefill and decode steps — the epoch loop's ``now +=`` chain, bit
+  for bit.  The KV hazard is static there: a request whose final
+  context outgrows the free pool raises :class:`VectorFallback` up
+  front;
+* above batch 1, when a full batch of the largest requests fits the
+  free pool (so no KV branch can fire), the batched kernel
+  (:meth:`VectorServingRun._drain_batched`) walks the loop's events in
+  Python on a guessed clock, prices every step with one gather per
+  chunk, takes energy, stall and the clock from sequential ``cumsum``
+  passes shared with the batch-1 kernel, and verifies every decision
+  that read the clock against the exact clocks, rerunning a wrong
+  guess exactly.
+
+EDF runs and batches that could meet KV pressure keep the epoch loop.
 
 Outcomes land in the :class:`~repro.engine.state.RequestArrays` outcome
 columns.  :meth:`VectorServingRun.execute_arrays` returns those columns
@@ -62,9 +74,11 @@ per-prefill memory-traffic counters (both are invisible in reports).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
-from typing import TYPE_CHECKING
+from array import array
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -76,8 +90,9 @@ if TYPE_CHECKING:
     from repro.engine.server import ResilienceReport, ServingSimulator
 
 
-#: Steps (prefills included) per chunk of the batch-1 kernel.  Chunks
-#: hold whole requests, so temporaries stay bounded at any share size.
+#: Steps (prefills included) per chunk of the busy-period kernels, so
+#: temporaries stay bounded at any share size.  Batch-1 chunks hold
+#: whole requests; batched chunks end with the first epoch past it.
 _CHUNK_STEPS = 1 << 16
 
 
@@ -109,25 +124,20 @@ def _guess_resets(service: np.ndarray, ready: np.ndarray,
     return ready > np.concatenate(([carry], finish[:-1]))
 
 
-def _period_clocks(steps: np.ndarray, off: np.ndarray, ready: np.ndarray,
-                   reset: np.ndarray, carry: float
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact ``(start, finish)`` clocks of consecutive batch-1 requests.
+def _segment_clocks(steps: np.ndarray, first: np.ndarray,
+                    begin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact running clocks of consecutive periods of ``steps``.
 
-    Request ``k`` owns ``steps[off[k]:off[k+1]]`` (its prefill, then its
-    decode steps).  It opens a busy period at ``ready[k]`` when
-    ``reset[k]``, else it starts at its predecessor's finish (``carry``
-    for the first).  Each period becomes one row ``[start, steps...]``,
+    Period ``i`` owns ``steps[first[i]:first[i+1]]`` and starts at
+    ``begin[i]``.  Each period becomes one row ``[begin, steps...]``,
     zero-padded to a power-of-two width; rows of one width form a 2-D
     slab whose ``cumsum(axis=1)`` adds every row strictly left to right
     — the epoch loop's ``now +=`` chain — and padding only ever follows
-    the values read back.
+    the values read back.  Returns ``(clock, dest)``: ``clock[dest[t]]``
+    is the clock after step ``t`` and ``clock[dest[t] - 1]`` the clock
+    before it (its period's start at a period's first step).
     """
-    opens = reset.copy()
-    opens[0] = True
-    heads = np.flatnonzero(opens)
-    first = off[heads]
-    length = np.diff(first, append=off[-1])
+    length = np.diff(first, append=steps.shape[0])
     # frexp's exponent e has length < 2**e: room for the start value.
     width = np.left_shift(1, np.frexp(length)[1], dtype=np.int64)
     rank = np.argsort(width, kind="stable")
@@ -136,8 +146,8 @@ def _period_clocks(steps: np.ndarray, off: np.ndarray, ready: np.ndarray,
     row = np.empty_like(row_sorted)
     row[rank] = row_sorted
     clock = np.zeros(int(row_sorted[-1] + sorted_width[-1]))
-    clock[row] = np.where(reset[heads], ready[heads], carry)
-    dest = np.repeat(row + 1 - first, length) + np.arange(off[-1])
+    clock[row] = begin
+    dest = np.repeat(row + 1 - first, length) + np.arange(steps.shape[0])
     clock[dest] = steps
     bounds = np.flatnonzero(np.diff(sorted_width, append=0)) + 1
     lo = 0
@@ -147,7 +157,117 @@ def _period_clocks(steps: np.ndarray, off: np.ndarray, ready: np.ndarray,
         slab = clock[int(row_sorted[lo]):stop].reshape(-1, w)
         slab.cumsum(axis=1, out=slab)
         lo = hi
+    return clock, dest
+
+
+def _period_clocks(steps: np.ndarray, off: np.ndarray, ready: np.ndarray,
+                   reset: np.ndarray, carry: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ``(start, finish)`` clocks of consecutive batch-1 requests.
+
+    Request ``k`` owns ``steps[off[k]:off[k+1]]`` (its prefill, then its
+    decode steps).  It opens a busy period at ``ready[k]`` when
+    ``reset[k]``, else it starts at its predecessor's finish (``carry``
+    for the first); the periods run through :func:`_segment_clocks`.
+    """
+    opens = reset.copy()
+    opens[0] = True
+    heads = np.flatnonzero(opens)
+    clock, dest = _segment_clocks(
+        steps, off[heads], np.where(reset[heads], ready[heads], carry))
     return clock[dest[off[:-1]] - 1], clock[dest[off[1:] - 1]]
+
+
+def _gather(stride: np.ndarray, length: np.ndarray,
+            *tables: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+    """Read runs of flat price tables, one gather per table.
+
+    Run ``s`` reads ``length[s]`` entries from index ``first[s]`` in
+    steps of ``stride[s]`` (0 repeats one entry); each ``(flat, first)``
+    pair gives one array of every run's reads, runs concatenated.  The
+    index is one integer ``cumsum`` of the strides, with each run's
+    first entry jumping from the previous run's last.
+    """
+    step = np.repeat(stride, length)
+    heads = np.cumsum(length) - length
+    back = stride * (length - 1)
+    out = []
+    for flat, first in tables:
+        index = step.copy()
+        index[heads] = first - np.concatenate(([0], (first + back)[:-1]))
+        out.append(flat[np.cumsum(index, out=index)])
+    return out
+
+
+def _accumulate(total: float, a: np.ndarray, b: np.ndarray) -> float:
+    """``total`` plus every ``a[j] * b[j]``, added strictly left to right
+    (one sequential ``cumsum``: the epoch loop's ``+=`` chain)."""
+    path = np.empty(a.shape[0] + 1)
+    path[0] = total
+    np.multiply(a, b, out=path[1:])
+    return float(np.add.accumulate(path, out=path)[-1])
+
+
+def _prefix_estimates(seconds: np.ndarray, base: list[int],
+                      lo: list[int], hi: list[int]
+                      ) -> tuple[array, list[tuple[int, int, int]]]:
+    """Per-batch strided prefix sums of the decode seconds: the clock
+    guess of :meth:`VectorServingRun._schedule`.
+
+    A span of batch ``b`` from context key ``c`` reads keys ``c + b*j``:
+    one residue class mod ``b``.  So batch ``b``'s keys ``lo..hi``
+    (at ``seconds[base[b] + key]``) are laid out one residue per row,
+    and row ``r`` holds the exclusive prefix sums of its keys.  Returns
+    the rows flattened into one array and, per batch, ``(lo, row width,
+    offset)``: key ``c`` sits at ``offset + ((c-lo) % b) * width +
+    (c-lo) // b``, and ``m`` steps from it sum to the entry ``m``
+    further on minus its own.  A float guess: callers verify.
+    """
+    parts = []
+    index = [(0, 0, 0)]
+    at = 0
+    for b in range(1, len(lo)):
+        keys = seconds[base[b] + lo[b]:base[b] + hi[b] + 1]
+        cols = -(-keys.shape[0] // b)
+        grid = np.zeros(cols * b)
+        grid[:keys.shape[0]] = keys
+        rows = np.zeros((b, cols + 1))
+        np.cumsum(grid.reshape(cols, b).T, axis=1, out=rows[:, 1:])
+        parts.append(rows.ravel())
+        index.append((lo[b], cols + 1, at))
+        at += rows.size
+    # An array.array, not a list: Python floats on read for ``bisect``
+    # at 8 bytes an entry.
+    return array("d", np.concatenate(parts).tobytes()), index
+
+
+class _Chunk(NamedTuple):
+    """One chunk's records from :meth:`VectorServingRun._schedule`.
+
+    Columns count steps from the chunk's start (column ``c`` is the
+    clock after ``c`` steps); iterations count from 0 per chunk.
+    """
+
+    #: Step runs in order, read by :func:`_gather`: per run the first
+    #: flat seconds and watts index, the key stride, the step count.
+    ctx_first: list[int]
+    gen_first: list[int]
+    stride: list[int]
+    length: list[int]
+    #: Arrivals the walk left waiting: (column, admission, iteration).
+    wait_col: list[int]
+    wait_p: list[int]
+    wait_it: list[int]
+    #: Per admission: prefill column, iteration, live count it stalled.
+    adm_col: list[int]
+    adm_it: list[int]
+    adm_live: list[int]
+    #: Finished admissions in finish order and the column after each.
+    fin: list[int]
+    fin_col: list[int]
+    #: Idle jumps: the column where the clock resets, and its value.
+    reset_col: list[int]
+    reset_val: list[float]
 
 
 class _VecSeq:
@@ -480,6 +600,38 @@ class VectorServingRun:
             reset[lo] = not reset[lo]
             self.boundary_repairs += 1
 
+    def _decode_grids(self, prefill: np.ndarray, lo: list[int],
+                      hi: list[int], gen_hi: list[int]
+                      ) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
+        """Flat ``(seconds, watts)`` price tables for the kernels' gathers.
+
+        Entry ``k < n`` of each is admission ``k``'s prefill.  After
+        them, for each batch ``b >= 1`` (list index ``b``; index 0 is
+        unused), a dense grid of the pricing tables: context keys
+        ``lo[b]..hi[b]`` and generated keys ``b..gen_hi[b]``, filled
+        once through :meth:`~repro.engine.pricing.Pricing.span` (only
+        never-seen keys are priced).  A decode step of batch ``b`` at
+        keys ``(ctx, gen)`` reads ``seconds[ctx_base[b] + ctx]`` and
+        ``watts[gen_base[b] + gen]``; returns ``(seconds, watts,
+        ctx_base, gen_base)``.
+        """
+        seconds, watts = [prefill[0]], [prefill[1]]
+        ctx_base, gen_base = [0], [0]
+        ctx_end = gen_end = prefill.shape[1]
+        for batch in range(1, len(lo)):
+            ctx_keys = hi[batch] - lo[batch] + 1
+            gen_keys = gen_hi[batch] - batch + 1
+            grid_s, grid_w = self.pricing.span(
+                batch, lo[batch], batch, max(ctx_keys, gen_keys), stride=1)
+            seconds.append(grid_s[:ctx_keys])
+            watts.append(grid_w[:gen_keys])
+            ctx_base.append(ctx_end - lo[batch])
+            gen_base.append(gen_end - batch)
+            ctx_end += ctx_keys
+            gen_end += gen_keys
+        return (np.concatenate(seconds), np.concatenate(watts), ctx_base,
+                gen_base)
+
     def _drain_busy_periods(self) -> None:
         """Serve a batch-1 FCFS population without the epoch loop.
 
@@ -507,9 +659,17 @@ class VectorServingRun:
         if int(((final + block - 1) // block).max()) > self._free:
             raise VectorFallback("KV exhaustion: a request outgrows the pool")
         prefill = self._prefill_prices(prompt)
-        lo = int(prompt.min())
-        seconds, power = self.pricing.span(
-            1, lo, 1, max(int(final.max()) - lo, int(count.max())))
+        seconds, watts, ctx_base, gen_base = self._decode_grids(
+            prefill, [0, int(prompt.min())], [0, int(final.max()) - 1],
+            [0, int(count.max())])
+        # Two runs per request: its prefill, then its decode steps.
+        stride = np.tile(np.array([0, 1]), n)
+        length = np.ones(2 * n, dtype=np.int64)
+        length[1::2] = count
+        ctx_first = np.repeat(np.arange(n), 2)
+        gen_first = ctx_first.copy()
+        ctx_first[1::2] = ctx_base[1] + prompt
+        gen_first[1::2] = gen_base[1] + 1
         size = count + 1
         ends = np.cumsum(size)
         energy = 0.0
@@ -519,20 +679,13 @@ class VectorServingRun:
             done = int(ends[a - 1]) if a else 0
             b = max(int(np.searchsorted(ends, done + _CHUNK_STEPS,
                                         side="right")), a + 1)
-            c = size[a:b]
             off = np.zeros(b - a + 1, dtype=np.int64)
-            np.cumsum(c, out=off[1:])
-            heads = off[:-1]
-            # Per step: the decode index j, and -1 at each prefill.
-            gen = np.arange(off[-1]) - np.repeat(heads + 1, c)
-            steps = seconds[gen + np.repeat(prompt[a:b] - lo, c)]
-            watts = power[gen]
-            steps[heads] = prefill[0, a:b]
-            watts[heads] = prefill[1, a:b]
-            path = np.empty(off[-1] + 1)
-            path[0] = energy
-            np.multiply(steps, watts, out=path[1:])
-            energy = float(np.add.accumulate(path, out=path)[-1])
+            np.cumsum(size[a:b], out=off[1:])
+            runs = slice(2 * a, 2 * b)
+            steps, step_watts = _gather(
+                stride[runs], length[runs], (seconds, ctx_first[runs]),
+                (watts, gen_first[runs]))
+            energy = _accumulate(energy, steps, step_watts)
             start, finish = self._exact_clocks(steps, off, ready[a:b], now)
             arrays.start_s[order[a:b]] = start
             arrays.finish_s[order[a:b]] = finish
@@ -544,18 +697,258 @@ class VectorServingRun:
         self.energy = energy
         self._done = order.tolist()
 
+    # -- the batched busy-period kernel --------------------------------
+    def _kv_fits_statically(self) -> bool:
+        """Whether ``max_batch_size`` requests at their largest final
+        context fit the free pool together: the batched kernel's bound.
+
+        Proof that the epoch loop then never touches KV pressure: a live
+        sequence holds ``blocks_for(context)`` blocks and its context
+        never exceeds its final ``prompt + max(stop, 1)``, so at most
+        ``max_batch_size`` live sequences hold at most the bound, hence
+        at most the pool, at every instant — before and after any growth
+        of up to their remaining steps.  So an admission (the others hold
+        at most ``(max_batch_size - 1)`` maxima) always finds its prompt's
+        blocks, ``span_growth_cap`` always returns the whole span, and a
+        single step that opens a block always finds one free: no branch
+        of the loop that reads the allocator can fire.
+        """
+        arrays = self.arrays
+        if not arrays.n:
+            return True
+        final = int((arrays.prompt_tokens
+                     + np.maximum(arrays.stop_tokens, 1)).max())
+        return self.sim.max_batch_size * self.kv.blocks_for(final) <= self._free
+
+    def _drain_batched(self) -> None:
+        """Serve a batch > 1 FCFS population without the epoch loop.
+
+        FCFS admits in the fixed :meth:`admission_order`, and under
+        :meth:`_kv_fits_statically` nothing else reads the allocator, so
+        the run is a pure function of the clock decisions.  Each chunk
+        of about ``_CHUNK_STEPS`` steps runs three passes:
+
+        * **schedule** (:meth:`_schedule`): a lean walk over admissions,
+          arrival cuts, completions and idle jumps with the loop's exact
+          integer bookkeeping and a float guess of the clock;
+        * **exact**: one gather prices every step (:func:`_gather`);
+          energy is one sequential ``cumsum`` carried across chunks
+          (:func:`_accumulate`), and the clock is
+          :func:`_segment_clocks` with a period reset at each idle jump;
+        * **verify and repair**: every decision that read the clock is
+          checked against the exact clocks — each admission must be
+          ready by its start, each arrival left waiting (the last step
+          of a span that was not cut, a jump, the end of an admission
+          run) must still be ahead of the clock.  The first iteration
+          holding a wrong guess is rerun on the exact clock and the
+          chunk rescheduled (``boundary_repairs`` counts these).
+
+        ``prefill_stall_s`` is one more sequential ``cumsum``: each
+        prefill times the live count that waited on it.
+        """
+        self.kernel = True
+        arrays = self.arrays
+        n = arrays.n
+        if not n:
+            return
+        order = self._order
+        ready = self._ready_sorted
+        prompt = arrays.prompt_tokens[order]
+        count = np.maximum(arrays.stop_tokens[order], 1)
+        final = prompt + count
+        prefill = self._prefill_prices(prompt)
+        # Key bounds per batch size b: the live contexts sum at least the
+        # b smallest prompts and at most the b largest contexts before a
+        # last step; the generated counts sum at most the b largest.
+        top = min(self.sim.max_batch_size, n)
+        lo = [0] + np.cumsum(np.sort(prompt)[:top]).tolist()
+        hi = [0] + np.cumsum(np.sort(final)[::-1][:top] - 1).tolist()
+        gen_hi = [0] + np.cumsum(np.sort(count)[::-1][:top]).tolist()
+        seconds, watts, ctx_base, gen_base = self._decode_grids(
+            prefill, lo, hi, gen_hi)
+        guess, guess_at = _prefix_estimates(seconds, ctx_base, lo, hi)
+        columns = (ready.tolist(), prefill[0].tolist(), prompt.tolist(),
+                   final.tolist(), count.tolist(), seconds, watts, ctx_base,
+                   gen_base, guess, guess_at)
+        waited = np.empty(n)
+        done: list[int] = []
+        energy = now = 0.0
+        # (next admission, decode steps so far, live heap, summed
+        # context, summed prompt, clock)
+        state = (0, 0, [], 0, 0, 0.0)
+        while state[0] < n or state[2]:
+            forced: set[int] = set()
+            exact = None
+            while True:
+                chunk, after = self._schedule(state, columns, forced, exact)
+                steps, step_watts = _gather(
+                    np.array(chunk.stride), np.array(chunk.length),
+                    (seconds, np.array(chunk.ctx_first)),
+                    (watts, np.array(chunk.gen_first)))
+                clock, dest = _segment_clocks(
+                    steps, np.array([0] + chunk.reset_col),
+                    np.array([now] + chunk.reset_val))
+                p0, p1 = state[0], after[0]
+                start = clock[dest[np.array(chunk.adm_col, dtype=np.int64)]
+                              - 1]
+                wait_col = np.array(chunk.wait_col, dtype=np.int64)
+                wait_clock = np.where(wait_col > 0, clock[dest[wait_col - 1]],
+                                      now)
+                wrong = np.concatenate((
+                    np.array(chunk.adm_it, dtype=np.int64)[
+                        ready[p0:p1] > start],
+                    np.array(chunk.wait_it, dtype=np.int64)[
+                        ready[np.array(chunk.wait_p, dtype=np.int64)]
+                        <= wait_clock]))
+                if not wrong.size:
+                    break
+                forced.add(int(wrong.min()))
+                self.boundary_repairs += 1
+                exact = (lambda col, clock=clock, dest=dest, carry=now:
+                         carry if col == 0 else float(clock[dest[col - 1]]))
+            energy = _accumulate(energy, steps, step_watts)
+            arrays.start_s[order[p0:p1]] = start
+            arrays.finish_s[order[chunk.fin]] = clock[
+                dest[np.array(chunk.fin_col, dtype=np.int64) - 1]]
+            waited[p0:p1] = chunk.adm_live
+            done += chunk.fin
+            now = float(clock[dest[-1]])
+            state = after[:5] + (now,)
+        arrays.prefill_s[order] = prefill[0]
+        arrays.context[order] = final
+        self.now = now
+        self.energy = energy
+        self.prefill_stall_s = _accumulate(0.0, prefill[0], waited)
+        self._done = order[done].tolist()
+
+    def _schedule(self, state: tuple, columns: tuple, forced: set[int],
+                  exact) -> tuple[_Chunk, tuple]:
+        """The schedule pass: walk one chunk of the epoch loop's events.
+
+        Replays :meth:`_run_loop` from ``state`` with the same integer
+        bookkeeping — a heap of ``finish step * n + admission`` keys
+        stands in for the live list (ties pop in admission order, the
+        loop's finish order) — but no numpy call: the clock is a float
+        guess advanced by :func:`_prefix_estimates` differences, and an
+        arrival cut is a ``bisect`` in them.  Iterations (a decode span,
+        then admissions, then any idle jump) listed in ``forced`` start
+        from ``exact(col)``, the verified clock, and price their span
+        exactly with :func:`~repro.engine.pricing.integrate_span`, so a
+        repaired decision cannot go wrong twice.  Stops at the end of
+        the first iteration past ``_CHUNK_STEPS`` steps or when every
+        request is done; returns the chunk's :class:`_Chunk` records and
+        the state after it.
+        """
+        p, taken_so_far, heap, ctx, prompt_sum, now = state
+        heap = heap.copy()
+        (ready, prefill, prompt, final, count, seconds, watts, ctx_base,
+         gen_base, guess, guess_at) = columns
+        n = len(ready)
+        max_batch = self.sim.max_batch_size
+        max_span = self.sim.max_span_steps
+        ctx_first, gen_first, stride, length = [], [], [], []
+        wait_col, wait_p, wait_it = [], [], []
+        adm_col, adm_it, adm_live = [], [], []
+        fin, fin_col = [], []
+        reset_col, reset_val = [], []
+        push, pop = heapq.heappush, heapq.heappop
+        col = it = 0
+        batch = len(heap)
+        while True:
+            exact_now = forced and it in forced
+            if exact_now:
+                now = exact(col)
+            if batch:
+                span = heap[0] // n - taken_so_far
+                if max_span is not None and span > max_span:
+                    span = max_span
+                c0 = ctx_base[batch] + ctx
+                g0 = gen_base[batch] + ctx - prompt_sum + batch
+                cut = batch < max_batch and p < n and span > 1
+                if exact_now:
+                    stop = c0 + batch * span
+                    taken, now, _ = integrate_span(
+                        now, 0.0, seconds[c0:stop:batch],
+                        watts[g0:g0 + batch * span:batch],
+                        ready[p] if cut else math.inf)
+                else:
+                    lo, width, at = guess_at[batch]
+                    q, r = divmod(ctx - lo, batch)
+                    i0 = at + r * width + q
+                    k = (bisect.bisect_left(guess, guess[i0] + (ready[p] - now),
+                                            i0 + 1, i0 + span)
+                         if cut else i0 + span)
+                    taken = k - i0
+                    now += guess[k] - guess[i0]
+                if cut and taken > 1:
+                    wait_col.append(col + taken - 1)
+                    wait_p.append(p)
+                    wait_it.append(it)
+                ctx_first.append(c0)
+                gen_first.append(g0)
+                stride.append(batch)
+                length.append(taken)
+                col += taken
+                taken_so_far += taken
+                ctx += batch * taken
+                bound = (taken_so_far + 1) * n
+                while heap and heap[0] < bound:
+                    a = pop(heap) % n
+                    fin.append(a)
+                    fin_col.append(col)
+                    ctx -= final[a]
+                    prompt_sum -= prompt[a]
+                batch = len(heap)
+            while True:
+                while batch < max_batch and p < n:
+                    if ready[p] > now:
+                        wait_col.append(col)
+                        wait_p.append(p)
+                        wait_it.append(it)
+                        break
+                    adm_col.append(col)
+                    adm_it.append(it)
+                    adm_live.append(batch)
+                    ctx_first.append(p)
+                    gen_first.append(p)
+                    stride.append(0)
+                    length.append(1)
+                    now += prefill[p]
+                    col += 1
+                    ctx += prompt[p]
+                    prompt_sum += prompt[p]
+                    push(heap, (taken_so_far + count[p]) * n + p)
+                    batch += 1
+                    p += 1
+                if batch or p == n:
+                    break
+                # Idle: jump the clock to the next arrival.
+                reset_col.append(col)
+                reset_val.append(ready[p])
+                now = ready[p]
+            it += 1
+            if not batch or col >= _CHUNK_STEPS:
+                break
+        return (_Chunk(ctx_first, gen_first, stride, length, wait_col,
+                       wait_p, wait_it, adm_col, adm_it, adm_live, fin,
+                       fin_col, reset_col, reset_val),
+                (p, taken_so_far, heap, ctx, prompt_sum, now))
+
     def _serve_all(self) -> RequestArrays:
         """Run to completion; every request must be served.
 
         The vector core has no drop path — KV pressure raises
         :class:`VectorFallback` instead — so a short count is a bug.
-        Batch-1 FCFS runs take the busy-period kernel (whenever every
-        ready time is finite: an infinite one never admits).
+        FCFS runs take a busy-period kernel: the batch-1 one, or the
+        batched one when :meth:`_kv_fits_statically`; EDF runs and
+        batched runs that could meet KV pressure take the epoch loop.
         """
-        ready = self._ready_sorted
-        if (self.sim.max_batch_size == 1 and not self._edf
-                and (not ready.size or math.isfinite(ready[-1]))):
+        if self._edf:
+            self._run_loop()
+        elif self.sim.max_batch_size == 1:
             self._drain_busy_periods()
+        elif self._kv_fits_statically():
+            self._drain_batched()
         else:
             self._run_loop()
         if len(self._done) != self.arrays.n:

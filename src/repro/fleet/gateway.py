@@ -99,7 +99,7 @@ import numpy as np
 
 from repro.engine.request import GenerationRequest
 from repro.engine.server import SERVING_MODES
-from repro.engine.state import RequestArrays
+from repro.engine.state import RequestArrays, require_finite_arrivals
 from repro.engine.vector_run import VectorFallback, VectorServingRun
 from repro.faults.injector import FleetFaultSchedule
 from repro.fleet.autoscale import (
@@ -1052,7 +1052,7 @@ class FleetGateway:
     def _collect_trace(self, chunks) -> dict:
         """Fold a chunk stream into assignment-ready columns.
 
-        One pass: validates ordering (arrivals nondecreasing within and
+        One pass: validates arrivals (finite, and nondecreasing within and
         across chunks) and deadline uniformity, then expands the single
         deadline into the per-request deadline column and mask that
         :meth:`_stream_columns` builds, and assigns each row its device.
@@ -1061,12 +1061,15 @@ class FleetGateway:
         deadline: float | None = None
         first = True
         prev_last = -math.inf
+        rows = 0
         for chunk in chunks:
             n = int(chunk.n)
             if n == 0:
                 continue
             arrival = np.ascontiguousarray(chunk.arrival_s,
                                            dtype=np.float64)
+            require_finite_arrivals(arrival, rows)
+            rows += n
             if float(arrival[0]) < prev_last or (
                     n > 1 and bool(np.any(np.diff(arrival) < 0))):
                 raise ValueError(
@@ -1182,6 +1185,8 @@ class FleetGateway:
         ``tiering=None`` leaves every untiered code path — and its
         reports — byte-identical.
         """
+        require_finite_arrivals(np.fromiter(
+            (item.arrival_s for item in stream), np.float64, len(stream)))
         report = self._vector(
             tiering is None and self.vector_eligible()
             and (self.policy != "prefix-affinity"

@@ -23,6 +23,9 @@ paths end to end:
   sleeps, cold wakes, and pressure ticks on the lifecycle hot path);
 * **fleet_vector_speedup** — scalar vs vector gateway on the identical
   paced stream: a *machine-independent ratio* gate (floor 10x);
+* **fleet_batched_vector_speedup** — the same ratio on a paced batch-8
+  stream, where the vector side runs the batched busy-period kernel
+  (floor 15x);
 * **fleet_100k** — the population-scale flagship: 100k requests over a
   64-device single-stream fleet on the vector fast path, with a
   wall-clock budget;
@@ -88,6 +91,11 @@ SPAN_SPEEDUP_MIN = 3.0
 #: ~20x; machine-independent because both paths run in-process).
 FLEET_VECTOR_SPEEDUP_MIN = 10.0
 
+#: Floor for the scalar/vector ratio on a paced batch-8 fleet, the
+#: batched busy-period kernel's gate (set at about half the measured
+#: ratio; in-process, so machine-independent like the batch-1 floor).
+FLEET_BATCHED_VECTOR_SPEEDUP_MIN = 15.0
+
 #: Wall-clock budget for the 100k-request flagship workload (vector
 #: mode; measured ~6s on a 1-core container).
 FLEET_100K_BUDGET_S = 30.0
@@ -130,6 +138,7 @@ WORKLOAD_CATALOG = (
     ("fleet_overload", "overload", "s"),
     ("fleet_diurnal", "diurnal", "s"),
     ("fleet_vector_speedup", "fleet100k", "x"),
+    ("fleet_batched_vector_speedup", "fleet100k", "x"),
     ("fleet_100k", "fleet100k", "s"),
     ("fleet_routing_speedup", "diurnal1m", "x"),
     ("fleet_diurnal_1m", "diurnal1m", "s"),
@@ -346,7 +355,8 @@ def bench_fleet_diurnal(repeats: int) -> BenchResult:
 
 
 def _paced_fleet_run(mode: str, devices: int, requests: int,
-                     utilization: float = 0.6, seed: int = 7):
+                     utilization: float = 0.6, seed: int = 7,
+                     max_batch_size: int = 1):
     """One single-stream fleet run paced below closed-form capacity.
 
     Pacing keeps every completion latency under the breaker spike
@@ -359,7 +369,8 @@ def _paced_fleet_run(mode: str, devices: int, requests: int,
     from repro.experiments.resilience import _fleet_capacity_qps
     from repro.fleet import FleetGateway, build_fleet, poisson_stream
 
-    fleet = build_fleet(devices, mix="balanced", max_batch_size=1)
+    fleet = build_fleet(devices, mix="balanced",
+                        max_batch_size=max_batch_size)
     qps = utilization * _fleet_capacity_qps(fleet, 150, 192)
     gateway = FleetGateway(fleet, policy="round-robin", mode=mode)
     stream = poisson_stream(np.random.default_rng(seed), qps=qps,
@@ -376,18 +387,39 @@ def bench_fleet_vector_speedup(repeats: int) -> BenchResult:
     for itself.  In-process and same-machine, so the floor is
     hardware-independent.
     """
+    return _vector_speedup("fleet_vector_speedup", FLEET_VECTOR_SPEEDUP_MIN,
+                           repeats, max_batch_size=1)
+
+
+def bench_fleet_batched_vector_speedup(repeats: int) -> BenchResult:
+    """Scalar vs vector gateway on a paced batch-8 stream.
+
+    The vector side drains every share with the batched busy-period
+    kernel; same shape, floor logic and rejections as
+    :func:`bench_fleet_vector_speedup`.
+    """
+    return _vector_speedup("fleet_batched_vector_speedup",
+                           FLEET_BATCHED_VECTOR_SPEEDUP_MIN, repeats,
+                           max_batch_size=8)
+
+
+def _vector_speedup(name: str, floor: float, repeats: int,
+                    max_batch_size: int) -> BenchResult:
+    """Best-of scalar over best-of vector time of one paced 8-device,
+    2000-request round-robin run; raises if the vector run falls back
+    or either run serves short."""
     devices, requests = 8, 2000
 
     def run(mode: str) -> None:
-        report, last_mode, _ = _paced_fleet_run(mode, devices, requests)
+        report, last_mode, _ = _paced_fleet_run(
+            mode, devices, requests, max_batch_size=max_batch_size)
         if mode == "vector" and last_mode != "vector":
             raise RuntimeError(
-                "fleet_vector_speedup stream fell back to scalar; "
+                f"{name} stream fell back to scalar; "
                 "the ratio would be meaningless")
         if report.completed != requests:
             raise RuntimeError(
-                f"fleet_vector_speedup served {report.completed} of "
-                f"{requests} requests")
+                f"{name} served {report.completed} of {requests} requests")
 
     # Best-of, not median: timing noise is strictly additive, and a
     # scheduler stall inside the ~0.1 s vector window would deflate the
@@ -395,10 +427,10 @@ def bench_fleet_vector_speedup(repeats: int) -> BenchResult:
     scalar_s = min(_median_time(lambda: run("scalar"), repeats)[1])
     vector_s = min(_median_time(lambda: run("vector"), repeats)[1])
     ratio = scalar_s / vector_s if vector_s > 0 else float("inf")
-    return BenchResult("fleet_vector_speedup", "fleet100k", ratio, (ratio,),
-                       unit="x",
-                       meta={"min": FLEET_VECTOR_SPEEDUP_MIN,
-                             "devices": devices, "requests": requests,
+    return BenchResult(name, "fleet100k", ratio, (ratio,), unit="x",
+                       meta={"min": floor, "devices": devices,
+                             "requests": requests,
+                             "max_batch_size": max_batch_size,
                              "scalar_s": scalar_s, "vector_s": vector_s})
 
 
@@ -690,6 +722,8 @@ def run_benchmarks(repeats: int = 3,
         record(bench_fleet_diurnal(repeats))
     if wanted("fleet_vector_speedup"):
         record(bench_fleet_vector_speedup(repeats))
+    if wanted("fleet_batched_vector_speedup"):
+        record(bench_fleet_batched_vector_speedup(repeats))
     if wanted("fleet_100k"):
         record(bench_fleet_100k(repeats))
     if wanted("fleet_routing_speedup"):

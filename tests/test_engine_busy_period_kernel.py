@@ -6,8 +6,9 @@ pass guesses the busy periods, one sequential ``cumsum`` per period
 gives the exact clocks, and every boundary is verified against them.
 These tests aim at the corners of that argument — boundary ties one ulp
 either side, a wrong guess, the static KV check, span caps, degenerate
-shares — and at the paths that must keep the epoch loop (EDF, batch
-> 1) or share one pricing table (the fleet drain on every executor).
+shares — and at the paths that must keep the epoch loop (EDF, a
+KV-tight batch) or share one pricing table (the fleet drain on every
+executor).
 """
 
 import sys
@@ -194,10 +195,11 @@ class TestShapes:
 
 
 class TestEpochLoopStays:
-    """Only batch-1 FCFS takes the kernel."""
+    """FCFS takes a kernel (batch 2 the batched one); EDF and a KV-tight
+    batch keep the epoch loop."""
 
     @pytest.mark.parametrize("policy,max_batch_size,kernel", [
-        ("fcfs", 1, True), ("edf", 1, False), ("fcfs", 2, False)])
+        ("fcfs", 1, True), ("edf", 1, False), ("fcfs", 2, True)])
     def test_dispatch(self, engine, policy, max_batch_size, kernel):
         requests, arrivals = _stream(4, n=20)
         sim = ServingSimulator(engine, max_batch_size=max_batch_size,
@@ -206,6 +208,22 @@ class TestEpochLoopStays:
             requests, arrivals, np.full(len(requests), 30.0)))
         run.execute()
         assert run.kernel is kernel
+
+    def test_kv_tight_batch_keeps_the_loop(self, engine):
+        # Two 600-token finals need 2 x 38 blocks; 75 blocks fit each
+        # request alone but not the static bound.
+        model = get_model(MODEL)
+        cache = PagedKVCache(KVCacheConfig(
+            bytes_per_token=model.kv_bytes_per_token,
+            capacity_bytes=model.kv_bytes_per_token * 16 * 75))
+        requests = [GenerationRequest(i, 500, 100) for i in range(3)]
+        arrivals = np.array([0.0, 40.0, 80.0])
+        sim = ServingSimulator(engine, max_batch_size=2, kv_cache=cache)
+        run = VectorServingRun(sim, arrays=RequestArrays(requests, arrivals))
+        got = run.execute().to_json()
+        assert not run.kernel
+        assert got == _scalar_json(engine, requests, arrivals,
+                                   max_batch_size=2, kv_cache=cache)
 
 
 class TestFleetPaths:

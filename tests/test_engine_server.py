@@ -8,6 +8,7 @@ import pytest
 from repro.engine.engine import InferenceEngine
 from repro.engine.request import GenerationRequest
 from repro.engine.server import ServingSimulator
+from repro.engine.state import RequestArrays
 from repro.models.registry import get_model
 
 
@@ -19,6 +20,27 @@ def simulator():
 
 def _requests(count, output=64, prompt=100):
     return [GenerationRequest(i, prompt, output) for i in range(count)]
+
+
+class TestNonFiniteArrivals:
+    """A NaN arrival used to hang both cores (``now = max(now, nan)``
+    forever); an infinite one served short.  Both are rejected up
+    front, naming the row."""
+
+    @pytest.mark.parametrize("mode", ["scalar", "auto"])
+    @pytest.mark.parametrize("max_batch_size", [1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_run_rejects(self, mode, max_batch_size, bad):
+        sim = ServingSimulator(InferenceEngine(get_model("dsr1-qwen-1.5b")),
+                               max_batch_size=max_batch_size, mode=mode)
+        with pytest.raises(ValueError, match="row 1 is"):
+            sim.run(_requests(3, output=20), np.array([0.0, bad, 1.0]))
+
+    def test_columns_reject(self):
+        with pytest.raises(ValueError, match="row 2 is nan"):
+            RequestArrays.from_columns(np.arange(3), np.full(3, 100),
+                                       np.full(3, 20),
+                                       np.array([0.0, 1.0, math.nan]))
 
 
 class TestBasicServing:

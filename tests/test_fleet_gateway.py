@@ -48,6 +48,34 @@ class TestValidation:
             poisson_stream(rng, qps=1.0, num_requests=-1)
 
 
+class TestNonFiniteArrivals:
+    """Both entry points reject a non-finite arrival before routing it
+    (an infinite one used to break conservation on the scalar path)."""
+
+    @pytest.mark.parametrize("mode", ["scalar", "auto"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_run_rejects(self, mode, bad):
+        gateway = FleetGateway(build_fleet(2, max_batch_size=2),
+                               policy="round-robin", mode=mode)
+        stream = [FleetRequest(GenerationRequest(i, 100, 20), arrival)
+                  for i, arrival in enumerate([0.0, bad, 1.0])]
+        with pytest.raises(ValueError, match="row 1 is"):
+            gateway.run(stream)
+
+    @pytest.mark.parametrize("mode", ["scalar", "auto"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_run_trace_rejects(self, mode, bad):
+        from repro.workloads import PopulationConfig, population_trace
+
+        trace = population_trace(np.random.default_rng(0), PopulationConfig(
+            requests=40, users=10, period_s=600.0))
+        trace.arrival_s[25] = bad
+        gateway = FleetGateway(build_fleet(2), policy="prefix-affinity",
+                               mode=mode)
+        with pytest.raises(ValueError, match="row 25 is"):
+            gateway.run_trace(trace.chunks(20))
+
+
 class TestConservation:
     @pytest.mark.parametrize("policy", ROUTING_POLICIES)
     def test_every_request_reaches_a_terminal_outcome(self, policy):

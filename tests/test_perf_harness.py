@@ -131,6 +131,16 @@ class TestRunBenchmarks:
         # The vectorized event-loop acceptance gate: >= 10x scalar.
         assert ratio.value >= ratio.meta["min"] == 10.0
 
+    def test_fleet_batched_vector_speedup_meets_floor(self):
+        results = run_benchmarks(repeats=2,
+                                 only=("fleet_batched_vector_speedup",))
+        (ratio,) = results
+        assert ratio.unit == "x"
+        assert ratio.group == "fleet100k"
+        assert ratio.meta["max_batch_size"] == 8
+        # The batched busy-period kernel's gate: >= 15x scalar.
+        assert ratio.value >= ratio.meta["min"] == 15.0
+
     def test_fleet_tiered_pricing_speedup_meets_floor(self):
         # Three interleaved repeats: single runs on a shared host vary
         # by about 15%, against a ~3.9x ratio and a 2.5x floor.
@@ -154,6 +164,7 @@ class TestWorkloadCatalog:
         assert names == sorted(set(names), key=names.index)
         assert "fleet_100k" in names
         assert "fleet_vector_speedup" in names
+        assert "fleet_batched_vector_speedup" in names
         # The unknown-name error advertises exactly this set.
         with pytest.raises(ValueError) as err:
             run_benchmarks(repeats=1, only=("bogus",))
