@@ -59,7 +59,8 @@ Under FCFS the run skips the epoch loop altogether:
   that read the clock against the exact clocks, rerunning a wrong
   guess exactly.
 
-EDF runs and batches that could meet KV pressure keep the epoch loop.
+EDF runs, batches that could meet KV pressure and batches whose price
+grids would outgrow ``_GRID_KEYS`` keep the epoch loop.
 
 Outcomes land in the :class:`~repro.engine.state.RequestArrays` outcome
 columns.  :meth:`VectorServingRun.execute_arrays` returns those columns
@@ -94,6 +95,13 @@ if TYPE_CHECKING:
 #: temporaries stay bounded at any share size.  Batch-1 chunks hold
 #: whole requests; batched chunks end with the first epoch past it.
 _CHUNK_STEPS = 1 << 16
+
+
+#: Cap on the batched kernel's dense price grids, in keys summed over
+#: batch sizes: a share that would need more (large batches of long
+#: contexts) keeps the epoch loop rather than hold grids far larger
+#: than the keys it visits.  About 40 MB at the cap.
+_GRID_KEYS = 1 << 20
 
 
 class VectorFallback(Exception):
@@ -698,33 +706,39 @@ class VectorServingRun:
         self._done = order.tolist()
 
     # -- the batched busy-period kernel --------------------------------
-    def _kv_fits_statically(self) -> bool:
-        """Whether ``max_batch_size`` requests at their largest final
-        context fit the free pool together: the batched kernel's bound.
+    def _fits_batched_kernel(self) -> bool:
+        """Whether the batched kernel may serve this share.
 
-        Proof that the epoch loop then never touches KV pressure: a live
-        sequence holds ``blocks_for(context)`` blocks and its context
-        never exceeds its final ``prompt + max(stop, 1)``, so at most
-        ``max_batch_size`` live sequences hold at most the bound, hence
-        at most the pool, at every instant — before and after any growth
-        of up to their remaining steps.  So an admission (the others hold
-        at most ``(max_batch_size - 1)`` maxima) always finds its prompt's
+        Two static bounds.  **KV**: ``max_batch_size`` requests at the
+        largest final context fit the free pool together.  Then the
+        epoch loop never touches KV pressure: a live sequence holds
+        ``blocks_for(context)`` blocks and its context never exceeds its
+        final ``prompt + max(stop, 1)``, so at most ``max_batch_size``
+        live sequences hold at most the bound, hence at most the pool,
+        at every instant — before and after any growth of up to their
+        remaining steps.  So an admission (the others hold at most
+        ``(max_batch_size - 1)`` maxima) always finds its prompt's
         blocks, ``span_growth_cap`` always returns the whole span, and a
         single step that opens a block always finds one free: no branch
-        of the loop that reads the allocator can fire.
+        of the loop that reads the allocator can fire.  **Grid**: the
+        dense price grids of :meth:`_decode_grids` (at most ``b`` times
+        the largest final context keys per batch size ``b``) stay within
+        ``_GRID_KEYS``.
         """
         arrays = self.arrays
         if not arrays.n:
             return True
         final = int((arrays.prompt_tokens
                      + np.maximum(arrays.stop_tokens, 1)).max())
-        return self.sim.max_batch_size * self.kv.blocks_for(final) <= self._free
+        batch = self.sim.max_batch_size
+        return (batch * self.kv.blocks_for(final) <= self._free
+                and batch * (batch + 1) // 2 * final <= _GRID_KEYS)
 
     def _drain_batched(self) -> None:
         """Serve a batch > 1 FCFS population without the epoch loop.
 
         FCFS admits in the fixed :meth:`admission_order`, and under
-        :meth:`_kv_fits_statically` nothing else reads the allocator, so
+        :meth:`_fits_batched_kernel` nothing else reads the allocator, so
         the run is a pure function of the clock decisions.  Each chunk
         of about ``_CHUNK_STEPS`` steps runs three passes:
 
@@ -940,14 +954,15 @@ class VectorServingRun:
         The vector core has no drop path — KV pressure raises
         :class:`VectorFallback` instead — so a short count is a bug.
         FCFS runs take a busy-period kernel: the batch-1 one, or the
-        batched one when :meth:`_kv_fits_statically`; EDF runs and
-        batched runs that could meet KV pressure take the epoch loop.
+        batched one when :meth:`_fits_batched_kernel`; EDF runs and
+        batched runs that could meet KV pressure or need outsized price
+        grids take the epoch loop.
         """
         if self._edf:
             self._run_loop()
         elif self.sim.max_batch_size == 1:
             self._drain_busy_periods()
-        elif self._kv_fits_statically():
+        elif self._fits_batched_kernel():
             self._drain_batched()
         else:
             self._run_loop()

@@ -2,7 +2,7 @@
 oracle, byte for byte.
 
 At batch > 1 under FCFS, when every live set fits the free KV pool
-(:meth:`~repro.engine.vector_run.VectorServingRun._kv_fits_statically`),
+(:meth:`~repro.engine.vector_run.VectorServingRun._fits_batched_kernel`),
 :class:`~repro.engine.vector_run.VectorServingRun` drains a share
 without its epoch loop: a schedule pass walks the events on a float
 guess of the clock, one gather and one ``cumsum`` per chunk give the
@@ -10,7 +10,8 @@ exact clocks, and every decision that read the clock is verified
 against them.  These tests aim at that argument: a hypothesis property
 over batch sizes, stop lengths, arrival shapes and span caps; arrivals
 on, and one ulp either side of, a step boundary; a full batch; a wrong
-guess; and the static KV bound at and one block past its edge.
+guess; the static KV bound at and one block past its edge; and the
+price-grid cap.
 
 The scalar oracle serves :class:`GenerationRequest` objects, which
 cannot carry a zero stop length; the epoch loop serves a stop-0 row
@@ -60,7 +61,7 @@ def _vector(engine, columns, loop=False, blocks=None, **kwargs):
     sim = ServingSimulator(engine, **kwargs)
     run = VectorServingRun(sim, arrays=RequestArrays.from_columns(*columns))
     if loop:
-        with mock.patch.object(VectorServingRun, "_kv_fits_statically",
+        with mock.patch.object(VectorServingRun, "_fits_batched_kernel",
                                return_value=False):
             report = run.execute()
     else:
@@ -114,11 +115,16 @@ def shares(draw):
 class TestProperty:
     @settings(max_examples=60, deadline=None)
     @given(columns=shares(), max_batch_size=st.sampled_from([2, 3, 4, 8, 16]),
-           max_span_steps=st.sampled_from([None, 1, 7]))
+           max_span_steps=st.sampled_from([None, 1, 7]),
+           chunk_steps=st.sampled_from([1, 37, vector_run._CHUNK_STEPS]))
     def test_kernel_loop_and_oracle_agree(self, engine, columns,
-                                          max_batch_size, max_span_steps):
-        _assert_agree(engine, columns, max_batch_size=max_batch_size,
-                      max_span_steps=max_span_steps)
+                                          max_batch_size, max_span_steps,
+                                          chunk_steps):
+        # Small chunks carry live sequences, clocks and energy across
+        # many chunk boundaries.
+        with mock.patch.object(vector_run, "_CHUNK_STEPS", chunk_steps):
+            _assert_agree(engine, columns, max_batch_size=max_batch_size,
+                          max_span_steps=max_span_steps)
 
 
 class TestBoundaries:
@@ -147,10 +153,13 @@ class TestBoundaries:
                    np.array([0.0, 0.0, 1.0, 1.0]))
         _assert_agree(engine, columns, max_batch_size=2)
 
+    @pytest.mark.parametrize("chunk_steps", [37, vector_run._CHUNK_STEPS])
     @pytest.mark.parametrize("scale", [0.0, 2.0])
-    def test_a_wrong_guess_is_repaired(self, engine, monkeypatch, scale):
+    def test_a_wrong_guess_is_repaired(self, engine, monkeypatch, scale,
+                                       chunk_steps):
         """A stalled guess (spans never reach an arrival) and a doubled
-        one (spans cut early) both get every decision repaired."""
+        one (spans cut early) both get every decision repaired, within
+        one chunk or across many."""
         estimates = vector_run._prefix_estimates
 
         def skewed(*args):
@@ -158,6 +167,7 @@ class TestBoundaries:
             return [scale * g for g in guess], index
 
         monkeypatch.setattr(vector_run, "_prefix_estimates", skewed)
+        monkeypatch.setattr(vector_run, "_CHUNK_STEPS", chunk_steps)
         rng = np.random.default_rng(8)
         n = 50
         columns = (np.arange(n), rng.integers(16, 600, n),
@@ -167,9 +177,9 @@ class TestBoundaries:
         assert fast.boundary_repairs > 0
 
 
-class TestStaticKVBound:
+class TestStaticBounds:
     """The kernel runs exactly when ``max_batch_size`` largest final
-    contexts fit the free pool."""
+    contexts fit the free pool and its price grids stay under the cap."""
 
     # Largest final context 240 + 16 = 256 tokens: 16 blocks.
     COLUMNS = (np.arange(4), np.array([240, 30, 100, 240]),
@@ -183,6 +193,14 @@ class TestStaticKVBound:
         assert not run.kernel
         assert got == _scalar(engine, self.COLUMNS, max_batch_size=2,
                               blocks=31)
+
+
+    def test_outsized_grids_take_the_loop(self, engine, monkeypatch):
+        # Batch 2 at a largest final context of 256 needs 3 x 256 keys.
+        monkeypatch.setattr(vector_run, "_GRID_KEYS", 3 * 256 - 1)
+        got, run = _vector(engine, self.COLUMNS, max_batch_size=2)
+        assert not run.kernel
+        assert got == _scalar(engine, self.COLUMNS, max_batch_size=2)
 
 
 class TestFleetPath:
