@@ -89,9 +89,10 @@ chaos-tiering:
 perf:
 	$(PYTHON) -m repro perf --check --out $(OUTPUT)
 
-## 100k-scale vector event-loop gates only: the scalar/vector speedup
-## ratio floors (batch 1 >=10x, batch 8 >=15x, machine-independent)
-## and the 100k-request, 64-device run's hard wall-clock budget.
+## 100k-scale vector busy-period kernel gates only: the scalar/vector
+## speedup ratio floors (batch-1 kernel >=10x, batched kernel at batch
+## 8 >=15x, machine-independent) and the 100k-request, 64-device run's
+## hard wall-clock budget.
 perf-100k:
 	$(PYTHON) -m repro perf --check \
 	    --only fleet_vector_speedup,fleet_batched_vector_speedup,fleet_100k \

@@ -331,8 +331,11 @@ class ServingSimulator:
     configurations — no faults, thermal, degradation, or power noise),
     and ``"auto"`` (default) picks vector whenever eligible.  Both cores
     produce byte-identical reports; :attr:`last_mode` records which one
-    actually ran (a vector run that hits KV exhaustion falls back to a
-    deterministic scalar rerun).
+    actually ran.  The vector core's busy-period kernels serve FCFS
+    only, and only shares that cannot meet KV pressure; EDF and
+    KV-tight runs raise :class:`~repro.engine.vector_run.
+    VectorFallback` before any work and run on the scalar core, which
+    still reads the shared price tables.
     """
 
     def __init__(self, engine: InferenceEngine, max_batch_size: int = 8,
@@ -391,7 +394,10 @@ class ServingSimulator:
         ``deadlines`` (seconds after each arrival) enables the EDF policy
         and the report's deadline hit rate.  The run is deterministic:
         the same inputs, seed, and fault schedule reproduce the report
-        exactly — in either mode.
+        exactly — in either mode.  Outside ``mode="scalar"`` an eligible
+        run tries the vector core first and reruns scalar on
+        :class:`~repro.engine.vector_run.VectorFallback` (EDF, or a
+        share a busy-period kernel cannot serve).
         """
         if len(requests) != len(arrival_times):
             raise ValueError("requests and arrival_times must align")
@@ -418,7 +424,7 @@ class ServingSimulator:
                     self.last_mode = "vector"
                     return report
                 except VectorFallback:
-                    pass  # KV pressure: rerun on the scalar oracle
+                    pass  # EDF or KV pressure: serve on the scalar core
         self.last_mode = "scalar"
         return _ServingRun(self, requests, arrivals, deadlines).execute()
 

@@ -101,7 +101,7 @@ class RequestArrays:
     Column ``i`` describes request ``i`` in injection order.  Static
     columns are fixed at construction; outcome columns (``start_s``,
     ``prefill_s``, ``finish_s``, ``context``) are filled in by the
-    vector event loop.  ``deadline_s`` uses ``nan`` for "no
+    vector core's busy-period kernels.  ``deadline_s`` uses ``nan`` for "no
     deadline" so the whole column stays a float64 array.
     """
 

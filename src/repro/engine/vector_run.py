@@ -1,11 +1,11 @@
 """Batched fast path of the serving event loop.
 
-:class:`VectorServingRun` replays exactly the event sequence of the
+:class:`VectorServingRun` reproduces exactly the event sequence of the
 scalar :class:`~repro.engine.server._ServingRun` — same admission order,
 same span cuts, same per-step kernel/power pricing — but holds the
 offered population as struct-of-arrays (:class:`~repro.engine.state.
-RequestArrays`) and integrates each decode span with one ``np.cumsum``
-instead of a per-token Python loop.  The report it returns is
+RequestArrays`) and drains a whole share in a few numpy passes per
+chunk instead of a Python loop per epoch.  The report it returns is
 byte-identical to the scalar oracle's (the equivalence property tests
 pin this), which is only possible because every accumulation is kept
 *sequential*:
@@ -16,13 +16,11 @@ pin this), which is only possible because every accumulation is kept
   tables whenever its configuration is pure and it is not the oracle
   (``mode="scalar"`` keeps pricing spans directly, so every
   auto-vs-scalar byte comparison checks the tables end to end);
-* each span is spent by :func:`~repro.engine.pricing.integrate_span`,
-  one sequential ``np.cumsum`` (strictly left to right, unlike
-  ``np.sum``'s pairwise tree) that reproduces the scalar ``now +=`` /
-  ``energy +=`` loop bit for bit;
-* admissions run in the scalar pop order (a stable argsort on ready
-  time for FCFS, a deadline-keyed heap fed in arrival order for EDF)
-  with the same float operations.
+* clocks, energy and prefill stall are sequential ``cumsum`` passes
+  (strictly left to right, unlike ``np.sum``'s pairwise tree) that
+  reproduce the scalar ``now +=`` / ``energy +=`` chain bit for bit;
+* admissions run in the scalar FCFS pop order, a stable argsort on
+  ready time.
 
 Eligibility (checked by :meth:`~repro.engine.server.ServingSimulator.
 vector_eligible`): no fault injector, no thermal model, no degradation
@@ -30,37 +28,28 @@ policy, no power-model noise.  Those features make cost time-varying or
 stateful, which breaks both the memoization and the closed-form span
 maths; runs that need them stay on the scalar oracle.
 
-KV pressure is the one *dynamic* hazard: an eligible run can still
-exhaust the paged cache mid-flight, and the scalar response (admission
-stall, preemption, recompute-on-resume) is inherently sequential.  The
-vector run tracks block occupancy arithmetically against a snapshot of
-the free pool — never touching the real allocator — and raises
-:class:`VectorFallback` the moment the scalar core would have seen
-``KVCacheExhausted``; the caller then reruns the whole workload on the
+Two busy-period kernels serve FCFS shares:
+
+* at batch 1, :meth:`VectorServingRun._drain_busy_periods`: a batch-1
+  FCFS server is a single-server queue, ``start_k = max(ready_k,
+  finish_{k-1})``, and inside a busy period the clock is one sequential
+  ``cumsum`` over the period's prefill and decode steps;
+* above batch 1, :meth:`VectorServingRun._drain_batched`: it walks the
+  scalar loop's events in Python on a guessed clock, prices every step
+  with one gather per chunk, takes energy, stall and the clock from
+  sequential ``cumsum`` passes shared with the batch-1 kernel, and
+  verifies every decision that read the clock against the exact
+  clocks, rerunning a wrong guess exactly.
+
+Neither kernel models the paged allocator's dynamic response (admission
+stall, preemption, recompute-on-resume), so each checks up front, on
+the request columns and a snapshot of the free pool, that no allocator
+branch of the scalar loop can fire.  Every share a kernel cannot serve
+raises :class:`VectorFallback` before any state is touched — EDF
+admission, a request whose final context outgrows the pool, a batch
+whose live set could meet KV pressure, a batch whose price grids would
+outgrow ``_GRID_KEYS`` — and the caller reruns the whole workload on the
 scalar path, which is deterministic and therefore safe to restart.
-
-Under FCFS the run skips the epoch loop altogether:
-
-* at batch 1 it drains the whole population in a few numpy passes per
-  chunk (the busy-period kernel, :meth:`VectorServingRun.
-  _drain_busy_periods`): a batch-1 FCFS server is a single-server
-  queue, ``start_k = max(ready_k, finish_{k-1})``, and inside a busy
-  period the clock is one sequential ``cumsum`` over the period's
-  prefill and decode steps — the epoch loop's ``now +=`` chain, bit
-  for bit.  The KV hazard is static there: a request whose final
-  context outgrows the free pool raises :class:`VectorFallback` up
-  front;
-* above batch 1, when a full batch of the largest requests fits the
-  free pool (so no KV branch can fire), the batched kernel
-  (:meth:`VectorServingRun._drain_batched`) walks the loop's events in
-  Python on a guessed clock, prices every step with one gather per
-  chunk, takes energy, stall and the clock from sequential ``cumsum``
-  passes shared with the batch-1 kernel, and verifies every decision
-  that read the clock against the exact clocks, rerunning a wrong
-  guess exactly.
-
-EDF runs, batches that could meet KV pressure and batches whose price
-grids would outgrow ``_GRID_KEYS`` keep the epoch loop.
 
 Outcomes land in the :class:`~repro.engine.state.RequestArrays` outcome
 columns.  :meth:`VectorServingRun.execute_arrays` returns those columns
@@ -83,7 +72,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from repro.engine.kv_cache import span_growth_cap
 from repro.engine.pricing import integrate_span
 from repro.engine.state import RequestArrays
 
@@ -99,18 +87,19 @@ _CHUNK_STEPS = 1 << 16
 
 #: Cap on the batched kernel's dense price grids, in keys summed over
 #: batch sizes: a share that would need more (large batches of long
-#: contexts) keeps the epoch loop rather than hold grids far larger
-#: than the keys it visits.  About 40 MB at the cap.
+#: contexts) falls back to the scalar core rather than hold grids far
+#: larger than the keys it visits.  About 40 MB at the cap.
 _GRID_KEYS = 1 << 20
 
 
 class VectorFallback(Exception):
-    """The vector run met a condition only the scalar oracle can model.
+    """The share needs behaviour only the scalar core models.
 
-    Raised on any event the scalar core would handle with allocator
-    state (KV exhaustion at admission, mid-span block starvation,
-    preemption).  The run's caller discards the partial vector state and
-    reruns scalar; determinism makes the restart exact.
+    Raised before a drain starts when the share is EDF, or when some
+    allocator branch of the scalar loop (KV exhaustion at admission,
+    mid-span block starvation, preemption) could fire, or when its price
+    grids would be outsized.  The caller reruns the workload on the
+    scalar core.
     """
 
 
@@ -140,7 +129,7 @@ def _segment_clocks(steps: np.ndarray, first: np.ndarray,
     ``begin[i]``.  Each period becomes one row ``[begin, steps...]``,
     zero-padded to a power-of-two width; rows of one width form a 2-D
     slab whose ``cumsum(axis=1)`` adds every row strictly left to right
-    — the epoch loop's ``now +=`` chain — and padding only ever follows
+    — the scalar loop's ``now +=`` chain — and padding only ever follows
     the values read back.  Returns ``(clock, dest)``: ``clock[dest[t]]``
     is the clock after step ``t`` and ``clock[dest[t] - 1]`` the clock
     before it (its period's start at a period's first step).
@@ -209,7 +198,7 @@ def _gather(stride: np.ndarray, length: np.ndarray,
 
 def _accumulate(total: float, a: np.ndarray, b: np.ndarray) -> float:
     """``total`` plus every ``a[j] * b[j]``, added strictly left to right
-    (one sequential ``cumsum``: the epoch loop's ``+=`` chain)."""
+    (one sequential ``cumsum``: the scalar loop's ``+=`` chain)."""
     path = np.empty(a.shape[0] + 1)
     path[0] = total
     np.multiply(a, b, out=path[1:])
@@ -278,22 +267,6 @@ class _Chunk(NamedTuple):
     reset_val: list[float]
 
 
-class _VecSeq:
-    """One live decode slot (the vector core's ``LiveSequence``)."""
-
-    __slots__ = ("index", "start_s", "prefill_s", "prompt_tokens",
-                 "remaining", "context")
-
-    def __init__(self, index: int, start_s: float, prefill_s: float,
-                 prompt_tokens: int, remaining: int):
-        self.index = index
-        self.start_s = start_s
-        self.prefill_s = prefill_s
-        self.prompt_tokens = prompt_tokens
-        self.remaining = remaining
-        self.context = prompt_tokens
-
-
 class VectorServingRun:
     """One batch serving run on the array-backed fast path."""
 
@@ -324,228 +297,28 @@ class VectorServingRun:
         self.now = 0.0
         self.energy = 0.0
         self.prefill_stall_s = 0.0
-        self.live: list[_VecSeq] = []
-        # Arithmetic shadow of the paged allocator: the real cache is
-        # never touched, so a fallback leaves no state to unwind.
+        # Snapshot of the free pool for the static KV checks: the real
+        # cache is never touched, so a fallback leaves no state to unwind.
         self._free = self.kv.free_blocks
         self._block = self.kv.config.block_tokens
         self.pricing = sim.pricing
         # Admission order: stable sort on (ready time, injection order)
-        # — exactly the scalar pending-heap pop order.  Ready times are
-        # pre-gathered in that order so the per-admission peek is one
-        # flat index instead of two.
+        # — exactly the scalar FCFS pending-heap pop order.
         self._order = self.arrays.admission_order()
         self._ready_sorted = self.arrays.ready_s[self._order]
-        self._p = 0  # next unpromoted position in ``_order``
-        self._edf = sim.policy == "edf"
-        # EDF keeps a promoted heap keyed like the scalar ready heap:
-        # (absolute deadline, promotion order).
-        self._promoted: list[tuple[float, int, int]] = []
-        self._promote_seq = 0
-        #: Whether the last drain ran the batch-1 busy-period kernel.
-        self.kernel = False
         #: Busy-period boundaries the kernel's float guess got wrong and
         #: re-derived from the exact clocks.
         self.boundary_repairs = 0
-
-    # -- scheduling ----------------------------------------------------
-    def _peek_pending(self) -> float:
-        """Ready time of the earliest unpromoted request (inf if none)."""
-        if self._p >= self.arrays.n:
-            return math.inf
-        return float(self._ready_sorted[self._p])
-
-    def _edf_key(self, i: int) -> float:
-        if not self.arrays.deadline_mask[i]:
-            return math.inf
-        return (float(self.arrays.arrival_s[i])
-                + float(self.arrays.deadline_s[i]))
-
-    def _pop_ready(self) -> int | None:
-        """Promote everything arrived by ``now``; pop the policy's head."""
-        arrays = self.arrays
-        if not self._edf:
-            p = self._p
-            if p < arrays.n and self._ready_sorted[p] <= self.now:
-                self._p = p + 1
-                return int(self._order[p])
-            return None
-        while (self._p < arrays.n
-               and self._ready_sorted[self._p] <= self.now):
-            i = int(self._order[self._p])
-            self._p += 1
-            self._promote_seq += 1
-            heapq.heappush(self._promoted,
-                           (self._edf_key(i), self._promote_seq, i))
-        if not self._promoted:
-            return None
-        return heapq.heappop(self._promoted)[2]
-
-    def _has_waiting(self) -> bool:
-        return self._p < self.arrays.n or bool(self._promoted)
-
-    # -- admission -----------------------------------------------------
-    def _admission_cost(self, i: int, prompt: int) -> tuple[float, float]:
-        """Request ``i``'s prefill cost, prefix cache consulted.
-
-        Mirrors ``_DeviceRun._prefill_cost`` exactly: the LRU lookup
-        refreshes recency even on a token-count mismatch, a hit prices
-        only the unshared suffix, and a miss inserts the prefix (evicting
-        LRU entries) before paying the full prefill.  Keys are session
-        ids — a bijective relabeling of the scalar path's session
-        strings, so the LRU sequence is identical.
-        """
-        cache = self._prefix_cache
-        if cache is None:
-            return self.pricing.prefill(prompt)
-        prefix = min(int(self._prefix_tokens[i]), prompt - 1)
-        if prefix <= 0:
-            return self.pricing.prefill(prompt)
-        session = int(self._session_ids[i])
-        entry = cache.lookup(session)
-        if entry is not None and entry.token_count == prefix:
-            self.prefix_hits += 1
-            return self.pricing.prefill(prompt, prefix)
-        self.prefix_misses += 1
-        try:
-            cache.insert(session, prefix)
-        except ValueError:
-            pass  # prefix exceeds the whole cache: serve uncached
-        return self.pricing.prefill(prompt)
-
-    def _admit(self, i: int) -> None:
-        arrays = self.arrays
-        prompt = int(arrays.prompt_tokens[i])
-        blocks = self.kv.blocks_for(prompt)
-        if blocks > self._free:
-            raise VectorFallback("KV exhaustion at admission")
-        self._free -= blocks
-        base, power = self._admission_cost(i, prompt)
-        start_s = self.now
-        # Scalar ``_spend`` at speed 1.0: /1.0 and *1.0 are exact
-        # identities, so the plain accumulation is bit-identical.
-        self.now += base
-        self.energy += base * power
-        self.prefill_stall_s += base * len(self.live)
-        self.live.append(_VecSeq(
-            index=i,
-            start_s=start_s,
-            prefill_s=base,
-            prompt_tokens=prompt,
-            remaining=int(arrays.stop_tokens[i]),
-        ))
-
-    # -- decode epochs -------------------------------------------------
-    def _finish(self, seq: _VecSeq) -> None:
-        self.live.remove(seq)
-        self._free += self.kv.blocks_for(seq.context)
-        arrays = self.arrays
-        i = seq.index
-        arrays.start_s[i] = seq.start_s
-        arrays.prefill_s[i] = seq.prefill_s
-        arrays.finish_s[i] = self.now
-        arrays.context[i] = seq.context
-        self._done.append(i)
-
-    def _sums(self) -> tuple[int, int]:
-        """The live batch's summed context and generated-token count
-        (the token about to be emitted included)."""
-        ctx_sum = 0
-        prompt_sum = 0
-        for seq in self.live:
-            ctx_sum += seq.context
-            prompt_sum += seq.prompt_tokens
-        return ctx_sum, ctx_sum - prompt_sum + len(self.live)
-
-    def _decode_span(self, span: int) -> None:
-        """Price up to ``span`` steps; cumsum replaces the spend loop."""
-        live = self.live
-        batch = len(live)
-        base, power = self.pricing.span(batch, *self._sums(), span)
-        next_ready = (self._peek_pending()
-                      if batch < self.sim.max_batch_size else math.inf)
-        taken, self.now, self.energy = integrate_span(
-            self.now, self.energy, base, power, next_ready)
-
-        block = self._block
-        grown = 0
-        finished = None
-        for seq in live:
-            ctx = seq.context
-            grown += ((ctx + taken + block - 1) // block
-                      - (ctx + block - 1) // block)
-            seq.remaining -= taken
-            seq.context = ctx + taken
-            if seq.remaining <= 0:
-                if finished is None:
-                    finished = []
-                finished.append(seq)
-        self._free -= grown
-        if finished is not None:
-            for seq in finished:
-                self._finish(seq)
-
-    def _decode_single(self) -> None:
-        """One per-token epoch, mirroring the scalar span==1 branch.
-
-        The scalar branch prices scalars (``float(np.mean([...]))``);
-        the integer sums make those means exact, so a one-key read of
-        the span tables is bit-exact.
-        """
-        live = self.live
-        base, power = self.pricing.span(len(live), *self._sums(), 1)
-        base, power = float(base[0]), float(power[0])
-        self.now += base
-        self.energy += base * power
-        block = self._block
-        for seq in list(live):
-            if seq.context % block == 0:  # next token opens a new block
-                if self._free == 0:
-                    raise VectorFallback("KV exhaustion mid-decode")
-                self._free -= 1
-            seq.remaining -= 1
-            seq.context += 1
-            if seq.remaining <= 0:
-                self._finish(seq)
-
-    def _epoch(self) -> None:
-        live = self.live
-        span = (live[0].remaining if len(live) == 1
-                else min(seq.remaining for seq in live))
-        if self.sim.max_span_steps is not None:
-            span = min(span, self.sim.max_span_steps)
-        if span > 1:
-            span = max(span_growth_cap(live, self._block, self._free, span),
-                       1)
-        if span > 1:
-            self._decode_span(span)
-        else:
-            self._decode_single()
-
-    # -- main loop -----------------------------------------------------
-    def _run_loop(self) -> None:
-        max_batch = self.sim.max_batch_size
-        while self.live or self._has_waiting():
-            while len(self.live) < max_batch:
-                i = self._pop_ready()
-                if i is None:
-                    break
-                self._admit(i)
-            if not self.live:
-                nxt = self._peek_pending()
-                if nxt == math.inf:
-                    break
-                self.now = max(self.now, nxt)
-                continue
-            self._epoch()
 
     # -- the batch-1 busy-period kernel --------------------------------
     def _prefill_prices(self, prompt: np.ndarray) -> np.ndarray:
         """``(2, n)`` prefill seconds and watts in admission order.
 
         The LRU pre-pass: at batch 1 the admission order is fixed up
-        front, so walking it replays :meth:`_admission_cost`'s exact
-        lookup/insert sequence against the prefix cache.
+        front, so walking it replays the scalar ``_DeviceRun.
+        _prefill_cost``'s exact lookup/insert sequence against the
+        prefix cache (keyed by session ids, a bijective relabelling of
+        the scalar path's session strings).
         """
         prefill = self.pricing.prefill
         cache = self._prefix_cache
@@ -641,7 +414,7 @@ class VectorServingRun:
                 gen_base)
 
     def _drain_busy_periods(self) -> None:
-        """Serve a batch-1 FCFS population without the epoch loop.
+        """Serve a batch-1 FCFS population in one busy-period pass.
 
         At batch 1, step ``j`` of a request prices at context key
         ``prompt + j`` and generated key ``1 + j`` (a request with
@@ -651,7 +424,6 @@ class VectorServingRun:
         k...]``: energy never resets, so it is one ``cumsum`` carried
         across chunks; the clock is :meth:`_exact_clocks`.
         """
-        self.kernel = True
         arrays = self.arrays
         n = arrays.n
         if not n:
@@ -661,7 +433,7 @@ class VectorServingRun:
         prompt = arrays.prompt_tokens[order]
         count = np.maximum(arrays.stop_tokens[order], 1)
         final = prompt + count
-        # Each admission finds the whole pool free, so the loop would
+        # Each admission finds the whole pool free, so the scalar loop would
         # meet KV exhaustion exactly when some final context outgrows it.
         block = self._block
         if int(((final + block - 1) // block).max()) > self._free:
@@ -711,7 +483,7 @@ class VectorServingRun:
 
         Two static bounds.  **KV**: ``max_batch_size`` requests at the
         largest final context fit the free pool together.  Then the
-        epoch loop never touches KV pressure: a live sequence holds
+        scalar loop never touches KV pressure: a live sequence holds
         ``blocks_for(context)`` blocks and its context never exceeds its
         final ``prompt + max(stop, 1)``, so at most ``max_batch_size``
         live sequences hold at most the bound, hence at most the pool,
@@ -720,10 +492,10 @@ class VectorServingRun:
         ``(max_batch_size - 1)`` maxima) always finds its prompt's
         blocks, ``span_growth_cap`` always returns the whole span, and a
         single step that opens a block always finds one free: no branch
-        of the loop that reads the allocator can fire.  **Grid**: the
-        dense price grids of :meth:`_decode_grids` (at most ``b`` times
-        the largest final context keys per batch size ``b``) stay within
-        ``_GRID_KEYS``.
+        of the scalar loop that reads the allocator can fire.  **Grid**:
+        the dense price grids of :meth:`_decode_grids` (at most ``b``
+        times the largest final context keys per batch size ``b``) stay
+        within ``_GRID_KEYS``.
         """
         arrays = self.arrays
         if not arrays.n:
@@ -735,7 +507,7 @@ class VectorServingRun:
                 and batch * (batch + 1) // 2 * final <= _GRID_KEYS)
 
     def _drain_batched(self) -> None:
-        """Serve a batch > 1 FCFS population without the epoch loop.
+        """Serve a batch > 1 FCFS population in a few passes per chunk.
 
         FCFS admits in the fixed :meth:`admission_order`, and under
         :meth:`_fits_batched_kernel` nothing else reads the allocator, so
@@ -743,8 +515,9 @@ class VectorServingRun:
         of about ``_CHUNK_STEPS`` steps runs three passes:
 
         * **schedule** (:meth:`_schedule`): a lean walk over admissions,
-          arrival cuts, completions and idle jumps with the loop's exact
-          integer bookkeeping and a float guess of the clock;
+          arrival cuts, completions and idle jumps with the scalar
+          loop's exact integer bookkeeping and a float guess of the
+          clock;
         * **exact**: one gather prices every step (:func:`_gather`);
           energy is one sequential ``cumsum`` carried across chunks
           (:func:`_accumulate`), and the clock is
@@ -760,7 +533,6 @@ class VectorServingRun:
         ``prefill_stall_s`` is one more sequential ``cumsum``: each
         prefill times the live count that waited on it.
         """
-        self.kernel = True
         arrays = self.arrays
         n = arrays.n
         if not n:
@@ -837,14 +609,15 @@ class VectorServingRun:
 
     def _schedule(self, state: tuple, columns: tuple, forced: set[int],
                   exact) -> tuple[_Chunk, tuple]:
-        """The schedule pass: walk one chunk of the epoch loop's events.
+        """The schedule pass: walk one chunk of the scalar loop's events.
 
-        Replays :meth:`_run_loop` from ``state`` with the same integer
-        bookkeeping — a heap of ``finish step * n + admission`` keys
-        stands in for the live list (ties pop in admission order, the
-        loop's finish order) — but no numpy call: the clock is a float
-        guess advanced by :func:`_prefix_estimates` differences, and an
-        arrival cut is a ``bisect`` in them.  Iterations (a decode span,
+        Replays the FCFS epochs of ``_ServingRun`` from ``state`` with
+        the same integer bookkeeping — a heap of ``finish step * n +
+        admission`` keys stands in for the live list (ties pop in
+        admission order, the scalar loop's finish order) — but no numpy
+        call: the clock is a float guess advanced by
+        :func:`_prefix_estimates` differences, and an arrival cut is a
+        ``bisect`` in them.  Iterations (a decode span,
         then admissions, then any idle jump) listed in ``forced`` start
         from ``exact(col)``, the verified clock, and price their span
         exactly with :func:`~repro.engine.pricing.integrate_span`, so a
@@ -951,21 +724,21 @@ class VectorServingRun:
     def _serve_all(self) -> RequestArrays:
         """Run to completion; every request must be served.
 
-        The vector core has no drop path — KV pressure raises
-        :class:`VectorFallback` instead — so a short count is a bug.
+        The vector core has no drop path, so a short count is a bug.
         FCFS runs take a busy-period kernel: the batch-1 one, or the
-        batched one when :meth:`_fits_batched_kernel`; EDF runs and
-        batched runs that could meet KV pressure or need outsized price
-        grids take the epoch loop.
+        batched one when :meth:`_fits_batched_kernel`.  Every other share
+        (EDF, a batch that could meet KV pressure or need outsized price
+        grids) raises :class:`VectorFallback` for the scalar core.
         """
-        if self._edf:
-            self._run_loop()
-        elif self.sim.max_batch_size == 1:
+        if self.sim.policy == "edf":
+            raise VectorFallback("EDF admission runs on the scalar core")
+        if self.sim.max_batch_size == 1:
             self._drain_busy_periods()
         elif self._fits_batched_kernel():
             self._drain_batched()
         else:
-            self._run_loop()
+            raise VectorFallback("the batch could meet KV pressure or need "
+                                 "outsized price grids")
         if len(self._done) != self.arrays.n:
             raise RuntimeError(
                 f"vector run finished {len(self._done)} of "

@@ -161,9 +161,11 @@ class HedgeConfig:
     age_factor: float = 3.0
 
     def __post_init__(self) -> None:
-        if self.min_age_s <= 0:
+        # ``not x > 0`` and the like also reject NaN, which fails every
+        # comparison.
+        if not self.min_age_s > 0:
             raise ValueError("min_age_s must be positive")
-        if self.age_factor < 1.0:
+        if not self.age_factor >= 1.0:
             raise ValueError("age_factor must be at least 1")
 
 
@@ -191,8 +193,8 @@ class FleetGateway:
                 f"unknown mode {mode!r}; choose from {SERVING_MODES}")
         if max_reroutes < 0:
             raise ValueError("max_reroutes must be non-negative")
-        if drain_limit_s <= 0:
-            raise ValueError("drain_limit_s must be positive")
+        if not 0 < drain_limit_s < math.inf:
+            raise ValueError("drain_limit_s must be positive and finite")
         self.devices = tuple(sorted(devices, key=lambda d: d.name))
         names = [d.name for d in self.devices]
         if len(set(names)) != len(names):
@@ -911,13 +913,14 @@ class FleetGateway:
         its prefill memo and decode tables are built once per spec
         (a process pool pickles one copy per task).
         Returns ``(share columns, outcome)`` per device, in name order.
-        Raises :class:`~repro.engine.vector_run.VectorFallback` on KV
-        exhaustion, or if any served latency reaches the health model's
-        spike threshold: past it the scalar loop's circuit breakers
-        could leave CLOSED and start shifting load, so only the oracle
-        is authoritative.  Below it the breakers provably never
-        transition (there is no failure source), making the partition
-        equivalence exact.
+        Raises :class:`~repro.engine.vector_run.VectorFallback` when a
+        share has no busy-period kernel (EDF devices, a batch that could
+        meet KV pressure or need outsized price grids), or if any served
+        latency reaches the health model's spike threshold: past it the
+        scalar loop's circuit breakers could leave CLOSED and start
+        shifting load, so only the oracle is authoritative.  Below it
+        the breakers provably never transition (there is no failure
+        source), making the partition equivalence exact.
         """
         assign = columns["assign"]
         order = np.argsort(assign, kind="stable")
@@ -1437,7 +1440,8 @@ def _drain_share(spec, spike_s, objects, share, pricing):
     :class:`~repro.engine.server.ResilienceReport`, otherwise the
     outcome columns ``(start_s, finish_s, context)``.  Raises
     :class:`~repro.engine.vector_run.VectorFallback` (picklable across
-    a process boundary) on KV exhaustion or a served latency at the
+    a process boundary) when no busy-period kernel serves the share (EDF,
+    KV pressure, outsized price grids) or a served latency reaches the
     breaker spike threshold.
     """
     device = FleetDevice(spec)

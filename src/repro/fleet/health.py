@@ -70,15 +70,17 @@ class HealthConfig:
     probe_successes: int = 2
 
     def __post_init__(self) -> None:
+        # ``not x > 0`` and the like also reject NaN, which fails every
+        # comparison.
         if self.failure_threshold < 1:
             raise ValueError("failure_threshold must be at least 1")
-        if self.latency_spike_s <= 0:
+        if not self.latency_spike_s > 0:
             raise ValueError("latency_spike_s must be positive")
         if self.spike_threshold < 1:
             raise ValueError("spike_threshold must be at least 1")
-        if self.cooldown_s <= 0:
+        if not self.cooldown_s > 0:
             raise ValueError("cooldown_s must be positive")
-        if self.cooldown_jitter < 0:
+        if not self.cooldown_jitter >= 0:
             raise ValueError("cooldown_jitter must be non-negative")
         if self.max_probes < 1:
             raise ValueError("max_probes must be at least 1")

@@ -22,6 +22,7 @@ per-request decisions made under live load:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -88,9 +89,11 @@ class TieringConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # ``not x > 0`` and the like also reject NaN, which fails every
+        # comparison.
         if not (0.0 < self.deep_threshold < 1.0):
             raise ValueError("deep_threshold must lie in (0, 1)")
-        if self.predict_noise < 0:
+        if not self.predict_noise >= 0:
             raise ValueError("predict_noise must be non-negative")
         if self.branches < 1 or self.fast_branches < 1:
             raise ValueError("branch counts must be >= 1")
@@ -102,13 +105,13 @@ class TieringConfig:
         if self.session_token_budget < 1:
             raise ValueError("session_token_budget must be positive")
         if (self.session_energy_budget_j is not None
-                and self.session_energy_budget_j <= 0):
+                and not self.session_energy_budget_j > 0):
             raise ValueError("session_energy_budget_j must be positive when set")
         check_ladder(self.enter_pressure, self.exit_pressure)
-        if self.ladder_margin < 0:
+        if not self.ladder_margin >= 0:
             raise ValueError("ladder_margin must be non-negative")
-        if self.tick_s <= 0:
-            raise ValueError("tick_s must be positive")
+        if not 0 < self.tick_s < math.inf:
+            raise ValueError("tick_s must be positive and finite")
         if self.fixed_tier not in (None, TIER_FAST, TIER_DEEP):
             raise ValueError("fixed_tier must be None, 'fast' or 'deep'")
         for pool_name in ("fast_models", "deep_models", "verify_models"):

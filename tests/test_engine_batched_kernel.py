@@ -1,25 +1,26 @@
-"""The batched busy-period kernel against the epoch loop and the scalar
-oracle, byte for byte.
+"""The batched busy-period kernel against the scalar core, byte for byte.
 
 At batch > 1 under FCFS, when every live set fits the free KV pool
 (:meth:`~repro.engine.vector_run.VectorServingRun._fits_batched_kernel`),
-:class:`~repro.engine.vector_run.VectorServingRun` drains a share
-without its epoch loop: a schedule pass walks the events on a float
-guess of the clock, one gather and one ``cumsum`` per chunk give the
-exact clocks, and every decision that read the clock is verified
-against them.  These tests aim at that argument: a hypothesis property
-over batch sizes, stop lengths, arrival shapes and span caps; arrivals
-on, and one ulp either side of, a step boundary; a full batch; a wrong
-guess; the static KV bound at and one block past its edge; and the
-price-grid cap.
+:class:`~repro.engine.vector_run.VectorServingRun` drains a share in
+a few passes per chunk: a schedule pass walks the scalar loop's events
+on a float guess of the clock, one gather and one ``cumsum`` per chunk
+give the exact clocks, and every decision that read the clock is
+verified against them.  These tests aim at that argument: a hypothesis
+property over batch sizes, stop lengths, arrival shapes, span caps and
+chunk sizes; arrivals on, and one ulp either side of, a step boundary;
+a full batch; a wrong guess; the static KV bound at and one block past
+its edge; and the price-grid cap.  A share past either bound raises
+:class:`~repro.engine.vector_run.VectorFallback` and ``auto`` serves it
+on the scalar core.
 
-The scalar oracle serves :class:`GenerationRequest` objects, which
-cannot carry a zero stop length; the epoch loop serves a stop-0 row
-exactly like a stop-1 row (one single-token epoch either way), so the
-oracle gets ``max(stop, 1)``.
+Every kernel run is checked against the scalar loop twice: on the
+shared price tables (the core a fallback runs) and as the directly
+priced oracle (``mode="scalar"``).  The scalar core serves
+:class:`GenerationRequest` objects, which cannot carry a zero stop
+length; it serves a stop-0 row exactly like a stop-1 row (one
+single-token epoch either way), so it gets ``max(stop, 1)``.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,15 +30,14 @@ import repro.engine.vector_run as vector_run
 from repro.engine.engine import InferenceEngine
 from repro.engine.kv_cache import KVCacheConfig, PagedKVCache
 from repro.engine.request import GenerationRequest
-from repro.engine.server import ServingSimulator
+from repro.engine.server import ServingSimulator, _ServingRun
 from repro.engine.state import RequestArrays
-from repro.engine.vector_run import VectorServingRun
+from repro.engine.vector_run import VectorFallback, VectorServingRun
 from repro.fleet import FleetGateway, HealthConfig, build_fleet, poisson_stream
 from repro.models.registry import get_model
 from repro.workloads import PopulationConfig, population_trace
 
 MODEL = "dsr1-qwen-1.5b"
-OUTCOMES = ("start_s", "finish_s", "prefill_s", "context")
 
 
 @pytest.fixture(scope="module")
@@ -53,46 +53,53 @@ def _cache(blocks):
         capacity_bytes=model.kv_bytes_per_token * 16 * blocks))
 
 
-def _vector(engine, columns, loop=False, blocks=None, **kwargs):
-    """One direct vector run; ``loop`` forces the epoch loop through the
-    dispatch, as if the share failed the static KV bound."""
+def _sim(engine, blocks=None, **kwargs):
     if blocks is not None:
         kwargs["kv_cache"] = _cache(blocks)
-    sim = ServingSimulator(engine, **kwargs)
-    run = VectorServingRun(sim, arrays=RequestArrays.from_columns(*columns))
-    if loop:
-        with mock.patch.object(VectorServingRun, "_fits_batched_kernel",
-                               return_value=False):
-            report = run.execute()
-    else:
-        report = run.execute()
-    return report.to_json(), run
+    return ServingSimulator(engine, **kwargs)
 
 
-def _scalar(engine, columns, blocks=None, **kwargs):
-    if blocks is not None:
-        kwargs["kv_cache"] = _cache(blocks)
+def _vector(engine, columns, **kwargs):
+    """(report JSON, run) of one direct vector run."""
+    run = VectorServingRun(_sim(engine, **kwargs),
+                           arrays=RequestArrays.from_columns(*columns))
+    return run.execute().to_json(), run
+
+
+def _requests(columns):
     rid, prompt, stop, arrival = columns
-    requests = [GenerationRequest(int(i), int(p), max(int(s), 1))
-                for i, p, s in zip(rid, prompt, stop)]
-    sim = ServingSimulator(engine, mode="scalar", **kwargs)
-    return sim.run(requests, np.asarray(arrival, dtype=float)).to_json()
+    return ([GenerationRequest(int(i), int(p), max(int(s), 1))
+             for i, p, s in zip(rid, prompt, stop)],
+            np.asarray(arrival, dtype=float))
+
+
+def _scalar(engine, columns, **kwargs):
+    """The directly priced oracle's report JSON."""
+    sim = _sim(engine, mode="scalar", **kwargs)
+    return sim.run(*_requests(columns)).to_json()
 
 
 def _assert_agree(engine, columns, **kwargs):
-    """Kernel, epoch loop and oracle agree on every byte; returns the
-    kernel run."""
-    fast_json, fast = _vector(engine, columns, **kwargs)
-    loop_json, loop = _vector(engine, columns, loop=True, **kwargs)
-    assert fast.kernel and not loop.kernel
-    assert fast_json == loop_json == _scalar(engine, columns, **kwargs)
-    for name in OUTCOMES:
-        assert (getattr(fast.arrays, name).tobytes()
-                == getattr(loop.arrays, name).tobytes()), name
-    assert ((fast.now, fast.energy, fast.prefill_stall_s)
-            == (loop.now, loop.energy, loop.prefill_stall_s))
-    assert fast._done == loop._done
-    return fast
+    """The kernel, the table-priced scalar loop and the oracle agree on
+    every byte; returns the kernel run."""
+    got, run = _vector(engine, columns, **kwargs)
+    loop = _ServingRun(_sim(engine, **kwargs), *_requests(columns))
+    assert got == loop.execute().to_json() == _scalar(engine, columns,
+                                                      **kwargs)
+    return run
+
+
+def _assert_falls_back(engine, columns, **kwargs):
+    """The vector run refuses the share, and ``auto`` serves it on the
+    scalar core with the oracle's bytes."""
+    run = VectorServingRun(_sim(engine, **kwargs),
+                           arrays=RequestArrays.from_columns(*columns))
+    with pytest.raises(VectorFallback):
+        run.execute()
+    auto = _sim(engine, **kwargs)
+    got = auto.run(*_requests(columns)).to_json()
+    assert auto.last_mode == "scalar"
+    assert got == _scalar(engine, columns, **kwargs)
 
 
 @st.composite
@@ -122,7 +129,8 @@ class TestProperty:
                                           chunk_steps):
         # Small chunks carry live sequences, clocks and energy across
         # many chunk boundaries.
-        with mock.patch.object(vector_run, "_CHUNK_STEPS", chunk_steps):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vector_run, "_CHUNK_STEPS", chunk_steps)
             _assert_agree(engine, columns, max_batch_size=max_batch_size,
                           max_span_steps=max_span_steps)
 
@@ -179,7 +187,8 @@ class TestBoundaries:
 
 class TestStaticBounds:
     """The kernel runs exactly when ``max_batch_size`` largest final
-    contexts fit the free pool and its price grids stay under the cap."""
+    contexts fit the free pool and its price grids stay under the cap;
+    past either bound the share takes the scalar loop."""
 
     # Largest final context 240 + 16 = 256 tokens: 16 blocks.
     COLUMNS = (np.arange(4), np.array([240, 30, 100, 240]),
@@ -189,18 +198,13 @@ class TestStaticBounds:
         _assert_agree(engine, self.COLUMNS, max_batch_size=2, blocks=32)
 
     def test_one_block_over_takes_the_loop(self, engine):
-        got, run = _vector(engine, self.COLUMNS, max_batch_size=2, blocks=31)
-        assert not run.kernel
-        assert got == _scalar(engine, self.COLUMNS, max_batch_size=2,
-                              blocks=31)
-
+        _assert_falls_back(engine, self.COLUMNS, max_batch_size=2,
+                           blocks=31)
 
     def test_outsized_grids_take_the_loop(self, engine, monkeypatch):
         # Batch 2 at a largest final context of 256 needs 3 x 256 keys.
         monkeypatch.setattr(vector_run, "_GRID_KEYS", 3 * 256 - 1)
-        got, run = _vector(engine, self.COLUMNS, max_batch_size=2)
-        assert not run.kernel
-        assert got == _scalar(engine, self.COLUMNS, max_batch_size=2)
+        _assert_falls_back(engine, self.COLUMNS, max_batch_size=2)
 
 
 class TestFleetPath:

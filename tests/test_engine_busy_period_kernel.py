@@ -1,14 +1,14 @@
 """The batch-1 busy-period kernel against the scalar oracle, byte for byte.
 
 At batch 1 under FCFS, :class:`~repro.engine.vector_run.VectorServingRun`
-drains the whole population without its epoch loop: a float Lindley
+drains the whole population in one busy-period pass: a float Lindley
 pass guesses the busy periods, one sequential ``cumsum`` per period
 gives the exact clocks, and every boundary is verified against them.
 These tests aim at the corners of that argument — boundary ties one ulp
 either side, a wrong guess, the static KV check, span caps, degenerate
-shares — and at the paths that must keep the epoch loop (EDF, a
-KV-tight batch) or share one pricing table (the fleet drain on every
-executor).
+shares — at the shares that must keep the scalar core's epoch loop
+(EDF, a KV-tight batch: the vector run raises ``VectorFallback``), and
+at the fleet drain sharing one pricing table on every executor.
 """
 
 import sys
@@ -74,7 +74,6 @@ class TestBoundaryTies:
                            else np.nextafter(finish[k - 1], toward))
                 got, run = _kernel_run(engine, requests, tied,
                                        max_batch_size=1)
-                assert run.kernel
                 assert got == _scalar_json(engine, requests, tied,
                                            max_batch_size=1)
                 repairs += run.boundary_repairs
@@ -94,7 +93,7 @@ class TestBoundaryTies:
 
 
 class TestKVCheck:
-    """The kernel's one upfront KV test equals the epoch loop's hazard."""
+    """The kernel's one upfront KV test equals the scalar loop's hazard."""
 
     @staticmethod
     def _sim(engine, tokens, max_batch_size, mode="auto"):
@@ -116,7 +115,6 @@ class TestKVCheck:
         run = VectorServingRun(sim, arrays=RequestArrays(requests, arrivals))
         with pytest.raises(VectorFallback):
             run.execute()
-        assert run.kernel == (max_batch_size == 1)
         auto = self._sim(engine, 256, max_batch_size)
         report = auto.run(requests, arrivals)
         assert auto.last_mode == "scalar"
@@ -130,7 +128,6 @@ class TestKVCheck:
         sim = self._sim(engine, 256, 1)
         run = VectorServingRun(sim, arrays=RequestArrays(requests, arrivals))
         got = run.execute().to_json()
-        assert run.kernel
         scalar = self._sim(engine, 256, 1, mode="scalar")
         assert got == scalar.run(requests, arrivals).to_json()
 
@@ -141,15 +138,14 @@ class TestShapes:
     @pytest.mark.parametrize("span", [1, 7])
     def test_max_span_steps(self, engine, span):
         requests, arrivals = _stream(3)
-        got, run = _kernel_run(engine, requests, arrivals, max_batch_size=1,
-                               max_span_steps=span)
-        assert run.kernel
+        got, _ = _kernel_run(engine, requests, arrivals, max_batch_size=1,
+                             max_span_steps=span)
         assert got == _scalar_json(engine, requests, arrivals,
                                    max_batch_size=1, max_span_steps=span)
 
     def test_empty_share(self, engine):
         got, run = _kernel_run(engine, [], np.zeros(0), max_batch_size=1)
-        assert run.kernel and run.now == 0.0 and run.energy == 0.0
+        assert run.now == 0.0 and run.energy == 0.0
         assert got == _scalar_json(engine, [], np.zeros(0), max_batch_size=1)
 
     @pytest.mark.parametrize("output", [1, 57])
@@ -169,45 +165,50 @@ class TestShapes:
                                    max_batch_size=1)
 
     def test_zero_stop_takes_one_step(self, engine):
-        # Population columns may carry stop 0; the epoch loop then runs
-        # one single-token epoch, and so must the kernel.
+        # Population columns may carry stop 0; the scalar loop serves it
+        # like stop 1 (one single-token epoch), and so must the kernel.
         rng = np.random.default_rng(2)
         n = 25
-        columns = (np.arange(n), rng.integers(16, 400, n),
-                   rng.integers(0, 3, n), np.cumsum(rng.exponential(0.2, n)))
-        runs = []
-        for kernel in (True, False):
-            sim = ServingSimulator(engine, max_batch_size=1)
-            run = VectorServingRun(
-                sim, arrays=RequestArrays.from_columns(*columns))
-            if kernel:
-                run.execute_arrays()
-            else:
-                run._run_loop()
-            runs.append(run)
-        fast, loop = runs
-        assert fast.kernel and not loop.kernel
-        for name in ("start_s", "finish_s", "prefill_s", "context"):
-            assert (getattr(fast.arrays, name).tobytes()
-                    == getattr(loop.arrays, name).tobytes())
-        assert (fast.now, fast.energy) == (loop.now, loop.energy)
-        assert fast._done == loop._done
+        prompt = rng.integers(16, 400, n)
+        stop = rng.integers(0, 3, n)
+        arrivals = np.cumsum(rng.exponential(0.2, n))
+        sim = ServingSimulator(engine, max_batch_size=1)
+        run = VectorServingRun(sim, arrays=RequestArrays.from_columns(
+            np.arange(n), prompt, stop, arrivals))
+        requests = [GenerationRequest(i, int(prompt[i]), max(int(stop[i]), 1))
+                    for i in range(n)]
+        assert run.execute().to_json() == _scalar_json(
+            engine, requests, arrivals, max_batch_size=1)
 
 
 class TestEpochLoopStays:
     """FCFS takes a kernel (batch 2 the batched one); EDF and a KV-tight
-    batch keep the epoch loop."""
+    batch raise ``VectorFallback`` and keep the scalar core's epoch
+    loop, which ``auto`` then runs with the oracle's bytes."""
+
+    @staticmethod
+    def _check(engine, requests, arrivals, kernel, deadlines=None,
+               **kwargs):
+        sim = ServingSimulator(engine, **kwargs)
+        run = VectorServingRun(sim, arrays=RequestArrays(
+            requests, arrivals, deadlines))
+        if kernel:
+            got = run.execute().to_json()
+        else:
+            with pytest.raises(VectorFallback):
+                run.execute()
+            got = sim.run(requests, arrivals, deadlines).to_json()
+            assert sim.last_mode == "scalar"
+        scalar = ServingSimulator(engine, mode="scalar", **kwargs)
+        assert got == scalar.run(requests, arrivals, deadlines).to_json()
 
     @pytest.mark.parametrize("policy,max_batch_size,kernel", [
         ("fcfs", 1, True), ("edf", 1, False), ("fcfs", 2, True)])
     def test_dispatch(self, engine, policy, max_batch_size, kernel):
         requests, arrivals = _stream(4, n=20)
-        sim = ServingSimulator(engine, max_batch_size=max_batch_size,
-                               policy=policy)
-        run = VectorServingRun(sim, arrays=RequestArrays(
-            requests, arrivals, np.full(len(requests), 30.0)))
-        run.execute()
-        assert run.kernel is kernel
+        self._check(engine, requests, arrivals, kernel,
+                    np.full(len(requests), 30.0),
+                    max_batch_size=max_batch_size, policy=policy)
 
     def test_kv_tight_batch_keeps_the_loop(self, engine):
         # Two 600-token finals need 2 x 38 blocks; 75 blocks fit each
@@ -218,12 +219,8 @@ class TestEpochLoopStays:
             capacity_bytes=model.kv_bytes_per_token * 16 * 75))
         requests = [GenerationRequest(i, 500, 100) for i in range(3)]
         arrivals = np.array([0.0, 40.0, 80.0])
-        sim = ServingSimulator(engine, max_batch_size=2, kv_cache=cache)
-        run = VectorServingRun(sim, arrays=RequestArrays(requests, arrivals))
-        got = run.execute().to_json()
-        assert not run.kernel
-        assert got == _scalar_json(engine, requests, arrivals,
-                                   max_batch_size=2, kv_cache=cache)
+        self._check(engine, requests, arrivals, False, max_batch_size=2,
+                    kv_cache=cache)
 
 
 class TestFleetPaths:

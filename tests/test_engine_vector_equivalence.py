@@ -66,9 +66,11 @@ class TestServingEquivalence:
                                    deadline_s=deadline, faults=faults,
                                    degradation=degradation, requests=60)
         assert scalar == auto
-        # Fault-free, degradation-free runs must actually exercise the
-        # fast path; anything stateful must stay on the oracle.
-        expected = "scalar" if (faults or degradation) else "vector"
+        # Fault-free, degradation-free FCFS runs must actually exercise
+        # the fast path; anything stateful, and EDF admission, must stay
+        # on the scalar core.
+        expected = ("scalar" if (faults or degradation or policy == "edf")
+                    else "vector")
         assert last == expected
 
     @pytest.mark.parametrize("span", [None, 1, 7])

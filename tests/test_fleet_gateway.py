@@ -1,5 +1,6 @@
 """Gateway routing policies, conservation, and fleet planning."""
 
+import dataclasses
 import json
 import math
 
@@ -12,9 +13,13 @@ from repro.fleet import (
     ROUTING_POLICIES,
     FleetGateway,
     FleetRequest,
+    HealthConfig,
+    HedgeConfig,
     build_fleet,
     poisson_stream,
 )
+from repro.fleet.device import DeviceSpec, FleetDevice
+from repro.workloads import PopulationConfig, population_trace
 
 
 def _stream(seed=0, qps=6.0, count=24, **kwargs):
@@ -39,6 +44,19 @@ class TestValidation:
         fleet = build_fleet(1) + build_fleet(1)
         with pytest.raises(ValueError):
             FleetGateway(fleet)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_rejects_bad_drain_limit(self, bad):
+        # A non-finite limit would switch off the tiered safety valve.
+        with pytest.raises(ValueError):
+            FleetGateway(build_fleet(2), drain_limit_s=bad)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"min_age_s": 0.0}, {"min_age_s": math.nan},
+        {"age_factor": 0.5}, {"age_factor": math.nan}])
+    def test_rejects_bad_hedge_config(self, kwargs):
+        with pytest.raises(ValueError):
+            HedgeConfig(**kwargs)
 
     def test_stream_validation(self):
         rng = np.random.default_rng(0)
@@ -74,6 +92,57 @@ class TestNonFiniteArrivals:
                                mode=mode)
         with pytest.raises(ValueError, match="row 25 is"):
             gateway.run_trace(trace.chunks(20))
+
+
+class TestEdfFleet:
+    """EDF devices have no vector kernel: both entry points serve them on
+    the scalar loop in ``auto``, with the oracle's bytes (an FCFS twin
+    of the same fleet runs vector, so the policy is the cause)."""
+
+    @staticmethod
+    def _gateway(policy, max_batch_size, mode, gateway_policy):
+        devices = [FleetDevice(DeviceSpec(
+            name=f"edge-{i:02d}", power_mode=power_mode,
+            max_batch_size=max_batch_size, policy=policy,
+            prefix_cache_mb=8.0))
+            for i, power_mode in enumerate(("MAXN", "30W", "MAXN"))]
+        return FleetGateway(devices, policy=gateway_policy, mode=mode,
+                            health=HealthConfig(latency_spike_s=3600.0))
+
+    @pytest.mark.parametrize("max_batch_size", [1, 4])
+    @pytest.mark.parametrize("policy,vector", [("fcfs", True),
+                                               ("edf", False)])
+    def test_run(self, policy, vector, max_batch_size):
+        reports = {}
+        for mode in ("auto", "scalar"):
+            gateway = self._gateway(policy, max_batch_size, mode,
+                                    "round-robin")
+            # Alternating deadlines, so EDF reorders each device's queue.
+            stream = [dataclasses.replace(r, deadline_s=(8.0, 60.0)[i % 2])
+                      for i, r in enumerate(_stream(seed=4, qps=3.0,
+                                                    count=60))]
+            reports[mode] = gateway.run(stream).to_json()
+            want = "vector" if vector and mode == "auto" else "scalar"
+            assert gateway.last_mode == want
+        assert reports["auto"] == reports["scalar"]
+
+    @pytest.mark.parametrize("max_batch_size", [1, 4])
+    @pytest.mark.parametrize("policy,vector", [("fcfs", True),
+                                               ("edf", False)])
+    def test_run_trace(self, policy, vector, max_batch_size):
+        config = PopulationConfig(requests=150, mean_turns=4.0, users=40,
+                                  base_sessions_per_s=0.3,
+                                  peak_sessions_per_s=0.5, period_s=600.0,
+                                  deadline_s=30.0)
+        trace = population_trace(np.random.default_rng(2), config)
+        reports = {}
+        for mode in ("auto", "scalar"):
+            gateway = self._gateway(policy, max_batch_size, mode,
+                                    "prefix-affinity")
+            reports[mode] = gateway.run_trace(trace).to_json()
+            want = "vector" if vector and mode == "auto" else "scalar"
+            assert gateway.last_mode == want
+        assert reports["auto"] == reports["scalar"]
 
 
 class TestConservation:

@@ -7,6 +7,8 @@ self-healing rests on — and drives the one hysteretic
 :class:`PressureLadder` through both configs that parameterize it.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,6 +195,11 @@ class TestDeviceHealth:
             HealthConfig(failure_threshold=0)
         with pytest.raises(ValueError):
             HealthConfig(probe_successes=3, max_probes=2)
+        # NaN compares false both ways: it must not switch off the
+        # spike rule or let an open breaker admit traffic at once.
+        for name in ("latency_spike_s", "cooldown_s", "cooldown_jitter"):
+            with pytest.raises(ValueError):
+                HealthConfig(**{name: math.nan})
 
 
 _exits = st.lists(st.floats(0.0, 8.0), min_size=MAX_TIER,

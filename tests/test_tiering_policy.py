@@ -6,6 +6,8 @@ The load ladder is the brownout controller's
 also drives it through both configs.
 """
 
+import math
+
 import pytest
 
 from repro.fleet.brownout import PressureLadder
@@ -34,17 +36,22 @@ class TestConfigValidation:
         {"deep_threshold": 0.0},
         {"deep_threshold": 1.0},
         {"predict_noise": -0.1},
+        {"predict_noise": math.nan},
         {"branches": 0},
         {"fast_branches": 0},
         {"min_stage_tokens": 0},
         {"plan_tokens": 8, "min_stage_tokens": 32},
         {"session_token_budget": 0},
         {"session_energy_budget_j": 0.0},
+        {"session_energy_budget_j": math.nan},
         {"enter_pressure": (2.0, 4.0)},
         {"enter_pressure": (6.0, 4.0, 2.0)},
         {"exit_pressure": (2.0, 4.0, 6.0)},  # not below enter
         {"ladder_margin": -0.5},
+        {"ladder_margin": math.nan},
         {"tick_s": 0.0},
+        {"tick_s": math.nan},
+        {"tick_s": math.inf},
         {"fixed_tier": "verify"},
         {"fast_models": ()},
         {"deep_models": ("no-such-model",)},
