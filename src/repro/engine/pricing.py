@@ -1,9 +1,14 @@
 """Exact memoized decode and prefill prices, shared by both cores.
 
-One :class:`Pricing` belongs to each :class:`~repro.engine.server.
-ServingSimulator`.  It memoizes only when the simulator is pure (no
-faults, thermal model, degradation policy, or power noise), where every
-price is a pure function of integer inputs:
+Every pure :class:`~repro.engine.server.ServingSimulator` (no faults,
+thermal model, degradation policy, or power noise) prices through
+:meth:`Pricing.shared`: one memoizing instance per engine spec
+``(model, soc, config)`` for the life of the process, so fresh
+simulators and fleets of an equal spec reuse each other's prices.  Its
+tables only grow, each bounded per batch size by ``_TABLE_KEY_LIMIT``.
+An impure simulator keeps a private instance that memoizes nothing.
+Memoizing is exact because on a pure engine every price is a pure
+function of integer inputs:
 
 * decode: a batch of ``b`` sequences prices step ``j`` at mean context
   ``(ctx_sum + b*j) / b``, and ``decode_step_seconds``/``decode_power``
@@ -21,6 +26,7 @@ import math
 
 import numpy as np
 
+from repro.engine.engine import InferenceEngine
 from repro.engine.prefix_cache import prefill_with_prefix
 
 #: Keys above this bypass the tables (no huge tables for no reuse).
@@ -80,11 +86,14 @@ def integrate_span(now: float, energy: float, base: np.ndarray,
 class Pricing:
     """One engine's prefill and decode prices, memoized when ``pure``.
 
-    Engines with equal model and SoC price equally, so one instance may
-    serve several simulators, on several threads at once: a race at
-    worst prices a key twice or fills a table that a concurrent growth
-    then drops, and every write stores the same bits.
+    Engines with equal model, SoC and config price equally, so one
+    instance may serve several simulators, on several threads at once:
+    a race at worst prices a key twice or fills a table that a
+    concurrent growth then drops, and every write stores the same bits.
     """
+
+    #: :meth:`shared`'s instances, keyed by engine spec.
+    _registry: dict[tuple, "Pricing"] = {}
 
     def __init__(self, engine, pure: bool):
         self.engine = engine
@@ -93,6 +102,26 @@ class Pricing:
         #: Per-batch (seconds, watts) arrays keyed by the integer
         #: numerator of the mean context / generated count; NaN = unset.
         self.tables: tuple[dict, dict] = ({}, {})
+
+    @classmethod
+    def shared(cls, engine) -> "Pricing":
+        """The process-wide memoizing pricing of ``engine``'s spec.
+
+        One instance per ``(model, soc, config)``, all three frozen
+        dataclasses that fix every price.  It prices through its own
+        engine, built from that spec, so the memory-traffic telemetry
+        of its memo misses lands there and on no caller's engine.
+        Threads that race to create an entry all get the winner.
+        """
+        if engine.config.power_noise_std != 0:
+            raise ValueError("a noisy engine's prices are not pure")
+        key = (engine.model, engine.soc, engine.config)
+        pricing = cls._registry.get(key)
+        if pricing is None:
+            pricing = cls._registry.setdefault(key, cls(
+                InferenceEngine(engine.model, engine.soc, engine.config),
+                pure=True))
+        return pricing
 
     def prefill(self, prompt: int, prefix: int = 0) -> tuple[float, float]:
         """(base seconds, watts) of a batch-1 prefill of ``prompt``

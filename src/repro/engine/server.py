@@ -370,9 +370,11 @@ class ServingSimulator:
         #: Core that executed the most recent :meth:`run` ("scalar" or
         #: "vector"); None before the first run.
         self.last_mode: str | None = None
-        #: Prices both cores share, memoized when pure; the oracle
-        #: (``mode="scalar"``) still prices decode spans directly.
-        self.pricing = Pricing(engine, pure=self.vector_eligible())
+        #: Prices both cores share: the process-wide memo of this
+        #: engine spec when pure, else a private non-memoizing one.  The
+        #: oracle (``mode="scalar"``) still prices decode directly.
+        self.pricing = (Pricing.shared(engine) if self.vector_eligible()
+                        else Pricing(engine, pure=False))
 
     # ------------------------------------------------------------------
     def vector_eligible(self) -> bool:
@@ -822,15 +824,16 @@ class _ServingRun:
         if span > 1:
             self._decode_span(span)
             return
-        batch = len(self.live)
-        mean_context = float(np.mean([seq.context for seq in self.live]))
-        base = float(self.engine.kernels.decode_step_seconds(
-            self.engine.profile, mean_context, batch))
-        mean_generated = float(np.mean(
-            [seq.context - seq.prompt_tokens + 1 for seq in self.live]))
-        power = float(self.engine.power.decode_power(
-            max(mean_generated, 1.0), batch))
-        self._spend(base, power)
+        batch, ctx_sum, gen_sum = self._span_keys()
+        if self.sim.pricing.pure and self.sim.mode != "scalar":
+            base, power = self.sim.pricing.span(batch, ctx_sum, gen_sum, 1)
+            self._spend(float(base[0]), float(power[0]))
+        else:
+            base = float(self.engine.kernels.decode_step_seconds(
+                self.engine.profile, ctx_sum / batch, batch))
+            power = float(self.engine.power.decode_power(
+                max(gen_sum / batch, 1.0), batch))
+            self._spend(base, power)
 
         for seq in list(self.live):
             if seq not in self.live:

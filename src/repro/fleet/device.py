@@ -155,7 +155,9 @@ class FleetDevice:
         autoscale controller honors that by only emitting switches
         (downshift or upshift) for idle actives.  Served history,
         the device clock, energy, and the prefix cache all survive the
-        swap; only the pricing kernels (and their memo) change.
+        swap; only the pricing changes, to the new mode's process-wide
+        shared memo (:meth:`~repro.engine.pricing.Pricing.shared`), so
+        a switch back finds the old mode's prices still memoized.
         """
         if self.outstanding_requests:
             raise RuntimeError(

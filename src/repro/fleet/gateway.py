@@ -906,12 +906,11 @@ class FleetGateway:
         of the scalar loop prices the very same epochs.  Every share
         runs through :func:`_drain_share` — a pure task over a fresh
         clone of the device — so shares may execute on any executor in
-        any order without changing a byte.  Shares whose devices run
-        the same ``(model, power_mode)`` share one
-        :class:`~repro.engine.pricing.Pricing`: those two fix the
-        engine, and every memoized price is a pure function of it, so
-        its prefill memo and decode tables are built once per spec
-        (a process pool pickles one copy per task).
+        any order without changing a byte.  Each clone prices through
+        its spec's process-wide :meth:`~repro.engine.pricing.Pricing.
+        shared` memo, so a device spec's prefill memo and decode tables
+        are built once per process and reused by every later drain and
+        fresh fleet (a process pool builds them once per worker).
         Returns ``(share columns, outcome)`` per device, in name order.
         Raises :class:`~repro.engine.vector_run.VectorFallback` when a
         share has no busy-period kernel (EDF devices, a batch that could
@@ -933,13 +932,7 @@ class FleetGateway:
             start += n_d
             shares.append({name: columns[name][idx]
                            for name in _SHARE_COLUMNS})
-        pricing = {}
-        for device in self.devices:
-            key = (device.spec.model, device.spec.power_mode)
-            if key not in pricing:
-                pricing[key] = FleetDevice(device.spec).simulator.pricing
-        tasks = [(device.spec, spike_s, objects, share,
-                  pricing[device.spec.model, device.spec.power_mode])
+        tasks = [(device.spec, spike_s, objects, share)
                  for device, share in zip(self.devices, shares)]
         if jobs == 1:
             outcomes = [_drain_share(*task) for task in tasks]
@@ -1425,7 +1418,7 @@ _SHARE_DTYPE = np.dtype([
 _SHARE_COLUMNS = _SHARE_DTYPE.names
 
 
-def _drain_share(spec, spike_s, objects, share, pricing):
+def _drain_share(spec, spike_s, objects, share):
     """Serve one device's partition share on a fresh clone.
 
     A pure task: it builds its own :class:`~repro.fleet.device.
@@ -1433,7 +1426,7 @@ def _drain_share(spec, spike_s, objects, share, pricing):
     deterministic — so serial, thread-pool, and process-pool executions
     perform identical float work on identical fresh state, and the
     gateway's own devices (prefix caches included) stay untouched for a
-    scalar fallback.  The clone prices through ``pricing``, the spec's
+    scalar fallback.  The clone prices through the spec's process-wide
     shared memo (memoized prices are pure, so sharing changes no bit).
     Returns ``(result, now, energy, prefix hits, prefix misses)``:
     with ``objects`` the result is the core's
@@ -1445,7 +1438,6 @@ def _drain_share(spec, spike_s, objects, share, pricing):
     breaker spike threshold.
     """
     device = FleetDevice(spec)
-    device.simulator.pricing = pricing
     arrays = RequestArrays.from_columns(
         share["request_id"], share["prompt_tokens"], share["stop_tokens"],
         share["arrival_s"], share["deadline_s"], share["deadline_mask"])

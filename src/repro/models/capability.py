@@ -184,6 +184,30 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _solve_rows(mean_accuracies, difficulties: np.ndarray, betas,
+                iterations: int = 25) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect every ``(accuracy, beta)`` curve's mean offset at once.
+
+    Returns ``(base, delta)``: row ``i`` of the ``(curves, questions)``
+    array ``base`` is ``logit(acc) + beta * (0.5 - d)``, and
+    ``delta[i]`` makes ``mean(sigmoid(base[i] + delta[i]))`` hit
+    ``acc``.  Each row takes exactly the steps a one-row solve takes:
+    its mean is the same pairwise sum along the contiguous axis.
+    """
+    targets = np.asarray(mean_accuracies, dtype=np.float64)
+    logits = np.array([_logit(float(a)) for a in targets])
+    betas = np.asarray(betas, dtype=np.float64)
+    base = logits[:, None] + betas[:, None] * (0.5 - difficulties)
+    lo = np.full(targets.shape, -10.0)
+    hi = np.full(targets.shape, 10.0)
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        below = _sigmoid(base + mid[:, None]).mean(axis=1) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return base, 0.5 * (lo + hi)
+
+
 def solve_mean_offset(mean_accuracy: float, difficulties: np.ndarray,
                       beta: float, iterations: int = 25) -> float:
     """Offset ``delta`` making the population mean hit ``mean_accuracy``.
@@ -191,15 +215,19 @@ def solve_mean_offset(mean_accuracy: float, difficulties: np.ndarray,
     Solves ``mean(sigmoid(logit(acc) + beta * (0.5 - d) + delta)) = acc``
     by bisection; vectorized over the difficulty population.
     """
-    base = _logit(mean_accuracy) + beta * (0.5 - difficulties)
-    lo, hi = -10.0, 10.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if float(_sigmoid(base + mid).mean()) < mean_accuracy:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    difficulties = np.asarray(difficulties, dtype=np.float64)
+    return float(_solve_rows([mean_accuracy], difficulties, [beta],
+                             iterations)[1][0])
+
+
+def question_success_probabilities(mean_accuracies, difficulties: np.ndarray,
+                                   betas) -> np.ndarray:
+    """:func:`question_success_probability` of several ``(accuracy,
+    beta)`` curves at once: a ``(curves, questions)`` array whose row
+    ``i`` equals the one-curve call bit for bit."""
+    difficulties = np.asarray(difficulties, dtype=np.float64)
+    base, delta = _solve_rows(mean_accuracies, difficulties, betas)
+    return _sigmoid(base + delta[:, None])
 
 
 def question_success_probability(mean_accuracy: float, difficulties: np.ndarray,
@@ -210,10 +238,11 @@ def question_success_probability(mean_accuracy: float, difficulties: np.ndarray,
     Easy questions (low difficulty) succeed more often, hard ones less,
     with the population mean preserved at ``mean_accuracy``.
     """
+    if calibrate_mean:
+        return question_success_probabilities([mean_accuracy], difficulties,
+                                              [beta])[0]
     difficulties = np.asarray(difficulties, dtype=np.float64)
-    delta = (solve_mean_offset(mean_accuracy, difficulties, beta)
-             if calibrate_mean else 0.0)
-    return _sigmoid(_logit(mean_accuracy) + beta * (0.5 - difficulties) + delta)
+    return _sigmoid(_logit(mean_accuracy) + beta * (0.5 - difficulties))
 
 
 def distractor_shares(profile: CapabilityProfile,

@@ -25,7 +25,7 @@ from repro.fleet.brownout import PressureLadder
 from repro.models.capability import (
     capability_profile,
     distractor_shares,
-    question_success_probability,
+    question_success_probabilities,
 )
 from repro.scaling.voting import majority_vote, sample_answer_matrix
 from repro.tiering.policy import (
@@ -149,6 +149,8 @@ class DagRun:
         self._out_tokens: dict[int, int] = {}
         #: Stage rids not yet released to the gateway.
         self._waiting: set[int] = set()
+        #: Dependency rid -> the waiting stages it gates.
+        self._children: dict[int, list[int]] = {}
         #: Released rids whose reservation has not been settled yet.
         self._unsettled: set[int] = set()
         self.jobs = 0
@@ -214,6 +216,8 @@ class DagRun:
                                 stage.budget_tokens, energy)
             if stage.deps:
                 self._waiting.add(stage.rid)
+                for dep in stage.deps:
+                    self._children.setdefault(dep, []).append(stage.rid)
         roots = [s for s in dag.stages if not s.deps]
         out = []
         for stage in roots:
@@ -257,16 +261,21 @@ class DagRun:
 
         ``terminal`` maps rid → any terminal disposition (served, shed,
         failed); served stages refund what they did not generate (see
-        :meth:`note_served`) to the session budget.
+        :meth:`note_served`) to the session budget, in rid order.
+
+        Every dependency is released (so unsettled) before it can turn
+        terminal, so the stages this call can release are the children
+        of the rids it settles.  They release in rid order.
         """
-        for rid in sorted(self._unsettled):
-            if rid in terminal:
-                session = self._job_of[rid].session
-                self.budget.refund(session, rid,
-                                   self._out_tokens.get(rid, 0))
-                self._unsettled.discard(rid)
+        settled = sorted(rid for rid in self._unsettled if rid in terminal)
+        for rid in settled:
+            session = self._job_of[rid].session
+            self.budget.refund(session, rid, self._out_tokens.get(rid, 0))
+            self._unsettled.discard(rid)
+        candidates = {child for rid in settled
+                      for child in self._children.pop(rid, ())}
         released = []
-        for rid in sorted(self._waiting):
+        for rid in sorted(candidates):
             stage = self._stage[rid]
             if not all(dep in terminal for dep in stage.deps):
                 continue
@@ -290,6 +299,7 @@ class DagRun:
         """Safety valve for the drain limit: shed unreleased stages."""
         rids = sorted(self._waiting)
         self._waiting.clear()
+        self._children.clear()
         return rids
 
     # ------------------------------------------------------------------
@@ -313,35 +323,44 @@ class DagRun:
         job_pos = {job_id: idx for idx, job_id in enumerate(job_ids)}
         difficulties = np.array(
             [self.dags[j].job.difficulty for j in job_ids], dtype=np.float64)
-        prob_cache: dict[tuple[str, str, int], np.ndarray] = {}
         # The probabilities depend only on (accuracy, difficulty_beta)
         # and the fixed difficulty array, and token counts outside a
         # curve's anchored range all clamp to its end accuracy, so
-        # solve each distinct curve once.
-        curve_cache: dict[tuple[float, float], np.ndarray] = {}
+        # every distinct curve of a served branch or verify stage is
+        # solved once, all of them in one row-wise bisection.
+        accuracy: dict[tuple[str, str, int], float] = {}
+        curve_of: dict[int, tuple[float, float]] = {}
+        for job_id in job_ids:
+            for stage in self.dags[job_id].stages:
+                rid = stage.rid
+                if stage.kind == STAGE_PLAN or rid not in served_model:
+                    continue
+                model = served_model[rid]
+                mode = ("hard" if self._granted[rid] < stage.natural_length
+                        else "completed")
+                profile = capability_profile(model, config.benchmark)
+                key = (model, mode, max(served_tokens[rid], 1))
+                if key not in accuracy:
+                    accuracy[key] = profile.accuracy_for_mode(mode, key[2])
+                curve_of[rid] = (accuracy[key], profile.difficulty_beta)
+        curves = list(dict.fromkeys(curve_of.values()))
+        row_of = {curve: row for row, curve in enumerate(curves)}
+        probabilities = (question_success_probabilities(
+            [acc for acc, _ in curves], difficulties,
+            [beta for _, beta in curves]) if curves else None)
         share_cache: dict[str, np.ndarray] = {}
 
         def stage_stats(rid: int) -> tuple[float, float, float, float, int]:
             """(p_correct, distractor share, garbage, determinism, choices)."""
             stage = self._stage[rid]
             model = served_model[rid]
-            tokens = max(served_tokens[rid], 1)
             truncated = self._granted[rid] < stage.natural_length
-            mode = "hard" if truncated else "completed"
             profile = capability_profile(model, config.benchmark)
-            key = (model, mode, tokens)
-            if key not in prob_cache:
-                curve = (profile.accuracy_for_mode(mode, tokens),
-                         profile.difficulty_beta)
-                if curve not in curve_cache:
-                    curve_cache[curve] = question_success_probability(
-                        curve[0], difficulties, curve[1])
-                prob_cache[key] = curve_cache[curve]
             if model not in share_cache:
                 share_cache[model] = distractor_shares(profile, difficulties)
             pos = job_pos[self._job_of[rid].job_id]
             garbage = profile.parse_failure_severity if truncated else 0.0
-            return (float(prob_cache[key][pos]),
+            return (float(probabilities[row_of[curve_of[rid]], pos]),
                     float(share_cache[model][pos]),
                     float(min(garbage, 0.9)),
                     float(profile.determinism_base),

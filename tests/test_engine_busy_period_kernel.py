@@ -20,6 +20,7 @@ import pytest
 import repro.engine.vector_run as vector_run
 from repro.engine.engine import InferenceEngine
 from repro.engine.kv_cache import KVCacheConfig, PagedKVCache
+from repro.engine.pricing import Pricing
 from repro.engine.request import GenerationRequest
 from repro.engine.server import ServingSimulator
 from repro.engine.state import RequestArrays
@@ -266,9 +267,12 @@ class TestFleetPaths:
         """More threads than cores fill and grow one shared table at
         once, with a tiny switch interval; every price must still equal
         a single-threaded reference's, bit for bit."""
+        # Private instances: the process-wide registry would hand both
+        # names the same object, and the check would compare it with
+        # itself.
         spec = DeviceSpec(name="d", max_batch_size=1)
-        shared = FleetDevice(spec).simulator.pricing
-        reference = FleetDevice(spec).simulator.pricing
+        shared = Pricing(FleetDevice(spec).engine, pure=True)
+        reference = Pricing(FleetDevice(spec).engine, pure=True)
         rng = np.random.default_rng(0)
         jobs = [(int(first), int(steps)) for first, steps in zip(
             rng.integers(1, 3000, 96), rng.integers(1, 2500, 96))]

@@ -1,13 +1,15 @@
-"""The simulator-owned pricing tables and the scalar loop that reads them.
+"""The shared pricing tables and the scalar loop that reads them.
 
 Decode spans of a pure configuration are priced from exact
-integer-grid tables (``engine/pricing.py``) by both event-loop cores.
-The scalar oracle (``mode="scalar"``) keeps pricing spans directly, so
-every auto-vs-scalar byte comparison checks the tables end to end.
-This module pins the three legs of that argument: table reads equal
-direct ufunc evaluation bit for bit, the oracle never touches the
-tables, and the table-priced scalar loop (every tiered, fault, brownout,
-hedge, autoscale and KV-fallback run) reproduces the oracle's reports.
+integer-grid tables (``engine/pricing.py``) by both event-loop cores,
+through one process-wide :meth:`Pricing.shared` instance per engine
+spec.  The scalar oracle (``mode="scalar"``) keeps pricing decode
+directly, so every auto-vs-scalar byte comparison checks the tables end
+to end.  This module pins the legs of that argument: table reads equal
+direct ufunc evaluation bit for bit, the oracle never reads the tables,
+warm shared tables price a run exactly as fresh ones do, and the
+table-priced scalar loop (every tiered, fault, brownout, hedge,
+autoscale and KV-fallback run) reproduces the oracle's reports.
 It also pins what lets the auto loop skip work the oracle still does:
 a stored span resumed across horizon cuts equals fresh pricing, nothing
 visible happens up to ``quiet_until()``, and tiered runs that skip
@@ -15,12 +17,14 @@ quiet ticks match an oracle that runs every one.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import repro.engine.server as server
-from repro.engine.engine import InferenceEngine
+from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.engine.kv_cache import KVCacheConfig, PagedKVCache
 from repro.engine.pricing import (
     _TABLE_KEY_LIMIT,
@@ -32,6 +36,8 @@ from repro.engine.pricing import (
 from repro.engine.request import GenerationRequest
 from repro.engine.server import ServingSimulator, _ServingRun
 from repro.faults import FleetFaultConfig, FleetFaultSchedule
+from repro.faults.degradation import DegradationPolicy
+from repro.faults.injector import FaultInjector, FaultScheduleConfig
 from repro.fleet import (
     AutoscaleConfig,
     BrownoutConfig,
@@ -41,8 +47,9 @@ from repro.fleet import (
     build_fleet,
     poisson_stream,
 )
-from repro.fleet.device import FleetDevice
+from repro.fleet.device import DeviceSpec, FleetDevice
 from repro.hardware.soc import PowerMode, jetson_orin_agx_64gb
+from repro.hardware.thermal import ThermalConfig
 from repro.models.registry import get_model
 from repro.tiering import TieringConfig
 from repro.workloads.agentic import agentic_suite
@@ -104,6 +111,121 @@ class TestTablesMatchDirectPricing:
         assert all(pricing.tables[0]) and all(pricing.tables[1])
 
 
+def _stream(seed: int, n: int = 60):
+    rng = np.random.default_rng(seed)
+    requests = [GenerationRequest(i, int(rng.integers(16, 600)),
+                                  int(rng.integers(2, 260)))
+                for i in range(n)]
+    return requests, np.cumsum(rng.exponential(0.3, n))
+
+
+class TestSharedPricing:
+    """One memoizing ``Pricing`` per engine spec, for the process."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_registry(self, monkeypatch):
+        monkeypatch.setattr(Pricing, "_registry", {})
+
+    def test_same_spec_simulators_share_one_object(self):
+        sims = [ServingSimulator(_engine(MODEL, "15W"), max_batch_size=b,
+                                 policy=policy, mode=mode)
+                for b, policy, mode in ((1, "fcfs", "auto"),
+                                        (8, "edf", "auto"),
+                                        (4, "fcfs", "scalar"))]
+        devices = [FleetDevice(DeviceSpec(name=f"d{i}", power_mode="15W"))
+                   for i in range(2)]
+        pricing = sims[0].pricing
+        assert pricing.pure
+        assert all(s.pricing is pricing for s in sims)
+        assert all(d.simulator.pricing is pricing for d in devices)
+        # The registry prices through its own engine, no caller's.
+        assert all(pricing.engine is not s.engine for s in sims)
+
+    def test_other_model_mode_or_config_gets_another_object(self):
+        engines = [_engine(MODEL, "MAXN"), _engine("dsr1-llama-8b", "MAXN"),
+                   _engine(MODEL, "15W")]
+        soc = jetson_orin_agx_64gb()
+        engines += [InferenceEngine(get_model(MODEL), soc=soc, config=config)
+                    for config in (EngineConfig(seed=1),
+                                   EngineConfig(kv_cache_fraction=0.5),
+                                   EngineConfig(framework="hft"))]
+        shared = [ServingSimulator(e).pricing for e in engines]
+        assert len({id(p) for p in shared}) == len(engines)
+        for engine, pricing in zip(engines, shared):
+            assert pricing is Pricing.shared(engine)
+            assert (pricing.engine.model, pricing.engine.soc,
+                    pricing.engine.config) == (engine.model, engine.soc,
+                                               engine.config)
+
+    def test_impure_simulators_get_private_unmemoized_pricing(self):
+        engine = _engine(MODEL, "MAXN")
+        thermal = ThermalConfig(heat_capacity_j_per_c=2.0,
+                                conductance_w_per_c=0.2,
+                                throttle_trip_c=55.0, resume_c=50.0)
+        faults = FaultInjector(FaultScheduleConfig(horizon_s=60.0), seed=0)
+        noisy = InferenceEngine(get_model(MODEL),
+                                config=EngineConfig(power_noise_std=0.02))
+        sims = [ServingSimulator(engine, faults=faults),
+                ServingSimulator(engine, thermal=thermal),
+                ServingSimulator(engine, degradation=DegradationPolicy(
+                    timeout_s=30.0)),
+                ServingSimulator(noisy)]
+        shared = Pricing.shared(engine)
+        for sim in sims:
+            assert not sim.pricing.pure
+            assert sim.pricing is not shared
+            assert sim.pricing.engine is sim.engine
+            sim.run_poisson(np.random.default_rng(5), qps=3.0,
+                            num_requests=20)
+            assert sim.pricing._prefill == {}
+            assert sim.pricing.tables == ({}, {})
+        assert len({id(s.pricing) for s in sims}) == len(sims)
+        with pytest.raises(ValueError, match="noisy"):
+            Pricing.shared(noisy)
+
+    def test_threads_racing_to_create_get_one_object(self):
+        spec = DeviceSpec(name="d", power_mode="30W")
+        engines = [FleetDevice(spec).engine for _ in range(32)]
+        Pricing._registry.clear()  # the devices registered the spec
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(Pricing.shared, engines, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(p is got[0] for p in got)
+        assert Pricing._registry == {
+            (engines[0].model, engines[0].soc, engines[0].config): got[0]}
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_warm_shared_tables_price_like_a_fresh_private_pricing(
+            self, batch):
+        # Warm the shared tables and prefill memo with other streams,
+        # on the scalar loop (EDF) and the vector core (FCFS).
+        for seed, policy in ((1, "edf"), (2, "fcfs"), (3, "edf")):
+            sim = ServingSimulator(_engine(MODEL, "MAXN"),
+                                   max_batch_size=batch, policy=policy)
+            requests, arrivals = _stream(seed)
+            sim.run(requests, arrivals, np.full(len(requests), 30.0))
+        shared = Pricing.shared(_engine(MODEL, "MAXN"))
+        assert shared.tables[0] and shared.tables[1] and shared._prefill
+        for policy, core in (("fcfs", "vector"), ("edf", "scalar")):
+            runs = {}
+            for name in ("warm", "fresh"):
+                sim = ServingSimulator(_engine(MODEL, "MAXN"),
+                                       max_batch_size=batch, policy=policy)
+                if name == "fresh":
+                    sim.pricing = Pricing(sim.engine, pure=True)
+                else:
+                    assert sim.pricing is shared
+                requests, arrivals = _stream(4)
+                runs[name] = sim.run(requests, arrivals,
+                                     np.full(len(requests), 30.0)).to_json()
+                assert sim.last_mode == core
+            assert runs["warm"] == runs["fresh"]
+
+
 def test_integrate_span_matches_the_step_loop():
     """The span spend both cores use equals the scalar per-step loop
     bit for bit, cut or uncut, from the first column (``integrate_span``)
@@ -162,8 +284,19 @@ def _count_table_spans(monkeypatch) -> list[int]:
     return calls
 
 
-def _tables_empty(simulator) -> bool:
-    return simulator.pricing.tables == ({}, {})
+def _count_table_reads(monkeypatch) -> list[int]:
+    """Count decode-table reads (``Pricing._lookup`` calls), single
+    steps included.  The tables are shared for the life of the process,
+    so whether they are empty says nothing about who read them."""
+    calls = [0]
+    lookup = Pricing._lookup
+
+    def counted(*args):
+        calls[0] += 1
+        return lookup(*args)
+
+    monkeypatch.setattr(Pricing, "_lookup", staticmethod(counted))
+    return calls
 
 
 def _both_modes(monkeypatch, build_and_run):
@@ -176,15 +309,15 @@ def _both_modes(monkeypatch, build_and_run):
     out = {}
     for mode in ("scalar", "auto"):
         calls = _count_table_spans(monkeypatch)
+        reads = _count_table_reads(monkeypatch)
         report, gateway = build_and_run(mode)
         assert gateway.last_mode == "scalar"
-        devices = gateway.devices
         if mode == "scalar":
             assert calls[0] == 0
-            assert all(_tables_empty(d.simulator) for d in devices)
+            assert reads[0] == 0
         else:
             assert calls[0] > 0
-            assert not all(_tables_empty(d.simulator) for d in devices)
+            assert reads[0] > 0
         out[mode] = (report, gateway)
     assert out["auto"][0].to_json() == out["scalar"][0].to_json()
     return out
@@ -294,15 +427,18 @@ class TestResumedSpansAndQuietBound:
 
 
 class TestOracleLeavesTablesEmpty:
+    """The oracle reads no table, even when it shares a warm one."""
+
     def test_scalar_simulator_run(self, monkeypatch):
         calls = _count_table_spans(monkeypatch)
+        reads = _count_table_reads(monkeypatch)
         simulator = ServingSimulator(InferenceEngine(get_model(MODEL)),
                                      mode="scalar")
         simulator.run_poisson(np.random.default_rng(0), qps=4.0,
                               num_requests=40)
         assert simulator.last_mode == "scalar"
         assert calls[0] == 0
-        assert _tables_empty(simulator)
+        assert reads[0] == 0
 
     def test_scalar_gateway_run(self, monkeypatch):
         def run(mode):
@@ -448,7 +584,11 @@ class TestTablePricedScalarLoopMatchesOracle:
             switched = [d for d in gateway.devices if d.dvfs_switches]
             assert switched
             for device in switched:
-                assert device.simulator.pricing is not before[device.name]
+                # The switched-to mode's shared memo, on the new SoC.
+                pricing = device.simulator.pricing
+                assert pricing is Pricing.shared(device.engine)
+                assert pricing is not before[device.name]
+                assert pricing.engine.soc == device.engine.soc
                 assert device.simulator.mode == mode
             return report, gateway
 

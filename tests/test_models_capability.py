@@ -10,10 +10,27 @@ from repro.models.capability import (
     capability_profile,
     distractor_shares,
     has_profile,
+    _logit,
+    _sigmoid,
     profiles_for_benchmark,
+    question_success_probabilities,
     question_success_probability,
     solve_mean_offset,
 )
+
+
+def _one_curve(accuracy, difficulties, beta):
+    """The one-curve bisection written out: ``(delta, probabilities)``."""
+    base = _logit(accuracy) + beta * (0.5 - difficulties)
+    lo, hi = -10.0, 10.0
+    for _ in range(25):
+        mid = 0.5 * (lo + hi)
+        if float(_sigmoid(base + mid).mean()) < accuracy:
+            lo = mid
+        else:
+            hi = mid
+    delta = 0.5 * (lo + hi)
+    return delta, _sigmoid(base + delta)
 
 
 class TestAnchorPoint:
@@ -176,6 +193,21 @@ class TestQuestionProbabilities:
         p = question_success_probability(0.6, difficulties, beta=3.0)
         assert abs(float(p.mean()) - 0.6) < 0.01
         assert -10 < delta < 10
+
+    @pytest.mark.parametrize("size", [1, 7, 129, 2000, 9000])
+    def test_row_solves_equal_one_curve_bisection_bitwise(self, rng, size):
+        difficulties = rng.beta(2.4, 2.2, size=size)
+        accuracies = np.append(rng.random(11), [0.0, 1.0, 0.5])
+        betas = rng.choice([0.0, 1.3, 2.5, 4.0], size=accuracies.size)
+        rows = question_success_probabilities(accuracies, difficulties, betas)
+        assert rows.shape == (accuracies.size, size)
+        for row, accuracy, beta in zip(rows, accuracies.tolist(),
+                                       betas.tolist()):
+            delta, want = _one_curve(accuracy, difficulties, beta)
+            assert solve_mean_offset(accuracy, difficulties, beta) == delta
+            assert row.tobytes() == want.tobytes()
+            assert question_success_probability(
+                accuracy, difficulties, beta).tobytes() == want.tobytes()
 
     def test_distractor_shares_clipped(self):
         profile = capability_profile("dsr1-llama-8b", "mmlu-redux")

@@ -122,6 +122,57 @@ class TestDagRunCoordinator:
         run.ready_children(terminal, 4.0)
         assert run.done()
 
+    def test_release_and_refund_order_match_a_full_scan(self):
+        """Interleaved admits and settles against the rule spelled out
+        over every stage: each call refunds the released stages that
+        turned terminal, then releases every waiting stage whose
+        dependencies are all terminal, both in rid order."""
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        run = DagRun(TieringConfig(predict_noise=0.0,
+                                   session_token_budget=4000))
+        refunds = []
+        refund = run.budget.refund
+
+        def recorded(session, rid, spent_tokens):
+            refunds.append(rid)
+            refund(session, rid, spent_tokens)
+
+        run.budget.refund = recorded
+        terminal, released, settled = {}, set(), set()
+        job_id, calls, waits = 0, 0, 0
+        while job_id < 16 or not run.done():
+            if job_id < 16 and rng.random() < 0.4:
+                verdict, out = run.admit(
+                    job(job_id=job_id, difficulty=float(rng.random()),
+                        session=f"u{job_id % 3}"), float(job_id), 0.0)
+                job_id += 1
+                if verdict == "go":
+                    released.update(r.request.request_id for r in out)
+                continue
+            for rid in sorted(released - set(terminal)):
+                if rng.random() < 0.3:
+                    run.note_served(rid, int(rng.integers(8, 200)))
+                    terminal[rid] = "served"
+            stages = [s for dag in run.dags.values() if not dag.shed
+                      for s in dag.stages]
+            want_refunds = sorted(r for r in released - settled
+                                  if r in terminal)
+            want = sorted(s.rid for s in stages
+                          if s.deps and s.rid not in released
+                          and all(d in terminal for d in s.deps))
+            waits += any(s.deps and s.rid not in released for s in stages)
+            refunds.clear()
+            got = [r.request.request_id
+                   for r in run.ready_children(terminal, float(calls))]
+            assert refunds == want_refunds
+            assert got == want
+            settled.update(want_refunds)
+            released.update(got)
+            calls += 1
+        assert calls > 20 and waits > 10
+
     def test_ladder_shed_returns_all_rids(self):
         config = TieringConfig(enter_pressure=(0.1, 0.2, 0.3),
                                exit_pressure=(0.05, 0.1, 0.15))
