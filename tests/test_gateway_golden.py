@@ -27,15 +27,21 @@ from repro.experiments.tiering_study import (
     tiering_frontier_table,
 )
 from repro.faults import FleetFaultConfig, FleetFaultSchedule
+from repro.engine.request import GenerationRequest
 from repro.fleet import (
+    AutoscaleConfig,
+    BrownoutConfig,
     FleetGateway,
+    FleetRequest,
     HealthConfig,
+    HedgeConfig,
     build_fleet,
     poisson_stream,
 )
 from repro.tiering import TieringConfig
 from repro.workloads import PopulationConfig, population_trace
 from repro.workloads.agentic import agentic_suite
+from repro.workloads.arrivals import diurnal_arrivals, poisson_arrivals
 
 FRONTIER_STUDY = (Path(__file__).resolve().parent.parent
                   / "docs" / "studies" / "tiering_frontier.txt")
@@ -114,6 +120,70 @@ def test_tiered_fault_run_pin():
     # The tiering frontier below runs fault-free; this run adds a crash
     # and a flapping device under the DAG release and tiering ticks.
     assert _tiered_fault_sha() == TIERED_FAULT_PIN
+
+
+def test_prefix_affinity_brownout_run_pin():
+    # Sessions ranked over the brownout's downgrade pool (tier 2) and
+    # the shedding tier, with hedges, a crash and a flapping device.
+    faults = _faults(seed=0, horizon_s=8.0, crashes=1)
+    models = ("dsr1-qwen-1.5b", "dsr1-qwen-1.5b-awq-w4")
+    fleet = build_fleet(4, mix="balanced", models=models, faults=faults,
+                        prefix_cache_mb=8.0)
+    gateway = FleetGateway(
+        fleet, policy="prefix-affinity", faults=faults,
+        brownout=BrownoutConfig(downgrade_models=(models[1],)),
+        hedge=HedgeConfig(min_age_s=4.0, age_factor=1.3))
+    report = gateway.run(poisson_stream(
+        np.random.default_rng(0), 20.0, 160, prompt_tokens=96,
+        output_tokens=128, deadline_s=20.0, sessions=16, prefix_tokens=64))
+    assert report.max_brownout_tier >= 2 and gateway.brownout.downgraded
+    assert report.hedged > 0 and report.rerouted > 0 and report.lost == 0
+    assert _sha(report) == (
+        "4090b209b60a0787fa070cf0db7cc4fd3f50dc8bc49261bf6f28edc6108225bb")
+
+
+def test_prefix_affinity_autoscale_run_pin():
+    # Sessions ranked over the lifecycle-filtered pool while a diurnal
+    # trough sleeps devices and a flash crowd wakes them; one crash.
+    rng = np.random.default_rng(0)
+    arrivals = np.sort(np.concatenate([
+        diurnal_arrivals(rng, 0.3, 3.0, 100.0, 220),
+        poisson_arrivals(rng, 8.0, 60, start_s=100.0)]), kind="stable")
+    sessions = rng.integers(12, size=arrivals.shape[0])
+    stream = [FleetRequest(request=GenerationRequest(i, 96, 96),
+                           arrival_s=float(arrivals[i]), deadline_s=45.0,
+                           session=f"session-{int(sessions[i])}",
+                           prefix_tokens=64)
+              for i in range(arrivals.shape[0])]
+    names = [f"edge-{i:02d}" for i in range(6)]
+    faults = FleetFaultSchedule(names, FleetFaultConfig(
+        horizon_s=float(arrivals[-1]), device_crashes=1), seed=0)
+    fleet = build_fleet(6, mix="balanced", max_batch_size=4, faults=faults,
+                        prefix_cache_mb=8.0)
+    gateway = FleetGateway(fleet, policy="prefix-affinity", faults=faults,
+                           autoscale=AutoscaleConfig())
+    report = gateway.run(stream)
+    assert report.autoscale.wakes > 0 and report.autoscale.sleeps > 0
+    assert report.rerouted > 0 and report.lost == 0
+    assert _sha(report) == (
+        "70a20becaf348bc22a5b62085a5aa4c1e66098bd1ef059a0f8a6ef9c12036f04")
+
+
+def test_prefix_affinity_tiered_fault_run_pin():
+    # Sessions ranked over each stage's steered tier pool, with a crash
+    # and a flapping device under the DAG release and tiering ticks.
+    config = TieringConfig(seed=0)
+    models = tuple(dict.fromkeys(
+        config.fast_models + config.deep_models + config.verify_models))
+    faults = _faults(seed=2, horizon_s=12.0, crashes=1)
+    fleet = build_fleet(4, mix="balanced", models=models, faults=faults,
+                        prefix_cache_mb=8.0)
+    gateway = FleetGateway(fleet, policy="prefix-affinity", faults=faults)
+    report = gateway.run(agentic_suite(np.random.default_rng(2), 2.0, 24,
+                                       deadline_s=60.0), tiering=config)
+    assert report.rerouted > 0 and report.lost == 0
+    assert _sha(report) == (
+        "1b471567931b79c99348520efcd0b5f6182bbf44f70c1300d0bf61dfc9a4beee")
 
 
 @pytest.mark.parametrize("shape", ["overload", "tiered_fault"])
