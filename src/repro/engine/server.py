@@ -827,13 +827,9 @@ class _ServingRun:
         batch, ctx_sum, gen_sum = self._span_keys()
         if self.sim.pricing.pure and self.sim.mode != "scalar":
             base, power = self.sim.pricing.span(batch, ctx_sum, gen_sum, 1)
-            self._spend(float(base[0]), float(power[0]))
         else:
-            base = float(self.engine.kernels.decode_step_seconds(
-                self.engine.profile, ctx_sum / batch, batch))
-            power = float(self.engine.power.decode_power(
-                max(gen_sum / batch, 1.0), batch))
-            self._spend(base, power)
+            base, power = self._direct_prices(batch, ctx_sum, gen_sum, 1)
+        self._spend(float(base[0]), float(power[0]))
 
         for seq in list(self.live):
             if seq not in self.live:
@@ -912,13 +908,7 @@ class _ServingRun:
             self.now = float(path[0, end])
             self.energy = float(path[1, end])
         else:
-            steps = np.arange(span, dtype=np.float64)
-            base = self.engine.kernels.decode_step_seconds(
-                self.engine.profile, (ctx_sum + batch * steps) / batch,
-                batch)
-            power = np.asarray(self.engine.power.decode_power(
-                np.maximum((gen_sum + batch * steps) / batch, 1.0), batch),
-                dtype=np.float64)
+            base, power = self._direct_prices(batch, ctx_sum, gen_sum, span)
             policy = self.degradation
             timeout_at = (min(seq.start_s for seq in self.live)
                           + policy.timeout_s
@@ -939,6 +929,22 @@ class _ServingRun:
             seq.context += taken
             if seq.remaining <= 0:
                 self._finish(seq)
+
+    def _direct_prices(self, batch: int, ctx_sum: int, gen_sum: int,
+                       steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """(seconds, watts) of ``steps`` decode steps of a stable batch,
+        priced by the kernel and power models themselves (impure and
+        oracle runs): step ``j`` runs at mean context ``(ctx_sum +
+        batch*j) / batch`` and mean generated count ``(gen_sum +
+        batch*j) / batch``, at least 1.  A one-step call prices bitwise
+        like a scalar call (see :mod:`repro.engine.pricing`)."""
+        offset = batch * np.arange(steps, dtype=np.float64)
+        base = self.engine.kernels.decode_step_seconds(
+            self.engine.profile, (ctx_sum + offset) / batch, batch)
+        power = np.asarray(self.engine.power.decode_power(
+            np.maximum((gen_sum + offset) / batch, 1.0), batch),
+            dtype=np.float64)
+        return base, power
 
     def _span_keys(self) -> tuple[int, int, int]:
         """The live batch's size, summed context and summed generated

@@ -9,7 +9,6 @@ track.  Useful when debugging why a configuration misses its budget.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,16 +18,6 @@ from repro.engine.request import GenerationRequest
 
 #: Decode steps per aggregated trace span (one span per token is noisy).
 STEPS_PER_SPAN = 16
-
-
-@dataclass(frozen=True)
-class TraceSpan:
-    """One duration event in the trace."""
-
-    name: str
-    start_s: float
-    duration_s: float
-    args: dict
 
 
 def build_trace(engine: InferenceEngine,

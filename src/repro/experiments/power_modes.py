@@ -32,11 +32,6 @@ class PowerModePoint:
     prefill_512_s: float
     query_latency_s: float  # 150-token prompt, 800-token generation
 
-    @property
-    def slowdown_vs_maxn(self) -> float:
-        """Filled in by the table builder (1.0 for MAXN)."""
-        return 1.0
-
 
 def run_power_mode_study(seed: int = 0) -> list[PowerModePoint]:
     """Measure TBT / prefill / query latency per (model, mode)."""

@@ -60,17 +60,18 @@ overshoot an event time slightly; an outage or cancellation then takes
 effect at that epoch boundary.  This is deterministic and mirrors real
 engines, which cannot abort mid-kernel.
 
-Hot path: the scalar event loop memoizes everything that only changes
-on *topology events* — the up/routable device views and the
-prefix-affinity session winners are cached behind a monotone topology
-version (bumped on crashes, breaker transitions, and probe-slot
-consumption, with a time-based expiry for outage recoveries and breaker
-cool-downs), rendezvous digests are cached per (session, device), a
-gateway-maintained outstanding counter replaces the full-fleet pressure
-scan, and the per-event sweep advances and folds only busy devices
-(exact: ``run_until`` is a no-op without work, and a device's unfolded
-outcome records still count as its outstanding work).  It is the
-gateway's only per-event loop:
+Hot path: the scalar event loop caches the up and routable device
+views behind a monotone topology version, for every configuration.  The
+version is bumped on crashes, breaker transitions, probe-slot
+consumption, brownout tier moves and autoscale lifecycle transitions;
+outage recoveries and breaker cool-downs expire the views by time.
+Gateway-maintained outstanding counters replace every per-device
+outstanding scan (pressure, the autoscale tick, the drain), and the
+per-event sweep advances and folds only busy devices (exact:
+``run_until`` is a no-op without work, and a device's unfolded outcome
+records still count as its outstanding work).  Prefix affinity ranks a
+session's devices by rendezvous hashing in one routine that both cores
+share.  It is the gateway's only per-event loop:
 plain streams and tiered DAG runs pop the same event heap, a tiered
 run adding its job-admission arrival handler, a settle step that
 releases unblocked DAG stages after each event, and its tick source,
@@ -247,22 +248,17 @@ class FleetGateway:
         self._latency_ewma: float | None = None
         self._served_cursor = {name: 0 for name in names}
         self._dropped_cursor = {name: 0 for name in names}
-        # Monotone topology stamp: any availability, breaker, or
-        # probe-budget change bumps it, invalidating the cached
-        # up/routable views.  Time-driven flips (outage recovery,
-        # breaker cool-down expiry) are handled by each cache's expiry.
+        # Monotone topology stamp: any availability, breaker,
+        # probe-budget, brownout-tier or lifecycle change bumps it,
+        # invalidating the cached up/routable views.  Time-driven flips
+        # (outage recovery, breaker cool-down expiry) are handled by
+        # each cache's expiry.
         self._topo_version = 0
         self._up_cache: tuple[int, float, list[FleetDevice]] | None = None
         self._pool_cache: tuple[int, float, list[FleetDevice]] | None = None
-        #: sha256 rendezvous digests per (session, device name).
-        self._rdv_cache: dict[tuple[str, str], int] = {}
-        #: Per-session rendezvous winners over the *current* routable
-        #: pool; cleared whenever the pool's membership changes.
-        self._affinity_winner: dict[str, FleetDevice] = {}
-        self._affinity_pool: tuple[str, ...] | None = None
         # Gateway-maintained outstanding-work counters (inject/terminal
-        # record/cancel/evacuate deltas) replacing the full-fleet
-        # pressure scan; ``_maybe_down`` tracks devices that were handed
+        # record/cancel/evacuate deltas) replacing every per-device
+        # outstanding scan; ``_maybe_down`` tracks devices that were handed
         # work while down (parked arrivals), whose holdings must not
         # count toward up-capacity pressure.
         self._outstanding = {name: 0 for name in names}
@@ -316,66 +312,46 @@ class FleetGateway:
         return pool
 
     def _routable(self, t: float) -> list[FleetDevice]:
-        """Up devices the breakers admit, with brownout steering.
+        """Up devices the lifecycle and breakers admit, with brownout
+        steering.
 
         Breakers shift load, never black out the fleet: when every up
         device's breaker rejects, routing falls back to all up devices.
 
-        The pool is cached behind the topology version: breaker
-        admission only changes on transitions or probe-slot consumption
-        (both bump the version) or when an OPEN cool-down expires (a
-        time expiry).  Brownout steering and the autoscale lifecycle
-        filter read controller state that moves without topology
-        events, so those configurations keep the per-call scan.
+        The pool is :meth:`_routable_scan` cached behind the topology
+        version.  Each input of the scan changes only on a bump or at a
+        time expiry: availability (crashes bump, recoveries expire the
+        :meth:`_up` view), breaker admission (transitions and probe
+        slots bump, an OPEN cool-down expires), the autoscale lifecycle
+        (every controller call that can move a state bumps) and the
+        brownout tier (a tier move bumps).
         """
-        if self.brownout is not None or self.autoscale is not None:
-            return self._routable_scan(t, self._up(t))
         cache = self._pool_cache
         if (cache is not None and cache[0] == self._topo_version
                 and t < cache[1]):
             return cache[2]
         up = self._up(t)
+        pool = self._routable_scan(t, up)
         expiry = self._up_cache[1]
-        fit = []
         for d in up:
             breaker = self.breakers[d.name]
-            if breaker.admits(t):
-                fit.append(d)
-            elif breaker.state is BreakerState.OPEN:
+            if (breaker.state is BreakerState.OPEN
+                    and breaker._probe_until > t):
                 # The cool-down's expiry re-admits this device; the
                 # rebuild at that first post-expiry event performs the
                 # OPEN -> HALF_OPEN transition exactly where the
                 # uncached scan would have.
                 expiry = min(expiry, breaker._probe_until)
-        pool = fit or up
-        names = tuple(d.name for d in pool)
-        if names != self._affinity_pool:
-            self._affinity_pool = names
-            self._affinity_winner.clear()
         self._pool_cache = (self._topo_version, expiry, pool)
         return pool
 
-    @staticmethod
-    def _rendezvous_digest(session: str, name: str) -> int:
-        digest = hashlib.sha256(f"{session}:{name}".encode()).digest()
-        return int.from_bytes(digest[:8], "little")
-
-    def _rendezvous_weight(self, session: str, name: str) -> int:
-        """Rendezvous weight with per-(session, device) digest caching.
-
-        A sticky session re-presents the same (session, name) pairs on
-        every turn; the digest is a pure function of the pair, so
-        repeat turns cost a dict hit instead of a sha256.
-        """
-        key = (session, name)
-        weight = self._rdv_cache.get(key)
-        if weight is None:
-            weight = self._rendezvous_digest(session, name)
-            self._rdv_cache[key] = weight
-        return weight
-
     def _pick(self, freq: FleetRequest, t: float) -> FleetDevice | None:
         """The policy's choice of device for one request at time ``t``.
+
+        Every policy chooses from the cached :meth:`_routable` pool (in
+        a tiered run, steered to the stage's tier pool); prefix affinity
+        ranks a session's candidates with :meth:`_rendezvous_winner`,
+        the routine the vector partition ranks with.
 
         Returns None only when every device is down with no finite
         recovery time (a permanent whole-fleet outage): the caller must
@@ -405,19 +381,8 @@ class FleetGateway:
         # prefix-affinity: rendezvous hash pins a session to one device
         # (stable under fleet changes); stateless requests balance.
         if freq.session is not None:
-            if (self.brownout is not None or self.autoscale is not None
-                    or self._dag is not None):
-                return max(up, key=lambda d: (
-                    self._rendezvous_weight(freq.session, d.name), d.name))
-            # The winner over a given pool is a pure function of the
-            # session; the memo is cleared whenever the cached pool's
-            # membership changes, so hits are exact.
-            device = self._affinity_winner.get(freq.session)
-            if device is None:
-                device = max(up, key=lambda d: (
-                    self._rendezvous_weight(freq.session, d.name), d.name))
-                self._affinity_winner[freq.session] = device
-            return device
+            return up[self._rendezvous_winner(
+                freq.session.encode() + b":", [d.name.encode() for d in up])]
         return min(up, key=lambda d: (d.outstanding_requests, d.name))
 
     def _park_target(self) -> FleetDevice | None:
@@ -438,6 +403,9 @@ class FleetGateway:
         and no healthy sleeper exists.
         """
         ctrl = self.autoscale
+        # Either rung may move a lifecycle state the routable pool
+        # filters on.
+        self._topo_bump()
         down = frozenset(d.name for d in self.devices if d.is_down(t))
         name = ctrl.emergency_activate(t, down)
         if name is not None:
@@ -616,6 +584,11 @@ class FleetGateway:
     def _pressure(self, t: float) -> float:
         """Outstanding work per unit of up-capacity (fleet batches).
 
+        The outstanding work is read off the gateway's counters: every
+        inject/terminal-record/cancel/evacuate moves them, and every
+        call site runs post-poll, so they equal the live per-device scan
+        exactly.
+
         With autoscaling armed the capacity base is the *routable*
         (ACTIVE, up) devices only: sleeping capacity must not dilute
         the signal, or the controller would never wake it.  Outstanding
@@ -626,18 +599,13 @@ class FleetGateway:
         if not up:
             return math.inf
         if self.autoscale is not None:
-            active = [d for d in up
-                      if self.autoscale.accepts_routes(d.name)]
-            if not active:
+            capacity = sum(d.spec.max_batch_size for d in up
+                           if self.autoscale.accepts_routes(d.name))
+            if not capacity:
                 return math.inf
-            capacity = sum(d.spec.max_batch_size for d in active)
-            outstanding = sum(d.outstanding_requests for d in self.devices)
-            return outstanding / capacity
-        # Counter path: every inject/terminal-record/cancel/evacuate
-        # moves the totals, and every call site runs post-poll, so the
-        # counter equals the live per-device scan exactly.  Work parked
-        # on still-down devices is excluded (pressure only sums up
-        # devices); recovered parkees rejoin the total lazily.
+            return self._outstanding_total / capacity
+        # Work parked on still-down devices is excluded (pressure only
+        # sums up devices); recovered parkees rejoin the total lazily.
         outstanding = self._outstanding_total
         for name in sorted(self._maybe_down):
             if self._by_name[name].is_down(t):
@@ -647,6 +615,14 @@ class FleetGateway:
         capacity = (self._full_capacity if len(up) == len(self.devices)
                     else sum(d.spec.max_batch_size for d in up))
         return outstanding / capacity
+
+    def _observe_brownout(self, t: float) -> None:
+        """Fold one pressure sample into the brownout ladder."""
+        tier = self.brownout.tier
+        self.brownout.observe(t, self._pressure(t))
+        if self.brownout.tier != tier:
+            # Tier 2 steers the routable pool toward downgrade models.
+            self._topo_bump()
 
     def _maybe_hedge(self, t: float) -> None:
         if self.hedge is None:
@@ -685,16 +661,18 @@ class FleetGateway:
         """One controller evaluation plus application of its actions."""
         ctrl = self.autoscale
         down = frozenset(d.name for d in self.devices if d.is_down(t))
-        outstanding = {d.name: d.outstanding_requests
-                       for d in self.devices}
-        for action in ctrl.tick(t, self._pressure(t), down=down,
-                                outstanding=outstanding):
+        actions = ctrl.tick(t, self._pressure(t), down=down,
+                            outstanding=self._outstanding)
+        # The tick may move lifecycle states the routable pool filters
+        # on; an evacuation below already routes through the new pool.
+        self._topo_bump()
+        for action in actions:
             if action[0] == "evacuate":
                 self._evacuate_drain(action[1], t)
             elif action[0] == "set_mode":
                 _, name, mode = action
                 device = self._by_name[name]
-                if device.outstanding_requests:
+                if self._outstanding[name]:
                     # The controller only targets idle devices, but if
                     # its snapshot ever drifts from live state, defer:
                     # it re-emits on a later tick once the device
@@ -759,7 +737,7 @@ class FleetGateway:
         self._arrival[rid] = freq.arrival_s
         self._deadline[rid] = freq.deadline_s
         if self.brownout is not None:
-            self.brownout.observe(t, self._pressure(t))
+            self._observe_brownout(t)
             if self.brownout.should_shed():
                 self.brownout.shed += 1
                 self._finish(rid, "shed")
@@ -788,7 +766,7 @@ class FleetGateway:
         if (self.brownout is not None or self.hedge is not None
                 or self.autoscale is not None):
             deadline += self.drain_limit_s
-        while any(d.outstanding_requests for d in self.devices):
+        while self._outstanding_total:
             if t >= deadline:
                 for device in self.devices:
                     device.drain()
@@ -796,7 +774,7 @@ class FleetGateway:
             t += DRAIN_TICK_S
             self._sweep(t)
             if self.brownout is not None:
-                self.brownout.observe(t, self._pressure(t))
+                self._observe_brownout(t)
             if self.autoscale is not None:
                 self._autoscale_tick(t)
         return max((d.run.now for d in self.devices), default=t)
@@ -864,31 +842,36 @@ class FleetGateway:
             return (np.arange(session.shape[0], dtype=np.int64)
                     % len(self.devices))
         uniq, inverse = np.unique(session, return_inverse=True)
-        lut = np.fromiter((self._rendezvous_winner(head(sid))
+        lut = np.fromiter((self._rendezvous_winner(head(sid),
+                                                   self._name_bytes)
                            for sid in uniq.tolist()),
                           dtype=np.int64, count=uniq.shape[0])
         return lut[inverse]
 
-    def _rendezvous_winner(self, head: bytes) -> int:
-        """Rendezvous winner index for one session over the whole fleet.
+    @staticmethod
+    def _rendezvous_winner(head: bytes, names) -> int:
+        """Index of one session's rendezvous winner among ``names``.
 
-        Reproduces the scalar ``max(up, key=(weight, name))`` exactly:
-        devices iterate in ascending name order, so keeping ties with
-        ``>=`` leaves the largest name holding the best weight — and
-        with no failure source the scalar pool provably stays the full
-        fleet, making the whole-fleet winner the partition.  ``head`` +
-        name are the bytes of the scalar ``f"{session}:{name}"`` digest.
+        ``head`` is the session key's bytes plus the ``b":"`` separator
+        and ``names`` are the candidates' name bytes in ascending name
+        order.  A candidate's weight is the first 8 bytes, read
+        little-endian, of ``sha256(head + name)`` — the digest of
+        ``f"{session}:{name}"`` — and keeping ties with ``>=`` leaves
+        the largest name holding the best weight.  Both cores rank
+        through it: the scalar :meth:`_pick` over the routable pool,
+        :meth:`_assign` over the whole fleet (with no failure source the
+        scalar pool provably stays the full fleet).
 
-        This loop hashes (sessions x devices) digests per partition, so
-        it stays lean: the hash constructor and byte decoder are bound
-        locally.
+        The partition hashes (sessions x devices) digests and the scalar
+        loop one per candidate per turn, so this stays lean: the hash
+        constructor and byte decoder are bound locally.
         """
         sha256 = hashlib.sha256
         from_bytes = int.from_bytes
         best = 0
         best_weight = -1
         index = 0
-        for name in self._name_bytes:
+        for name in names:
             weight = from_bytes(sha256(head + name).digest()[:8], "little")
             if weight >= best_weight:
                 best = index

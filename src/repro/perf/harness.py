@@ -30,10 +30,11 @@ paths end to end:
   64-device single-stream fleet on the vector fast path, with a
   wall-clock budget;
 * **fleet_routing_speedup** — the streaming trace driver vs the
-  scalar oracle (``mode="scalar"``, the cached per-event loop that the
-  trace driver falls back to; it never reads the shared pricing
-  tables, so its decode pricing is unchanged and they cannot lower
-  this ratio) on the prefix-affinity population workload: a
+  scalar oracle (``mode="scalar"``, the per-event loop that the trace
+  driver falls back to: a cached routable pool, and one rendezvous
+  ranking of that pool per session turn; it never reads the shared
+  pricing tables, so its decode pricing is unchanged and they cannot
+  lower this ratio) on the prefix-affinity population workload: a
   per-request-normalized ratio gate (floor 3x);
 * **fleet_diurnal_1m** — the population flagship: 1M session requests
   (diurnal arrivals, heavy-tailed users, shared prefixes) streamed
@@ -107,7 +108,7 @@ FLEET_DIURNAL_1M_BUDGET_S = 60.0
 
 #: Floor for the streaming-trace vs scalar-oracle speedup ratio on the
 #: prefix-affinity population workload (measured ~30x; the scalar side
-#: is the cached per-event loop, ``mode="scalar"``).
+#: is the per-event loop, ``mode="scalar"``).
 FLEET_ROUTING_SPEEDUP_MIN = 3.0
 
 #: Floor for the oracle vs table-priced scalar loop ratio on the tiered
@@ -519,8 +520,9 @@ def bench_fleet_routing_speedup(repeats: int) -> BenchResult:
     """Streaming trace driver vs the scalar oracle, same workload.
 
     The scalar side is ``mode="scalar"``: the per-event loop with its
-    cached routing views, the path a trace falls back to when the
-    vector core cannot serve it.  At ~2 ms/request it serves a
+    cached routable pool, ranking that pool by rendezvous hashing on
+    every session turn, the path a trace falls back to when the vector
+    core cannot serve it.  At ~2 ms/request it serves a
     10k-request prefix of the trace, once (repeated full-length runs
     would dominate the whole suite), normalized per request; the
     streaming side serves the full 100k trace, best-of over

@@ -1,20 +1,36 @@
 """Streaming trace driver: oracle equivalence, chunk/executor identity."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
-from repro.faults import FleetFaultConfig, FleetFaultSchedule
+import repro.fleet
+from repro.engine.request import GenerationRequest
+from repro.experiments.resilience import (
+    run_autoscale_points,
+    run_overload_points,
+)
+from repro.faults import DeviceFault, FleetFaultConfig, FleetFaultSchedule
 from repro.fleet import (
     ROUTING_POLICIES,
+    AutoscaleConfig,
     FleetGateway,
+    FleetRequest,
     FleetTraceReport,
     HealthConfig,
     HedgeConfig,
     build_fleet,
     poisson_stream,
 )
-from repro.fleet.gateway import FleetGateway as _Gateway
 from repro.workloads import PopulationConfig, population_trace, session_key
+from tests.test_gateway_golden import (
+    AFFINITY_PINS,
+    AFFINITY_RUNS,
+    AUTOSCALE_PIN,
+    OVERLOAD_PIN,
+)
 
 POLICIES = ("round-robin", "prefix-affinity")
 
@@ -32,9 +48,9 @@ class VerifiedGateway(FleetGateway):
     """A gateway that checks its cached routing state on every use.
 
     Each routable-pool lookup is compared with an uncached scan of the
-    up devices, and the outstanding-work counter behind ``_pressure``
-    with a live per-device sum, so a stale cache fails at the lookup
-    that used it.
+    up devices, the outstanding-work counters with a live per-device
+    sum, and ``_pressure`` with its formula over live device state, so
+    a stale cache or counter fails at the lookup that used it.
     """
 
     checks = 0
@@ -44,12 +60,30 @@ class VerifiedGateway(FleetGateway):
         up = [d for d in self.devices if not d.is_down(t)]
         fresh = self._routable_scan(t, up)
         assert [d.name for d in pool] == [d.name for d in fresh]
+        outstanding = sum(d.outstanding_requests for d in self.devices)
+        assert self._outstanding_total == outstanding
         if up and self.autoscale is None:
             assert self._pressure(t) == (
                 sum(d.outstanding_requests for d in up)
                 / sum(d.spec.max_batch_size for d in up))
+        elif up:
+            # Autoscale: all outstanding work over ACTIVE up capacity.
+            active = [d for d in up
+                      if self.autoscale.accepts_routes(d.name)]
+            assert self._pressure(t) == (
+                outstanding / sum(d.spec.max_batch_size for d in active)
+                if active else math.inf)
         self.checks += 1
         return pool
+
+
+def _reference_winner(session, names):
+    """The rendezvous winner by definition: the largest first-8-bytes
+    little-endian sha256 of ``f"{session}:{name}"``, ties to the
+    larger name."""
+    return max(names, key=lambda name: (int.from_bytes(
+        hashlib.sha256(f"{session}:{name}".encode()).digest()[:8],
+        "little"), name))
 
 
 def _gateway(policy, cls=FleetGateway, **kwargs):
@@ -149,29 +183,44 @@ class TestValidationAndEligibility:
 
 
 class TestRoutingFastPath:
-    def test_rendezvous_weight_caches_the_digest(self):
-        gateway = _gateway("prefix-affinity")
-        name = gateway.devices[0].name
-        weight = gateway._rendezvous_weight("s42", name)
-        assert weight == _Gateway._rendezvous_digest("s42", name)
-        assert gateway._rdv_cache[("s42", name)] == weight
-        # Repeat turns consume the cache, not sha256.
-        gateway._rdv_cache[("s42", name)] = 1234
-        assert gateway._rendezvous_weight("s42", name) == 1234
+    SESSIONS = (0, 1, 7, 123, 99999)
 
     def test_trace_winner_matches_scalar_rendezvous(self):
         gateway = _gateway("prefix-affinity")
-        for session in (0, 1, 7, 123, 99999):
+        names = [d.name for d in gateway.devices]
+        for session in self.SESSIONS:
             key = session_key(session)
             # The trace partition inlines the key bytes as b"s%d:".
             assert b"s%d:" % session == key.encode() + b":"
-            winner = gateway.devices[
-                gateway._rendezvous_winner(key.encode() + b":")]
-            expected = max(
-                gateway.devices,
-                key=lambda d: (_Gateway._rendezvous_digest(key, d.name),
-                               d.name))
-            assert winner.name == expected.name
+            winner = gateway._rendezvous_winner(
+                b"s%d:" % session, gateway._name_bytes)
+            assert names[winner] == _reference_winner(key, names)
+            # The scalar loop routes a turn to the same device.
+            turn = FleetRequest(request=GenerationRequest(0, 64, 16),
+                                arrival_s=0.0, session=key)
+            assert gateway._pick(turn, 0.0).name == names[winner]
+
+    def test_scalar_pick_ranks_the_partial_pool(self):
+        # One device down: each session goes to its winner among the
+        # three up devices, which moves the sessions the down device
+        # would have won and keeps every other session in place.
+        names = [f"edge-{i:02d}" for i in range(4)]
+        faults = FleetFaultSchedule(
+            names, FleetFaultConfig(horizon_s=1.0, device_crashes=0),
+            seed=0)
+        gateway = _gateway("prefix-affinity", faults=faults)
+        down = gateway.devices[1]
+        down.crash(0.0, math.inf)
+        up = [d.name for d in gateway.devices if d is not down]
+        moved = 0
+        for session in range(40):
+            key = session_key(session)
+            turn = FleetRequest(request=GenerationRequest(session, 64, 16),
+                                arrival_s=0.0, session=key)
+            picked = gateway._pick(turn, 0.0).name
+            assert picked == _reference_winner(key, up)
+            moved += _reference_winner(key, names) != picked
+        assert moved > 0
 
     @pytest.mark.parametrize("policy", ROUTING_POLICIES)
     def test_cached_views_survive_the_verify_cross_check(self, policy):
@@ -194,3 +243,59 @@ class TestRoutingFastPath:
         assert report.completed == 120
         assert gateway._outstanding_total == 0
         assert all(v == 0 for v in gateway._outstanding.values())
+
+    def test_emergency_activation_refreshes_the_pool(self):
+        # The tick at t=1 cordons edge-00; edge-01, the only ACTIVE
+        # device, crashes at t=1.5.  The first arrival finds no routable
+        # device and reactivates edge-00 through the emergency ladder,
+        # and the second arrival's lookup must already see edge-00.
+        names = ["edge-00", "edge-01"]
+        faults = FleetFaultSchedule(
+            names, FleetFaultConfig(horizon_s=1.0, device_crashes=0),
+            seed=0, events=[DeviceFault("edge-01", "crash", 1.5, 10.0)])
+        gateway = VerifiedGateway(
+            build_fleet(2, mix="balanced", faults=faults),
+            policy="round-robin", faults=faults,
+            autoscale=AutoscaleConfig(hold_down_s=0.5))
+        report = gateway.run([
+            FleetRequest(request=GenerationRequest(i, 64, 16),
+                         arrival_s=t, deadline_s=30.0)
+            for i, t in enumerate((1.6, 1.7))])
+        moves = [(t, name, dst.value)
+                 for t, name, _, dst in gateway.autoscale.transitions]
+        assert moves[:2] == [(1.0, "edge-00", "cordoned"),
+                             (1.6, "edge-00", "active")]
+        served = {d.name: d.report.completed for d in report.devices}
+        assert served == {"edge-00": 2, "edge-01": 0}
+        assert gateway.checks >= 2
+
+    @pytest.mark.parametrize("shape", ["overload_study", "autoscale_study",
+                                       *sorted(AFFINITY_RUNS)])
+    def test_control_planes_survive_the_verify_cross_check(
+            self, shape, monkeypatch):
+        # The pinned brownout/hedge/flap/thermal and autoscale lifecycle
+        # studies and the prefix-affinity brownout, autoscale and tiered
+        # runs, every lookup cross-checked: the cached pool must be
+        # exact under every control plane, and the checks must leave
+        # each report byte-identical.
+        gateways = []
+
+        class Recorded(VerifiedGateway):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                gateways.append(self)
+
+        monkeypatch.setattr(repro.fleet, "FleetGateway", Recorded)
+        if shape == "overload_study":
+            assert run_overload_points(seed=0)["report_sha"] == OVERLOAD_PIN
+        elif shape == "autoscale_study":
+            assert (run_autoscale_points(seed=0)["report_sha"]
+                    == AUTOSCALE_PIN)
+        else:
+            _, report = AFFINITY_RUNS[shape](cls=Recorded)
+            assert hashlib.sha256(report.to_json().encode()).hexdigest() \
+                == AFFINITY_PINS[shape]
+        # The autoscale study makes three runs (two crash-planning
+        # passes, then the final run); every run routes at least 90
+        # times (213 lookups in the overload run, 390 per autoscale run).
+        assert gateways and all(g.checks > 90 for g in gateways)

@@ -5,10 +5,11 @@ refactor of the loop that reorders one tie, moves one float operation,
 or drops one event shows up here as a changed digest.  Together the
 runs cover the loop's one busy-device sweep (with and without hedging)
 and its post-drain collect, every event source (arrivals, crashes,
-flaps, autoscale ticks, tiering ticks), reroutes, breakers, and the
-prefix-affinity winner memo.  The fleet-study stream, batched
-round-robin and trace pins cover the partition-and-drain vector path
-(and the scalar runs it must equal).  A pin changes only with a
+flaps, autoscale ticks, tiering ticks), reroutes, breakers, and
+prefix-affinity ranking over the full, brownout-steered,
+lifecycle-filtered and tier-steered pools.  The fleet-study stream,
+batched round-robin and trace pins cover the partition-and-drain vector
+path (and the scalar runs it must equal).  A pin changes only with a
 deliberate change to simulated behaviour; update it in that change.
 """
 
@@ -62,6 +63,8 @@ OVERLOAD_PIN = (
     "c80a892943beacaf24b5c0a8a64f25473b527ae82d45d5824ae07c68af1968a5")
 TIERED_FAULT_PIN = (
     "ce260760a3c304a7b6cda1c8539dd4a74decfce0e0152b3487561259d59c2f5e")
+AUTOSCALE_PIN = (
+    "33830ac0c19c3dc7cef12ffdbdfa5974fba232a60bd2fc3416d05cbc8e636139")
 
 
 def test_overload_run_pin():
@@ -71,8 +74,7 @@ def test_overload_run_pin():
 
 def test_autoscale_run_pin():
     # Controller ticks merged into the timeline, crashes mid-drain/wake.
-    assert run_autoscale_points(seed=0)["report_sha"] == (
-        "33830ac0c19c3dc7cef12ffdbdfa5974fba232a60bd2fc3416d05cbc8e636139")
+    assert run_autoscale_points(seed=0)["report_sha"] == AUTOSCALE_PIN
 
 
 def test_least_outstanding_crash_run_pin():
@@ -122,29 +124,37 @@ def test_tiered_fault_run_pin():
     assert _tiered_fault_sha() == TIERED_FAULT_PIN
 
 
-def test_prefix_affinity_brownout_run_pin():
-    # Sessions ranked over the brownout's downgrade pool (tier 2) and
-    # the shedding tier, with hedges, a crash and a flapping device.
+#: Prefix-affinity scalar runs whose sessions rank over a filtered or
+#: steered pool, one pin each.
+AFFINITY_PINS = {
+    "brownout":
+        "4090b209b60a0787fa070cf0db7cc4fd3f50dc8bc49261bf6f28edc6108225bb",
+    "autoscale":
+        "70a20becaf348bc22a5b62085a5aa4c1e66098bd1ef059a0f8a6ef9c12036f04",
+    "tiered":
+        "1b471567931b79c99348520efcd0b5f6182bbf44f70c1300d0bf61dfc9a4beee",
+}
+
+
+def affinity_brownout_run(cls=FleetGateway):
+    """Brownout down to its downgrade and shedding tiers, with hedges, a
+    crash and a flapping device; returns ``(gateway, report)``."""
     faults = _faults(seed=0, horizon_s=8.0, crashes=1)
     models = ("dsr1-qwen-1.5b", "dsr1-qwen-1.5b-awq-w4")
     fleet = build_fleet(4, mix="balanced", models=models, faults=faults,
                         prefix_cache_mb=8.0)
-    gateway = FleetGateway(
+    gateway = cls(
         fleet, policy="prefix-affinity", faults=faults,
         brownout=BrownoutConfig(downgrade_models=(models[1],)),
         hedge=HedgeConfig(min_age_s=4.0, age_factor=1.3))
-    report = gateway.run(poisson_stream(
+    return gateway, gateway.run(poisson_stream(
         np.random.default_rng(0), 20.0, 160, prompt_tokens=96,
         output_tokens=128, deadline_s=20.0, sessions=16, prefix_tokens=64))
-    assert report.max_brownout_tier >= 2 and gateway.brownout.downgraded
-    assert report.hedged > 0 and report.rerouted > 0 and report.lost == 0
-    assert _sha(report) == (
-        "4090b209b60a0787fa070cf0db7cc4fd3f50dc8bc49261bf6f28edc6108225bb")
 
 
-def test_prefix_affinity_autoscale_run_pin():
-    # Sessions ranked over the lifecycle-filtered pool while a diurnal
-    # trough sleeps devices and a flash crowd wakes them; one crash.
+def affinity_autoscale_run(cls=FleetGateway):
+    """A diurnal trough that sleeps devices, a flash crowd that wakes
+    them and one crash; returns ``(gateway, report)``."""
     rng = np.random.default_rng(0)
     arrivals = np.sort(np.concatenate([
         diurnal_arrivals(rng, 0.3, 3.0, 100.0, 220),
@@ -160,30 +170,54 @@ def test_prefix_affinity_autoscale_run_pin():
         horizon_s=float(arrivals[-1]), device_crashes=1), seed=0)
     fleet = build_fleet(6, mix="balanced", max_batch_size=4, faults=faults,
                         prefix_cache_mb=8.0)
-    gateway = FleetGateway(fleet, policy="prefix-affinity", faults=faults,
-                           autoscale=AutoscaleConfig())
-    report = gateway.run(stream)
-    assert report.autoscale.wakes > 0 and report.autoscale.sleeps > 0
-    assert report.rerouted > 0 and report.lost == 0
-    assert _sha(report) == (
-        "70a20becaf348bc22a5b62085a5aa4c1e66098bd1ef059a0f8a6ef9c12036f04")
+    gateway = cls(fleet, policy="prefix-affinity", faults=faults,
+                  autoscale=AutoscaleConfig())
+    return gateway, gateway.run(stream)
 
 
-def test_prefix_affinity_tiered_fault_run_pin():
-    # Sessions ranked over each stage's steered tier pool, with a crash
-    # and a flapping device under the DAG release and tiering ticks.
+def affinity_tiered_run(cls=FleetGateway):
+    """A tiered DAG run with a crash and a flapping device; returns
+    ``(gateway, report)``."""
     config = TieringConfig(seed=0)
     models = tuple(dict.fromkeys(
         config.fast_models + config.deep_models + config.verify_models))
     faults = _faults(seed=2, horizon_s=12.0, crashes=1)
     fleet = build_fleet(4, mix="balanced", models=models, faults=faults,
                         prefix_cache_mb=8.0)
-    gateway = FleetGateway(fleet, policy="prefix-affinity", faults=faults)
-    report = gateway.run(agentic_suite(np.random.default_rng(2), 2.0, 24,
-                                       deadline_s=60.0), tiering=config)
+    gateway = cls(fleet, policy="prefix-affinity", faults=faults)
+    return gateway, gateway.run(agentic_suite(
+        np.random.default_rng(2), 2.0, 24, deadline_s=60.0), tiering=config)
+
+
+#: Each affinity shape's runner, by :data:`AFFINITY_PINS` key.
+AFFINITY_RUNS = {"brownout": affinity_brownout_run,
+                 "autoscale": affinity_autoscale_run,
+                 "tiered": affinity_tiered_run}
+
+
+def test_prefix_affinity_brownout_run_pin():
+    # Sessions ranked over the brownout's downgrade pool (tier 2) and
+    # the shedding tier, with hedges, a crash and a flapping device.
+    gateway, report = affinity_brownout_run()
+    assert report.max_brownout_tier >= 2 and gateway.brownout.downgraded
+    assert report.hedged > 0 and report.rerouted > 0 and report.lost == 0
+    assert _sha(report) == AFFINITY_PINS["brownout"]
+
+
+def test_prefix_affinity_autoscale_run_pin():
+    # Sessions ranked over the lifecycle-filtered pool.
+    _, report = affinity_autoscale_run()
+    assert report.autoscale.wakes > 0 and report.autoscale.sleeps > 0
     assert report.rerouted > 0 and report.lost == 0
-    assert _sha(report) == (
-        "1b471567931b79c99348520efcd0b5f6182bbf44f70c1300d0bf61dfc9a4beee")
+    assert _sha(report) == AFFINITY_PINS["autoscale"]
+
+
+def test_prefix_affinity_tiered_fault_run_pin():
+    # Sessions ranked over each stage's steered tier pool, with a crash
+    # and a flapping device under the DAG release and tiering ticks.
+    _, report = affinity_tiered_run()
+    assert report.rerouted > 0 and report.lost == 0
+    assert _sha(report) == AFFINITY_PINS["tiered"]
 
 
 @pytest.mark.parametrize("shape", ["overload", "tiered_fault"])
