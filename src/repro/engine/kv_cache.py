@@ -145,6 +145,33 @@ class PagedKVCache:
         self._free_blocks -= extra
         self._sequences[seq_id] = tokens + new_tokens
 
+    def extend_all(self, seq_ids: list[int], new_tokens: int) -> None:
+        """Extend every sequence in ``seq_ids`` (distinct ids) by
+        ``new_tokens`` — one decode span of a whole batch.
+
+        Same block accounting as one :meth:`extend` per sequence, but
+        all or nothing: the span's total block need is checked against
+        the free pool before any sequence grows.
+        """
+        if new_tokens < 0:
+            raise ValueError("new_tokens must be non-negative")
+        sequences = self._sequences
+        block = self.config.block_tokens
+        extra = 0
+        for seq_id in seq_ids:
+            if seq_id not in sequences:
+                raise KeyError(f"unknown sequence {seq_id}")
+            tokens = sequences[seq_id]
+            extra += ((tokens + new_tokens + block - 1) // block
+                      - (tokens + block - 1) // block)
+        if extra > self._free_blocks:
+            raise KVCacheExhausted(
+                f"{len(seq_ids)} sequences need {extra} more blocks, "
+                f"{self._free_blocks} free")
+        self._free_blocks -= extra
+        for seq_id in seq_ids:
+            sequences[seq_id] += new_tokens
+
     def release_sequence(self, seq_id: int) -> None:
         """Free all blocks of a finished sequence."""
         tokens = self._sequences.pop(seq_id, None)

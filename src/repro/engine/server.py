@@ -503,8 +503,19 @@ class _ServingRun:
         self._next_index = 0
         self._push_seq = 0
         self._horizon = math.inf
-        self.pending: list[tuple[float, int, int]] = []
-        self.ready: list[tuple[float, int, int]] = []
+        #: Queued requests as ``(ready time or policy key, push seq,
+        #: index, stop length)``: the stop length, ``max(stop_lengths())``
+        #: of the request, is computed once at inject.
+        self.pending: list[tuple[float, int, int, int]] = []
+        self.ready: list[tuple[float, int, int, int]] = []
+        #: Decode tokens this run still owes: the ``remaining`` of every
+        #: live sequence plus the stop length of every queued request.
+        #: Kept exact at every change, so routing reads it in O(1).
+        self.decode_backlog = 0
+        #: Summed ``context`` and ``prompt_tokens`` of the live batch,
+        #: the pricing keys :meth:`_span_keys` reads.
+        self.ctx_sum = 0
+        self.prompt_sum = 0
         if requests is not None:
             for i in range(len(requests)):
                 self.inject(
@@ -539,13 +550,16 @@ class _ServingRun:
             deadline_s=deadline_s,
         )
         self._push_pending(float(arrival_s if ready_s is None else ready_s),
-                           index)
+                           index, max(request.stop_lengths()))
         return index
 
     # -- scheduling ----------------------------------------------------
-    def _push_pending(self, ready_s: float, index: int) -> None:
+    def _push_pending(self, ready_s: float, index: int, stop: int) -> None:
+        """Queue ``index`` (stop length ``stop``) to become ready at
+        ``ready_s``."""
         self._push_seq += 1
-        heapq.heappush(self.pending, (ready_s, self._push_seq, index))
+        heapq.heappush(self.pending, (ready_s, self._push_seq, index, stop))
+        self.decode_backlog += stop
 
     def _ready_key(self, index: int) -> float:
         state = self.states[index]
@@ -557,19 +571,26 @@ class _ServingRun:
             return state.first_arrival_s + float(state.deadline_s)
         return state.first_arrival_s
 
-    def _push_ready(self, index: int) -> None:
+    def _push_ready(self, index: int, stop: int) -> None:
+        """Move ``index`` into the ready heap (backlog unchanged: the
+        caller takes it off ``pending`` or hands back what
+        :meth:`_pop_ready` took)."""
         self._push_seq += 1
-        heapq.heappush(self.ready, (self._ready_key(index), self._push_seq, index))
+        heapq.heappush(self.ready,
+                       (self._ready_key(index), self._push_seq, index, stop))
 
     def _promote(self) -> None:
         while self.pending and self.pending[0][0] <= self.now:
-            _, _, index = heapq.heappop(self.pending)
-            self._push_ready(index)
+            _, _, index, stop = heapq.heappop(self.pending)
+            self._push_ready(index, stop)
 
-    def _pop_ready(self) -> int | None:
+    def _pop_ready(self) -> tuple[int, int] | None:
+        """Dequeue the policy's head as ``(index, stop length)``."""
         if not self.ready:
             return None
-        return heapq.heappop(self.ready)[2]
+        _, _, index, stop = heapq.heappop(self.ready)
+        self.decode_backlog -= stop
+        return index, stop
 
     def _backlog(self) -> int:
         """Arrived-and-waiting queue depth.
@@ -591,6 +612,7 @@ class _ServingRun:
         worst = max(self.ready)
         self.ready.remove(worst)
         heapq.heapify(self.ready)
+        self.decode_backlog -= worst[3]
         self.counters.shed += 1
         self.dropped.append((worst[2], "shed"))
         self._record_unserved(self.states[worst[2]])
@@ -645,25 +667,35 @@ class _ServingRun:
             self.counters.retries += 1
             state.retried = True
             self._push_pending(self.now + policy.backoff_s(state.attempts),
-                               state.index)
+                               state.index, self._stop(state.index))
         else:
             self.counters.failed += 1
             self.dropped.append((state.index, "failed"))
             self._record_unserved(state)
 
-    def _release_kv(self, seq: LiveSequence) -> None:
+    def _stop(self, index: int) -> int:
+        """Stop length of request ``index`` (its backlog term while
+        queued)."""
+        return max(self.requests[index].stop_lengths())
+
+    def _remove_live(self, seq: LiveSequence) -> None:
+        """Take ``seq`` out of the batch, freeing its KV and its share
+        of the backlog and span-key counters."""
+        self.live.remove(seq)
+        self.decode_backlog -= seq.remaining
+        self.ctx_sum -= seq.context
+        self.prompt_sum -= seq.prompt_tokens
         if seq.kv_seq_id is not None:
             self.kv.release_sequence(seq.kv_seq_id)
             self._my_kv_ids.discard(seq.kv_seq_id)
 
     def _preempt(self, seq: LiveSequence) -> None:
         """Evict a live sequence; it re-queues for recompute-on-resume."""
-        self.live.remove(seq)
-        self._release_kv(seq)
+        self._remove_live(seq)
         self.counters.preemptions += 1
         state = self.states[seq.index]
         state.preempted = True
-        self._push_pending(self.now, seq.index)
+        self._push_pending(self.now, seq.index, self._stop(seq.index))
 
     def _pick_victim(self, exclude: LiveSequence) -> LiveSequence | None:
         """The live sequence ``exclude`` may evict to grow, or None.
@@ -687,8 +719,7 @@ class _ServingRun:
                    key=lambda s: s.start_s, default=None)
 
     def _finish(self, seq: LiveSequence) -> None:
-        self.live.remove(seq)
-        self._release_kv(seq)
+        self._remove_live(seq)
         state = self.states[seq.index]
         if state.retried:
             self.counters.successful_retries += 1
@@ -706,10 +737,8 @@ class _ServingRun:
         ))
 
     # -- admission -----------------------------------------------------
-    def _admission_budget(self, request: GenerationRequest,
-                          state: RequestState) -> int:
-        """Stop length after any degraded-mode budget shrink."""
-        stop = max(request.stop_lengths())
+    def _admission_budget(self, stop: int, state: RequestState) -> int:
+        """Stop length ``stop`` after any degraded-mode budget shrink."""
         policy = self.degradation
         if state.budget_tokens is not None:
             return min(stop, state.budget_tokens)
@@ -729,9 +758,10 @@ class _ServingRun:
     def _try_admit_one(self) -> bool:
         """Admit the next eligible request; False when admission stalls."""
         self._promote()
-        index = self._pop_ready()
-        if index is None:
+        head = self._pop_ready()
+        if head is None:
             return False
+        index, stop = head
         request = self.requests[index]
         state = self.states[index]
         policy = self.degradation
@@ -752,14 +782,15 @@ class _ServingRun:
             while self._backlog() > policy.shed_queue_depth:
                 self._shed_worst_ready()
 
-        stop = self._admission_budget(request, state)
+        budget = self._admission_budget(stop, state)
 
         # Reserve prompt KV blocks; on exhaustion the head request waits.
         kv_id = self.engine.new_sequence_id()
         try:
             self.kv.allocate_sequence(kv_id, request.prompt_tokens)
         except KVCacheExhausted:
-            self._push_ready(index)
+            self._push_ready(index, stop)
+            self.decode_backlog += stop
             return False
         self._my_kv_ids.add(kv_id)
 
@@ -790,12 +821,15 @@ class _ServingRun:
             start_s=start_s,
             prefill_s=effective,
             prompt_tokens=request.prompt_tokens,
-            remaining=stop,
+            remaining=budget,
             context=request.prompt_tokens,
             deadline_s=state.deadline_s,
             kv_seq_id=kv_id,
             attempt=state.attempts,
         ))
+        self.decode_backlog += budget
+        self.ctx_sum += request.prompt_tokens
+        self.prompt_sum += request.prompt_tokens
         return True
 
     def _prefill_cost(self, request: GenerationRequest) -> tuple[float, float]:
@@ -813,8 +847,7 @@ class _ServingRun:
             return
         for seq in [s for s in self.live
                     if self.now - s.start_s > policy.timeout_s]:
-            self.live.remove(seq)
-            self._release_kv(seq)
+            self._remove_live(seq)
             self.counters.timeouts += 1
             self._retry_or_fail(self.states[seq.index],
                                 allow_retry=policy.retry_on_timeout)
@@ -838,6 +871,8 @@ class _ServingRun:
                 continue  # could not fit even after evictions; requeued
             seq.remaining -= 1
             seq.context += 1
+            self.decode_backlog -= 1
+            self.ctx_sum += 1
             if seq.remaining <= 0:
                 self._finish(seq)
 
@@ -923,8 +958,13 @@ class _ServingRun:
                 self._spend(float(base[j]), float(power[j]))
                 taken += 1
 
-        for seq in list(self.live):
-            self.kv.extend(seq.kv_seq_id, taken)
+        live = self.live
+        # The span cap guarantees the whole batch grows ``taken`` tokens
+        # out of the free pool before any finisher frees its blocks.
+        self.kv.extend_all([seq.kv_seq_id for seq in live], taken)
+        self.decode_backlog -= taken * batch
+        self.ctx_sum += taken * batch
+        for seq in list(live):
             seq.remaining -= taken
             seq.context += taken
             if seq.remaining <= 0:
@@ -949,10 +989,8 @@ class _ServingRun:
     def _span_keys(self) -> tuple[int, int, int]:
         """The live batch's size, summed context and summed generated
         count (this step's token included): a span's pricing keys."""
-        live = self.live
-        ctx_sum = sum(seq.context for seq in live)
-        return (len(live), ctx_sum,
-                ctx_sum + len(live) - sum(seq.prompt_tokens for seq in live))
+        batch = len(self.live)
+        return batch, self.ctx_sum, self.ctx_sum + batch - self.prompt_sum
 
     def _span_offset(self, batch: int, ctx_sum: int, gen_sum: int) -> int:
         """Column of the stored span this state stands on, or -1.
@@ -1020,8 +1058,7 @@ class _ServingRun:
                             and self.kv.blocks_for(seq.context + 1)
                             > self.kv.config.total_blocks):
                         # The whole cache cannot hold it: fail, don't spin.
-                        self.live.remove(seq)
-                        self._release_kv(seq)
+                        self._remove_live(seq)
                         self.counters.failed += 1
                         self.dropped.append((seq.index, "failed"))
                         self._record_unserved(self.states[seq.index])
@@ -1056,9 +1093,10 @@ class _ServingRun:
 
     def _shed_unservable_head(self) -> None:
         """Drop a request that cannot fit the KV cache even when idle."""
-        index = self._pop_ready()
-        if index is None:
+        head = self._pop_ready()
+        if head is None:
             return
+        index = head[0]
         self.counters.failed += 1
         self.dropped.append((index, "failed"))
         self._record_unserved(self.states[index])
@@ -1139,12 +1177,13 @@ class _ServingRun:
             return False
         cancelled = False
         for seq in [s for s in self.live if s.index in indices]:
-            self.live.remove(seq)
-            self._release_kv(seq)
+            self._remove_live(seq)
             cancelled = True
         for heap in (self.ready, self.pending):
             keep = [entry for entry in heap if entry[2] not in indices]
             if len(keep) != len(heap):
+                self.decode_backlog -= sum(entry[3] for entry in heap
+                                           if entry[2] in indices)
                 heap[:] = keep
                 heapq.heapify(heap)
                 cancelled = True
@@ -1162,12 +1201,12 @@ class _ServingRun:
         """
         survivors: list[int] = []
         for seq in list(self.live):
-            self.live.remove(seq)
-            self._release_kv(seq)
+            self._remove_live(seq)
             survivors.append(seq.index)
         for heap in (self.ready, self.pending):
             while heap:
                 survivors.append(heapq.heappop(heap)[2])
+        self.decode_backlog = 0
         return [(self.requests[index], self.states[index])
                 for index in sorted(survivors)]
 

@@ -269,13 +269,10 @@ class FleetDevice:
         return len(run.live) + len(run.ready) + len(run.pending)
 
     def outstanding_decode_tokens(self) -> int:
-        """Decode tokens this device still owes its current work."""
-        run = self.run
-        total = sum(seq.remaining for seq in run.live)
-        for heap in (run.ready, run.pending):
-            for _, _, index in heap:
-                total += max(run.requests[index].stop_lengths())
-        return total
+        """Decode tokens this device still owes its current work: the
+        ``remaining`` of each live sequence plus the stop length of each
+        queued request, read in O(1) from the run's backlog counter."""
+        return self.run.decode_backlog
 
     def predicted_completion_s(self, request: GenerationRequest,
                                t: float) -> float:

@@ -85,11 +85,34 @@ def sample_answer_matrix(p_correct: np.ndarray, distractor_share: np.ndarray,
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    check_num_choices(num_choices)
+    p, w, g, det = _validated_stats(p_correct, distractor_share,
+                                    garbage_share, determinism)
+    return draw_answer_matrix(p, w, num_choices, k, rng, g, det)
+
+
+def check_num_choices(num_choices: int) -> None:
+    """Reject an answer space no voter can sample: a negative size, or
+    multiple choice with a single choice."""
     if num_choices < 0:
         raise ValueError(f"num_choices must be non-negative, got "
                          f"{num_choices}")
-    p, w, g, det = _validated_stats(p_correct, distractor_share,
-                                    garbage_share, determinism)
+    if num_choices == 1:
+        raise ValueError("multiple choice requires num_choices >= 2")
+
+
+def draw_answer_matrix(p: np.ndarray, w: np.ndarray, num_choices: int,
+                       k: int, rng: np.random.Generator, g: np.ndarray,
+                       det: np.ndarray) -> np.ndarray:
+    """:func:`sample_answer_matrix` without its checks.
+
+    ``p, w, g, det`` must be float64 arrays of one 1-d shape with every
+    value in ``[0, 1]`` (as :func:`_validated_stats` returns them),
+    ``num_choices`` must pass :func:`check_num_choices` and ``k`` must be
+    positive.  A caller that validates many draws at once draws each
+    here; ``rng`` is consumed exactly as :func:`sample_answer_matrix`
+    consumes it.
+    """
     num_questions = p.shape[0]
     u = rng.random((num_questions, k))
     # Deterministic questions reuse the first sample's draw for all k.
@@ -105,8 +128,6 @@ def sample_answer_matrix(p_correct: np.ndarray, distractor_share: np.ndarray,
         answers[wrong] = unique_ids[wrong]
         return answers
 
-    if num_choices < 2:
-        raise ValueError("multiple choice requires num_choices >= 2")
     garbage_u = rng.random((num_questions, k))
     garbage_u[deterministic] = garbage_u[deterministic, :1]
     garbage = wrong & (garbage_u < g[:, None])

@@ -27,7 +27,12 @@ from repro.models.capability import (
     distractor_shares,
     question_success_probabilities,
 )
-from repro.scaling.voting import majority_vote, sample_answer_matrix
+from repro.scaling.voting import (
+    _validated_stats,
+    check_num_choices,
+    draw_answer_matrix,
+    majority_vote,
+)
 from repro.tiering.policy import (
     TIER_DEEP,
     TIER_FAST,
@@ -99,7 +104,7 @@ def build_dag(job: DagJob, assignment: TierAssignment, branch_budget: int,
 
     def natural(target: float) -> int:
         draw = rng.lognormal(np.log(max(target, 8.0)), 0.35)
-        return int(np.clip(draw, 8, 4 * max(target, 8.0)))
+        return int(min(max(draw, 8), 4 * max(target, 8.0)))
 
     stages: list[DagStage] = []
     plan_rid = base
@@ -306,7 +311,106 @@ class DagRun:
     # outcome aggregation
     # ------------------------------------------------------------------
     def aggregate(self, report: "FleetReport") -> TieringReport:
-        """Vote branch outcomes into end-to-end answer accuracy."""
+        """Vote branch outcomes into end-to-end answer accuracy.
+
+        The vote statistics of every completed job are validated in one
+        call; each job then draws through the unvalidated core.  The
+        draws stay per job: the tie-break of :func:`majority_vote` and
+        the verify rescue draw from the same generator in between, and
+        how many values each takes depends on the votes drawn so far.
+        """
+        branch_counts, ballots = self._ballots(report)
+        homogeneous = [len({s[:4] for s in stats}) == 1
+                       for stats, _ in ballots]
+        # One row per draw: a homogeneous job draws k samples from one
+        # row, a mixed job one sample per branch (its own stats, no
+        # cross-branch determinism).
+        rows = []
+        for (stats, _), same in zip(ballots, homogeneous):
+            if same:
+                rows.append(stats[0])
+            else:
+                rows.extend((p, w, g, 0.0, choices)
+                            for p, w, g, _det, choices in stats)
+        if rows:
+            columns = np.array([row[:4] for row in rows], dtype=np.float64)
+            p, w, g, det = _validated_stats(*columns.T)
+            for choices in {row[4] for row in rows}:
+                check_num_choices(choices)
+
+        rng = np.random.default_rng((self.config.seed, 97))
+        correct_jobs = 0
+        verify_rescues = 0
+        row = 0
+        for (stats, p_verify), same in zip(ballots, homogeneous):
+            if same:
+                # Homogeneous branches: one voting draw with k samples
+                # keeps the determinism correlation across branches.
+                cut = slice(row, row + 1)
+                answers = list(draw_answer_matrix(
+                    p[cut], w[cut], stats[0][4], len(stats), rng, g[cut],
+                    det[cut])[0])
+                row += 1
+            else:
+                answers = []
+                for index, (*_, choices) in enumerate(stats):
+                    cut = slice(row, row + 1)
+                    answer = int(draw_answer_matrix(
+                        p[cut], w[cut], choices, 1, rng, g[cut],
+                        det[cut])[0, 0])
+                    row += 1
+                    # Unparseable outputs from different branches must
+                    # not accumulate as agreeing votes.
+                    answers.append(-(index + 1) if answer < 0 else answer)
+            winner = int(majority_vote(
+                np.array([answers], dtype=np.int64), rng)[0])
+            is_correct = winner == 0
+            if not is_correct and p_verify is not None:
+                if float(rng.random()) < p_verify:
+                    is_correct = True
+                    verify_rescues += 1
+            if is_correct:
+                correct_jobs += 1
+
+        jobs_completed = len(ballots)
+        stages = list(self._stage.values())
+        accuracy = (correct_jobs / jobs_completed
+                    if jobs_completed else float("nan"))
+        mean_branches = (float(np.mean(branch_counts))
+                         if branch_counts else float("nan"))
+        return TieringReport(
+            jobs=self.jobs,
+            jobs_completed=jobs_completed,
+            jobs_shed=self.jobs_shed,
+            children_offered=self.children_offered,
+            fast_stages=sum(1 for s in stages if s.tier == TIER_FAST),
+            deep_stages=sum(1 for s in stages if s.tier == TIER_DEEP),
+            verify_stages=sum(1 for s in stages if s.tier == TIER_VERIFY),
+            load_downgrades=self.load_downgraded_jobs,
+            budget_downgrades=self.budget.downgrades,
+            budget_shed_jobs=self.budget.shed_jobs,
+            max_ladder_level=self.ladder.max_tier_reached(),
+            ladder_transitions=tuple(self.ladder.transitions),
+            tokens_reserved=self.budget.tokens_reserved,
+            tokens_refunded=self.budget.tokens_refunded,
+            tokens_redistributed=self.budget.tokens_redistributed,
+            energy_reserved_j=self.budget.energy_reserved_j,
+            answer_accuracy=accuracy,
+            verify_rescues=verify_rescues,
+            mean_branches=mean_branches,
+            tier_counts=dict(self.tier_jobs),
+        )
+
+    def _ballots(self, report: "FleetReport") -> tuple[
+            list[int], list[tuple[list[tuple], float | None]]]:
+        """What each job votes with, before any draw.
+
+        Returns the branch count of every unshed job, and for every
+        completed job (one with a served branch), in job order, the
+        ``(p_correct, distractor share, garbage, determinism, choices)``
+        stats of its served branches and its verify stage's
+        ``p_correct`` (None when no verify stage was served).
+        """
         config = self.config
         served_model: dict[int, str] = {}
         served_tokens: dict[int, int] = {}
@@ -366,11 +470,8 @@ class DagRun:
                     float(profile.determinism_base),
                     profile.num_choices)
 
-        rng = np.random.default_rng((config.seed, 97))
-        jobs_completed = 0
-        correct_jobs = 0
-        verify_rescues = 0
         branch_counts: list[int] = []
+        ballots: list[tuple[list[tuple], float | None]] = []
         for job_id in job_ids:
             dag = self.dags[job_id]
             if dag.shed:
@@ -379,67 +480,10 @@ class DagRun:
             served_branches = [r for r in dag.branch_rids if r in served_model]
             if not served_branches:
                 continue
-            jobs_completed += 1
-            stats = [stage_stats(rid) for rid in served_branches]
-            num_choices = stats[0][4]
-            answers: list[int] = []
-            if len({(s[0], s[1], s[2], s[3]) for s in stats}) == 1:
-                # Homogeneous branches: one voting draw with k samples
-                # keeps the determinism correlation across branches.
-                p, w, g, det, _ = stats[0]
-                row = sample_answer_matrix(
-                    np.array([p]), np.array([w]), num_choices,
-                    len(served_branches), rng,
-                    garbage_share=np.array([g]),
-                    determinism=np.array([det]))
-                answers = list(row[0])
-            else:
-                for index, (p, w, g, _det, choices) in enumerate(stats):
-                    cell = sample_answer_matrix(
-                        np.array([p]), np.array([w]), choices, 1, rng,
-                        garbage_share=np.array([g]))
-                    answer = int(cell[0, 0])
-                    # Unparseable outputs from different branches must
-                    # not accumulate as agreeing votes.
-                    answers.append(-(index + 1) if answer < 0 else answer)
-            winner = int(majority_vote(
-                np.array([answers], dtype=np.int64), rng)[0])
-            is_correct = winner == 0
             verify_rid = next(
                 (s.rid for s in dag.stages if s.kind == STAGE_VERIFY), None)
-            if (not is_correct and verify_rid is not None
-                    and verify_rid in served_model):
-                p_verify = stage_stats(verify_rid)[0]
-                if float(rng.random()) < p_verify:
-                    is_correct = True
-                    verify_rescues += 1
-            if is_correct:
-                correct_jobs += 1
-
-        stages = list(self._stage.values())
-        accuracy = (correct_jobs / jobs_completed
-                    if jobs_completed else float("nan"))
-        mean_branches = (float(np.mean(branch_counts))
-                         if branch_counts else float("nan"))
-        return TieringReport(
-            jobs=self.jobs,
-            jobs_completed=jobs_completed,
-            jobs_shed=self.jobs_shed,
-            children_offered=self.children_offered,
-            fast_stages=sum(1 for s in stages if s.tier == TIER_FAST),
-            deep_stages=sum(1 for s in stages if s.tier == TIER_DEEP),
-            verify_stages=sum(1 for s in stages if s.tier == TIER_VERIFY),
-            load_downgrades=self.load_downgraded_jobs,
-            budget_downgrades=self.budget.downgrades,
-            budget_shed_jobs=self.budget.shed_jobs,
-            max_ladder_level=self.ladder.max_tier_reached(),
-            ladder_transitions=tuple(self.ladder.transitions),
-            tokens_reserved=self.budget.tokens_reserved,
-            tokens_refunded=self.budget.tokens_refunded,
-            tokens_redistributed=self.budget.tokens_redistributed,
-            energy_reserved_j=self.budget.energy_reserved_j,
-            answer_accuracy=accuracy,
-            verify_rescues=verify_rescues,
-            mean_branches=mean_branches,
-            tier_counts=dict(self.tier_jobs),
-        )
+            p_verify = (stage_stats(verify_rid)[0]
+                        if verify_rid in served_model else None)
+            ballots.append(([stage_stats(rid) for rid in served_branches],
+                            p_verify))
+        return branch_counts, ballots

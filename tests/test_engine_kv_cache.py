@@ -1,5 +1,6 @@
 """Tests for the paged KV cache."""
 
+import numpy as np
 import pytest
 
 from repro.engine.kv_cache import KVCacheConfig, KVCacheExhausted, PagedKVCache
@@ -97,6 +98,63 @@ class TestGrowth:
         cache.allocate_sequence(1, 100 * 16)
         with pytest.raises(KVCacheExhausted):
             cache.append_token(1)
+
+
+def _state(cache, ids):
+    return cache.free_blocks, [cache.sequence_tokens(i) for i in ids]
+
+
+class TestBulkSpanGrowth:
+    """``extend_all`` is one ``extend`` per sequence, all or nothing."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_per_sequence_extends(self, seed):
+        rng = np.random.default_rng(seed)
+        bulk, loop = (PagedKVCache(KVCacheConfig(
+            bytes_per_token=1000.0, capacity_bytes=400 * 16 * 1000.0))
+            for _ in range(2))
+        ids = list(range(int(rng.integers(1, 9))))
+        for seq_id in ids:
+            # Contexts on, just before and just after block boundaries.
+            context = int(16 * rng.integers(1, 6) + rng.integers(-2, 3))
+            bulk.allocate_sequence(seq_id, context)
+            loop.allocate_sequence(seq_id, context)
+        for tokens in (0, *rng.integers(0, 40, size=5)):
+            bulk.extend_all(ids, int(tokens))
+            for seq_id in ids:
+                loop.extend(seq_id, int(tokens))
+            assert _state(bulk, ids) == _state(loop, ids)
+
+    def test_zero_tokens_changes_nothing(self, cache):
+        cache.allocate_sequence(1, 16)
+        cache.allocate_sequence(2, 17)
+        before = _state(cache, [1, 2])
+        cache.extend_all([1, 2], 0)
+        cache.extend_all([], 5)
+        assert _state(cache, [1, 2]) == before
+
+    def test_one_block_short_raises_and_changes_nothing(self, cache):
+        # Each sequence crosses one boundary per 16 tokens; leave the
+        # pool exactly one block short of the whole span.
+        cache.allocate_sequence(1, 16)
+        cache.allocate_sequence(2, 10)
+        need = 2 + 1  # 16 -> 33 takes 2 blocks, 10 -> 27 takes 1
+        cache.reserve_blocks(cache.free_blocks - (need - 1))
+        before = _state(cache, [1, 2])
+        with pytest.raises(KVCacheExhausted):
+            cache.extend_all([1, 2], 17)
+        assert _state(cache, [1, 2]) == before
+        cache.release_reserved(1)
+        cache.extend_all([1, 2], 17)
+        assert _state(cache, [1, 2]) == (0, [33, 27])
+
+    def test_unknown_sequence_and_negative_rejected(self, cache):
+        cache.allocate_sequence(1, 16)
+        with pytest.raises(KeyError):
+            cache.extend_all([1, 7], 1)
+        with pytest.raises(ValueError):
+            cache.extend_all([1], -1)
+        assert _state(cache, [1]) == (99, [16])
 
 
 class TestCapacityPlanning:

@@ -344,6 +344,90 @@ class TestThermalIntegration:
         assert report.throttle_residency_s > 0
 
 
+def check_run_counters(run):
+    """Assert a serving run's counters equal a scan of its state: the
+    decode backlog (live ``remaining`` plus queued stop lengths) and the
+    live batch's summed context and prompt tokens."""
+    queued = sum(max(run.requests[entry[2]].stop_lengths())
+                 for heap in (run.ready, run.pending) for entry in heap)
+    assert run.decode_backlog == queued + sum(
+        seq.remaining for seq in run.live)
+    assert run.ctx_sum == sum(seq.context for seq in run.live)
+    assert run.prompt_sum == sum(seq.prompt_tokens for seq in run.live)
+
+
+def _counted_run(engine, shape):
+    """An incremental scalar run whose work moves along every path the
+    counters follow; returns the run with its stream injected."""
+    rng = np.random.default_rng(3)
+    n = 16
+    requests = [GenerationRequest(i, int(rng.integers(40, 160)),
+                                  int(rng.integers(16, 300)))
+                for i in range(n)]
+    arrivals = np.sort(rng.uniform(0.0, 4.0, n))
+    deadlines = rng.uniform(2.0, 30.0, n)
+    if shape == "kv_tight":
+        # Preemptions, resumes and admissions stalled on a full pool.
+        sim = ServingSimulator(engine, max_batch_size=4, mode="scalar",
+                               kv_cache=_tiny_cache(engine, 600))
+    else:
+        # Injected aborts and watchdog timeouts with retries, tail
+        # sheds, expired drops and KV pressure spikes, under EDF.
+        sim = ServingSimulator(
+            engine, max_batch_size=3, policy="edf",
+            faults=FaultInjector(FaultScheduleConfig(
+                horizon_s=60.0, abort_rate=0.3, kv_pressure_spikes=2,
+                kv_pressure_fraction=0.6), seed=9),
+            degradation=DegradationPolicy(
+                timeout_s=2.5, retry_on_timeout=True, max_retries=2,
+                retry_backoff_s=0.2, shed_queue_depth=4, shed_mode="reject",
+                drop_expired=True),
+            kv_cache=_tiny_cache(engine, 900))
+    run = _ServingRun(sim)
+    for i in range(n):
+        run.inject(requests[i], float(arrivals[i]),
+                   deadline_s=float(deadlines[i]))
+    return run
+
+
+class TestRunCounters:
+    """The backlog and span-key counters equal a scan after every step."""
+
+    @pytest.mark.parametrize("shape", ["kv_tight", "degraded"])
+    def test_counters_match_a_scan_at_every_step(self, engine, shape):
+        run = _counted_run(engine, shape)
+        t = 0.0
+        while run.pending or run.ready or run.live:
+            t += 0.05
+            run.run_until(t)
+            check_run_counters(run)
+        report = run.report()
+        run.release()
+        if shape == "kv_tight":
+            assert report.preemptions > 0 and report.resumes > 0
+        else:
+            assert report.injected_aborts > 0 and report.timeouts > 0
+            assert report.retries > 0 and report.shed > 0
+        assert (run.decode_backlog, run.ctx_sum, run.prompt_sum) == (0, 0, 0)
+
+    def test_cancel_and_evacuate_keep_the_counters(self, engine):
+        run = _counted_run(engine, "kv_tight")
+        t = 0.0
+        while not (len(run.live) > 1 and len(run.ready) > 1):
+            t += 0.05
+            run.run_until(t)
+        queued = run.requests[run.ready[0][2]].request_id
+        assert run.cancel(queued)
+        check_run_counters(run)
+        assert run.cancel(run.live[0].request_id)
+        check_run_counters(run)
+        orphans = run.evacuate()
+        assert orphans
+        check_run_counters(run)
+        assert (run.decode_backlog, run.ctx_sum, run.prompt_sum) == (0, 0, 0)
+        run.release()
+
+
 class TestDeterminism:
     def test_chaos_run_bitwise_deterministic(self, engine):
         faults = FaultInjector(FaultScheduleConfig(

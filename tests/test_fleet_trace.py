@@ -25,11 +25,18 @@ from repro.fleet import (
     poisson_stream,
 )
 from repro.workloads import PopulationConfig, population_trace, session_key
+from tests.test_engine_server_resilience import check_run_counters
 from tests.test_gateway_golden import (
     AFFINITY_PINS,
     AFFINITY_RUNS,
     AUTOSCALE_PIN,
+    FLEET_STUDY_PINS,
+    LEAST_OUTSTANDING_CRASH_PIN,
     OVERLOAD_PIN,
+    TIERED_FAULT_PIN,
+    fleet_study_run,
+    least_outstanding_crash_run,
+    tiered_fault_run,
 )
 
 POLICIES = ("round-robin", "prefix-affinity")
@@ -49,14 +56,18 @@ class VerifiedGateway(FleetGateway):
 
     Each routable-pool lookup is compared with an uncached scan of the
     up devices, the outstanding-work counters with a live per-device
-    sum, and ``_pressure`` with its formula over live device state, so
-    a stale cache or counter fails at the lookup that used it.
+    sum, ``_pressure`` with its formula over live device state, and
+    every device run's backlog and span-key counters with a scan of its
+    requests, so a stale cache or counter fails at the lookup that used
+    it.
     """
 
     checks = 0
 
     def _routable(self, t):
         pool = super()._routable(t)
+        for device in self.devices:
+            check_run_counters(device.run)
         up = [d for d in self.devices if not d.is_down(t)]
         fresh = self._routable_scan(t, up)
         assert [d.name for d in pool] == [d.name for d in fresh]
@@ -294,3 +305,26 @@ class TestRoutingFastPath:
         # passes, then the final run); every run routes at least 90
         # times (213 lookups in the overload run, 390 per autoscale run).
         assert gateways and all(g.checks > 90 for g in gateways)
+
+    @pytest.mark.parametrize("shape", ["least_outstanding_crash",
+                                       "tiered_fault", "latency_aware"])
+    def test_backlog_counters_survive_the_verify_cross_check(self, shape):
+        # The runs whose routing reads the decode backlog (least
+        # outstanding breaks ties on it, latency-aware prices it): every
+        # lookup checks each device's counters against a scan, through
+        # crashes, flaps, reroutes and DAG release, and the pins hold.
+        if shape == "least_outstanding_crash":
+            gateway, report = least_outstanding_crash_run(VerifiedGateway)
+            pin = LEAST_OUTSTANDING_CRASH_PIN
+        elif shape == "tiered_fault":
+            gateway, report = tiered_fault_run(VerifiedGateway)
+            pin = TIERED_FAULT_PIN
+        else:
+            gateway, report = fleet_study_run("latency-aware",
+                                              VerifiedGateway)
+            pin = FLEET_STUDY_PINS["latency-aware"]
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == pin
+        assert gateway.last_mode == "scalar"
+        assert gateway.checks >= 48
+        for device in gateway.devices:
+            check_run_counters(device.run)

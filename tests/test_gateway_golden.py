@@ -77,18 +77,26 @@ def test_autoscale_run_pin():
     assert run_autoscale_points(seed=0)["report_sha"] == AUTOSCALE_PIN
 
 
-def test_least_outstanding_crash_run_pin():
+LEAST_OUTSTANDING_CRASH_PIN = (
+    "aa9fdb7f915d2217b54e4833d6fa1f0a2e78ac2b6e9e50fc0f3f54e377a1d7fe")
+
+
+def least_outstanding_crash_run(cls=FleetGateway):
+    """Least-outstanding routing through two crashes and a flapping
+    device, one reroute allowed; returns ``(gateway, report)``."""
     faults = _faults(seed=3, horizon_s=20.0, crashes=2)
-    gateway = FleetGateway(build_fleet(4, mix="balanced", faults=faults),
-                           policy="least-outstanding", faults=faults,
-                           max_reroutes=1)
-    report = gateway.run(poisson_stream(np.random.default_rng(3), 8.0, 160,
-                                        deadline_s=30.0))
+    gateway = cls(build_fleet(4, mix="balanced", faults=faults),
+                  policy="least-outstanding", faults=faults, max_reroutes=1)
+    return gateway, gateway.run(poisson_stream(
+        np.random.default_rng(3), 8.0, 160, deadline_s=30.0))
+
+
+def test_least_outstanding_crash_run_pin():
+    gateway, report = least_outstanding_crash_run()
     assert gateway.last_mode == "scalar"
     assert report.rerouted > 0 and report.failed > 0
     assert report.breaker_opens > 0
-    assert _sha(report) == (
-        "aa9fdb7f915d2217b54e4833d6fa1f0a2e78ac2b6e9e50fc0f3f54e377a1d7fe")
+    assert _sha(report) == LEAST_OUTSTANDING_CRASH_PIN
 
 
 def test_prefix_affinity_run_pin():
@@ -105,15 +113,21 @@ def test_prefix_affinity_run_pin():
         "98566b76ba9d89f11da3998b37b4fb7993d4033fcf0f10d1ffb5ffb401037255")
 
 
-def _tiered_fault_sha() -> str:
+def tiered_fault_run(cls=FleetGateway):
+    """A least-outstanding tiered DAG run with a crash and a flapping
+    device; returns ``(gateway, report)``."""
     config = TieringConfig(seed=0)
     models = tuple(dict.fromkeys(
         config.fast_models + config.deep_models + config.verify_models))
     faults = _faults(seed=2, horizon_s=12.0, crashes=1)
     fleet = build_fleet(4, mix="balanced", models=models, faults=faults)
-    gateway = FleetGateway(fleet, policy="least-outstanding", faults=faults)
-    report = gateway.run(agentic_suite(np.random.default_rng(2), 2.0, 24,
-                                       deadline_s=60.0), tiering=config)
+    gateway = cls(fleet, policy="least-outstanding", faults=faults)
+    return gateway, gateway.run(agentic_suite(
+        np.random.default_rng(2), 2.0, 24, deadline_s=60.0), tiering=config)
+
+
+def _tiered_fault_sha() -> str:
+    _, report = tiered_fault_run()
     assert report.rerouted > 0 and report.lost == 0
     return _sha(report)
 
@@ -278,15 +292,20 @@ FLEET_STUDY_PINS = {
 }
 
 
-@pytest.mark.parametrize("policy", sorted(FLEET_STUDY_PINS))
-def test_fleet_study_stream_pin(policy):
+def fleet_study_run(policy, cls=FleetGateway):
+    """``run_fleet_study(seed=0)``'s stream and fleet under ``policy``;
+    returns ``(gateway, report)``."""
     # Sticky sessions with shared prefixes on 256 MB prefix caches.
-    gateway = FleetGateway(build_fleet(4, mix="balanced",
-                                       prefix_cache_mb=256.0),
-                           policy=policy)
-    report = gateway.run(poisson_stream(
+    gateway = cls(build_fleet(4, mix="balanced", prefix_cache_mb=256.0),
+                  policy=policy)
+    return gateway, gateway.run(poisson_stream(
         np.random.default_rng(0), 6.0, 48, deadline_s=30.0, sessions=6,
         prefix_tokens=96))
+
+
+@pytest.mark.parametrize("policy", sorted(FLEET_STUDY_PINS))
+def test_fleet_study_stream_pin(policy):
+    _, report = fleet_study_run(policy)
     assert report.lost == 0
     assert _sha(report) == FLEET_STUDY_PINS[policy]
 

@@ -1,7 +1,12 @@
-"""DAG expansion, rid scheme, dependency gating, and the coordinator."""
+"""DAG expansion, rid scheme, dependency gating, the coordinator, and
+the vote aggregation."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+import repro.tiering.dag as dag_module
 from repro.tiering import (
     MAX_STAGES,
     STAGE_BRANCH,
@@ -13,7 +18,13 @@ from repro.tiering import (
     TieringConfig,
     build_dag,
 )
+from repro.scaling.voting import (
+    _validated_stats,
+    majority_vote,
+    sample_answer_matrix,
+)
 from repro.workloads.agentic import AGENTIC_KINDS, DagJob, agentic_suite
+from tests.test_gateway_golden import tiered_fault_run
 
 
 def job(job_id=0, difficulty=0.5, session="user-000", deadline_s=None):
@@ -227,3 +238,97 @@ class TestDagRunCoordinator:
         assert branches
         assert run.budget.tokens_refunded > 0
         assert run.budget.tokens_redistributed >= before
+
+
+@pytest.fixture(scope="module")
+def tiered_run():
+    """A faulted tiered run: ``(DagRun, FleetReport)``."""
+    gateway, report = tiered_fault_run()
+    return gateway._dag, report
+
+
+def _recorded_votes(monkeypatch):
+    """Record each ``majority_vote`` call of ``DagRun.aggregate`` as
+    ``(answers row, winner)``."""
+    calls = []
+
+    def recorded(answers, rng):
+        winners = majority_vote(answers, rng)
+        calls.append((answers.tolist(), winners.tolist()))
+        return winners
+
+    monkeypatch.setattr(dag_module, "majority_vote", recorded)
+    return calls
+
+
+class TestVoteAggregation:
+    """``aggregate`` validates once, then draws exactly as one public
+    ``sample_answer_matrix`` + ``majority_vote`` pass per job does."""
+
+    def test_matches_the_per_job_public_reference(self, tiered_run,
+                                                  monkeypatch):
+        run, report = tiered_run
+        _, ballots = run._ballots(report)
+        kinds = {len({s[:4] for s in stats}) == 1 for stats, _ in ballots}
+        assert kinds == {True, False}  # homogeneous and mixed jobs
+
+        rng = np.random.default_rng((run.config.seed, 97))
+        votes, correct, rescues = [], 0, 0
+        for stats, p_verify in ballots:
+            if len({s[:4] for s in stats}) == 1:
+                p, w, g, det, choices = stats[0]
+                answers = list(sample_answer_matrix(
+                    np.array([p]), np.array([w]), choices, len(stats), rng,
+                    garbage_share=np.array([g]),
+                    determinism=np.array([det]))[0])
+            else:
+                answers = []
+                for index, (p, w, g, _det, choices) in enumerate(stats):
+                    answer = int(sample_answer_matrix(
+                        np.array([p]), np.array([w]), choices, 1, rng,
+                        garbage_share=np.array([g]))[0, 0])
+                    answers.append(-(index + 1) if answer < 0 else answer)
+            row = np.array([answers], dtype=np.int64)
+            winner = majority_vote(row, rng)
+            votes.append((row.tolist(), winner.tolist()))
+            is_correct = int(winner[0]) == 0
+            if (not is_correct and p_verify is not None
+                    and float(rng.random()) < p_verify):
+                is_correct = True
+                rescues += 1
+            correct += is_correct
+
+        validations = []
+        monkeypatch.setattr(dag_module, "_validated_stats",
+                            lambda *args: validations.append(args)
+                            or _validated_stats(*args))
+        calls = _recorded_votes(monkeypatch)
+        tiering = run.aggregate(report)
+        assert calls == votes
+        assert len(validations) == 1
+        assert tiering.jobs_completed == len(ballots)
+        assert tiering.answer_accuracy == correct / len(ballots)
+        assert tiering.verify_rescues == rescues > 0
+        assert tiering == report.tiering
+
+    @pytest.mark.parametrize("name", ["p_correct", "distractor_share",
+                                      "determinism"])
+    def test_out_of_range_stats_still_raise(self, tiered_run, monkeypatch,
+                                            name):
+        run, report = tiered_run
+        if name == "p_correct":
+            solve = dag_module.question_success_probabilities
+            monkeypatch.setattr(
+                dag_module, "question_success_probabilities",
+                lambda *args: solve(*args) + 1.0)
+        elif name == "distractor_share":
+            monkeypatch.setattr(dag_module, "distractor_shares",
+                                lambda profile, d: np.full(d.shape, 1.5))
+        else:
+            lookup = dag_module.capability_profile
+            monkeypatch.setattr(
+                dag_module, "capability_profile",
+                lambda model, bench: dataclasses.replace(
+                    lookup(model, bench), determinism_base=-0.1))
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            run.aggregate(report)
