@@ -31,7 +31,12 @@ class PrefixEntry:
 
 
 class PrefixCache:
-    """LRU prefix registry bounded by a KV-byte budget."""
+    """LRU prefix registry bounded by a KV-byte budget.
+
+    Entries hold only token counts; :meth:`lookup` and :meth:`insert`
+    build the :class:`PrefixEntry` they return, and :meth:`reuse`, the
+    serving loops' one call per prefilled request, builds none.
+    """
 
     def __init__(self, capacity_bytes: float, kv_bytes_per_token: float):
         if capacity_bytes <= 0:
@@ -40,7 +45,7 @@ class PrefixCache:
             raise ValueError("kv_bytes_per_token must be positive")
         self.capacity_bytes = capacity_bytes
         self.kv_bytes_per_token = kv_bytes_per_token
-        self._entries: OrderedDict[str, PrefixEntry] = OrderedDict()
+        self._entries: OrderedDict[str, int] = OrderedDict()
         self._used = 0.0
 
     @property
@@ -56,12 +61,17 @@ class PrefixCache:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
+    def _entry(self, key: str, token_count: int) -> PrefixEntry:
+        return PrefixEntry(key=key, token_count=token_count,
+                           kv_bytes=token_count * self.kv_bytes_per_token)
+
     def lookup(self, key: str) -> PrefixEntry | None:
         """Get a cached prefix (refreshing recency), or None."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
+        token_count = self._entries.get(key)
+        if token_count is None:
+            return None
+        self._entries.move_to_end(key)
+        return self._entry(key, token_count)
 
     def insert(self, key: str, token_count: int) -> PrefixEntry:
         """Cache a prefix, evicting least-recently-used entries to fit."""
@@ -73,23 +83,54 @@ class PrefixCache:
                 f"prefix of {token_count} tokens ({kv_bytes:.0f} B) exceeds "
                 f"the cache capacity ({self.capacity_bytes:.0f} B)"
             )
+        self._store(key, token_count, kv_bytes)
+        return self._entry(key, token_count)
+
+    def reuse(self, key: str, token_count: int) -> bool:
+        """Whether ``key`` holds exactly a ``token_count``-token prefix:
+        a serving loop's lookup, compare and insert-on-miss in one call.
+
+        Any entry of ``key`` is refreshed.  On a miss the prefix is
+        cached as :meth:`insert` caches it, unless it exceeds the whole
+        cache: then it is served uncached and the cache keeps its
+        entries.
+        """
+        if token_count <= 0:
+            raise ValueError("token_count must be positive")
+        entries = self._entries
+        cached = entries.get(key)
+        if cached is not None:
+            entries.move_to_end(key)
+            if cached == token_count:
+                return True
+        kv_bytes = token_count * self.kv_bytes_per_token
+        if kv_bytes <= self.capacity_bytes:
+            self._store(key, token_count, kv_bytes)
+        return False
+
+    def _store(self, key: str, token_count: int, kv_bytes: float) -> None:
+        """Make ``key`` the newest entry, evicting the oldest to fit.
+
+        ``_used`` adds and subtracts each entry's ``token_count *
+        kv_bytes_per_token`` product, so it tracks the cache bit for
+        bit however it is driven.
+        """
+        entries = self._entries
+        per_token = self.kv_bytes_per_token
         while self._used + kv_bytes > self.capacity_bytes:
-            _, evicted = self._entries.popitem(last=False)
-            self._used -= evicted.kv_bytes
-        previous = self._entries.pop(key, None)
+            _, evicted = entries.popitem(last=False)
+            self._used -= evicted * per_token
+        previous = entries.pop(key, None)
         if previous is not None:
-            self._used -= previous.kv_bytes
-        entry = PrefixEntry(key=key, token_count=token_count,
-                            kv_bytes=kv_bytes)
-        self._entries[key] = entry
+            self._used -= previous * per_token
+        entries[key] = token_count
         self._used += kv_bytes
-        return entry
 
     def evict(self, key: str) -> None:
         """Drop one prefix."""
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self._used -= entry.kv_bytes
+        token_count = self._entries.pop(key, None)
+        if token_count is not None:
+            self._used -= token_count * self.kv_bytes_per_token
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -181,18 +181,20 @@ def _gather(stride: np.ndarray, length: np.ndarray,
 
     Run ``s`` reads ``length[s]`` entries from index ``first[s]`` in
     steps of ``stride[s]`` (0 repeats one entry); each ``(flat, first)``
-    pair gives one array of every run's reads, runs concatenated.  The
-    index is one integer ``cumsum`` of the strides, with each run's
-    first entry jumping from the previous run's last.
+    pair gives one array of every run's reads, runs concatenated.  Entry
+    ``t`` of the concatenation, ``t - head[s]`` into run ``s``, reads
+    ``first[s] + (t - head[s]) * stride[s]``: a per-run base ``first -
+    head * stride`` plus ``t * stride``, all elementwise, with no
+    sequential pass over the steps.
     """
-    step = np.repeat(stride, length)
-    heads = np.cumsum(length) - length
-    back = stride * (length - 1)
+    head_step = (np.cumsum(length) - length) * stride
+    step = np.arange(int(length.sum()), dtype=np.int64)
+    step *= np.repeat(stride, length)
     out = []
     for flat, first in tables:
-        index = step.copy()
-        index[heads] = first - np.concatenate(([0], (first + back)[:-1]))
-        out.append(flat[np.cumsum(index, out=index)])
+        index = np.repeat(first - head_step, length)
+        index += step
+        out.append(flat[index])
     return out
 
 
@@ -314,38 +316,36 @@ class VectorServingRun:
     def _prefill_prices(self, prompt: np.ndarray) -> np.ndarray:
         """``(2, n)`` prefill seconds and watts in admission order.
 
-        The LRU pre-pass: at batch 1 the admission order is fixed up
-        front, so walking it replays the scalar ``_DeviceRun.
-        _prefill_cost``'s exact lookup/insert sequence against the
-        prefix cache (keyed by session ids, a bijective relabelling of
-        the scalar path's session strings).
+        The LRU pre-pass: the admission order is fixed up front, so
+        walking it with :meth:`~repro.engine.prefix_cache.PrefixCache.
+        reuse` replays the scalar ``_DeviceRun._prefill_cost``'s exact
+        cache sequence (keyed by session ids, a bijective relabelling of
+        the scalar path's session strings) and fixes each request's
+        cached prefix.  Each distinct ``(prompt, cached prefix)`` pair
+        is then priced once and the prices gathered back.
         """
-        prefill = self.pricing.prefill
+        cached = np.zeros_like(prompt)
         cache = self._prefix_cache
-        if cache is None:
-            return np.array([prefill(p) for p in prompt.tolist()]).T
-        order = self._order
-        prefix = np.minimum(self._prefix_tokens[order], prompt - 1)
-        lookup, insert = cache.lookup, cache.insert
-        costs = []
-        hits = misses = 0
-        for p, pre, session in zip(prompt.tolist(), prefix.tolist(),
-                                   self._session_ids[order].tolist()):
-            if pre > 0:
-                entry = lookup(session)
-                if entry is not None and entry.token_count == pre:
-                    hits += 1
-                    costs.append(prefill(p, pre))
-                    continue
-                misses += 1
-                try:
-                    insert(session, pre)
-                except ValueError:
-                    pass  # prefix exceeds the whole cache: serve uncached
-            costs.append(prefill(p))
-        self.prefix_hits += hits
-        self.prefix_misses += misses
-        return np.array(costs).T
+        if cache is not None:
+            order = self._order
+            prefix = np.minimum(self._prefix_tokens[order], prompt - 1)
+            rows = np.flatnonzero(prefix > 0)
+            hit = np.fromiter(
+                map(cache.reuse, self._session_ids[order[rows]].tolist(),
+                    prefix[rows].tolist()),
+                dtype=bool, count=rows.shape[0])
+            hits = int(np.count_nonzero(hit))
+            self.prefix_hits += hits
+            self.prefix_misses += rows.shape[0] - hits
+            cached[rows[hit]] = prefix[rows[hit]]
+        # A cached prefix is shorter than its prompt: one integer key.
+        width = int(prompt.max()) + 1
+        pairs, inverse = np.unique(prompt * width + cached,
+                                   return_inverse=True)
+        prefill = self.pricing.prefill
+        costs = np.array([prefill(p, c) for p, c in zip(
+            (pairs // width).tolist(), (pairs % width).tolist())])
+        return costs[inverse].T
 
     def _exact_clocks(self, steps: np.ndarray, off: np.ndarray,
                       ready: np.ndarray, carry: float

@@ -103,15 +103,10 @@ class _DeviceRun(_ServingRun):
         prefix = min(prefix_tokens, request.prompt_tokens - 1)
         if prefix <= 0:
             return super()._prefill_cost(request)
-        entry = self._prefix_cache.lookup(session)
-        if entry is not None and entry.token_count == prefix:
+        if self._prefix_cache.reuse(session, prefix):
             self.prefix_hits += 1
             return self.sim.pricing.prefill(request.prompt_tokens, prefix)
         self.prefix_misses += 1
-        try:
-            self._prefix_cache.insert(session, prefix)
-        except ValueError:
-            pass  # prefix exceeds the whole cache: serve uncached
         return super()._prefill_cost(request)
 
 

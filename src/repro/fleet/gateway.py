@@ -842,42 +842,57 @@ class FleetGateway:
             return (np.arange(session.shape[0], dtype=np.int64)
                     % len(self.devices))
         uniq, inverse = np.unique(session, return_inverse=True)
-        lut = np.fromiter((self._rendezvous_winner(head(sid),
-                                                   self._name_bytes)
-                           for sid in uniq.tolist()),
-                          dtype=np.int64, count=uniq.shape[0])
+        lut = self._rendezvous_winners(map(head, uniq.tolist()),
+                                       self._name_bytes)
         return lut[inverse]
 
     @staticmethod
     def _rendezvous_winner(head: bytes, names) -> int:
-        """Index of one session's rendezvous winner among ``names``.
+        """Index of one session's rendezvous winner among ``names``: the
+        one-session call of :meth:`_rendezvous_winners`, which the
+        scalar :meth:`_pick` ranks its routable pool with."""
+        return int(FleetGateway._rendezvous_winners((head,), names)[0])
 
-        ``head`` is the session key's bytes plus the ``b":"`` separator
-        and ``names`` are the candidates' name bytes in ascending name
-        order.  A candidate's weight is the first 8 bytes, read
-        little-endian, of ``sha256(head + name)`` — the digest of
-        ``f"{session}:{name}"`` — and keeping ties with ``>=`` leaves
-        the largest name holding the best weight.  Both cores rank
-        through it: the scalar :meth:`_pick` over the routable pool,
-        :meth:`_assign` over the whole fleet (with no failure source the
-        scalar pool provably stays the full fleet).
+    @staticmethod
+    def _rendezvous_winners(heads, names) -> np.ndarray:
+        """Index of each session's rendezvous winner among ``names``.
 
-        The partition hashes (sessions x devices) digests and the scalar
-        loop one per candidate per turn, so this stays lean: the hash
-        constructor and byte decoder are bound locally.
+        Each of ``heads`` is a session key's bytes plus the ``b":"``
+        separator and ``names`` are the candidates' name bytes in
+        ascending name order.  A candidate's weight is the first 8
+        bytes, read little-endian, of ``sha256(head + name)`` — the
+        digest of ``f"{session}:{name}"`` — and the winner holds the
+        largest weight, the largest name among equals
+        (:func:`_last_argmax`).  Both cores rank through it: the scalar
+        :meth:`_pick` over the routable pool, :meth:`_assign` over the
+        whole fleet (with no failure source the scalar pool provably
+        stays the full fleet).
+
+        Each session hashes its head once and each candidate extends a
+        copy of that state.  ``heads`` is consumed a block of sessions
+        at a time: their digests, at most ``_RENDEZVOUS_BLOCK_BYTES``,
+        land in one buffer read as a ``(sessions, names)`` weight
+        matrix, so memory stays bounded at any session count.
         """
         sha256 = hashlib.sha256
-        from_bytes = int.from_bytes
-        best = 0
-        best_weight = -1
-        index = 0
-        for name in names:
-            weight = from_bytes(sha256(head + name).digest()[:8], "little")
-            if weight >= best_weight:
-                best = index
-                best_weight = weight
-            index += 1
-        return best
+        width = len(names)
+        block = max(1, _RENDEZVOUS_BLOCK_BYTES // (32 * width))
+        heads = iter(heads)
+        winners = [np.empty(0, dtype=np.int64)]
+        while True:
+            digests = bytearray()
+            extend = digests.extend
+            for head in itertools.islice(heads, block):
+                copy = sha256(head).copy
+                for name in names:
+                    state = copy()
+                    state.update(name)
+                    extend(state.digest())
+            if not digests:
+                return np.concatenate(winners)
+            weights = np.frombuffer(digests, dtype="<u8").reshape(
+                -1, width, 4)[:, :, 0]
+            winners.append(_last_argmax(weights))
 
     def _drain(self, columns: dict, objects: bool, jobs: int = 1,
                executor: str = "thread") -> list:
@@ -1389,6 +1404,17 @@ class FleetGateway:
                 heapq.heappush(events, (tick, 2, next(seq), None))
                 return
             tick += tick_s
+
+
+#: Digest bytes :meth:`FleetGateway._rendezvous_winners` buffers per
+#: block of sessions (32 per session and candidate).
+_RENDEZVOUS_BLOCK_BYTES = 1 << 18
+
+
+def _last_argmax(weights: np.ndarray) -> np.ndarray:
+    """Per row, the index of the *last* maximum of ``weights``: the
+    rendezvous rule that an equal weight later in name order wins."""
+    return weights.shape[1] - 1 - np.argmax(weights[:, ::-1], axis=1)
 
 
 # -- the per-device drain task (module level: process-executor picklable)

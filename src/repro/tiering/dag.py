@@ -15,6 +15,7 @@ children stay globally unique and conservation
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -88,6 +89,15 @@ class RequestDAG:
     @property
     def branch_rids(self) -> tuple[int, ...]:
         return tuple(s.rid for s in self.stages if s.kind == STAGE_BRANCH)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _mode_accuracy(model: str, benchmark: str, mode: str,
+                   tokens: int) -> float:
+    """``accuracy_for_mode`` of a served stage, memoized for the process:
+    capability profiles are constants, and solving a curve is costly."""
+    return capability_profile(model, benchmark).accuracy_for_mode(mode,
+                                                                  tokens)
 
 
 def build_dag(job: DagJob, assignment: TierAssignment, branch_budget: int,
@@ -432,7 +442,6 @@ class DagRun:
         # curve's anchored range all clamp to its end accuracy, so
         # every distinct curve of a served branch or verify stage is
         # solved once, all of them in one row-wise bisection.
-        accuracy: dict[tuple[str, str, int], float] = {}
         curve_of: dict[int, tuple[float, float]] = {}
         for job_id in job_ids:
             for stage in self.dags[job_id].stages:
@@ -442,11 +451,11 @@ class DagRun:
                 model = served_model[rid]
                 mode = ("hard" if self._granted[rid] < stage.natural_length
                         else "completed")
-                profile = capability_profile(model, config.benchmark)
-                key = (model, mode, max(served_tokens[rid], 1))
-                if key not in accuracy:
-                    accuracy[key] = profile.accuracy_for_mode(mode, key[2])
-                curve_of[rid] = (accuracy[key], profile.difficulty_beta)
+                curve_of[rid] = (
+                    _mode_accuracy(model, config.benchmark, mode,
+                                   max(served_tokens[rid], 1)),
+                    capability_profile(model,
+                                       config.benchmark).difficulty_beta)
         curves = list(dict.fromkeys(curve_of.values()))
         row_of = {curve: row for row, curve in enumerate(curves)}
         probabilities = (question_success_probabilities(

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.engine.vector_run as vector_run
 from repro.engine.engine import InferenceEngine
@@ -180,6 +181,52 @@ class TestShapes:
                     for i in range(n)]
         assert run.execute().to_json() == _scalar_json(
             engine, requests, arrivals, max_batch_size=1)
+
+
+class TestGather:
+    """``_gather`` reads exactly the entries a per-run loop reads."""
+
+    @given(st.lists(st.tuples(st.sampled_from([0, 0, 1, 1, 2, 7]),
+                              st.integers(min_value=1, max_value=40),
+                              st.integers(min_value=0, max_value=50),
+                              st.integers(min_value=0, max_value=50)),
+                    min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_per_run_reference(self, runs):
+        stride, length, first_a, first_b = (
+            np.array(column, dtype=np.int64) for column in zip(*runs))
+        size = int((np.maximum(first_a, first_b)
+                    + stride * (length - 1)).max()) + 1
+        seconds = np.random.default_rng(len(runs)).random(size)
+        watts = -np.arange(size, dtype=np.float64)
+        got = vector_run._gather(stride, length, (seconds, first_a),
+                                 (watts, first_b))
+        for flat, first, out in ((seconds, first_a, got[0]),
+                                 (watts, first_b, got[1])):
+            expected = [flat[f + s * j] for f, s, n in zip(
+                first.tolist(), stride.tolist(), length.tolist())
+                for j in range(n)]
+            assert out.tolist() == expected
+
+
+class TestPrefillPricing:
+    def test_each_distinct_prompt_priced_once(self, engine, monkeypatch):
+        rng = np.random.default_rng(8)
+        n = 60
+        prompt = rng.choice([64, 200, 333], n)
+        arrivals = np.cumsum(rng.exponential(2.0, n))
+        requests = [GenerationRequest(i, int(prompt[i]), 20)
+                    for i in range(n)]
+        sim = ServingSimulator(engine, max_batch_size=1)
+        calls = []
+        prefill = Pricing.prefill
+        monkeypatch.setattr(Pricing, "prefill", lambda self, *key: (
+            calls.append(key) or prefill(self, *key)))
+        run = VectorServingRun(sim, arrays=RequestArrays(requests, arrivals))
+        got = run.execute().to_json()
+        assert sorted(calls) == [(64, 0), (200, 0), (333, 0)]
+        assert got == _scalar_json(engine, requests, arrivals,
+                                   max_batch_size=1)
 
 
 class TestEpochLoopStays:

@@ -1,9 +1,13 @@
 """Tests for prefix caching."""
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.prefix_cache import (
     PrefixCache,
+    PrefixEntry,
     prefill_with_prefix,
     prefix_caching_speedup,
 )
@@ -52,6 +56,131 @@ class TestPrefixCacheLru:
             PrefixCache(0, 1000.0)
         with pytest.raises(ValueError):
             PrefixCache(1000.0, 0)
+
+
+class _ReferenceLru:
+    """An independent model of the cache: entries keep their byte
+    counts, and the ledger adds and subtracts those."""
+
+    def __init__(self, capacity_bytes, kv_bytes_per_token):
+        self.capacity_bytes = capacity_bytes
+        self.kv_bytes_per_token = kv_bytes_per_token
+        self._entries = OrderedDict()
+        self.used_bytes = 0.0
+
+    def lookup(self, key):
+        if key not in self._entries:
+            return None
+        self._entries.move_to_end(key)
+        tokens, kv_bytes = self._entries[key]
+        return PrefixEntry(key, tokens, kv_bytes)
+
+    def insert(self, key, tokens):
+        kv_bytes = tokens * self.kv_bytes_per_token
+        if kv_bytes > self.capacity_bytes:
+            raise ValueError("oversize")
+        while self.used_bytes + kv_bytes > self.capacity_bytes:
+            self.used_bytes -= self._entries.popitem(last=False)[1][1]
+        if key in self._entries:
+            self.used_bytes -= self._entries.pop(key)[1]
+        self._entries[key] = (tokens, kv_bytes)
+        self.used_bytes += kv_bytes
+        return PrefixEntry(key, tokens, kv_bytes)
+
+    def evict(self, key):
+        if key in self._entries:
+            self.used_bytes -= self._entries.pop(key)[1]
+
+
+def _lookup_compare_insert(cache, key, tokens):
+    """The serving loops' cache sequence before ``reuse`` held it."""
+    entry = cache.lookup(key)
+    if entry is not None and entry.token_count == tokens:
+        return True
+    try:
+        cache.insert(key, tokens)
+    except ValueError:
+        pass  # prefix exceeds the whole cache: serve uncached
+    return False
+
+
+# One op: (kind, key, tokens); capacity is ~1000 tokens, so some
+# prefixes are oversize and most streams evict.
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["reuse", "reuse", "reuse", "lookup", "insert",
+                     "evict"]),
+    st.sampled_from("abcdefg"),
+    st.integers(min_value=1, max_value=1200)), max_size=80)
+
+
+class TestReuse:
+    @given(_OPS, st.sampled_from([1000.0, 1000.3, 114688.7]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lookup_compare_insert(self, ops, per_token):
+        # An awkward per-token size makes every product round, so a
+        # ledger that drifted from the entries' own bytes would show.
+        capacity = 1_000_000 * per_token / 1000
+        reused = PrefixCache(capacity, per_token)
+        stepped = PrefixCache(capacity, per_token)
+        reference = _ReferenceLru(capacity, per_token)
+        caches = (reused, stepped, reference)
+        for kind, key, tokens in ops:
+            if kind == "reuse":
+                hit = _lookup_compare_insert(reference, key, tokens)
+                assert reused.reuse(key, tokens) is hit
+                assert _lookup_compare_insert(stepped, key, tokens) is hit
+            elif kind == "lookup":
+                entry = reference.lookup(key)
+                assert reused.lookup(key) == stepped.lookup(key) == entry
+            elif kind == "evict":
+                for cache in caches:
+                    cache.evict(key)
+            elif tokens * per_token > capacity:
+                for cache in caches:
+                    with pytest.raises(ValueError):
+                        cache.insert(key, tokens)
+            else:
+                entry = reference.insert(key, tokens)
+                assert (reused.insert(key, tokens)
+                        == stepped.insert(key, tokens) == entry)
+            assert (reused.used_bytes == stepped.used_bytes
+                    == reference.used_bytes)
+            order = [(k, count) for k, (count, _) in
+                     reference._entries.items()]
+            assert list(reused._entries.items()) == order
+            assert list(stepped._entries.items()) == order
+
+    def test_hit_refreshes_recency(self, cache):
+        assert cache.reuse("a", 400) is False
+        assert cache.reuse("b", 400) is False
+        assert cache.reuse("a", 400) is True
+        assert cache.reuse("c", 400) is False  # evicts b, not a
+        assert "a" in cache and "b" not in cache and "c" in cache
+
+    def test_stale_length_is_a_miss_that_replaces(self, cache):
+        cache.reuse("a", 300)
+        assert cache.reuse("a", 200) is False
+        assert cache.lookup("a").token_count == 200
+        assert cache.used_bytes == 200 * 1000.0
+
+    def test_oversize_prefix_is_served_uncached(self, cache):
+        cache.reuse("a", 300)
+        assert cache.reuse("huge", 2000) is False
+        assert cache.reuse("huge", 2000) is False
+        assert "huge" not in cache and "a" in cache
+        assert cache.used_bytes == 300 * 1000.0
+
+    def test_oversize_length_keeps_the_stale_entry(self, cache):
+        # The lookup refreshed it; the insert was refused.
+        cache.reuse("a", 300)
+        cache.reuse("b", 300)
+        assert cache.reuse("a", 2000) is False
+        assert cache.lookup("a").token_count == 300
+        assert list(cache._entries) == ["b", "a"]
+
+    def test_nonpositive_tokens_rejected(self, cache):
+        with pytest.raises(ValueError):
+            cache.reuse("a", 0)
 
 
 class TestSuffixPrefill:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro.fleet
+import repro.fleet.gateway as gateway_module
 from repro.engine.request import GenerationRequest
 from repro.experiments.resilience import (
     run_autoscale_points,
@@ -208,6 +209,44 @@ class TestRoutingFastPath:
             turn = FleetRequest(request=GenerationRequest(0, 64, 16),
                                 arrival_s=0.0, session=key)
             assert gateway._pick(turn, 0.0).name == names[winner]
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 32])
+    @pytest.mark.parametrize("block_bytes", [None, 32 * 32 * 3])
+    def test_bulk_rendezvous_matches_the_definition(self, count,
+                                                    block_bytes,
+                                                    monkeypatch):
+        # Random sessions against random names; the small block runs
+        # the buffer over many blocks and a short last one.
+        if block_bytes is not None:
+            monkeypatch.setattr(gateway_module, "_RENDEZVOUS_BLOCK_BYTES",
+                                block_bytes)
+        rng = np.random.default_rng(count)
+        names = sorted({f"dev-{int(v)}" for v in
+                        rng.integers(0, 10 ** 6, 4 * count)})[:count]
+        sessions = rng.integers(0, 10 ** 9, 250).tolist()
+        winners = FleetGateway._rendezvous_winners(
+            [b"s%d:" % s for s in sessions], [n.encode() for n in names])
+        assert winners.dtype == np.int64
+        assert [names[w] for w in winners.tolist()] == [
+            _reference_winner(session_key(s), names) for s in sessions]
+        assert [FleetGateway._rendezvous_winner(
+            b"s%d:" % s, [n.encode() for n in names])
+            for s in sessions[:20]] == winners[:20].tolist()
+
+    def test_no_sessions(self):
+        assert FleetGateway._rendezvous_winners([], [b"a"]).shape == (0,)
+
+    def test_ties_go_to_the_last_maximum(self):
+        # The scalar ``>=`` rule: among equal best weights the largest
+        # name (the last column) wins; the top bit must not sign-flip.
+        top = 2 ** 64 - 1
+        weights = np.array([[5, 9, 9, 1],
+                            [3, 3, 3, 3],
+                            [0, 0, 0, 7],
+                            [top, 0, top, 5],
+                            [8, 2, 2, 2]], dtype="<u8")
+        assert gateway_module._last_argmax(weights).tolist() == [
+            2, 3, 3, 2, 0]
 
     def test_scalar_pick_ranks_the_partial_pool(self):
         # One device down: each session goes to its winner among the

@@ -311,6 +311,22 @@ class TestVoteAggregation:
         assert tiering.verify_rescues == rescues > 0
         assert tiering == report.tiering
 
+    def test_curve_accuracy_is_memoized_for_the_process(self, tiered_run):
+        run, report = tiered_run
+        memo = dag_module._mode_accuracy
+        ballots = run._ballots(report)
+        before = memo.cache_info()
+        assert run._ballots(report) == ballots
+        after = memo.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
+        assert after.currsize <= after.maxsize
+        benchmark = run.config.benchmark
+        for outcome in report.devices:
+            profile = dag_module.capability_profile(outcome.model, benchmark)
+            for mode, tokens in (("hard", 97), ("completed", 4096)):
+                assert memo(outcome.model, benchmark, mode, tokens) == (
+                    profile.accuracy_for_mode(mode, tokens))
+
     @pytest.mark.parametrize("name", ["p_correct", "distractor_share",
                                       "determinism"])
     def test_out_of_range_stats_still_raise(self, tiered_run, monkeypatch,
