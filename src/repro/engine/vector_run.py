@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 from array import array
 from typing import TYPE_CHECKING, NamedTuple
@@ -83,6 +84,14 @@ if TYPE_CHECKING:
 #: temporaries stay bounded at any share size.  Batch-1 chunks hold
 #: whole requests; batched chunks end with the first epoch past it.
 _CHUNK_STEPS = 1 << 16
+
+#: Busy periods of at least this many steps get one in-place ``cumsum``
+#: of their slice of the clock; shorter ones are summed together, one
+#: column pass per step index (see :func:`_segment_clocks`).  A slice
+#: costs about 1.5 µs of call overhead and a pass about 5 µs, so a chunk
+#: takes at most ``steps / _SLICE_STEPS`` slices and ``_SLICE_STEPS -
+#: 2`` passes.
+_SLICE_STEPS = 32
 
 
 #: Cap on the batched kernel's dense price grids, in keys summed over
@@ -122,39 +131,42 @@ def _guess_resets(service: np.ndarray, ready: np.ndarray,
 
 
 def _segment_clocks(steps: np.ndarray, first: np.ndarray,
-                    begin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    begin: np.ndarray) -> np.ndarray:
     """Exact running clocks of consecutive periods of ``steps``.
 
     Period ``i`` owns ``steps[first[i]:first[i+1]]`` and starts at
-    ``begin[i]``.  Each period becomes one row ``[begin, steps...]``,
-    zero-padded to a power-of-two width; rows of one width form a 2-D
-    slab whose ``cumsum(axis=1)`` adds every row strictly left to right
-    — the scalar loop's ``now +=`` chain — and padding only ever follows
-    the values read back.  Returns ``(clock, dest)``: ``clock[dest[t]]``
-    is the clock after step ``t`` and ``clock[dest[t] - 1]`` the clock
-    before it (its period's start at a period's first step).
+    ``begin[i]`` (``first`` strictly increasing from 0).  Returns one
+    array in step order: ``clock[t]`` is the clock after step ``t``.
+    Each period's start is folded into its first step (the scalar loop's
+    first ``now +=``), then every period is summed strictly left to
+    right — the rest of the ``now +=`` chain — in place on one copy of
+    ``steps``: a period of at least ``_SLICE_STEPS`` steps by one
+    ``cumsum`` of its slice, shorter ones together, one column at a
+    time: pass ``j`` adds the clock after step ``j - 1`` to step ``j``
+    of every short period longer than ``j``.  So a call takes at most
+    ``steps / _SLICE_STEPS`` slices and ``_SLICE_STEPS - 2`` passes.
     """
-    length = np.diff(first, append=steps.shape[0])
-    # frexp's exponent e has length < 2**e: room for the start value.
-    width = np.left_shift(1, np.frexp(length)[1], dtype=np.int64)
-    rank = np.argsort(width, kind="stable")
-    sorted_width = width[rank]
-    row_sorted = np.cumsum(sorted_width) - sorted_width
-    row = np.empty_like(row_sorted)
-    row[rank] = row_sorted
-    clock = np.zeros(int(row_sorted[-1] + sorted_width[-1]))
-    clock[row] = begin
-    dest = np.repeat(row + 1 - first, length) + np.arange(steps.shape[0])
-    clock[dest] = steps
-    bounds = np.flatnonzero(np.diff(sorted_width, append=0)) + 1
-    lo = 0
-    for hi in bounds.tolist():
-        w = int(sorted_width[hi - 1])
-        stop = int(row_sorted[hi - 1]) + w
-        slab = clock[int(row_sorted[lo]):stop].reshape(-1, w)
-        slab.cumsum(axis=1, out=slab)
-        lo = hi
-    return clock, dest
+    clock = steps.copy()
+    clock[first] += begin
+    stop = np.append(first[1:], steps.shape[0])
+    length = stop - first
+    sliced = length >= _SLICE_STEPS
+    # ``add.accumulate`` is ``cumsum`` without its Python-level wrapper,
+    # which would cost more than the sum on short slices.
+    accumulate = np.add.accumulate
+    for lo, hi in zip(first[sliced].tolist(), stop[sliced].tolist()):
+        part = clock[lo:hi]
+        accumulate(part, out=part)
+    short = np.flatnonzero(~sliced & (length > 1))
+    if short.size:
+        # Longest first, so the periods longer than j are a prefix.
+        short = short[np.argsort(-length[short])]
+        heads, size = first[short], length[short]
+        longer = np.searchsorted(-size, -np.arange(1, int(size[0])))
+        for j, count in enumerate(longer.tolist(), 1):
+            at = heads[:count] + j
+            clock[at] += clock[at - 1]
+    return clock
 
 
 def _period_clocks(steps: np.ndarray, off: np.ndarray, ready: np.ndarray,
@@ -170,12 +182,15 @@ def _period_clocks(steps: np.ndarray, off: np.ndarray, ready: np.ndarray,
     opens = reset.copy()
     opens[0] = True
     heads = np.flatnonzero(opens)
-    clock, dest = _segment_clocks(
-        steps, off[heads], np.where(reset[heads], ready[heads], carry))
-    return clock[dest[off[:-1]] - 1], clock[dest[off[1:] - 1]]
+    begin = np.where(reset[heads], ready[heads], carry)
+    finish = _segment_clocks(steps, off[heads], begin)[off[1:] - 1]
+    start = np.empty_like(finish)
+    start[1:] = finish[:-1]
+    start[heads] = begin
+    return start, finish
 
 
-def _gather(stride: np.ndarray, length: np.ndarray,
+def _gather(stride: np.ndarray | None, length: np.ndarray,
             *tables: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
     """Read runs of flat price tables, one gather per table.
 
@@ -185,14 +200,18 @@ def _gather(stride: np.ndarray, length: np.ndarray,
     ``t`` of the concatenation, ``t - head[s]`` into run ``s``, reads
     ``first[s] + (t - head[s]) * stride[s]``: a per-run base ``first -
     head * stride`` plus ``t * stride``, all elementwise, with no
-    sequential pass over the steps.
+    sequential pass over the steps.  ``stride=None`` says every run of
+    more than one entry steps by 1 (the batch-1 kernel's runs), so the
+    index is ``first - head`` plus ``t``, with no multiply.
     """
-    head_step = (np.cumsum(length) - length) * stride
+    head = np.cumsum(length) - length
     step = np.arange(int(length.sum()), dtype=np.int64)
-    step *= np.repeat(stride, length)
+    if stride is not None:
+        head *= stride
+        step *= np.repeat(stride, length)
     out = []
     for flat, first in tables:
-        index = np.repeat(first - head_step, length)
+        index = np.repeat(first - head, length)
         index += step
         out.append(flat[index])
     return out
@@ -442,8 +461,8 @@ class VectorServingRun:
         seconds, watts, ctx_base, gen_base = self._decode_grids(
             prefill, [0, int(prompt.min())], [0, int(final.max()) - 1],
             [0, int(count.max())])
-        # Two runs per request: its prefill, then its decode steps.
-        stride = np.tile(np.array([0, 1]), n)
+        # Two runs per request: its prefill, then its decode steps at
+        # stride 1.
         length = np.ones(2 * n, dtype=np.int64)
         length[1::2] = count
         ctx_first = np.repeat(np.arange(n), 2)
@@ -463,7 +482,7 @@ class VectorServingRun:
             np.cumsum(size[a:b], out=off[1:])
             runs = slice(2 * a, 2 * b)
             steps, step_watts = _gather(
-                stride[runs], length[runs], (seconds, ctx_first[runs]),
+                None, length[runs], (seconds, ctx_first[runs]),
                 (watts, gen_first[runs]))
             energy = _accumulate(energy, steps, step_watts)
             start, finish = self._exact_clocks(steps, off, ready[a:b], now)
@@ -571,15 +590,22 @@ class VectorServingRun:
                     np.array(chunk.stride), np.array(chunk.length),
                     (seconds, np.array(chunk.ctx_first)),
                     (watts, np.array(chunk.gen_first)))
-                clock, dest = _segment_clocks(
-                    steps, np.array([0] + chunk.reset_col),
-                    np.array([now] + chunk.reset_val))
+                # An idle jump at column 0 replaces the carry: the last
+                # begin at a column wins.
+                first = np.array([0] + chunk.reset_col)
+                begin = np.array([now] + chunk.reset_val)
+                keep = np.append(first[1:] != first[:-1], True)
+                first, begin = first[keep], begin[keep]
+                clock = _segment_clocks(steps, first, begin)
                 p0, p1 = state[0], after[0]
-                start = clock[dest[np.array(chunk.adm_col, dtype=np.int64)]
-                              - 1]
+                # An admission starts at its period's begin at a head,
+                # else at the clock after the step before it.
+                adm_col = np.array(chunk.adm_col, dtype=np.int64)
+                head = np.searchsorted(first, adm_col, side="right") - 1
+                start = np.where(first[head] == adm_col, begin[head],
+                                 clock[adm_col - 1])
                 wait_col = np.array(chunk.wait_col, dtype=np.int64)
-                wait_clock = np.where(wait_col > 0, clock[dest[wait_col - 1]],
-                                      now)
+                wait_clock = np.where(wait_col > 0, clock[wait_col - 1], now)
                 wrong = np.concatenate((
                     np.array(chunk.adm_it, dtype=np.int64)[
                         ready[p0:p1] > start],
@@ -590,15 +616,15 @@ class VectorServingRun:
                     break
                 forced.add(int(wrong.min()))
                 self.boundary_repairs += 1
-                exact = (lambda col, clock=clock, dest=dest, carry=now:
-                         carry if col == 0 else float(clock[dest[col - 1]]))
+                exact = (lambda col, clock=clock, carry=now:
+                         carry if col == 0 else float(clock[col - 1]))
             energy = _accumulate(energy, steps, step_watts)
             arrays.start_s[order[p0:p1]] = start
             arrays.finish_s[order[chunk.fin]] = clock[
-                dest[np.array(chunk.fin_col, dtype=np.int64) - 1]]
+                np.array(chunk.fin_col, dtype=np.int64) - 1]
             waited[p0:p1] = chunk.adm_live
             done += chunk.fin
-            now = float(clock[dest[-1]])
+            now = float(clock[-1])
             state = after[:5] + (now,)
         arrays.prefill_s[order] = prefill[0]
         arrays.context[order] = final
@@ -758,34 +784,24 @@ class VectorServingRun:
         """Run to completion and report like the scalar core.
 
         The :meth:`execute_arrays` drain plus a report built from the
-        outcome columns: one :class:`ServedRequest` per request in
-        completion order, then stably sorted by request id — the scalar
+        outcome columns: one :class:`ServedRequest` per request, in
+        completion order stably sorted by request id — the scalar
         report's order, field for field.
         """
         from repro.engine.server import ResilienceReport, ServedRequest
         arrays = self._serve_all()
-        request_id = arrays.request_id.tolist()
-        arrival = arrays.arrival_s.tolist()
-        start = arrays.start_s.tolist()
-        finish = arrays.finish_s.tolist()
-        prompt = arrays.prompt_tokens.tolist()
-        context = arrays.context.tolist()
-        deadline = arrays.deadline_s.tolist()
-        mask = arrays.deadline_mask.tolist()
-        prefill = arrays.prefill_s.tolist()
-        served = [ServedRequest(
-            request_id=request_id[i],
-            arrival_s=arrival[i],
-            start_s=start[i],
-            finish_s=finish[i],
-            prompt_tokens=prompt[i],
-            output_tokens=context[i] - prompt[i],
-            deadline_s=deadline[i] if mask[i] else None,
-            prefill_s=prefill[i],
-            attempts=1,
-            degraded=False,
-        ) for i in self._done]
-        served.sort(key=lambda r: r.request_id)
+        done = np.array(self._done, dtype=np.int64)
+        rows = done[np.argsort(arrays.request_id[done], kind="stable")]
+        prompt = arrays.prompt_tokens[rows]
+        deadline = arrays.deadline_s[rows].astype(object)
+        deadline[~arrays.deadline_mask[rows]] = None
+        served = list(map(
+            ServedRequest, arrays.request_id[rows].tolist(),
+            arrays.arrival_s[rows].tolist(), arrays.start_s[rows].tolist(),
+            arrays.finish_s[rows].tolist(), prompt.tolist(),
+            (arrays.context[rows] - prompt).tolist(), deadline.tolist(),
+            arrays.prefill_s[rows].tolist(), itertools.repeat(1),
+            itertools.repeat(False)))
         return ResilienceReport(
             served=served,
             wallclock_s=self.now,

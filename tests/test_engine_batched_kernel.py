@@ -153,6 +153,27 @@ class TestBoundaries:
                            np.array([0.0, at, edges[-1] + 0.5]))
                 _assert_agree(engine, columns, max_batch_size=2)
 
+    @pytest.mark.parametrize("chunk_steps", [1, vector_run._CHUNK_STEPS])
+    def test_a_chunk_opening_with_an_idle_jump(self, engine, monkeypatch,
+                                               chunk_steps):
+        """The first arrival after 0 jumps the clock at column 0, so the
+        jump, not the chunk's carry, begins the first period."""
+        jumps = []
+        schedule = VectorServingRun._schedule
+
+        def spy(run, *args):
+            chunk, after = schedule(run, *args)
+            jumps.append(chunk.reset_col[:1])
+            return chunk, after
+
+        monkeypatch.setattr(VectorServingRun, "_schedule", spy)
+        monkeypatch.setattr(vector_run, "_CHUNK_STEPS", chunk_steps)
+        columns = (np.arange(5), np.array([300, 40, 120, 90, 60]),
+                   np.array([30, 1, 12, 50, 3]),
+                   np.array([7.5, 7.5, 7.6, 40.0, 40.0]))
+        _assert_agree(engine, columns, max_batch_size=4)
+        assert jumps[0] == [0]
+
     def test_full_batch_takes_no_cut(self, engine):
         # Two long requests fill batch 2; the third arrives mid-span and
         # waits for a finish instead of cutting the span.

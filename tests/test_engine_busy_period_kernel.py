@@ -23,7 +23,7 @@ from repro.engine.engine import InferenceEngine
 from repro.engine.kv_cache import KVCacheConfig, PagedKVCache
 from repro.engine.pricing import Pricing
 from repro.engine.request import GenerationRequest
-from repro.engine.server import ServingSimulator
+from repro.engine.server import ServedRequest, ServingSimulator
 from repro.engine.state import RequestArrays
 from repro.engine.vector_run import VectorFallback, VectorServingRun
 from repro.fleet import FleetGateway, HealthConfig, build_fleet, poisson_stream
@@ -166,6 +166,21 @@ class TestShapes:
         assert got == _scalar_json(engine, requests, arrivals,
                                    max_batch_size=1)
 
+    @pytest.mark.parametrize("max_batch_size", [1, 8])
+    def test_one_token_requests_with_wide_gaps(self, engine,
+                                               max_batch_size):
+        # Every request is its own two-step busy period: the clocks run
+        # entirely through the short periods' column pass, with no slice.
+        rng = np.random.default_rng(13)
+        n = 300
+        requests = [GenerationRequest(i, int(p), 1)
+                    for i, p in enumerate(rng.integers(16, 400, n))]
+        arrivals = np.cumsum(rng.exponential(10.0, n))
+        got, _ = _kernel_run(engine, requests, arrivals,
+                             max_batch_size=max_batch_size)
+        assert got == _scalar_json(engine, requests, arrivals,
+                                   max_batch_size=max_batch_size)
+
     def test_zero_stop_takes_one_step(self, engine):
         # Population columns may carry stop 0; the scalar loop serves it
         # like stop 1 (one single-token epoch), and so must the kernel.
@@ -181,6 +196,38 @@ class TestShapes:
                     for i in range(n)]
         assert run.execute().to_json() == _scalar_json(
             engine, requests, arrivals, max_batch_size=1)
+
+
+class TestReport:
+    @pytest.mark.parametrize("max_batch_size", [1, 4])
+    def test_served_list_equals_the_per_row_build(self, engine,
+                                                  max_batch_size):
+        # Duplicate request ids keep completion order among themselves;
+        # every other row has a deadline.
+        requests, arrivals = _stream(11, n=60, gap_s=0.4)
+        rid = np.array([r.request_id % 23 for r in requests])
+        deadlines = np.where(np.arange(60) % 2 == 0, 25.0, np.nan)
+        sim = ServingSimulator(engine, max_batch_size=max_batch_size)
+        arrays = RequestArrays.from_columns(
+            rid, [r.prompt_tokens for r in requests],
+            [max(r.stop_lengths()) for r in requests], arrivals, deadlines,
+            np.arange(60) % 2 == 0)
+        run = VectorServingRun(sim, arrays=arrays)
+        served = run.execute().served
+        expected = [ServedRequest(
+            request_id=int(arrays.request_id[i]),
+            arrival_s=float(arrays.arrival_s[i]),
+            start_s=float(arrays.start_s[i]),
+            finish_s=float(arrays.finish_s[i]),
+            prompt_tokens=int(arrays.prompt_tokens[i]),
+            output_tokens=int(arrays.context[i] - arrays.prompt_tokens[i]),
+            deadline_s=(float(arrays.deadline_s[i])
+                        if arrays.deadline_mask[i] else None),
+            prefill_s=float(arrays.prefill_s[i]),
+        ) for i in run._done]
+        expected.sort(key=lambda r: r.request_id)
+        assert served == expected
+        assert repr(served) == repr(expected)
 
 
 class TestGather:
@@ -207,6 +254,85 @@ class TestGather:
                 first.tolist(), stride.tolist(), length.tolist())
                 for j in range(n)]
             assert out.tolist() == expected
+
+    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=40),
+                              st.integers(min_value=0, max_value=50)),
+                    min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_unit_stride_runs(self, runs):
+        # ``stride=None``: runs longer than one entry step by 1, and a
+        # single-entry run reads its first entry (the batch-1 layout).
+        length, first = (np.array(column, dtype=np.int64)
+                         for column in zip(*runs))
+        flat = np.random.default_rng(len(runs)).random(100)
+        got, = vector_run._gather(None, length, (flat, first))
+        want, = vector_run._gather(np.minimum(length - 1, 1), length,
+                                   (flat, first))
+        assert got.tobytes() == want.tobytes()
+
+
+def _reference_clocks(steps, first, begin):
+    """The scalar ``now +=`` chain, one period at a time."""
+    stops = list(first[1:]) + [len(steps)]
+    clock = []
+    for lo, hi, now in zip(first, stops, begin):
+        for step in steps[lo:hi]:
+            now += step
+            clock.append(now)
+    return np.array(clock)
+
+
+SLICE = vector_run._SLICE_STEPS
+
+
+class TestSegmentClocks:
+    """``_segment_clocks`` in step order against the scalar chain."""
+
+    @given(st.lists(st.one_of(st.just(1), st.integers(2, 20),
+                              st.integers(SLICE - 2, SLICE + 2),
+                              st.integers(SLICE, 8 * SLICE)),
+                    min_size=1, max_size=25),
+           st.sampled_from(["mixed", "short", "long"]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_scalar_chain(self, lengths, shape, seed):
+        if shape == "short":
+            lengths = [1 + n % (SLICE - 1) for n in lengths]
+        elif shape == "long":
+            lengths = [SLICE + n for n in lengths]
+        rng = np.random.default_rng(seed)
+        first = np.cumsum([0] + lengths[:-1])
+        steps = rng.exponential(0.01, sum(lengths))
+        begin = np.cumsum(rng.exponential(50.0, len(lengths)))
+        got = vector_run._segment_clocks(steps, first, begin)
+        assert got.tobytes() == _reference_clocks(
+            steps.tolist(), first.tolist(), begin.tolist()).tobytes()
+
+    @pytest.mark.parametrize("lengths", [
+        [SLICE] * 9, [1, SLICE, 3 * SLICE + 5, 2, SLICE - 1, SLICE + 1],
+        [2] * 500, [5 * SLICE]])
+    def test_slices_are_bounded_by_the_steps(self, monkeypatch, lengths):
+        slices = []
+
+        class CountingAdd:
+            @staticmethod
+            def accumulate(a, *args, **kwargs):
+                if kwargs.get("out") is a:
+                    slices.append(a.shape[0])
+                return np.add.accumulate(a, *args, **kwargs)
+
+        class Numpy:
+            add = CountingAdd
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(vector_run, "np", Numpy())
+        steps = np.full(sum(lengths), 0.25)
+        vector_run._segment_clocks(steps, np.cumsum([0] + lengths[:-1]),
+                                   np.zeros(len(lengths)))
+        assert len(slices) <= steps.shape[0] // SLICE
+        assert slices == [n for n in lengths if n >= SLICE]
 
 
 class TestPrefillPricing:

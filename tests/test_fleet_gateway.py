@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.fleet.gateway as gateway_module
 from repro.core.planner import fleet_pareto, plan_fleet
 from repro.engine.request import GenerationRequest
 from repro.fleet import (
@@ -92,6 +94,25 @@ class TestNonFiniteArrivals:
                                mode=mode)
         with pytest.raises(ValueError, match="row 25 is"):
             gateway.run_trace(trace.chunks(20))
+
+
+class TestArrivalOrder:
+    """``_arrival_order`` orders a stream as the old sort on
+    ``(arrival_s, stream position)`` did: ties and signed zeros too."""
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0]),
+        st.floats(allow_nan=False, allow_infinity=False)), max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_sort_on_arrival_and_position(self, arrivals):
+        stream = [FleetRequest(GenerationRequest(i, 16, 1), arrival)
+                  for i, arrival in enumerate(arrivals)]
+        expected = [freq for _, freq in sorted(
+            enumerate(stream), key=lambda pair: (pair[1].arrival_s, pair[0]))]
+        got = gateway_module._arrival_order(
+            tuple(stream), np.array(arrivals, dtype=np.float64))
+        assert len(got) == len(expected)
+        assert all(a is b for a, b in zip(got, expected))
 
 
 class TestEdfFleet:
