@@ -190,7 +190,7 @@ def _period_clocks(steps: np.ndarray, off: np.ndarray, ready: np.ndarray,
     return start, finish
 
 
-def _gather(stride: np.ndarray | None, length: np.ndarray,
+def _gather(stride: np.ndarray, length: np.ndarray,
             *tables: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
     """Read runs of flat price tables, one gather per table.
 
@@ -200,18 +200,14 @@ def _gather(stride: np.ndarray | None, length: np.ndarray,
     ``t`` of the concatenation, ``t - head[s]`` into run ``s``, reads
     ``first[s] + (t - head[s]) * stride[s]``: a per-run base ``first -
     head * stride`` plus ``t * stride``, all elementwise, with no
-    sequential pass over the steps.  ``stride=None`` says every run of
-    more than one entry steps by 1 (the batch-1 kernel's runs), so the
-    index is ``first - head`` plus ``t``, with no multiply.
+    sequential pass over the steps.
     """
-    head = np.cumsum(length) - length
+    head_step = (np.cumsum(length) - length) * stride
     step = np.arange(int(length.sum()), dtype=np.int64)
-    if stride is not None:
-        head *= stride
-        step *= np.repeat(stride, length)
+    step *= np.repeat(stride, length)
     out = []
     for flat, first in tables:
-        index = np.repeat(first - head, length)
+        index = np.repeat(first - head_step, length)
         index += step
         out.append(flat[index])
     return out
@@ -461,8 +457,8 @@ class VectorServingRun:
         seconds, watts, ctx_base, gen_base = self._decode_grids(
             prefill, [0, int(prompt.min())], [0, int(final.max()) - 1],
             [0, int(count.max())])
-        # Two runs per request: its prefill, then its decode steps at
-        # stride 1.
+        # Two runs per request: its prefill, then its decode steps.
+        stride = np.tile(np.array([0, 1]), n)
         length = np.ones(2 * n, dtype=np.int64)
         length[1::2] = count
         ctx_first = np.repeat(np.arange(n), 2)
@@ -482,7 +478,7 @@ class VectorServingRun:
             np.cumsum(size[a:b], out=off[1:])
             runs = slice(2 * a, 2 * b)
             steps, step_watts = _gather(
-                None, length[runs], (seconds, ctx_first[runs]),
+                stride[runs], length[runs], (seconds, ctx_first[runs]),
                 (watts, gen_first[runs]))
             energy = _accumulate(energy, steps, step_watts)
             start, finish = self._exact_clocks(steps, off, ready[a:b], now)

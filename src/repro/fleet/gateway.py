@@ -351,7 +351,7 @@ class FleetGateway:
         Every policy chooses from the cached :meth:`_routable` pool (in
         a tiered run, steered to the stage's tier pool); prefix affinity
         ranks a session's candidates with :meth:`_rendezvous_winner`,
-        the one-session form of the vector partition's ranking.
+        the routine the vector partition ranks with.
 
         Returns None only when every device is down with no finite
         recovery time (a permanent whole-fleet outage): the caller must
@@ -848,19 +848,10 @@ class FleetGateway:
 
     @staticmethod
     def _rendezvous_winner(head: bytes, names) -> int:
-        """Index of one session's rendezvous winner among ``names``,
-        ranked as :meth:`_rendezvous_winners` ranks it but in pure
-        Python: the scalar :meth:`_pick` ranks one session per routed
-        turn, too few to repay numpy's set-up."""
-        copy = hashlib.sha256(head).copy
-        best = winner = -1
-        for index, name in enumerate(names):
-            state = copy()
-            state.update(name)
-            weight = int.from_bytes(state.digest()[:8], "little")
-            if weight >= best:
-                best, winner = weight, index
-        return winner
+        """Index of one session's rendezvous winner among ``names``: the
+        one-session call of :meth:`_rendezvous_winners`, which the
+        scalar :meth:`_pick` ranks its routable pool with."""
+        return int(FleetGateway._rendezvous_winners((head,), names)[0])
 
     @staticmethod
     def _rendezvous_winners(heads, names) -> np.ndarray:
@@ -872,10 +863,10 @@ class FleetGateway:
         bytes, read little-endian, of ``sha256(head + name)`` — the
         digest of ``f"{session}:{name}"`` — and the winner holds the
         largest weight, the largest name among equals
-        (:func:`_last_argmax`).  :meth:`_assign` ranks the whole fleet
-        through it, and the scalar :meth:`_pick` ranks its routable pool
-        by the same rule through :meth:`_rendezvous_winner` (with no
-        failure source the scalar pool provably stays the full fleet).
+        (:func:`_last_argmax`).  Both cores rank through it: the scalar
+        :meth:`_pick` over the routable pool, :meth:`_assign` over the
+        whole fleet (with no failure source the scalar pool provably
+        stays the full fleet).
 
         Each session hashes its head once and each candidate extends a
         copy of that state.  ``heads`` is consumed a block of sessions
@@ -955,17 +946,16 @@ class FleetGateway:
                 outcomes = [future.result() for future in futures]
         return list(zip(shares, outcomes))
 
-    def _stream_columns(self, stream, arrival: np.ndarray) -> dict:
+    def _stream_columns(self, stream) -> dict:
         """Fold a request stream into the columns :meth:`run_trace` drains.
 
-        Rows follow the scalar loop's order (:func:`_arrival_order` on
-        the stream's ``arrival`` column).  Session strings are
-        relabelled to ints by first appearance — a bijection, so every
-        prefix-cache LRU sequence is unchanged — and stateless rows
-        carry no prefix, exactly as the scalar device never looks them
-        up.
+        Rows follow the scalar loop's order (:func:`_arrival_order`).
+        Session strings are relabelled to ints by first appearance — a
+        bijection, so every prefix-cache LRU sequence is unchanged — and
+        stateless rows carry no prefix, exactly as the scalar device
+        never looks them up.
         """
-        ordered = _arrival_order(stream, arrival)
+        ordered = _arrival_order(stream)
         keys: dict[str, int] = {}
         table = np.array([
             (f.request.request_id, f.arrival_s, f.request.prompt_tokens,
@@ -982,13 +972,12 @@ class FleetGateway:
                                          heads.__getitem__)
         return columns
 
-    def _fleet_report(self, stream, arrival: np.ndarray) -> FleetReport:
+    def _fleet_report(self, stream) -> FleetReport:
         """The vector path of :meth:`run`: stream → columns → drain."""
         outcomes = []
         for device, (_, outcome) in zip(
-                self.devices,
-                self._drain(self._stream_columns(stream, arrival),
-                            objects=True)):
+                self.devices, self._drain(self._stream_columns(stream),
+                                          objects=True)):
             report, _, _, hits, misses = outcome
             outcomes.append(DeviceOutcome(
                 name=device.name,
@@ -1050,8 +1039,8 @@ class FleetGateway:
         if report is not None:
             return report
         self.last_mode = "scalar"
-        return trace_report_from_fleet(self._run_scalar(
-            self._trace_stream(columns), columns["arrival_s"]))
+        return trace_report_from_fleet(
+            self._run_scalar(self._trace_stream(columns)))
 
     def _collect_trace(self, chunks) -> dict:
         """Fold a chunk stream into assignment-ready columns.
@@ -1189,9 +1178,8 @@ class FleetGateway:
         ``tiering=None`` leaves every untiered code path — and its
         reports — byte-identical.
         """
-        arrival = np.fromiter((item.arrival_s for item in stream),
-                              np.float64, len(stream))
-        require_finite_arrivals(arrival)
+        require_finite_arrivals(np.fromiter(
+            (item.arrival_s for item in stream), np.float64, len(stream)))
         report = self._vector(
             tiering is None and self.vector_eligible()
             and (self.policy != "prefix-affinity"
@@ -1199,7 +1187,7 @@ class FleetGateway:
             "round-robin routing or prefix-affinity routing with a "
             "session on every request (a stateless request routes by "
             "live load), no tiering,",
-            lambda: self._fleet_report(stream, arrival))
+            lambda: self._fleet_report(stream))
         if report is not None:
             return report
         dag = None
@@ -1214,10 +1202,9 @@ class FleetGateway:
                     "autoscale=None")
             dag = DagRun(tiering, energy_quote=self._tier_energy_quote)
         self.last_mode = "scalar"
-        return self._run_scalar(stream, arrival, dag)
+        return self._run_scalar(stream, dag)
 
-    def _run_scalar(self, stream, arrival: np.ndarray,
-                    dag=None) -> FleetReport:
+    def _run_scalar(self, stream, dag=None) -> FleetReport:
         """The scalar oracle: the gateway's one per-event loop.
 
         Events ``(t, priority, seq, payload)`` pop off one heap: at equal
@@ -1228,13 +1215,12 @@ class FleetGateway:
         :meth:`_settle_dag` after every event; outside the oracle that
         step skips ticks at which no busy device can finish, drop or
         admit anything, so the loop wakes only when something can
-        change.  ``arrival`` is the stream's arrival column, which orders
-        an untiered stream (:func:`_arrival_order`).
+        change.
         """
         self._dag = dag
         seq = itertools.count()
         if dag is None:
-            arrivals = _arrival_order(stream, arrival)
+            arrivals = _arrival_order(stream)
             for freq in arrivals:
                 self._session_of[freq.request.request_id] = (
                     freq.session, freq.prefix_tokens)
@@ -1422,12 +1408,13 @@ class FleetGateway:
 _RENDEZVOUS_BLOCK_BYTES = 1 << 18
 
 
-def _arrival_order(stream, arrival: np.ndarray) -> list:
+def _arrival_order(stream) -> list:
     """``stream`` in the scalar loop's order: by arrival time, ties by
-    stream position.  ``arrival`` is the stream's arrival column, which
-    the caller has checked finite, so a stable argsort on it orders
-    exactly as sorting on ``(arrival_s, position)`` would, ties and
-    signed zeros included."""
+    stream position.  Both callers run on arrivals checked finite, so a
+    stable argsort of the arrival column orders exactly as sorting on
+    ``(arrival_s, position)`` would, ties and signed zeros included."""
+    arrival = np.fromiter((item.arrival_s for item in stream), np.float64,
+                          len(stream))
     return [stream[i] for i in np.argsort(arrival, kind="stable").tolist()]
 
 

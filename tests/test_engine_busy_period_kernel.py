@@ -255,21 +255,6 @@ class TestGather:
                 for j in range(n)]
             assert out.tolist() == expected
 
-    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=40),
-                              st.integers(min_value=0, max_value=50)),
-                    min_size=1, max_size=30))
-    @settings(max_examples=100, deadline=None)
-    def test_unit_stride_runs(self, runs):
-        # ``stride=None``: runs longer than one entry step by 1, and a
-        # single-entry run reads its first entry (the batch-1 layout).
-        length, first = (np.array(column, dtype=np.int64)
-                         for column in zip(*runs))
-        flat = np.random.default_rng(len(runs)).random(100)
-        got, = vector_run._gather(None, length, (flat, first))
-        want, = vector_run._gather(np.minimum(length - 1, 1), length,
-                                   (flat, first))
-        assert got.tobytes() == want.tobytes()
-
 
 def _reference_clocks(steps, first, begin):
     """The scalar ``now +=`` chain, one period at a time."""

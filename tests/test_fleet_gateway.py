@@ -109,8 +109,7 @@ class TestArrivalOrder:
                   for i, arrival in enumerate(arrivals)]
         expected = [freq for _, freq in sorted(
             enumerate(stream), key=lambda pair: (pair[1].arrival_s, pair[0]))]
-        got = gateway_module._arrival_order(
-            tuple(stream), np.array(arrivals, dtype=np.float64))
+        got = gateway_module._arrival_order(tuple(stream))
         assert len(got) == len(expected)
         assert all(a is b for a, b in zip(got, expected))
 

@@ -233,26 +233,6 @@ class TestRoutingFastPath:
             b"s%d:" % s, [n.encode() for n in names])
             for s in sessions[:20]] == winners[:20].tolist()
 
-    @pytest.mark.parametrize("count", [1, 2, 7, 32])
-    def test_one_session_ranking_matches_the_bulk_one(self, count):
-        rng = np.random.default_rng(100 + count)
-        names = [b"dev-%d" % v for v in sorted(
-            set(rng.integers(0, 10 ** 6, 4 * count).tolist()))[:count]]
-        heads = [b"s%d:" % s for s in rng.integers(0, 10 ** 9, 250).tolist()]
-        assert [FleetGateway._rendezvous_winner(head, names)
-                for head in heads] == FleetGateway._rendezvous_winners(
-                    heads, names).tolist()
-
-    def test_one_session_ties_go_to_the_last_maximum(self):
-        # Repeated names carry equal weights: the ``>=`` rule keeps the
-        # last, exactly as the bulk ranking's reversed argmax does.
-        names = [b"b", b"a", b"b", b"a"]
-        for head in (b"s1:", b"s2:", b"s3:"):
-            winner = FleetGateway._rendezvous_winner(head, names)
-            assert winner in (2, 3)
-            assert winner == FleetGateway._rendezvous_winners(
-                [head], names)[0]
-
     def test_no_sessions(self):
         assert FleetGateway._rendezvous_winners([], [b"a"]).shape == (0,)
 
