@@ -83,6 +83,8 @@ class ServedRequest:
     attempts: int = 1
     #: Whether the admission controller shrank this request's budget.
     degraded: bool = False
+    #: Derating seconds in the final attempt's service (not serialized).
+    slowdown_s: float = 0.0
 
     @property
     def queue_delay_s(self) -> float:
@@ -734,6 +736,7 @@ class _ServingRun:
             prefill_s=seq.prefill_s,
             attempts=state.attempts,
             degraded=state.degraded,
+            slowdown_s=self.counters.fault_slowdown_s - seq.slowdown_mark_s,
         ))
 
     # -- admission -----------------------------------------------------
@@ -802,6 +805,7 @@ class _ServingRun:
         # Batch-1 prefill: stalls the live decode batch (attributed).
         base_seconds, power = self._prefill_cost(request)
         start_s = self.now
+        slowdown_mark_s = self.counters.fault_slowdown_s
         effective = self._spend(base_seconds, power)
         self.prefill_stall_s += effective * len(self.live)
 
@@ -826,6 +830,7 @@ class _ServingRun:
             deadline_s=state.deadline_s,
             kv_seq_id=kv_id,
             attempt=state.attempts,
+            slowdown_mark_s=slowdown_mark_s,
         ))
         self.decode_backlog += budget
         self.ctx_sum += request.prompt_tokens

@@ -58,6 +58,8 @@ class LiveSequence:
     deadline_s: float | None
     kv_seq_id: int | None
     attempt: int
+    #: The run's ``fault_slowdown_s`` at admission, before the prefill.
+    slowdown_mark_s: float
 
 
 @dataclass

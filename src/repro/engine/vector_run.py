@@ -374,12 +374,14 @@ class VectorServingRun:
         equality both give the same float).  A wrong guess is flipped
         and the clocks recomputed from it; requests before it keep
         theirs, since a clock depends only on its own period's prefix.
+        A boundary wrong again after its flip raises ``RuntimeError``.
         """
         reset = _guess_resets(np.add.reduceat(steps, off[:-1]), ready,
                               carry)
         start = np.empty(ready.shape[0])
         finish = np.empty(ready.shape[0])
         lo = 0
+        flipped = -1
         while True:
             base = off[lo]
             start[lo:], finish[lo:] = _period_clocks(
@@ -393,7 +395,10 @@ class VectorServingRun:
             k = int(bad[0])
             carry = float(prev[k])
             lo += k
+            if lo == flipped:
+                raise RuntimeError(f"boundary {lo} wrong after its repair")
             reset[lo] = not reset[lo]
+            flipped = lo
             self.boundary_repairs += 1
 
     def _decode_grids(self, prefill: np.ndarray, lo: list[int],
@@ -543,7 +548,8 @@ class VectorServingRun:
           of a span that was not cut, a jump, the end of an admission
           run) must still be ahead of the clock.  The first iteration
           holding a wrong guess is rerun on the exact clock and the
-          chunk rescheduled (``boundary_repairs`` counts these).
+          chunk rescheduled (``boundary_repairs`` counts these); one
+          wrong again after its repair raises ``RuntimeError``.
 
         ``prefill_stall_s`` is one more sequential ``cumsum``: each
         prefill times the live count that waited on it.
@@ -610,7 +616,10 @@ class VectorServingRun:
                         <= wait_clock]))
                 if not wrong.size:
                     break
-                forced.add(int(wrong.min()))
+                it = int(wrong.min())
+                if it in forced:
+                    raise RuntimeError(f"iteration {it} wrong after its repair")
+                forced.add(it)
                 self.boundary_repairs += 1
                 exact = (lambda col, clock=clock, carry=now:
                          carry if col == 0 else float(clock[col - 1]))

@@ -701,12 +701,11 @@ def run_vector_equivalence_points(seed: int = 0, devices: int = 6,
     The same paced single-stream round-robin fleet workload runs twice
     — once pinned to the scalar oracle, once under ``mode="auto"``
     (which must select the vector fast path) — and the canonical
-    reports are compared byte-for-byte.  Pacing below closed-form
-    capacity keeps every latency under the breaker spike threshold, so
-    the auto run genuinely exercises the merged-partition vector drain
-    rather than passing vacuously through a fallback.  Returns only
-    plain data, and no wall clock, so the probe renders alike under
-    thread and process pipelines and across reruns.
+    reports are compared byte-for-byte.  A fault-free fleet never moves
+    a breaker, so the auto run genuinely exercises the merged-partition
+    vector drain; pacing below closed-form capacity keeps its queues
+    short.  Returns only plain data, and no wall clock, so the probe
+    renders alike under thread and process pipelines and across reruns.
     """
     from repro.fleet import FleetGateway, build_fleet, poisson_stream
 

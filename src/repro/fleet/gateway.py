@@ -13,10 +13,10 @@ After the last event, every device drains to completion.
 Self-healing (this layer's additions over plain routing):
 
 * **Circuit breakers** — a :class:`~repro.fleet.health.CircuitBreaker`
-  per device folds its completion latencies and failures; routing skips
-  devices whose breaker is open.  Breakers *shift* load — if every
-  breaker rejects, routing falls back to all up devices rather than
-  manufacturing an outage.
+  per device folds its failures and slowed-service completions (never
+  queueing); routing skips devices whose breaker is open.  Breakers
+  *shift* load — if every breaker rejects, routing falls back to all up
+  devices rather than manufacturing an outage.
 * **Brownout admission** — when constructed with a
   :class:`~repro.fleet.brownout.BrownoutConfig`, arrivals pass the
   tier ladder: token-budget trims, preference for quantized downgrade
@@ -212,7 +212,6 @@ class FleetGateway:
         #: Core that executed the most recent :meth:`run` ("scalar" or
         #: "vector"); None before the first run.
         self.last_mode: str | None = None
-        self._health_config = health
         self.drain_limit_s = drain_limit_s
         self.breakers = {d.name: CircuitBreaker(
             health, seed=breaker_seed(seed, d.name)) for d in self.devices}
@@ -483,7 +482,8 @@ class FleetGateway:
         self._count(device.name, -1)
         breaker = self.breakers[device.name]
         before = breaker.state
-        breaker.record_success(record.finish_s, record.latency_s)
+        breaker.record_success(record.finish_s, record.service_s,
+                               record.slowdown_s)
         if breaker.state is not before:
             self._topo_bump()
         if self.hedge is not None:
@@ -789,11 +789,9 @@ class FleetGateway:
         event source may be armed: faults, brownout, hedging, and
         autoscaling all inject events a per-device drain cannot batch.
         Every device must itself be vector-eligible.  Health breakers
-        are allowed *statically* — with no failure source they can only
-        trip on completion-latency spikes, which :meth:`_drain` detects
-        dynamically and answers with a scalar fallback.  :meth:`run`
-        also needs no tiering and, under prefix-affinity, a session on
-        every request (stateless requests route by live load).
+        never move here: there is no failure and no slowed service.
+        :meth:`run` also needs no tiering and, under prefix-affinity, a
+        session on every request (stateless requests route by live load).
         """
         return (self.policy in ("round-robin", "prefix-affinity")
                 and self.faults is None
@@ -912,17 +910,11 @@ class FleetGateway:
         Returns ``(share columns, outcome)`` per device, in name order.
         Raises :class:`~repro.engine.vector_run.VectorFallback` when a
         share has no busy-period kernel (EDF devices, a batch that could
-        meet KV pressure or need outsized price grids), or if any served
-        latency reaches the health model's spike threshold: past it the
-        scalar loop's circuit breakers could leave CLOSED and start
-        shifting load, so only the oracle is authoritative.  Below it
-        the breakers provably never transition (there is no failure
-        source), making the partition equivalence exact.
+        meet KV pressure or need outsized price grids).
         """
         assign = columns["assign"]
         order = np.argsort(assign, kind="stable")
         counts = np.bincount(assign, minlength=len(self.devices))
-        spike_s = (self._health_config or HealthConfig()).latency_spike_s
         shares = []
         start = 0
         for n_d in counts.tolist():
@@ -930,7 +922,7 @@ class FleetGateway:
             start += n_d
             shares.append({name: columns[name][idx]
                            for name in _SHARE_COLUMNS})
-        tasks = [(device.spec, spike_s, objects, share)
+        tasks = [(device.spec, objects, share)
                  for device, share in zip(self.devices, shares)]
         if jobs == 1:
             outcomes = [_drain_share(*task) for task in tasks]
@@ -1434,7 +1426,7 @@ _SHARE_DTYPE = np.dtype([
 _SHARE_COLUMNS = _SHARE_DTYPE.names
 
 
-def _drain_share(spec, spike_s, objects, share):
+def _drain_share(spec, objects, share):
     """Serve one device's partition share on a fresh clone.
 
     A pure task: it builds its own :class:`~repro.fleet.device.
@@ -1450,8 +1442,7 @@ def _drain_share(spec, spike_s, objects, share):
     outcome columns ``(start_s, finish_s, context)``.  Raises
     :class:`~repro.engine.vector_run.VectorFallback` (picklable across
     a process boundary) when no busy-period kernel serves the share (EDF,
-    KV pressure, outsized price grids) or a served latency reaches the
-    breaker spike threshold.
+    KV pressure, outsized price grids).
     """
     device = FleetDevice(spec)
     arrays = RequestArrays.from_columns(
@@ -1466,8 +1457,4 @@ def _drain_share(spec, spike_s, objects, share):
     else:
         vrun.execute_arrays()
         result = (arrays.start_s, arrays.finish_s, arrays.context)
-    if arrays.n and float(np.max(arrays.finish_s - arrays.arrival_s)) >= spike_s:
-        raise VectorFallback(
-            "completion latency reached the breaker spike threshold; "
-            "the scalar oracle owns breaker dynamics")
     return result, vrun.now, vrun.energy, vrun.prefix_hits, vrun.prefix_misses

@@ -3,21 +3,23 @@
 Routing a flash crowd by queue depth alone piles work onto the sickest
 device: a flapping or thermally capped box reports a short queue exactly
 because it is failing to make progress.  The gateway therefore keeps a
-:class:`CircuitBreaker` per device, fed by that device's completions
-(with their latencies) and failures.
+:class:`CircuitBreaker` per device, fed by that device's failures and
+its completions.  Only slowed service counts against a device, never
+queueing: a busy but healthy device is the router's problem.
 
 The breaker is the classic three-state machine, made deterministic for
 the simulator:
 
 * ``CLOSED`` — traffic flows.  Consecutive failures (evacuations,
-  timeouts) or consecutive latency-spike completions trip it ``OPEN``.
+  timeouts) or consecutive slowed-service completions trip it ``OPEN``.
 * ``OPEN`` — the device is skipped by routing.  After a cool-down whose
   jitter is drawn from a seeded per-device RNG (so reruns are
   byte-identical but devices don't probe in lockstep), the first
   ``allow`` transitions to ``HALF_OPEN``.
 * ``HALF_OPEN`` — a bounded number of probe requests are admitted.
   ``probe_successes`` consecutive good completions close the breaker;
-  any failure re-opens it and restarts the cool-down.
+  any failure or slowed completion re-opens it and restarts the
+  cool-down.
 
 Legal transitions are exactly ``CLOSED→OPEN``, ``OPEN→HALF_OPEN``,
 ``HALF_OPEN→CLOSED`` and ``HALF_OPEN→OPEN``; every transition is
@@ -49,6 +51,10 @@ LEGAL_TRANSITIONS = frozenset({
     (BreakerState.HALF_OPEN, BreakerState.OPEN),
 })
 
+#: A completion spikes when ``SPIKE_FACTOR * slowdown_s >= service_s``:
+#: derated clocks at least doubled its service.
+SPIKE_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class HealthConfig:
@@ -56,9 +62,9 @@ class HealthConfig:
 
     #: Consecutive failures (evacuation/timeout) that trip the breaker.
     failure_threshold: int = 3
-    #: Completion latency (s) counted as a spike against the device.
+    #: Validated, but nothing reads it: a spike is slowed service.
     latency_spike_s: float = 30.0
-    #: Consecutive latency spikes that trip the breaker.
+    #: Consecutive slowed-service completions that trip the breaker.
     spike_threshold: int = 5
     #: Base cool-down before an open breaker admits probes (s).
     cooldown_s: float = 2.0
@@ -154,10 +160,11 @@ class CircuitBreaker:
             self._probes_admitted += 1
         return True
 
-    def record_success(self, t: float, latency_s: float) -> None:
-        """One completion on this device, with its end-to-end latency."""
+    def record_success(self, t: float, service_s: float,
+                       slowdown_s: float) -> None:
+        """One completion: its attempt's service and derating seconds."""
         self._consecutive_failures = 0
-        spike = latency_s >= self.config.latency_spike_s
+        spike = slowdown_s > 0 and SPIKE_FACTOR * slowdown_s >= service_s
         self._consecutive_spikes = self._consecutive_spikes + 1 if spike else 0
         if self.state is BreakerState.HALF_OPEN:
             if spike:

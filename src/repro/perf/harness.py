@@ -360,10 +360,8 @@ def _paced_fleet_run(mode: str, devices: int, requests: int,
                      max_batch_size: int = 1):
     """One single-stream fleet run paced below closed-form capacity.
 
-    Pacing keeps every completion latency under the breaker spike
-    threshold, which is what keeps the vector fast path eligible end to
-    end (an overloaded stream would fall back to the scalar oracle).
-    Returns ``(report, last_mode, qps)``.
+    Pacing keeps queues short, so the run times the serving cores
+    rather than queueing.  Returns ``(report, last_mode, qps)``.
     """
     import numpy as np
 
@@ -481,23 +479,6 @@ def _population_fleet():
                        prefix_cache_mb=32.0)
 
 
-def _population_gateway(fleet, **kwargs):
-    """A prefix-affinity gateway tolerant of diurnal-peak latencies.
-
-    The population workload's per-request service time is several
-    seconds, so queueing at the diurnal peak legitimately reaches
-    minutes; the default breaker spike threshold (30 s) would treat
-    that as device failure and force the scalar oracle.  The raised
-    threshold is part of the committed workload shape.
-    """
-    from repro.fleet import FleetGateway
-    from repro.fleet.health import HealthConfig
-
-    return FleetGateway(fleet, policy="prefix-affinity",
-                        health=HealthConfig(latency_spike_s=3600.0),
-                        **kwargs)
-
-
 def _population_trace(requests: int, seed: int = 11):
     """The seeded diurnal session-population trace at bench shape."""
     import numpy as np
@@ -529,11 +510,14 @@ def bench_fleet_routing_speedup(repeats: int) -> BenchResult:
     ``repeats``.  Both sides route prefix-affinity over identical
     fleets.
     """
+    from repro.fleet import FleetGateway
+
     requests, scalar_requests = 100_000, 10_000
     trace = _population_trace(requests)
 
     def streaming_run() -> None:
-        gateway = _population_gateway(_population_fleet())
+        gateway = FleetGateway(_population_fleet(),
+                               policy="prefix-affinity")
         report = gateway.run_trace(trace)
         if gateway.last_mode != "vector":
             raise RuntimeError(
@@ -547,7 +531,8 @@ def bench_fleet_routing_speedup(repeats: int) -> BenchResult:
     trace_s = min(_median_time(streaming_run, repeats)[1])
 
     stream = trace.materialize(stop=scalar_requests)
-    oracle = _population_gateway(_population_fleet(), mode="scalar")
+    oracle = FleetGateway(_population_fleet(), policy="prefix-affinity",
+                          mode="scalar")
     start = time.perf_counter()
     scalar_report = oracle.run(stream)
     scalar_s = time.perf_counter() - start
@@ -580,13 +565,16 @@ def bench_fleet_diurnal_1m(repeats: int) -> BenchResult:
     Every pass must stay on the vector path and serve every request,
     else the timing is rejected rather than silently recorded.
     """
+    from repro.fleet import FleetGateway
+
     requests = 1_000_000
     generate_start = time.perf_counter()
     trace = _population_trace(requests)
     generate_s = time.perf_counter() - generate_start
     times = []
     for _ in range(max(repeats, 1)):
-        gateway = _population_gateway(_population_fleet())
+        gateway = FleetGateway(_population_fleet(),
+                               policy="prefix-affinity")
         start = time.perf_counter()
         report = gateway.run_trace(trace)
         times.append(time.perf_counter() - start)

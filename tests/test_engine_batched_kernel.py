@@ -33,7 +33,7 @@ from repro.engine.request import GenerationRequest
 from repro.engine.server import ServingSimulator, _ServingRun
 from repro.engine.state import RequestArrays
 from repro.engine.vector_run import VectorFallback, VectorServingRun
-from repro.fleet import FleetGateway, HealthConfig, build_fleet, poisson_stream
+from repro.fleet import FleetGateway, build_fleet, poisson_stream
 from repro.models.registry import get_model
 from repro.workloads import PopulationConfig, population_trace
 
@@ -205,6 +205,31 @@ class TestBoundaries:
         fast = _assert_agree(engine, columns, max_batch_size=4)
         assert fast.boundary_repairs > 0
 
+    def test_an_iteration_wrong_after_its_repair_raises(self, engine,
+                                                        monkeypatch):
+        """An exact pass one second late makes an arrival the schedule
+        left waiting look ready; the rerun iteration, started on that
+        late clock, is wrong again.  The repair loop names it instead of
+        rescheduling the chunk forever."""
+        segment_clocks = vector_run._segment_clocks
+        calls = []
+
+        def late(steps, first, begin):
+            calls.append(None)
+            if len(calls) > 100:
+                pytest.fail("the repair loop did not stop")
+            return segment_clocks(steps, first, begin) + 1.0
+
+        monkeypatch.setattr(vector_run, "_segment_clocks", late)
+        rng = np.random.default_rng(8)
+        n = 50
+        columns = (np.arange(n), rng.integers(16, 600, n),
+                   rng.integers(1, 200, n),
+                   np.cumsum(rng.exponential(0.4, n)))
+        with pytest.raises(RuntimeError,
+                           match="iteration 0 wrong after its repair"):
+            _vector(engine, columns, max_batch_size=4)
+
 
 class TestStaticBounds:
     """The kernel runs exactly when ``max_batch_size`` largest final
@@ -263,8 +288,7 @@ class TestFleetPath:
                                      ("auto", 3, "process")):
             gateway = FleetGateway(
                 build_fleet(6, max_batch_size=4, prefix_cache_mb=8.0),
-                policy="prefix-affinity", mode=mode,
-                health=HealthConfig(latency_spike_s=3600.0))
+                policy="prefix-affinity", mode=mode)
             reports.append(gateway.run_trace(trace, jobs=jobs,
                                              executor=executor).to_json())
             assert gateway.last_mode == mode.replace("auto", "vector")

@@ -26,7 +26,7 @@ from repro.engine.request import GenerationRequest
 from repro.engine.server import ServedRequest, ServingSimulator
 from repro.engine.state import RequestArrays
 from repro.engine.vector_run import VectorFallback, VectorServingRun
-from repro.fleet import FleetGateway, HealthConfig, build_fleet, poisson_stream
+from repro.fleet import FleetGateway, build_fleet, poisson_stream
 from repro.fleet.device import DeviceSpec, FleetDevice
 from repro.models.registry import get_model
 from repro.workloads import PopulationConfig, population_trace
@@ -92,6 +92,27 @@ class TestBoundaryTies:
         assert run.boundary_repairs > 0
         assert got == _scalar_json(engine, requests, arrivals,
                                    max_batch_size=1)
+
+    def test_a_boundary_wrong_after_its_repair_raises(self, engine,
+                                                      monkeypatch):
+        """An exact pass that undoes each flip (it opens a period at
+        every request) would flip the same boundary back and forth
+        forever; the repair loop names it instead."""
+        requests, arrivals = _stream(8, n=50, gap_s=0.4)
+        period_clocks = vector_run._period_clocks
+        calls = []
+
+        def undoing(steps, off, ready, reset, carry):
+            calls.append(None)
+            if len(calls) > 100:
+                pytest.fail("the repair loop did not stop")
+            reset[:] = True
+            return period_clocks(steps, off, ready, reset, carry)
+
+        monkeypatch.setattr(vector_run, "_period_clocks", undoing)
+        with pytest.raises(RuntimeError,
+                           match="boundary 1 wrong after its repair"):
+            _kernel_run(engine, requests, arrivals, max_batch_size=1)
 
 
 class TestKVCheck:
@@ -414,8 +435,7 @@ class TestFleetPaths:
             # Six devices over two power modes: three shares per spec.
             gateway = FleetGateway(
                 build_fleet(6, max_batch_size=1, prefix_cache_mb=8.0),
-                policy="prefix-affinity",
-                health=HealthConfig(latency_spike_s=3600.0))
+                policy="prefix-affinity")
             reports.append(gateway.run_trace(trace, jobs=jobs,
                                              executor=executor).to_json())
             assert gateway.last_mode == "vector"

@@ -10,7 +10,12 @@ from repro.engine.kv_cache import KVCacheConfig, PagedKVCache
 from repro.engine.request import GenerationRequest
 from repro.engine.server import ResilienceReport, ServingSimulator, _ServingRun
 from repro.faults.degradation import DegradationPolicy
-from repro.faults.injector import FaultInjector, FaultScheduleConfig
+from repro.faults.injector import (
+    FaultEvent,
+    FaultInjector,
+    FaultKind,
+    FaultScheduleConfig,
+)
 from repro.generation.control import hard_budget
 from repro.hardware.thermal import ThermalConfig
 from repro.models.registry import get_model
@@ -342,6 +347,30 @@ class TestThermalIntegration:
         report = sim.run(_requests(4, output=128), np.zeros(4))
         assert report.fault_slowdown_s > 0
         assert report.throttle_residency_s > 0
+
+
+class TestSlowdownAccounting:
+    """``ServedRequest.slowdown_s``: the derating seconds inside the
+    final attempt's service, the signal the fleet breakers read."""
+
+    @pytest.mark.parametrize("mode", ["scalar", "auto"])
+    @pytest.mark.parametrize("max_batch_size", [1, 4])
+    def test_pure_runs_have_none(self, engine, mode, max_batch_size):
+        sim = ServingSimulator(engine, max_batch_size=max_batch_size,
+                               mode=mode)
+        report = sim.run_poisson(np.random.default_rng(1), qps=8.0,
+                                 num_requests=60)
+        assert sim.last_mode == mode.replace("auto", "vector")
+        assert report.completed == 60
+        assert all(r.slowdown_s == 0.0 for r in report.served)
+
+    def test_half_speed_doubles_service(self, engine):
+        faults = FaultInjector.from_events(
+            [FaultEvent(FaultKind.TRANSIENT, 0.0, 1e6, 0.5)])
+        sim = ServingSimulator(engine, max_batch_size=4, faults=faults)
+        (served,) = sim.run(_requests(1, output=96), np.zeros(1)).served
+        assert served.slowdown_s == pytest.approx(served.service_s / 2,
+                                                  rel=1e-12)
 
 
 def check_run_counters(run):

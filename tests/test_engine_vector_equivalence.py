@@ -14,12 +14,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine.engine import InferenceEngine
 from repro.engine.kv_cache import KVCacheConfig, PagedKVCache
 from repro.engine.server import ServingSimulator
-from repro.experiments.resilience import chaos_schedule, degradation_policy
+from repro.experiments.resilience import (
+    _fleet_capacity_qps,
+    chaos_schedule,
+    degradation_policy,
+)
 from repro.fleet import FleetGateway, build_fleet, poisson_stream
 from repro.models.registry import get_model
 
@@ -150,14 +154,43 @@ class TestFleetEquivalence:
         assert scalar == auto
         assert last == "vector"
 
-    def test_overload_trips_breaker_spike_fallback(self):
-        """Latencies past the spike threshold belong to the oracle."""
+    def test_overloaded_stream_stays_vector(self):
+        """Minutes of queueing move no breaker: the drain stays exact."""
         scalar, _ = _fleet_json("scalar", qps=40.0, requests=400,
                                 deadline_s=8.0, seed=3)
         auto, last = _fleet_json("auto", qps=40.0, requests=400,
                                  deadline_s=8.0, seed=3)
         assert scalar == auto
-        assert last == "scalar"
+        assert last == "vector"
+
+    @settings(max_examples=10, deadline=None)
+    @given(max_batch_size=st.integers(1, 8),
+           policy=st.sampled_from(["round-robin", "prefix-affinity"]),
+           load=st.floats(0.1, 2.0),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @example(max_batch_size=1, policy="round-robin", load=2.0, seed=0)
+    @example(max_batch_size=4, policy="prefix-affinity", load=2.0, seed=1)
+    def test_fault_free_breakers_never_move(self, max_batch_size, policy,
+                                            load, seed):
+        """With no failure source and no derating, no breaker of the
+        scalar loop ever transitions, however long the queues grow (up
+        to 2x closed-form capacity), so ``auto`` drains on the vector
+        core with the oracle's bytes."""
+        reports = {}
+        for mode in ("scalar", "auto"):
+            fleet = build_fleet(4, mix="balanced",
+                                max_batch_size=max_batch_size)
+            qps = load * _fleet_capacity_qps(fleet, 150, 192)
+            gateway = FleetGateway(fleet, policy=policy, mode=mode)
+            reports[mode] = gateway.run(poisson_stream(
+                np.random.default_rng(seed), qps, 160,
+                sessions=8)).to_json()
+            if mode == "scalar":
+                assert all(not breaker.transitions
+                           for breaker in gateway.breakers.values())
+            else:
+                assert gateway.last_mode == "vector"
+        assert reports["auto"] == reports["scalar"]
 
     def test_fault_schedule_stays_identical(self):
         scalar, _ = _fleet_json("scalar", faults_seed=7, deadline_s=30.0)

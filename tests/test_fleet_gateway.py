@@ -15,7 +15,6 @@ from repro.fleet import (
     ROUTING_POLICIES,
     FleetGateway,
     FleetRequest,
-    HealthConfig,
     HedgeConfig,
     build_fleet,
     poisson_stream,
@@ -126,8 +125,7 @@ class TestEdfFleet:
             max_batch_size=max_batch_size, policy=policy,
             prefix_cache_mb=8.0))
             for i, power_mode in enumerate(("MAXN", "30W", "MAXN"))]
-        return FleetGateway(devices, policy=gateway_policy, mode=mode,
-                            health=HealthConfig(latency_spike_s=3600.0))
+        return FleetGateway(devices, policy=gateway_policy, mode=mode)
 
     @pytest.mark.parametrize("max_batch_size", [1, 4])
     @pytest.mark.parametrize("policy,vector", [("fcfs", True),

@@ -26,11 +26,13 @@ from repro.fleet.brownout import MAX_TIER, PressureLadder
 from repro.fleet.health import LEGAL_TRANSITIONS, breaker_seed
 from repro.tiering import TieringConfig
 
-# One observation fed to the breaker: a completion (with latency),
-# a failure, or a (consuming) admission attempt.
+# One observation fed to the breaker: a completion (its service time
+# and the share of it spent derated), a failure, or a (consuming)
+# admission attempt.
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("success"), st.floats(0.1, 120.0)),
+        st.tuples(st.just("success"),
+                  st.tuples(st.floats(0.1, 120.0), st.floats(0.0, 1.0))),
         st.tuples(st.just("failure"), st.just(0.0)),
         st.tuples(st.just("allow"), st.just(0.0)),
     ),
@@ -43,7 +45,8 @@ def _drive(breaker, ops, dt=1.0):
     for op, value in ops:
         t += dt
         if op == "success":
-            breaker.record_success(t, value)
+            service, derated = value
+            breaker.record_success(t, service, derated * service)
         elif op == "failure":
             breaker.record_failure(t)
         else:
@@ -98,16 +101,41 @@ class TestBreakerStateMachine:
     def test_success_resets_failure_streak(self):
         breaker = CircuitBreaker(HealthConfig(failure_threshold=2))
         breaker.record_failure(1.0)
-        breaker.record_success(2.0, 1.0)
+        breaker.record_success(2.0, 1.0, 0.0)
         breaker.record_failure(3.0)
         assert breaker.state is BreakerState.CLOSED
 
-    def test_latency_spikes_trip_open(self):
-        config = HealthConfig(latency_spike_s=10.0, spike_threshold=3)
-        breaker = CircuitBreaker(config)
-        for t in (1.0, 2.0, 3.0):
-            breaker.record_success(t, 50.0)
+    def test_derated_completions_trip_open(self):
+        breaker = CircuitBreaker(HealthConfig(spike_threshold=3))
+        # Mild derating (under 2x) breaks a streak.
+        breaker.record_success(1.0, 10.0, 6.8)
+        breaker.record_success(2.0, 10.0, 4.9)
+        # A 15W cap (0.32x speed), then service exactly doubled.
+        for t in (3.0, 4.0):
+            breaker.record_success(t, 10.0, 6.8)
+            assert breaker.state is BreakerState.CLOSED
+        breaker.record_success(5.0, 10.0, 5.0)
         assert breaker.state is BreakerState.OPEN
+
+    def test_queueing_never_counts(self):
+        # A 500 s completion served at full speed is a busy device, not
+        # a sick one.
+        breaker = CircuitBreaker(HealthConfig(spike_threshold=1))
+        for t in range(1, 20):
+            breaker.record_success(float(t), 500.0, 0.0)
+        assert breaker.state is BreakerState.CLOSED
+        assert breaker.transitions == []
+
+    def test_derated_probe_reopens(self):
+        config = HealthConfig(failure_threshold=1, cooldown_s=1.0,
+                              cooldown_jitter=0.0)
+        breaker = CircuitBreaker(config)
+        breaker.record_failure(0.0)
+        assert breaker.allow(2.0)
+        breaker.record_success(2.5, 4.0, 2.0)
+        assert breaker.state is BreakerState.OPEN
+        assert [dst for _, _, dst in breaker.transitions] == [
+            BreakerState.OPEN, BreakerState.HALF_OPEN, BreakerState.OPEN]
 
     def test_probe_successes_close_the_breaker(self):
         config = HealthConfig(failure_threshold=1, cooldown_s=1.0,
@@ -121,8 +149,8 @@ class TestBreakerStateMachine:
         assert breaker.state is BreakerState.HALF_OPEN
         assert breaker.allow(2.1)            # probe 2
         assert not breaker.allow(2.2)        # probe budget exhausted
-        breaker.record_success(3.0, 1.0)
-        breaker.record_success(3.5, 1.0)
+        breaker.record_success(3.0, 1.0, 0.0)
+        breaker.record_success(3.5, 1.0, 0.0)
         assert breaker.state is BreakerState.CLOSED
 
     def test_probe_failure_reopens(self):
@@ -195,8 +223,8 @@ class TestDeviceHealth:
             HealthConfig(failure_threshold=0)
         with pytest.raises(ValueError):
             HealthConfig(probe_successes=3, max_probes=2)
-        # NaN compares false both ways: it must not switch off the
-        # spike rule or let an open breaker admit traffic at once.
+        # NaN compares false both ways: it must not pass validation or
+        # let an open breaker admit traffic at once.
         for name in ("latency_spike_s", "cooldown_s", "cooldown_jitter"):
             with pytest.raises(ValueError):
                 HealthConfig(**{name: math.nan})

@@ -20,7 +20,6 @@ from repro.fleet import (
     FleetGateway,
     FleetRequest,
     FleetTraceReport,
-    HealthConfig,
     HedgeConfig,
     build_fleet,
     poisson_stream,
@@ -102,10 +101,6 @@ def _gateway(policy, cls=FleetGateway, **kwargs):
     faults = kwargs.get("faults")
     fleet = build_fleet(4, mix="balanced", max_batch_size=1,
                         prefix_cache_mb=8.0, faults=faults)
-    # Diurnal-peak queues legitimately build minutes of latency on
-    # batch-1 devices; the raised spike threshold keeps the breaker out
-    # of the equivalence study (breaker dynamics are scalar-only).
-    kwargs.setdefault("health", HealthConfig(latency_spike_s=3600.0))
     return cls(fleet, policy=policy, **kwargs)
 
 

@@ -34,7 +34,6 @@ from repro.fleet import (
     BrownoutConfig,
     FleetGateway,
     FleetRequest,
-    HealthConfig,
     HedgeConfig,
     build_fleet,
     poisson_stream,
@@ -62,7 +61,7 @@ def _faults(seed, horizon_s, crashes):
 OVERLOAD_PIN = (
     "c80a892943beacaf24b5c0a8a64f25473b527ae82d45d5824ae07c68af1968a5")
 TIERED_FAULT_PIN = (
-    "ce260760a3c304a7b6cda1c8539dd4a74decfce0e0152b3487561259d59c2f5e")
+    "d17664a2bc86b13d5116f0d37ee6468facf8ae2de5bcfa8b82f971e03105ae5d")
 AUTOSCALE_PIN = (
     "33830ac0c19c3dc7cef12ffdbdfa5974fba232a60bd2fc3416d05cbc8e636139")
 
@@ -78,7 +77,7 @@ def test_autoscale_run_pin():
 
 
 LEAST_OUTSTANDING_CRASH_PIN = (
-    "aa9fdb7f915d2217b54e4833d6fa1f0a2e78ac2b6e9e50fc0f3f54e377a1d7fe")
+    "d254b007264c689771c66b189ab9663cf1578465e45636cab2b025f1b00d997c")
 
 
 def least_outstanding_crash_run(cls=FleetGateway):
@@ -110,7 +109,7 @@ def test_prefix_affinity_run_pin():
     assert report.rerouted > 0
     assert sum(d.prefix_hits for d in report.devices) > 0
     assert _sha(report) == (
-        "98566b76ba9d89f11da3998b37b4fb7993d4033fcf0f10d1ffb5ffb401037255")
+        "910cc992aa0f316f7097ef8039087ec7efa4d864bdcebdc2681839a3b0c51d5b")
 
 
 def tiered_fault_run(cls=FleetGateway):
@@ -146,7 +145,7 @@ AFFINITY_PINS = {
     "autoscale":
         "70a20becaf348bc22a5b62085a5aa4c1e66098bd1ef059a0f8a6ef9c12036f04",
     "tiered":
-        "1b471567931b79c99348520efcd0b5f6182bbf44f70c1300d0bf61dfc9a4beee",
+        "6d70775efef862b8ce753dc21f8474cee562d3035243877e73e04b9e08225e84",
 }
 
 
@@ -326,8 +325,7 @@ def test_prefix_affinity_trace_pin():
                               peak_sessions_per_s=0.56, period_s=600.0)
     fleet = build_fleet(4, mix="balanced", max_batch_size=1,
                         prefix_cache_mb=8.0)
-    gateway = FleetGateway(fleet, policy="prefix-affinity",
-                           health=HealthConfig(latency_spike_s=3600.0))
+    gateway = FleetGateway(fleet, policy="prefix-affinity")
     report = gateway.run_trace(
         population_trace(np.random.default_rng(4), config))
     assert gateway.last_mode == "vector"

@@ -19,7 +19,7 @@ import pytest
 
 from repro.engine.prefix_cache import prefill_with_prefix
 from repro.engine.request import GenerationRequest
-from repro.fleet import FleetGateway, FleetRequest, HealthConfig, build_fleet
+from repro.fleet import FleetGateway, FleetRequest, build_fleet
 
 RTOL = 1e-9
 
@@ -92,8 +92,7 @@ def test_both_cores_obey_lindley(seed, load, prefix_cache_mb):
         gateway = FleetGateway(
             build_fleet(1, max_batch_size=1,
                         prefix_cache_mb=prefix_cache_mb),
-            policy="prefix-affinity", mode=mode,
-            health=HealthConfig(latency_spike_s=3600.0))
+            policy="prefix-affinity", mode=mode)
         report = gateway.run(stream)
         assert gateway.last_mode == mode.replace("auto", "vector")
         if expected is None:
