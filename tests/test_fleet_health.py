@@ -105,7 +105,9 @@ class TestBreakerStateMachine:
         breaker.record_failure(3.0)
         assert breaker.state is BreakerState.CLOSED
 
-    def test_derated_completions_trip_open(self):
+    def test_latency_spikes_trip_open(self):
+        """A spike is a completion whose service derated clocks at least
+        doubled; ``spike_threshold`` of them in a row open the breaker."""
         breaker = CircuitBreaker(HealthConfig(spike_threshold=3))
         # Mild derating (under 2x) breaks a streak.
         breaker.record_success(1.0, 10.0, 6.8)
