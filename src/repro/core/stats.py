@@ -1,7 +1,6 @@
 """Small shared statistics helpers for report aggregation.
 
-Every report class (:class:`~repro.engine.server.ServingReport`,
-:class:`~repro.engine.server.ResilienceReport`,
+Every report class (:class:`~repro.engine.server.ResilienceReport`,
 :class:`~repro.fleet.report.FleetReport`) needs the same nan-guarded
 percentile: a run that served nothing has *no* latency distribution,
 and a 0.0 placeholder would read as an impossibly good measurement.

@@ -22,7 +22,6 @@ from repro.engine.prefix_cache import (
 from repro.engine.server import (
     ResilienceReport,
     ServedRequest,
-    ServingReport,
     ServingSimulator,
 )
 from repro.engine.streaming import (
@@ -47,7 +46,6 @@ __all__ = [
     "PrefixCache",
     "SequenceResult",
     "ServedRequest",
-    "ServingReport",
     "ServingSimulator",
     "StreamingMetrics",
     "TokenEvent",

@@ -27,8 +27,8 @@ temperature, and a :class:`~repro.faults.DegradationPolicy` adds
 timeouts, bounded retries with exponential backoff, KV preemption with
 recompute-on-resume, and an admission controller that sheds or shrinks
 work under overload.  Every run returns a :class:`ResilienceReport`
-(a :class:`ServingReport` with fault/degradation counters); with no
-faults configured the extra counters are simply zero.
+(the serving outcome plus fault/degradation counters); with no faults
+configured the extra counters are simply zero.
 """
 
 from __future__ import annotations
@@ -111,8 +111,15 @@ class ServedRequest:
 
 
 @dataclass
-class ServingReport:
-    """Aggregate outcome of a serving run."""
+class ResilienceReport:
+    """Aggregate outcome of a serving run, with fault and degradation
+    accounting.
+
+    ``deadline_hit_rate`` is scored over the *offered* population:
+    requests lost to aborts, sheds, or exhausted retries count as
+    misses.  That makes the metric honest under faults — a server cannot
+    improve it by dropping hard requests.
+    """
 
     served: list[ServedRequest]
     wallclock_s: float
@@ -121,6 +128,36 @@ class ServingReport:
     #: Decode-batch seconds stalled by other requests' batch-1 prefills
     #: (the paper's prefill protocol, attributed instead of hidden).
     prefill_stall_s: float = 0.0
+    #: Requests offered to the server (served + shed + failed).
+    offered: int = 0
+    #: Wallclock spent with derated clocks (thermal, DVFS, or injected).
+    throttle_residency_s: float = 0.0
+    #: Times the thermal state machine tripped into THROTTLED.
+    thermal_throttle_events: int = 0
+    #: Extra wallclock added by derated clocks versus nominal.
+    fault_slowdown_s: float = 0.0
+    #: Sequences evicted from the KV cache (recompute-on-resume).
+    preemptions: int = 0
+    #: Previously preempted requests re-admitted.
+    resumes: int = 0
+    #: Retry attempts scheduled (transient aborts, opted-in timeouts).
+    retries: int = 0
+    #: Requests that completed after at least one retry.
+    successful_retries: int = 0
+    #: Attempts aborted by the degradation watchdog.
+    timeouts: int = 0
+    #: Transient aborts injected by the fault schedule.
+    injected_aborts: int = 0
+    #: Requests permanently failed (abort with no retry budget left).
+    failed: int = 0
+    #: Requests rejected or dropped by the admission controller.
+    shed: int = 0
+    #: Requests admitted with a shrunken token budget.
+    degraded_requests: int = 0
+    #: Decode tokens saved by degraded-mode budget shrinking.
+    tokens_saved: int = 0
+    #: Deadline-carrying requests that were never served.
+    unserved_with_deadline: int = 0
 
     @property
     def completed(self) -> int:
@@ -162,15 +199,18 @@ class ServingReport:
 
     @property
     def deadline_hit_rate(self) -> float:
-        """Fraction of deadline-carrying requests served on time.
+        """On-time completions over all offered deadline-carrying requests.
 
         Vacuously 1.0 when requests completed but none carried a
-        deadline; ``nan`` when nothing completed at all (an all-shed run
-        has no evidence either way).
+        deadline; ``nan`` when the run completed nothing and no
+        deadline-carrying request was lost either — e.g. every request
+        shed before admission on a deadline-free stream — since there is
+        no population to score.
         """
         with_deadlines = [r for r in self.served if r.deadline_s is not None]
         return slo_attainment(sum(bool(r.met_deadline) for r in with_deadlines),
-                              len(with_deadlines), 0, len(self.served))
+                              len(with_deadlines),
+                              self.unserved_with_deadline, len(self.served))
 
     @property
     def mean_batch_occupancy(self) -> float:
@@ -179,6 +219,13 @@ class ServingReport:
             return 0.0
         busy = sum(r.finish_s - r.start_s for r in self.served)
         return busy / self.wallclock_s
+
+    @property
+    def throttle_residency_frac(self) -> float:
+        """Fraction of wallclock spent throttled."""
+        if self.wallclock_s <= 0:
+            return 0.0
+        return self.throttle_residency_s / self.wallclock_s
 
     # -- canonical serialization ---------------------------------------
     def to_dict(self) -> dict:
@@ -217,80 +264,6 @@ class ServingReport:
                 }
                 for r in self.served
             ],
-        }
-
-    def to_json(self) -> str:
-        """Canonical JSON: byte-identical for identical runs."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-
-@dataclass
-class ResilienceReport(ServingReport):
-    """Serving report extended with fault and degradation accounting.
-
-    ``deadline_hit_rate`` is redefined over the *offered* population:
-    requests lost to aborts, sheds, or exhausted retries count as
-    misses.  That makes the metric honest under faults — a server cannot
-    improve it by dropping hard requests.
-    """
-
-    #: Requests offered to the server (served + shed + failed).
-    offered: int = 0
-    #: Wallclock spent with derated clocks (thermal, DVFS, or injected).
-    throttle_residency_s: float = 0.0
-    #: Times the thermal state machine tripped into THROTTLED.
-    thermal_throttle_events: int = 0
-    #: Extra wallclock added by derated clocks versus nominal.
-    fault_slowdown_s: float = 0.0
-    #: Sequences evicted from the KV cache (recompute-on-resume).
-    preemptions: int = 0
-    #: Previously preempted requests re-admitted.
-    resumes: int = 0
-    #: Retry attempts scheduled (transient aborts, opted-in timeouts).
-    retries: int = 0
-    #: Requests that completed after at least one retry.
-    successful_retries: int = 0
-    #: Attempts aborted by the degradation watchdog.
-    timeouts: int = 0
-    #: Transient aborts injected by the fault schedule.
-    injected_aborts: int = 0
-    #: Requests permanently failed (abort with no retry budget left).
-    failed: int = 0
-    #: Requests rejected or dropped by the admission controller.
-    shed: int = 0
-    #: Requests admitted with a shrunken token budget.
-    degraded_requests: int = 0
-    #: Decode tokens saved by degraded-mode budget shrinking.
-    tokens_saved: int = 0
-    #: Deadline-carrying requests that were never served.
-    unserved_with_deadline: int = 0
-
-    @property
-    def throttle_residency_frac(self) -> float:
-        """Fraction of wallclock spent throttled."""
-        if self.wallclock_s <= 0:
-            return 0.0
-        return self.throttle_residency_s / self.wallclock_s
-
-    @property
-    def deadline_hit_rate(self) -> float:
-        """On-time completions over all offered deadline-carrying requests.
-
-        ``nan`` when the run completed nothing and no deadline-carrying
-        request was lost either — e.g. every request shed before
-        admission on a deadline-free stream — since there is no
-        population to score.
-        """
-        with_deadlines = [r for r in self.served if r.deadline_s is not None]
-        return slo_attainment(sum(bool(r.met_deadline) for r in with_deadlines),
-                              len(with_deadlines),
-                              self.unserved_with_deadline, len(self.served))
-
-    def to_dict(self) -> dict:
-        """The serving rendering extended with resilience counters."""
-        data = super().to_dict()
-        data.update({
             "offered": self.offered,
             "throttle_residency_s": self.throttle_residency_s,
             "thermal_throttle_events": self.thermal_throttle_events,
@@ -306,8 +279,12 @@ class ResilienceReport(ServingReport):
             "degraded_requests": self.degraded_requests,
             "tokens_saved": self.tokens_saved,
             "unserved_with_deadline": self.unserved_with_deadline,
-        })
-        return data
+        }
+
+    def to_json(self) -> str:
+        """Canonical JSON: byte-identical for identical runs."""
+        return json.dumps(self.to_dict(), sort_keys=True,
+                          separators=(",", ":"))
 
 
 #: Admission policies: first-come-first-served or earliest-deadline-first.

@@ -49,7 +49,9 @@ instead of parking, so kill-all schedules terminate cleanly.
 
 Determinism: devices are iterated in sorted-name order everywhere, every
 policy breaks ties on the device name, prefix affinity uses rendezvous
-hashing over ``sha256(session:name)``, breaker probe jitter comes from
+hashing over ``sha256(session:name)`` (ranked by
+:func:`~repro.fleet.partition._rendezvous_winners`, the routine the
+vector partition shares), breaker probe jitter comes from
 per-device seeded RNGs, and nothing reads a wall clock or unseeded RNG —
 so the same stream, fleet, and fault schedule reproduce a byte-identical
 :class:`~repro.fleet.report.FleetReport` regardless of device
@@ -69,28 +71,19 @@ Gateway-maintained outstanding counters replace every per-device
 outstanding scan (pressure, the autoscale tick, the drain), and the
 per-event sweep advances and folds only busy devices (exact:
 ``run_until`` is a no-op without work, and a device's unfolded outcome
-records still count as its outstanding work).  Prefix affinity ranks a
-session's devices by rendezvous hashing in one routine that both cores
-share.  It is the gateway's only per-event loop:
-plain streams and tiered DAG runs pop the same event heap, a tiered
-run adding its job-admission arrival handler, a settle step that
-releases unblocked DAG stages after each event, and its tick source,
-which passes over ticks that provably change nothing.
-Eligible runs bypass the per-event loop entirely, through either entry
-point: :meth:`FleetGateway.run` folds its request stream into columns
-and :meth:`FleetGateway.run_trace` collects a chunked column trace;
-both then share one partition (round-robin or prefix-affinity), one
-per-device drain on the array-backed vector core, and one eligibility
-rule.  ``run`` reports a :class:`~repro.fleet.report.FleetReport`,
-``run_trace`` the column-native :class:`~repro.fleet.trace.
-FleetTraceReport`.
+records still count as its outstanding work).  It is the gateway's
+only per-event loop: plain streams and tiered DAG runs pop the same
+event heap, a tiered run adding its job-admission arrival handler, a
+settle step that releases unblocked DAG stages after each event, and
+its tick source, which passes over ticks that provably change nothing.
+Eligible runs bypass it through :mod:`repro.fleet.partition`'s
+partition-and-drain; the gateway keeps the dispatch and assembles the
+reports.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
-import hashlib
 import heapq
 import itertools
 import math
@@ -100,8 +93,8 @@ import numpy as np
 
 from repro.engine.request import GenerationRequest
 from repro.engine.server import SERVING_MODES
-from repro.engine.state import RequestArrays, require_finite_arrivals
-from repro.engine.vector_run import VectorFallback, VectorServingRun
+from repro.engine.state import require_finite_arrivals
+from repro.engine.vector_run import VectorFallback
 from repro.faults.injector import FleetFaultSchedule
 from repro.fleet.autoscale import (
     AutoscaleConfig,
@@ -115,6 +108,13 @@ from repro.fleet.health import (
     CircuitBreaker,
     HealthConfig,
     breaker_seed,
+)
+from repro.fleet.partition import (
+    _arrival_order,
+    _collect_trace,
+    _drain,
+    _rendezvous_winners,
+    _stream_columns,
 )
 from repro.fleet.report import DeviceOutcome, FleetReport
 from repro.fleet.trace import (
@@ -265,7 +265,6 @@ class FleetGateway:
         self._maybe_down: set[str] = set()
         self._full_capacity = sum(d.spec.max_batch_size
                                   for d in self.devices)
-        self._name_bytes = tuple(d.name.encode() for d in self.devices)
         #: The running tiered run's DAG coordinator (None when untiered).
         self._dag = None
 
@@ -349,8 +348,8 @@ class FleetGateway:
 
         Every policy chooses from the cached :meth:`_routable` pool (in
         a tiered run, steered to the stage's tier pool); prefix affinity
-        ranks a session's candidates with :meth:`_rendezvous_winner`,
-        the routine the vector partition ranks with.
+        ranks a session's candidates with :func:`~repro.fleet.partition.
+        _rendezvous_winners`, the routine the vector partition ranks with.
 
         Returns None only when every device is down with no finite
         recovery time (a permanent whole-fleet outage): the caller must
@@ -380,8 +379,9 @@ class FleetGateway:
         # prefix-affinity: rendezvous hash pins a session to one device
         # (stable under fleet changes); stateless requests balance.
         if freq.session is not None:
-            return up[self._rendezvous_winner(
-                freq.session.encode() + b":", [d.name.encode() for d in up])]
+            return up[int(_rendezvous_winners(
+                (freq.session.encode() + b":",),
+                [d.name.encode() for d in up])[0])]
         return min(up, key=lambda d: (d.outstanding_requests, d.name))
 
     def _park_target(self) -> FleetDevice | None:
@@ -824,169 +824,18 @@ class FleetGateway:
         self.last_mode = "vector"
         return report
 
-    def _assign(self, session: np.ndarray, head) -> np.ndarray:
-        """Per-row device index: the partition both entry points drain.
-
-        With round-robin routing and no faults the scalar event loop is
-        exactly equivalent to assigning the k-th arrival (in arrival
-        order, ties by stream position — the scalar sort) to the k-th
-        device modulo the fleet; under prefix-affinity each session goes
-        to its whole-fleet rendezvous winner (``head(session)`` is the
-        session's key bytes plus the rendezvous separator).
-        ``np.unique`` folds the column to its distinct sessions first,
-        so sha256 work scales with sessions, not requests.
-        """
-        if self.policy != "prefix-affinity":
-            return (np.arange(session.shape[0], dtype=np.int64)
-                    % len(self.devices))
-        uniq, inverse = np.unique(session, return_inverse=True)
-        lut = self._rendezvous_winners(map(head, uniq.tolist()),
-                                       self._name_bytes)
-        return lut[inverse]
-
-    @staticmethod
-    def _rendezvous_winner(head: bytes, names) -> int:
-        """Index of one session's rendezvous winner among ``names``: the
-        one-session call of :meth:`_rendezvous_winners`, which the
-        scalar :meth:`_pick` ranks its routable pool with."""
-        return int(FleetGateway._rendezvous_winners((head,), names)[0])
-
-    @staticmethod
-    def _rendezvous_winners(heads, names) -> np.ndarray:
-        """Index of each session's rendezvous winner among ``names``.
-
-        Each of ``heads`` is a session key's bytes plus the ``b":"``
-        separator and ``names`` are the candidates' name bytes in
-        ascending name order.  A candidate's weight is the first 8
-        bytes, read little-endian, of ``sha256(head + name)`` — the
-        digest of ``f"{session}:{name}"`` — and the winner holds the
-        largest weight, the largest name among equals
-        (:func:`_last_argmax`).  Both cores rank through it: the scalar
-        :meth:`_pick` over the routable pool, :meth:`_assign` over the
-        whole fleet (with no failure source the scalar pool provably
-        stays the full fleet).
-
-        Each session hashes its head once and each candidate extends a
-        copy of that state.  ``heads`` is consumed a block of sessions
-        at a time: their digests, at most ``_RENDEZVOUS_BLOCK_BYTES``,
-        land in one buffer read as a ``(sessions, names)`` weight
-        matrix, so memory stays bounded at any session count.
-        """
-        sha256 = hashlib.sha256
-        width = len(names)
-        block = max(1, _RENDEZVOUS_BLOCK_BYTES // (32 * width))
-        heads = iter(heads)
-        winners = [np.empty(0, dtype=np.int64)]
-        while True:
-            digests = bytearray()
-            extend = digests.extend
-            for head in itertools.islice(heads, block):
-                copy = sha256(head).copy
-                for name in names:
-                    state = copy()
-                    state.update(name)
-                    extend(state.digest())
-            if not digests:
-                return np.concatenate(winners)
-            weights = np.frombuffer(digests, dtype="<u8").reshape(
-                -1, width, 4)[:, :, 0]
-            winners.append(_last_argmax(weights))
-
-    def _drain(self, columns: dict, objects: bool, jobs: int = 1,
-               executor: str = "thread") -> list:
-        """Drain each device's partition share on the vector core.
-
-        Given the :meth:`_assign` partition, each device drains its
-        share independently: ``run_until`` segments compose bitwise when
-        nothing is injected between them, so the per-arrival ping-pong
-        of the scalar loop prices the very same epochs.  Every share
-        runs through :func:`_drain_share` — a pure task over a fresh
-        clone of the device — so shares may execute on any executor in
-        any order without changing a byte.  Each clone prices through
-        its spec's process-wide :meth:`~repro.engine.pricing.Pricing.
-        shared` memo, so a device spec's prefill memo and decode tables
-        are built once per process and reused by every later drain and
-        fresh fleet (a process pool builds them once per worker).
-        Returns ``(share columns, outcome)`` per device, in name order.
-        Raises :class:`~repro.engine.vector_run.VectorFallback` when a
-        share has no busy-period kernel (EDF devices, a batch that could
-        meet KV pressure or need outsized price grids).
-        """
-        assign = columns["assign"]
-        order = np.argsort(assign, kind="stable")
-        counts = np.bincount(assign, minlength=len(self.devices))
-        shares = []
-        start = 0
-        for n_d in counts.tolist():
-            idx = order[start:start + n_d]
-            start += n_d
-            shares.append({name: columns[name][idx]
-                           for name in _SHARE_COLUMNS})
-        tasks = [(device.spec, objects, share)
-                 for device, share in zip(self.devices, shares)]
-        if jobs == 1:
-            outcomes = [_drain_share(*task) for task in tasks]
-        else:
-            pool_cls = (concurrent.futures.ThreadPoolExecutor
-                        if executor == "thread"
-                        else concurrent.futures.ProcessPoolExecutor)
-            with pool_cls(max_workers=jobs) as pool:
-                futures = [pool.submit(_drain_share, *task)
-                           for task in tasks]
-                # Collected in device order regardless of completion
-                # order; a fallback in any share propagates here.
-                outcomes = [future.result() for future in futures]
-        return list(zip(shares, outcomes))
-
-    def _stream_columns(self, stream) -> dict:
-        """Fold a request stream into the columns :meth:`run_trace` drains.
-
-        Rows follow the scalar loop's order (:func:`_arrival_order`).
-        Session strings are relabelled to ints by first appearance — a
-        bijection, so every prefix-cache LRU sequence is unchanged — and
-        stateless rows carry no prefix, exactly as the scalar device
-        never looks them up.
-        """
-        ordered = _arrival_order(stream)
-        keys: dict[str, int] = {}
-        table = np.array([
-            (f.request.request_id, f.arrival_s, f.request.prompt_tokens,
-             max(f.request.stop_lengths()),
-             np.nan if f.deadline_s is None else f.deadline_s,
-             f.deadline_s is not None,
-             -1 if f.session is None else keys.setdefault(f.session,
-                                                           len(keys)),
-             0 if f.session is None else f.prefix_tokens)
-            for f in ordered], dtype=_SHARE_DTYPE)
-        columns = {name: table[name] for name in _SHARE_COLUMNS}
-        heads = [key.encode() + b":" for key in keys]
-        columns["assign"] = self._assign(columns["session"],
-                                         heads.__getitem__)
-        return columns
-
     def _fleet_report(self, stream) -> FleetReport:
         """The vector path of :meth:`run`: stream → columns → drain."""
-        outcomes = []
-        for device, (_, outcome) in zip(
-                self.devices, self._drain(self._stream_columns(stream),
-                                          objects=True)):
-            report, _, _, hits, misses = outcome
-            outcomes.append(DeviceOutcome(
-                name=device.name,
-                model=device.spec.model,
-                power_mode=device.spec.power_mode,
-                report=report,
-                crashes=0,
-                evacuated=0,
-                prefix_hits=hits,
-                prefix_misses=misses,
-            ))
-        return FleetReport(
-            policy=self.policy,
-            offered=len(stream),
-            rerouted=0,
-            devices=tuple(outcomes),
-        )
+        drained = _drain(self.policy, [d.spec for d in self.devices],
+                         *_stream_columns(stream), objects=True)
+        outcomes = tuple(
+            DeviceOutcome(d.name, d.spec.model, d.spec.power_mode, report,
+                          crashes=0, evacuated=0, prefix_hits=hits,
+                          prefix_misses=misses)
+            for d, (_, (report, _, _, hits, misses))
+            in zip(self.devices, drained))
+        return FleetReport(policy=self.policy, offered=len(stream),
+                           rerouted=0, devices=outcomes)
 
     # -- the population-scale trace driver -------------------------------
     def run_trace(self, trace, *, jobs: int = 1,
@@ -1003,19 +852,14 @@ class FleetGateway:
         collect byte-identical columns, hence byte-identical reports.
 
         ``jobs`` > 1 drains the per-device partition shares
-        concurrently on a ``"thread"`` or ``"process"`` ``executor``.
-        Every share runs as a pure task on a fresh clone of its device
-        (construction is deterministic), so serial, threaded, and
-        multiprocess executions perform identical float work and
-        render byte-identical reports — the executor choice is purely
-        a wall-clock decision.
+        concurrently on a ``"thread"`` or ``"process"`` ``executor``;
+        each share is a pure task on a fresh device clone, so the
+        executor choice is purely a wall-clock decision.
 
         Dispatch mirrors :meth:`run`: the same partition and drain when
-        ``mode`` allows and :meth:`vector_eligible` holds, with a scalar
-        rerun (through :meth:`_run_scalar` on materialized requests —
-        small traces only) on :class:`~repro.engine.vector_run.
-        VectorFallback`; ``mode="scalar"`` forces the oracle and
-        ``mode="vector"`` raises on ineligibility.
+        ``mode`` allows and :meth:`vector_eligible` holds, else (or on
+        :class:`~repro.engine.vector_run.VectorFallback`) the scalar
+        oracle on materialized requests — small traces only.
         """
         if jobs < 1:
             raise ValueError("jobs must be positive")
@@ -1023,72 +867,18 @@ class FleetGateway:
             raise ValueError("executor must be 'thread' or 'process'")
         # A trace carries every column a chunk does.
         chunks = (trace,) if hasattr(trace, "chunks") else trace
-        columns = self._collect_trace(chunks)
+        columns, head = _collect_trace(chunks)
         report = self._vector(
             self.vector_eligible(),
             "round-robin or prefix-affinity routing",
-            lambda: self._trace_report(columns, jobs, executor))
+            lambda: self._trace_report(columns, head, jobs, executor))
         if report is not None:
             return report
         self.last_mode = "scalar"
         return trace_report_from_fleet(
             self._run_scalar(self._trace_stream(columns)))
 
-    def _collect_trace(self, chunks) -> dict:
-        """Fold a chunk stream into assignment-ready columns.
-
-        One pass: validates arrivals (finite, and nondecreasing within and
-        across chunks) and deadline uniformity, then expands the single
-        deadline into the per-request deadline column and mask that
-        :meth:`_stream_columns` builds, and assigns each row its device.
-        """
-        parts: list[list[np.ndarray]] = [[] for _ in range(6)]
-        deadline: float | None = None
-        first = True
-        prev_last = -math.inf
-        rows = 0
-        for chunk in chunks:
-            n = int(chunk.n)
-            if n == 0:
-                continue
-            arrival = np.ascontiguousarray(chunk.arrival_s,
-                                           dtype=np.float64)
-            require_finite_arrivals(arrival, rows)
-            rows += n
-            if float(arrival[0]) < prev_last or (
-                    n > 1 and bool(np.any(np.diff(arrival) < 0))):
-                raise ValueError(
-                    "trace arrivals must be nondecreasing")
-            prev_last = float(arrival[-1])
-            if first:
-                deadline = chunk.deadline_s
-                first = False
-            elif chunk.deadline_s != deadline:
-                raise ValueError("all chunks must share one deadline_s")
-            parts[0].append(arrival)
-            for bucket, column in zip(parts[1:], (
-                    chunk.request_id, chunk.prompt_tokens,
-                    chunk.output_tokens, chunk.session,
-                    chunk.prefix_tokens)):
-                bucket.append(np.ascontiguousarray(column, dtype=np.int64))
-        if not parts[0]:
-            raise ValueError("the trace is empty")
-        names = ("arrival_s", "request_id", "prompt_tokens", "stop_tokens",
-                 "session", "prefix_tokens")
-        columns = {name: np.concatenate(bucket)
-                   for name, bucket in zip(names, parts)}
-        n = columns["arrival_s"].shape[0]
-        columns["deadline_s"] = np.full(
-            n, np.nan if deadline is None else float(deadline))
-        columns["deadline_mask"] = np.full(n, deadline is not None)
-        # ``b"s%d:"`` is :func:`~repro.workloads.population.session_key`
-        # plus the rendezvous separator, inlined (the oracle-equivalence
-        # tests pin the agreement).
-        columns["assign"] = self._assign(columns["session"],
-                                         lambda sid: b"s%d:" % sid)
-        return columns
-
-    def _trace_report(self, columns: dict, jobs: int,
+    def _trace_report(self, columns: dict, head, jobs: int,
                       executor: str) -> FleetTraceReport:
         """The vector path of :meth:`run_trace`: drain, then assemble.
 
@@ -1097,8 +887,9 @@ class FleetGateway:
         like the scalar oracle's.
         """
         rows = []
-        for device, (share, outcome) in zip(
-                self.devices, self._drain(columns, False, jobs, executor)):
+        for device, (share, outcome) in zip(self.devices, _drain(
+                self.policy, [d.spec for d in self.devices], columns, head,
+                False, jobs, executor)):
             (start_s, finish_s, context), now, energy, hits, misses = outcome
             rows.append(TraceDeviceData(
                 device.name, device.spec.model, device.spec.power_mode,
@@ -1118,7 +909,7 @@ class FleetGateway:
                 deadline_mask=share["deadline_mask"],
             ))
         return assemble_trace_report(self.policy,
-                                     int(columns["assign"].shape[0]),
+                                     int(columns["request_id"].shape[0]),
                                      0, 0, rows)
 
     def _trace_stream(self, columns: dict) -> "list[FleetRequest]":
@@ -1172,6 +963,16 @@ class FleetGateway:
         """
         require_finite_arrivals(np.fromiter(
             (item.arrival_s for item in stream), np.float64, len(stream)))
+        if tiering is None:
+            # Dispositions are keyed by request id: a repeated id would
+            # settle as one request and silently lose the other.
+            seen: set[int] = set()
+            for freq in stream:
+                rid = freq.request.request_id
+                if rid in seen:
+                    raise ValueError(f"request id {rid} repeats; every "
+                                     "request in a stream needs its own id")
+                seen.add(rid)
         report = self._vector(
             tiering is None and self.vector_eligible()
             and (self.policy != "prefix-affinity"
@@ -1393,68 +1194,3 @@ class FleetGateway:
                 heapq.heappush(events, (tick, 2, next(seq), None))
                 return
             tick += tick_s
-
-
-#: Digest bytes :meth:`FleetGateway._rendezvous_winners` buffers per
-#: block of sessions (32 per session and candidate).
-_RENDEZVOUS_BLOCK_BYTES = 1 << 18
-
-
-def _arrival_order(stream) -> list:
-    """``stream`` in the scalar loop's order: by arrival time, ties by
-    stream position.  Both callers run on arrivals checked finite, so a
-    stable argsort of the arrival column orders exactly as sorting on
-    ``(arrival_s, position)`` would, ties and signed zeros included."""
-    arrival = np.fromiter((item.arrival_s for item in stream), np.float64,
-                          len(stream))
-    return [stream[i] for i in np.argsort(arrival, kind="stable").tolist()]
-
-
-def _last_argmax(weights: np.ndarray) -> np.ndarray:
-    """Per row, the index of the *last* maximum of ``weights``: the
-    rendezvous rule that an equal weight later in name order wins."""
-    return weights.shape[1] - 1 - np.argmax(weights[:, ::-1], axis=1)
-
-
-# -- the per-device drain task (module level: process-executor picklable)
-#: The partition columns each device's share carries.
-_SHARE_DTYPE = np.dtype([
-    ("request_id", np.int64), ("arrival_s", np.float64),
-    ("prompt_tokens", np.int64), ("stop_tokens", np.int64),
-    ("deadline_s", np.float64), ("deadline_mask", bool),
-    ("session", np.int64), ("prefix_tokens", np.int64)])
-_SHARE_COLUMNS = _SHARE_DTYPE.names
-
-
-def _drain_share(spec, objects, share):
-    """Serve one device's partition share on a fresh clone.
-
-    A pure task: it builds its own :class:`~repro.fleet.device.
-    FleetDevice` from the (picklable) spec — construction is
-    deterministic — so serial, thread-pool, and process-pool executions
-    perform identical float work on identical fresh state, and the
-    gateway's own devices (prefix caches included) stay untouched for a
-    scalar fallback.  The clone prices through the spec's process-wide
-    shared memo (memoized prices are pure, so sharing changes no bit).
-    Returns ``(result, now, energy, prefix hits, prefix misses)``:
-    with ``objects`` the result is the core's
-    :class:`~repro.engine.server.ResilienceReport`, otherwise the
-    outcome columns ``(start_s, finish_s, context)``.  Raises
-    :class:`~repro.engine.vector_run.VectorFallback` (picklable across
-    a process boundary) when no busy-period kernel serves the share (EDF,
-    KV pressure, outsized price grids).
-    """
-    device = FleetDevice(spec)
-    arrays = RequestArrays.from_columns(
-        share["request_id"], share["prompt_tokens"], share["stop_tokens"],
-        share["arrival_s"], share["deadline_s"], share["deadline_mask"])
-    vrun = VectorServingRun(
-        device.simulator, arrays=arrays,
-        session_ids=share["session"], prefix_tokens=share["prefix_tokens"],
-        prefix_cache=device.run._prefix_cache)
-    if objects:
-        result = vrun.execute()
-    else:
-        vrun.execute_arrays()
-        result = (arrays.start_s, arrays.finish_s, arrays.context)
-    return result, vrun.now, vrun.energy, vrun.prefix_hits, vrun.prefix_misses

@@ -127,32 +127,6 @@ BENCH_FILES = {
     "tiering": "BENCH_tiering.json",
 }
 
-#: ``(name, group, unit)`` for every workload, in execution order — the
-#: CLI ``--list`` flag and the unknown-``--only`` error read this.
-WORKLOAD_CATALOG = (
-    ("pipeline_cold_smoke", "pipeline", "s"),
-    ("pipeline_warm_smoke", "pipeline", "s"),
-    ("serving_fixed_qps", "engine", "s"),
-    ("serving_span_speedup", "engine", "x"),
-    ("evaluator_mmlu_redux", "engine", "s"),
-    ("fleet_fixed_qps", "fleet", "s"),
-    ("fleet_overload", "overload", "s"),
-    ("fleet_diurnal", "diurnal", "s"),
-    ("fleet_vector_speedup", "fleet100k", "x"),
-    ("fleet_batched_vector_speedup", "fleet100k", "x"),
-    ("fleet_100k", "fleet100k", "s"),
-    ("fleet_routing_speedup", "diurnal1m", "x"),
-    ("fleet_diurnal_1m", "diurnal1m", "s"),
-    ("fleet_tiered_dag", "tiering", "s"),
-    ("fleet_tiered_pricing_speedup", "tiering", "x"),
-)
-
-
-def list_workloads() -> tuple[tuple[str, str, str], ...]:
-    """The workload catalog: ``(name, group, unit)`` rows, in run order."""
-    return WORKLOAD_CATALOG
-
-
 @dataclass(frozen=True)
 class BenchResult:
     """One timed (or ratio) workload outcome."""
@@ -206,20 +180,24 @@ def bench_pipeline_cold(repeats: int, artifacts: tuple[str, ...],
 
 
 def bench_pipeline_warm(repeats: int, artifacts: tuple[str, ...],
-                        cache_dir: Path) -> BenchResult:
+                        *_: Any) -> BenchResult:
     """Warm sweep: fresh in-memory store over a populated disk tier."""
+    import tempfile
+
     from repro.pipeline.runner import run_pipeline
     from repro.pipeline.store import ArtifactStore
 
-    # Populate the disk tier once, untimed.
-    run_pipeline(artifacts, seed=0, smoke=True,
-                 store=ArtifactStore(cache_dir=cache_dir))
-
-    def sweep() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-perf-") as scratch:
+        cache_dir = Path(scratch)
+        # Populate the disk tier once, untimed.
         run_pipeline(artifacts, seed=0, smoke=True,
                      store=ArtifactStore(cache_dir=cache_dir))
 
-    median, times = _median_time(sweep, repeats)
+        def sweep() -> None:
+            run_pipeline(artifacts, seed=0, smoke=True,
+                         store=ArtifactStore(cache_dir=cache_dir))
+
+        median, times = _median_time(sweep, repeats)
     return BenchResult("pipeline_warm_smoke", "pipeline", median, times,
                        meta={"artifacts": list(artifacts)})
 
@@ -670,6 +648,48 @@ def bench_fleet_tiered_pricing_speedup(repeats: int) -> BenchResult:
 # ----------------------------------------------------------------------
 # driver / files / gate
 # ----------------------------------------------------------------------
+def _repeats_only(bench: Callable[[int], BenchResult]
+                  ) -> Callable[..., BenchResult]:
+    """Adapt a workload timed by ``repeats`` alone to the runner call."""
+    return lambda repeats, *_: bench(repeats)
+
+
+#: ``(name, group, unit, runner)`` for every workload, in execution
+#: order.  The CLI ``--list`` flag, the unknown-``--only`` error and the
+#: dispatch all read this one table, so they cannot drift apart.  A
+#: runner is called as ``runner(repeats, artifacts, jobs, executor)``.
+WORKLOAD_CATALOG: tuple[tuple[str, str, str, Callable[..., BenchResult]],
+                        ...] = (
+    ("pipeline_cold_smoke", "pipeline", "s", bench_pipeline_cold),
+    ("pipeline_warm_smoke", "pipeline", "s", bench_pipeline_warm),
+    ("serving_fixed_qps", "engine", "s", _repeats_only(bench_serving)),
+    ("serving_span_speedup", "engine", "x",
+     _repeats_only(bench_serving_span_speedup)),
+    ("evaluator_mmlu_redux", "engine", "s", _repeats_only(bench_evaluator)),
+    ("fleet_fixed_qps", "fleet", "s", _repeats_only(bench_fleet)),
+    ("fleet_overload", "overload", "s", _repeats_only(bench_fleet_overload)),
+    ("fleet_diurnal", "diurnal", "s", _repeats_only(bench_fleet_diurnal)),
+    ("fleet_vector_speedup", "fleet100k", "x",
+     _repeats_only(bench_fleet_vector_speedup)),
+    ("fleet_batched_vector_speedup", "fleet100k", "x",
+     _repeats_only(bench_fleet_batched_vector_speedup)),
+    ("fleet_100k", "fleet100k", "s", _repeats_only(bench_fleet_100k)),
+    ("fleet_routing_speedup", "diurnal1m", "x",
+     _repeats_only(bench_fleet_routing_speedup)),
+    ("fleet_diurnal_1m", "diurnal1m", "s",
+     _repeats_only(bench_fleet_diurnal_1m)),
+    ("fleet_tiered_dag", "tiering", "s",
+     _repeats_only(bench_fleet_tiered_dag)),
+    ("fleet_tiered_pricing_speedup", "tiering", "x",
+     _repeats_only(bench_fleet_tiered_pricing_speedup)),
+)
+
+
+def list_workloads() -> tuple[tuple[str, str, str], ...]:
+    """The workload catalog: ``(name, group, unit)`` rows, in run order."""
+    return tuple(row[:3] for row in WORKLOAD_CATALOG)
+
+
 def run_benchmarks(repeats: int = 3,
                    artifacts: tuple[str, ...] = PIPELINE_ARTIFACTS,
                    jobs: int = 1, executor: str = "thread",
@@ -677,9 +697,7 @@ def run_benchmarks(repeats: int = 3,
                    log: Callable[[str], None] | None = None,
                    ) -> list[BenchResult]:
     """Run the perf workload suite; ``only`` filters by workload name."""
-    import tempfile
-
-    known = tuple(name for name, _, _ in WORKLOAD_CATALOG)
+    known = tuple(row[0] for row in WORKLOAD_CATALOG)
     selected = set(only) if only else None
     if selected is not None:
         unknown = selected.difference(known)
@@ -687,48 +705,14 @@ def run_benchmarks(repeats: int = 3,
             raise ValueError(
                 f"unknown perf workload(s) {sorted(unknown)}; "
                 f"choose from {list(known)}")
-
-    def wanted(name: str) -> bool:
-        return selected is None or name in selected
-
     results: list[BenchResult] = []
-
-    def record(result: BenchResult) -> None:
+    for name, _, _, runner in WORKLOAD_CATALOG:
+        if selected is not None and name not in selected:
+            continue
+        result = runner(repeats, artifacts, jobs, executor)
         results.append(result)
         if log is not None:
             log(f"{result.name:28s} {result.value:10.4f} {result.unit}")
-
-    if wanted("pipeline_cold_smoke"):
-        record(bench_pipeline_cold(repeats, artifacts, jobs, executor))
-    if wanted("pipeline_warm_smoke"):
-        with tempfile.TemporaryDirectory(prefix="repro-perf-") as scratch:
-            record(bench_pipeline_warm(repeats, artifacts, Path(scratch)))
-    if wanted("serving_fixed_qps"):
-        record(bench_serving(repeats))
-    if wanted("serving_span_speedup"):
-        record(bench_serving_span_speedup(repeats))
-    if wanted("evaluator_mmlu_redux"):
-        record(bench_evaluator(repeats))
-    if wanted("fleet_fixed_qps"):
-        record(bench_fleet(repeats))
-    if wanted("fleet_overload"):
-        record(bench_fleet_overload(repeats))
-    if wanted("fleet_diurnal"):
-        record(bench_fleet_diurnal(repeats))
-    if wanted("fleet_vector_speedup"):
-        record(bench_fleet_vector_speedup(repeats))
-    if wanted("fleet_batched_vector_speedup"):
-        record(bench_fleet_batched_vector_speedup(repeats))
-    if wanted("fleet_100k"):
-        record(bench_fleet_100k(repeats))
-    if wanted("fleet_routing_speedup"):
-        record(bench_fleet_routing_speedup(repeats))
-    if wanted("fleet_diurnal_1m"):
-        record(bench_fleet_diurnal_1m(repeats))
-    if wanted("fleet_tiered_dag"):
-        record(bench_fleet_tiered_dag(repeats))
-    if wanted("fleet_tiered_pricing_speedup"):
-        record(bench_fleet_tiered_pricing_speedup(repeats))
     return results
 
 

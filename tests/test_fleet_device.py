@@ -123,6 +123,61 @@ class TestCrashes:
         device.release()
 
 
+class TestCrashMidDecode:
+    """What a crash does to a request it catches mid-decode: the cut
+    lands on the atomic epoch boundary past the crash time, the partial
+    work stays priced on the crashed device, and the prefix cache
+    survives the outage."""
+
+    def _cut(self, t=3.0):
+        # One sticky turn (2000-token prompt, 1600-token shared prefix)
+        # still decoding at 3.0 s, crashed there until 10.0 s.
+        device = FleetDevice(DeviceSpec(name="a", prefix_cache_mb=256.0))
+        device.inject(_request(0, prompt=2000, output=256), arrival_s=0.0,
+                      session="s0", prefix_tokens=1600)
+        device.advance_to(t)
+        return device
+
+    def test_cut_lands_on_the_epoch_boundary(self):
+        device = self._cut()
+        # The decode step in flight at 3.0 s runs to its end; a later
+        # horizon inside that step stops at the same boundary.
+        assert device.run.now == pytest.approx(3.0186, abs=1e-4)
+        twin = self._cut(3.01)
+        assert twin.run.now == device.run.now
+        twin.release()
+        assert len(device.run.live) == 1 and not device.run.served
+        (request, state), = device.crash(3.0, until=10.0)
+        assert request.request_id == 0
+        assert state.first_arrival_s == 0.0
+        assert device.run.now == 10.0
+        device.release()
+
+    def test_orphan_partial_work_keeps_its_energy(self):
+        device = self._cut()
+        spent = device.run.energy
+        assert spent == pytest.approx(15.09, abs=0.01)
+        device.crash(3.0, until=10.0)
+        device.advance_to(7.0)
+        device.drain()
+        report = device.report()
+        assert report.completed == 0
+        assert report.energy_joules == spent
+        device.release()
+
+    def test_prefix_cache_survives_the_outage(self):
+        device = self._cut()
+        device.crash(3.0, until=10.0)
+        device.inject(_request(1, prompt=2000, output=256), arrival_s=10.0,
+                      session="s0", prefix_tokens=1600)
+        device.drain()
+        assert device.report().completed == 1
+        # The crashed turn's admission missed; the first turn after
+        # recovery finds the prefix still resident.
+        assert (device.run.prefix_misses, device.run.prefix_hits) == (1, 1)
+        device.release()
+
+
 class TestRoutingSignals:
     def test_outstanding_counts_queued_work(self):
         device = FleetDevice(DeviceSpec(name="a"))

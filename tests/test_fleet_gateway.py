@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.fleet.gateway as gateway_module
+import repro.fleet.partition as partition_module
 from repro.core.planner import fleet_pareto, plan_fleet
 from repro.engine.request import GenerationRequest
+from repro.faults import DeviceFault, FleetFaultConfig, FleetFaultSchedule
 from repro.fleet import (
     ROUTING_POLICIES,
     FleetGateway,
@@ -58,6 +59,21 @@ class TestValidation:
     def test_rejects_bad_hedge_config(self, kwargs):
         with pytest.raises(ValueError):
             HedgeConfig(**kwargs)
+
+    @pytest.mark.parametrize("mode", ["auto", "scalar"])
+    def test_rejects_duplicate_request_ids(self, mode, monkeypatch):
+        # Two requests sharing id 7 would settle as one disposition and
+        # silently lose the other; neither core may start.
+        def boom(*args, **kwargs):
+            raise AssertionError("a core ran")
+
+        monkeypatch.setattr(FleetGateway, "_run_scalar", boom)
+        monkeypatch.setattr(FleetGateway, "_fleet_report", boom)
+        gateway = FleetGateway(build_fleet(2), mode=mode)
+        stream = [FleetRequest(GenerationRequest(rid, 100, 32), float(k))
+                  for k, rid in enumerate((7, 7, 3))]
+        with pytest.raises(ValueError, match="request id 7 repeats"):
+            gateway.run(stream)
 
     def test_stream_validation(self):
         rng = np.random.default_rng(0)
@@ -108,7 +124,7 @@ class TestArrivalOrder:
                   for i, arrival in enumerate(arrivals)]
         expected = [freq for _, freq in sorted(
             enumerate(stream), key=lambda pair: (pair[1].arrival_s, pair[0]))]
-        got = gateway_module._arrival_order(tuple(stream))
+        got = partition_module._arrival_order(tuple(stream))
         assert len(got) == len(expected)
         assert all(a is b for a, b in zip(got, expected))
 
@@ -292,3 +308,57 @@ class TestWholeFleetDown:
         assert report.completed == 1 and report.lost == 0
         (served,) = report.served
         assert served.start_s >= 5.0
+
+
+class TestCrashMidDecode:
+    """The scalar loop at a crash that catches a request mid-decode
+    (a 2000-token prompt sharing a 1600-token prefix, crashed at 3.0 s
+    until 10.0 s): the cut lands on the epoch boundary past 3.0 s, the
+    orphan re-routes with its partial work priced on the crashed device,
+    and that device's prefix cache survives the outage."""
+
+    def test_cut_reroute_and_recovery_hit(self):
+        def fleet():
+            return [FleetDevice(DeviceSpec(name=name, max_batch_size=1,
+                                           prefix_cache_mb=256.0))
+                    for name in ("a", "b")]
+
+        def turn(rid, arrival):
+            return FleetRequest(GenerationRequest(rid, 2000, 256), arrival,
+                                session="s0", prefix_tokens=1600)
+
+        # "s0"'s rendezvous winner is "b"; the crash cuts turn 0 there.
+        faults = FleetFaultSchedule(
+            ("a", "b"), FleetFaultConfig(device_crashes=0),
+            events=[DeviceFault("b", "crash", 3.0, 7.0)])
+        gateway = FleetGateway(fleet(), policy="prefix-affinity",
+                               faults=faults, mode="scalar")
+        report = gateway.run([turn(0, 0.0), turn(1, 12.0)])
+        assert report.rerouted == 1
+        assert report.completed == 2 and report.lost == 0
+        a, b = report.devices
+        # The orphan finishes on "a", re-prefilled from scratch.
+        assert [r.request_id for r in a.report.served] == [0]
+        assert (a.prefix_misses, a.prefix_hits) == (1, 0)
+        # The first turn after recovery hits "b"'s surviving prefix.
+        assert [r.request_id for r in b.report.served] == [1]
+        assert (b.prefix_misses, b.prefix_hits) == (1, 1)
+        assert b.crashes == 1 and b.evacuated == 1
+
+        # Replaying "b"'s operations on a lone device reproduces its
+        # report: the cut lands past 3.0 s, the partial work keeps its
+        # joules through the outage, and turn 1 adds its own on top.
+        (replay,) = [d for d in fleet() if d.name == "b"]
+        replay.inject(turn(0, 0.0).request, 0.0, session="s0",
+                      prefix_tokens=1600)
+        replay.advance_to(3.0)
+        assert replay.run.now == pytest.approx(3.0186, abs=1e-4)
+        spent = replay.run.energy
+        assert spent == pytest.approx(15.09, abs=0.01)
+        replay.crash(3.0, until=10.0)
+        assert replay.run.energy == spent
+        replay.inject(turn(1, 12.0).request, 12.0, session="s0",
+                      prefix_tokens=1600)
+        replay.drain()
+        assert replay.report().to_json() == b.report.to_json()
+        assert b.report.energy_joules > spent

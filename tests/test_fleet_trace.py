@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import repro.fleet
-import repro.fleet.gateway as gateway_module
+import repro.fleet.partition as partition_module
 from repro.engine.request import GenerationRequest
 from repro.experiments.resilience import (
     run_autoscale_points,
@@ -197,8 +197,8 @@ class TestRoutingFastPath:
             key = session_key(session)
             # The trace partition inlines the key bytes as b"s%d:".
             assert b"s%d:" % session == key.encode() + b":"
-            winner = gateway._rendezvous_winner(
-                b"s%d:" % session, gateway._name_bytes)
+            winner = partition_module._rendezvous_winners(
+                (b"s%d:" % session,), [n.encode() for n in names])[0]
             assert names[winner] == _reference_winner(key, names)
             # The scalar loop routes a turn to the same device.
             turn = FleetRequest(request=GenerationRequest(0, 64, 16),
@@ -213,23 +213,23 @@ class TestRoutingFastPath:
         # Random sessions against random names; the small block runs
         # the buffer over many blocks and a short last one.
         if block_bytes is not None:
-            monkeypatch.setattr(gateway_module, "_RENDEZVOUS_BLOCK_BYTES",
+            monkeypatch.setattr(partition_module, "_RENDEZVOUS_BLOCK_BYTES",
                                 block_bytes)
         rng = np.random.default_rng(count)
         names = sorted({f"dev-{int(v)}" for v in
                         rng.integers(0, 10 ** 6, 4 * count)})[:count]
         sessions = rng.integers(0, 10 ** 9, 250).tolist()
-        winners = FleetGateway._rendezvous_winners(
+        winners = partition_module._rendezvous_winners(
             [b"s%d:" % s for s in sessions], [n.encode() for n in names])
         assert winners.dtype == np.int64
         assert [names[w] for w in winners.tolist()] == [
             _reference_winner(session_key(s), names) for s in sessions]
-        assert [FleetGateway._rendezvous_winner(
-            b"s%d:" % s, [n.encode() for n in names])
+        assert [partition_module._rendezvous_winners(
+            (b"s%d:" % s,), [n.encode() for n in names])[0]
             for s in sessions[:20]] == winners[:20].tolist()
 
     def test_no_sessions(self):
-        assert FleetGateway._rendezvous_winners([], [b"a"]).shape == (0,)
+        assert partition_module._rendezvous_winners([], [b"a"]).shape == (0,)
 
     def test_ties_go_to_the_last_maximum(self):
         # The scalar ``>=`` rule: among equal best weights the largest
@@ -240,7 +240,7 @@ class TestRoutingFastPath:
                             [0, 0, 0, 7],
                             [top, 0, top, 5],
                             [8, 2, 2, 2]], dtype="<u8")
-        assert gateway_module._last_argmax(weights).tolist() == [
+        assert partition_module._last_argmax(weights).tolist() == [
             2, 3, 3, 2, 0]
 
     def test_scalar_pick_ranks_the_partial_pool(self):

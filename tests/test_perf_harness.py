@@ -8,7 +8,6 @@ import pytest
 
 from repro.perf.harness import (
     BENCH_FILES,
-    WORKLOAD_CATALOG,
     BenchResult,
     compare_to_baseline,
     list_workloads,
@@ -156,7 +155,7 @@ class TestRunBenchmarks:
 
 class TestWorkloadCatalog:
     def test_catalog_groups_have_bench_files(self):
-        for _, group, _ in WORKLOAD_CATALOG:
+        for _, group, _ in list_workloads():
             assert group in BENCH_FILES
 
     def test_list_workloads_matches_dispatch(self):

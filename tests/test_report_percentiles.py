@@ -3,7 +3,7 @@
 Before ``core/stats.nan_percentile``, each report class hand-rolled its
 percentile guard and an empty ``served`` list could crash
 ``np.percentile`` (or worse, return a misleading 0.0).  These
-regressions pin the shared helper's contract across all three report
+regressions pin the shared helper's contract across both report
 types: empty populations yield ``nan``, canonical JSON renders it as
 the string ``"nan"``, and real percentiles still come out of
 ``np.percentile`` untouched.
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.stats import nan_percentile
-from repro.engine.server import ResilienceReport, ServingReport
+from repro.engine.server import ResilienceReport
 from repro.fleet.report import FleetReport
 
 
@@ -39,8 +39,8 @@ class TestNanPercentile:
 
 class TestZeroServedServingReport:
     def _empty(self):
-        return ServingReport(served=[], wallclock_s=0.0, energy_joules=0.0,
-                             offered_qps=0.0)
+        return ResilienceReport(served=[], wallclock_s=0.0,
+                                energy_joules=0.0, offered_qps=0.0)
 
     def test_percentiles_are_nan(self):
         report = self._empty()
