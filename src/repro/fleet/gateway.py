@@ -49,7 +49,7 @@ instead of parking, so kill-all schedules terminate cleanly.
 
 Determinism: devices are iterated in sorted-name order everywhere, every
 policy breaks ties on the device name, prefix affinity uses rendezvous
-hashing over ``sha256(session:name)`` (ranked by
+hashing with weight ``splitmix64(key(session) ^ key(name))`` (ranked by
 :func:`~repro.fleet.partition._rendezvous_winners`, the routine the
 vector partition shares), breaker probe jitter comes from
 per-device seeded RNGs, and nothing reads a wall clock or unseeded RNG —

@@ -19,7 +19,9 @@ gateway state, so a drain is a pure function of the rows and the fleet.
 Prefix affinity ranks through :func:`_rendezvous_winners`, the one
 routine both cores share: the scalar gateway ranks its routable pool
 with it per arrival, :func:`_assign` the whole fleet per distinct
-session.
+session.  The ranking is rendezvous (highest-random-weight) hashing
+with one sha256 per session and per device name, and a candidate's
+weight is the splitmix64 finalizer of the two keys' XOR.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from repro.engine.state import RequestArrays, require_finite_arrivals
 from repro.engine.vector_run import VectorServingRun
 from repro.fleet.device import FleetDevice
 
-#: Digest bytes :func:`_rendezvous_winners` buffers per block of
-#: sessions (32 per session and candidate).
+#: Weight-matrix bytes :func:`_rendezvous_winners` holds per block of
+#: sessions (8 per session and candidate).
 _RENDEZVOUS_BLOCK_BYTES = 1 << 18
 
 #: The partition columns each device's share carries.
@@ -152,8 +154,8 @@ def _assign(policy: str, names, session: np.ndarray, head) -> np.ndarray:
     device modulo the fleet; under prefix-affinity each session goes
     to its whole-fleet rendezvous winner (``head(session)`` is the
     session's key bytes plus the rendezvous separator).
-    ``np.unique`` folds the column to its distinct sessions first,
-    so sha256 work scales with sessions, not requests.
+    ``np.unique`` folds the column to its distinct sessions first, so
+    the ranking hashes each session once, not each request.
     """
     if policy != "prefix-affinity":
         return np.arange(session.shape[0], dtype=np.int64) % len(names)
@@ -167,40 +169,38 @@ def _rendezvous_winners(heads, names) -> np.ndarray:
 
     Each of ``heads`` is a session key's bytes plus the ``b":"``
     separator and ``names`` are the candidates' name bytes in
-    ascending name order.  A candidate's weight is the first 8
-    bytes, read little-endian, of ``sha256(head + name)`` — the
-    digest of ``f"{session}:{name}"`` — and the winner holds the
-    largest weight, the largest name among equals
+    ascending name order.  A candidate's weight is the splitmix64
+    finalizer of ``key(head) ^ key(name)`` (:func:`_keys`), and the
+    winner holds the largest weight, the largest name among equals
     (:func:`_last_argmax`).  Both cores rank through it: the scalar
     gateway's ``_pick`` over its routable pool, :func:`_assign` over
     the whole fleet (with no failure source the scalar pool provably
     stays the full fleet).
 
-    Each session hashes its head once and each candidate extends a
-    copy of that state.  ``heads`` is consumed a block of sessions
-    at a time: their digests, at most ``_RENDEZVOUS_BLOCK_BYTES``,
-    land in one buffer read as a ``(sessions, names)`` weight
-    matrix, so memory stays bounded at any session count.
+    Each session and name is hashed once; the weights are ``uint64``
+    array arithmetic, which wraps as the finalizer needs, over blocks
+    of sessions whose weight matrix fits ``_RENDEZVOUS_BLOCK_BYTES``.
     """
-    sha256 = hashlib.sha256
-    width = len(names)
-    block = max(1, _RENDEZVOUS_BLOCK_BYTES // (32 * width))
+    name_keys = _keys(names)
+    block = max(1, _RENDEZVOUS_BLOCK_BYTES // (8 * len(names)))
     heads = iter(heads)
     winners = [np.empty(0, dtype=np.int64)]
-    while True:
-        digests = bytearray()
-        extend = digests.extend
-        for head in itertools.islice(heads, block):
-            copy = sha256(head).copy
-            for name in names:
-                state = copy()
-                state.update(name)
-                extend(state.digest())
-        if not digests:
-            return np.concatenate(winners)
-        weights = np.frombuffer(digests, dtype="<u8").reshape(
-            -1, width, 4)[:, :, 0]
-        winners.append(_last_argmax(weights))
+    while (keys := _keys(itertools.islice(heads, block))).size:
+        z = keys[:, None] ^ name_keys
+        z ^= z >> 30
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> 27
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> 31
+        winners.append(_last_argmax(z))
+    return np.concatenate(winners)
+
+
+def _keys(items) -> np.ndarray:
+    """Each byte string's rendezvous key: the first 8 bytes, read
+    little-endian, of its sha256."""
+    digests = b"".join(hashlib.sha256(item).digest() for item in items)
+    return np.frombuffer(digests, dtype="<u8")[::4]
 
 
 def _last_argmax(weights: np.ndarray) -> np.ndarray:

@@ -328,6 +328,8 @@ class TestCrashMidDecode:
                                 session="s0", prefix_tokens=1600)
 
         # "s0"'s rendezvous winner is "b"; the crash cuts turn 0 there.
+        assert partition_module._rendezvous_winners(
+            (b"s0:",), [b"a", b"b"]).tolist() == [1]
         faults = FleetFaultSchedule(
             ("a", "b"), FleetFaultConfig(device_crashes=0),
             events=[DeviceFault("b", "crash", 3.0, 7.0)])

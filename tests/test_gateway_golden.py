@@ -109,7 +109,7 @@ def test_prefix_affinity_run_pin():
     assert report.rerouted > 0
     assert sum(d.prefix_hits for d in report.devices) > 0
     assert _sha(report) == (
-        "910cc992aa0f316f7097ef8039087ec7efa4d864bdcebdc2681839a3b0c51d5b")
+        "75917d10e2ac938e76037c33dcc62dd4cd7ad9b2f8fe9784b3ff5feecafac416")
 
 
 def tiered_fault_run(cls=FleetGateway):
@@ -141,11 +141,11 @@ def test_tiered_fault_run_pin():
 #: steered pool, one pin each.
 AFFINITY_PINS = {
     "brownout":
-        "4090b209b60a0787fa070cf0db7cc4fd3f50dc8bc49261bf6f28edc6108225bb",
+        "1aa1719664cd70720b279840c69a59b744e5b2ebb24bded3498278628211b298",
     "autoscale":
-        "70a20becaf348bc22a5b62085a5aa4c1e66098bd1ef059a0f8a6ef9c12036f04",
+        "2c13b406994125e000c80f18b8d3781774d0e27fb8f7eb7f9b8b8825c83c7516",
     "tiered":
-        "6d70775efef862b8ce753dc21f8474cee562d3035243877e73e04b9e08225e84",
+        "591323415f8680569092aab0c5713e0231aa7906ca20a47d194bebe0e10a9a55",
 }
 
 
@@ -287,7 +287,7 @@ FLEET_STUDY_PINS = {
     "energy-aware":
         "35bd60a971f512c2cdf832b3cdcf7cf6e59bffbbc0107e417d4ac4e2ec19e0a6",
     "prefix-affinity":
-        "d2fd81a01e9e96d3e0f35c1eb7cc22941e4824fbd81ff4409ef2522fe03d42fa",
+        "2dad39dcf0c4162826e9304d0c2c5191272871baa6d3324f32c7cf4fbfc9aa17",
 }
 
 
@@ -331,4 +331,4 @@ def test_prefix_affinity_trace_pin():
     assert gateway.last_mode == "vector"
     assert sum(d.prefix_hits for d in report.devices) > 0
     assert _sha(report) == (
-        "632c21ead519002f958f73ed87f7cc54d16636f9d48293f5d22f1914166ea63c")
+        "242f155657296a9bb3a68c98f6e52a061aebc56afc645990ea9698a782922770")
