@@ -57,9 +57,11 @@ chaos-fleet:
 ## Overload survival: 3x-capacity flash crowd into a flapping,
 ## thermally throttled fleet; exits nonzero unless conservation holds
 ## exactly, a brownout tier engaged and recovered, and same-seed reruns
-## are byte-identical under both thread and process executors.
+## are byte-identical under both thread and process executors.  The
+## hedged-trace tests gate that run_trace counts each hedged request once.
 chaos-overload:
-	$(PYTHON) -m pytest tests/test_fleet_overload.py tests/test_fleet_health.py
+	$(PYTHON) -m pytest tests/test_fleet_overload.py tests/test_fleet_health.py \
+	    tests/test_fleet_hedged_trace.py
 	$(PYTHON) -m repro chaos --overload --seed 0
 
 ## Autoscale lifecycle survival drill: a diurnal cycle plus flash crowd

@@ -8,11 +8,13 @@ Keeping the guard in one place means the all-shed / zero-served edge
 case cannot drift between report types.  The same holds for SLO
 attainment: each report counts its own hits and deadline population,
 and :func:`slo_attainment` applies the one rule that turns the counts
-into a rate.
+into a rate.  :func:`json_number` spells the resulting nans the one way
+every canonical report JSON renders them.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -48,3 +50,10 @@ def slo_attainment(hits: int, with_deadline: int, unserved: int,
     if denominator == 0:
         return 1.0 if completed else float("nan")
     return hits / denominator
+
+
+def json_number(value):
+    """``value`` as a canonical report JSON field: a float nan becomes
+    the string ``"nan"`` (JSON has no nan literal); anything else,
+    ``None`` included, passes through unchanged."""
+    return "nan" if isinstance(value, float) and math.isnan(value) else value

@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.stats import nan_percentile, slo_attainment
+from repro.core.stats import json_number, nan_percentile, slo_attainment
 from repro.engine.engine import InferenceEngine
 from repro.engine.kv_cache import (
     KVCacheExhausted,
@@ -235,20 +235,15 @@ class ResilienceReport:
         (via :meth:`to_json`), so it includes full per-request detail,
         not just aggregates.
         """
-
-        def num(value: float | None) -> float | str | None:
-            return "nan" if isinstance(value, float) and math.isnan(
-                value) else value
-
         return {
             "completed": self.completed,
             "wallclock_s": self.wallclock_s,
             "energy_joules": self.energy_joules,
             "offered_qps": self.offered_qps,
             "prefill_stall_s": self.prefill_stall_s,
-            "deadline_hit_rate": num(self.deadline_hit_rate),
-            "p50_latency_s": num(self.latency_percentile(50)),
-            "p95_latency_s": num(self.latency_percentile(95)),
+            "deadline_hit_rate": json_number(self.deadline_hit_rate),
+            "p50_latency_s": json_number(self.latency_percentile(50)),
+            "p95_latency_s": json_number(self.latency_percentile(95)),
             "served": [
                 {
                     "request_id": r.request_id,
@@ -257,7 +252,7 @@ class ResilienceReport:
                     "finish_s": r.finish_s,
                     "prompt_tokens": r.prompt_tokens,
                     "output_tokens": r.output_tokens,
-                    "deadline_s": num(r.deadline_s),
+                    "deadline_s": json_number(r.deadline_s),
                     "prefill_s": r.prefill_s,
                     "attempts": r.attempts,
                     "degraded": r.degraded,

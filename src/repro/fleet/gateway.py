@@ -114,6 +114,7 @@ from repro.fleet.partition import (
     _collect_trace,
     _drain,
     _rendezvous_winners,
+    _session_head,
     _stream_columns,
 )
 from repro.fleet.report import DeviceOutcome, FleetReport
@@ -380,7 +381,7 @@ class FleetGateway:
         # (stable under fleet changes); stateless requests balance.
         if freq.session is not None:
             return up[int(_rendezvous_winners(
-                (freq.session.encode() + b":",),
+                (_session_head(freq.session),),
                 [d.name.encode() for d in up])[0])]
         return min(up, key=lambda d: (d.outstanding_requests, d.name))
 

@@ -83,14 +83,21 @@ def _stream_columns(stream) -> tuple[dict, Callable[[int], bytes]]:
                                                        len(keys)),
          0 if f.session is None else f.prefix_tokens)
         for f in ordered], dtype=_SHARE_DTYPE)
-    heads = [key.encode() + b":" for key in keys]
+    heads = [_session_head(key) for key in keys]
     return {name: table[name] for name in _SHARE_COLUMNS}, heads.__getitem__
 
 
+def _session_head(key: str) -> bytes:
+    """A session key's rendezvous head: its bytes plus the ``b":"``
+    separator (see :func:`_rendezvous_winners`)."""
+    return key.encode() + b":"
+
+
 def _trace_head(session: int) -> bytes:
-    """A trace session's head: ``b"s%d:"`` is :func:`~repro.workloads.
-    population.session_key` plus the rendezvous separator, inlined (the
-    oracle-equivalence tests pin the agreement)."""
+    """:func:`_session_head` specialized to a trace's int sessions:
+    ``b"s%d:"`` is the head of :func:`~repro.workloads.population.
+    session_key`, inlined (the oracle-equivalence tests pin the
+    agreement)."""
     return b"s%d:" % session
 
 
@@ -167,11 +174,11 @@ def _assign(policy: str, names, session: np.ndarray, head) -> np.ndarray:
 def _rendezvous_winners(heads, names) -> np.ndarray:
     """Index of each session's rendezvous winner among ``names``.
 
-    Each of ``heads`` is a session key's bytes plus the ``b":"``
-    separator and ``names`` are the candidates' name bytes in
-    ascending name order.  A candidate's weight is the splitmix64
-    finalizer of ``key(head) ^ key(name)`` (:func:`_keys`), and the
-    winner holds the largest weight, the largest name among equals
+    Each of ``heads`` is a session's head (:func:`_session_head`) and
+    ``names`` are the candidates' name bytes in ascending name order.
+    A candidate's weight is the splitmix64 finalizer of
+    ``key(head) ^ key(name)`` (:func:`_keys`), and the winner holds the
+    largest weight, the largest name among equals
     (:func:`_last_argmax`).  Both cores rank through it: the scalar
     gateway's ``_pick`` over its routable pool, :func:`_assign` over
     the whole fleet (with no failure source the scalar pool provably

@@ -8,6 +8,13 @@ canonical byte-stable JSON document — the artifact the chaos and
 determinism gates compare byte-for-byte across reruns, device
 construction orders, and pipeline executors.
 
+One dedup rule, one fold: :attr:`FleetReport.winners` keeps each
+request's earliest finish across the fleet (a hedge loser's copy is not
+an outcome), and every fleet aggregate is read, on first use, from
+:func:`~repro.fleet.trace._fold` over the winners' per-device columns —
+the reduction :func:`~repro.fleet.trace.assemble_trace_report` wraps
+for the column-native trace report.
+
 Conservation note: a request evacuated from a crashed device appears in
 *two* devices' ``offered`` counts (each run saw it), but terminal
 outcomes — served, shed, failed — happen exactly once, so
@@ -17,15 +24,26 @@ fleet level and the chaos gate pins it at zero.
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from repro.core.cost import CostModel
-from repro.core.stats import nan_percentile, slo_attainment
+from repro.core.stats import json_number, nan_percentile
 from repro.engine.server import ResilienceReport, ServedRequest
 from repro.fleet.autoscale import AutoscaleReport
+from repro.fleet.trace import FleetTraceReport, TraceDeviceData, _fold
+
+#: The outcome columns of one device's winners, as
+#: :class:`~repro.fleet.trace.TraceDeviceData` names them.
+_WINNER_DTYPE = np.dtype([
+    ("request_id", np.int64), ("arrival_s", np.float64),
+    ("start_s", np.float64), ("finish_s", np.float64),
+    ("prompt_tokens", np.int64), ("output_tokens", np.int64),
+    ("deadline_s", np.float64), ("deadline_mask", bool)])
 
 
 @dataclass(frozen=True)
@@ -40,6 +58,40 @@ class DeviceOutcome:
     evacuated: int
     prefix_hits: int
     prefix_misses: int
+
+
+def _winner_columns(outcome: DeviceOutcome, rows) -> TraceDeviceData:
+    """One device's winning records as fold input, in one pass."""
+    table = np.array([
+        (r.request_id, r.arrival_s, r.start_s, r.finish_s, r.prompt_tokens,
+         r.output_tokens, np.nan if r.deadline_s is None else r.deadline_s,
+         r.deadline_s is not None)
+        for r in rows], dtype=_WINNER_DTYPE)
+    return TraceDeviceData(
+        outcome.name, outcome.model, outcome.power_mode,
+        offered=outcome.report.offered,
+        wallclock_s=outcome.report.wallclock_s,
+        energy_joules=outcome.report.energy_joules,
+        prefix_hits=outcome.prefix_hits,
+        prefix_misses=outcome.prefix_misses,
+        unserved_with_deadline=outcome.report.unserved_with_deadline,
+        **{name: table[name] for name in _WINNER_DTYPE.names})
+
+
+class _Folded:
+    """A :class:`FleetReport` aggregate: the same-named field of the
+    report's one fold over its winner columns."""
+
+    def __init__(self, doc: str):
+        self.__doc__ = doc
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        return getattr(report._folded[0], self.name)
 
 
 @dataclass(frozen=True)
@@ -80,10 +132,11 @@ class FleetReport:
 
     # -- fleet-level aggregates ----------------------------------------
     @cached_property
-    def served(self) -> tuple[ServedRequest, ...]:
-        """Every completed request across the fleet, by request id.
+    def winners(self) -> tuple[tuple[ServedRequest, ...], ...]:
+        """Each device's winning served records, in device order.
 
-        Deduplicated on request id keeping the earliest finish: with
+        The fleet's one dedup rule: a request's outcome is its earliest
+        finish across the fleet (the earlier device on a tie).  With
         hedging, both copies of a request can complete inside the same
         advance window before the loser is cancelled, and only the
         winner is the request's outcome (the loser's decode work stays
@@ -95,12 +148,56 @@ class FleetReport:
                 prev = merged.get(r.request_id)
                 if prev is None or r.finish_s < prev.finish_s:
                     merged[r.request_id] = r
-        return tuple(sorted(merged.values(), key=lambda r: r.request_id))
+        return tuple(
+            tuple(r for r in d.report.served if merged[r.request_id] is r)
+            for d in self.devices)
 
-    @property
-    def completed(self) -> int:
-        """Requests fully served somewhere in the fleet."""
-        return len(self.served)
+    @cached_property
+    def served(self) -> tuple[ServedRequest, ...]:
+        """Every completed request across the fleet (the winners), by
+        request id."""
+        return tuple(sorted(itertools.chain.from_iterable(self.winners),
+                            key=lambda r: r.request_id))
+
+    @cached_property
+    def winner_columns(self) -> tuple[TraceDeviceData, ...]:
+        """The winners as per-device outcome columns: the input of the
+        fold both fleet reports share."""
+        return tuple(_winner_columns(d, rows)
+                     for d, rows in zip(self.devices, self.winners))
+
+    @cached_property
+    def _folded(self) -> tuple[FleetTraceReport, np.ndarray]:
+        """The :func:`~repro.fleet.trace._fold` of :attr:`winner_columns`,
+        run on the first read of any aggregate below."""
+        return _fold(self.policy, self.offered, self.shed, self.failed,
+                     self.winner_columns)
+
+    completed = _Folded("Requests fully served somewhere in the fleet.")
+    wallclock_s = _Folded("Fleet makespan: the last device clock.")
+    device_seconds = _Folded(
+        "Summed per-device occupancy (the hardware-amortization base).")
+    energy_joules = _Folded("Total energy across the fleet.")
+    total_tokens = _Folded(
+        "Prompt + generated tokens across all served requests.")
+    total_output_tokens = _Folded(
+        "Generated tokens across all served requests.")
+    tokens_per_second = _Folded(
+        "Aggregate decode throughput over the fleet makespan.")
+    achieved_qps = _Folded("Completed requests per second of fleet makespan.")
+    energy_per_request_j = _Folded(
+        "Mean energy per completed request (nan when none completed).")
+    deadline_hit_rate = _Folded(
+        "Fleet SLO attainment: on-time completions over the "
+        "deadline-carrying completions plus the requests devices left "
+        "unserved (shed, failed or expired on a device).  Gateway sheds "
+        "and retry-exhausted failures are not in the denominator, so "
+        "this can read above the share of offered deadline-carrying "
+        "requests that met their deadline.")
+
+    def latency_percentile(self, q: float) -> float:
+        """Fleet end-to-end latency percentile (nan when none served)."""
+        return nan_percentile(self._folded[1], q)
 
     @property
     def shed(self) -> int:
@@ -128,72 +225,6 @@ class FleetReport:
         """In-flight/queued requests orphaned by crashes."""
         return sum(d.evacuated for d in self.devices)
 
-    @property
-    def wallclock_s(self) -> float:
-        """Fleet makespan: the last device clock."""
-        return max((d.report.wallclock_s for d in self.devices), default=0.0)
-
-    @property
-    def device_seconds(self) -> float:
-        """Summed per-device occupancy (the hardware-amortization base)."""
-        return sum(d.report.wallclock_s for d in self.devices)
-
-    @property
-    def energy_joules(self) -> float:
-        """Total energy across the fleet."""
-        return sum(d.report.energy_joules for d in self.devices)
-
-    @property
-    def total_tokens(self) -> int:
-        """Prompt + generated tokens across all served requests."""
-        return sum(r.prompt_tokens + r.output_tokens for r in self.served)
-
-    @property
-    def total_output_tokens(self) -> int:
-        """Generated tokens across all served requests."""
-        return sum(r.output_tokens for r in self.served)
-
-    @property
-    def tokens_per_second(self) -> float:
-        """Aggregate decode throughput over the fleet makespan."""
-        if self.wallclock_s <= 0:
-            return 0.0
-        return self.total_output_tokens / self.wallclock_s
-
-    @property
-    def achieved_qps(self) -> float:
-        """Completed requests per second of fleet makespan."""
-        if self.wallclock_s <= 0:
-            return 0.0
-        return self.completed / self.wallclock_s
-
-    @property
-    def energy_per_request_j(self) -> float:
-        """Mean energy per completed request (nan when none completed)."""
-        if not self.completed:
-            return float("nan")
-        return self.energy_joules / self.completed
-
-    def latency_percentile(self, q: float) -> float:
-        """Fleet end-to-end latency percentile (nan when none served)."""
-        return nan_percentile([r.latency_s for r in self.served], q)
-
-    @property
-    def deadline_hit_rate(self) -> float:
-        """Fleet SLO attainment over the offered deadline population.
-
-        Counts on-time completions over every deadline-carrying request
-        that reached a terminal outcome — served late, shed, or failed
-        all count against the fleet, mirroring
-        :attr:`ResilienceReport.deadline_hit_rate`'s honesty rule.
-        """
-        with_deadlines = [r for r in self.served if r.deadline_s is not None]
-        return slo_attainment(
-            sum(bool(r.met_deadline) for r in with_deadlines),
-            len(with_deadlines),
-            sum(d.report.unserved_with_deadline for d in self.devices),
-            len(self.served))
-
     def cost_per_mtok(self, cost_model: CostModel | None = None) -> float:
         """Fleet $/1M tokens: energy plus per-device amortized hardware.
 
@@ -209,11 +240,6 @@ class FleetReport:
     # -- canonical serialization ---------------------------------------
     def to_dict(self) -> dict:
         """A plain-data rendering with a stable field order."""
-
-        def num(value: float) -> float | str:
-            return "nan" if isinstance(value, float) and math.isnan(
-                value) else value
-
         payload = {
             "policy": self.policy,
             "offered": self.offered,
@@ -235,9 +261,9 @@ class FleetReport:
             "wallclock_s": self.wallclock_s,
             "energy_joules": self.energy_joules,
             "total_tokens": self.total_tokens,
-            "deadline_hit_rate": num(self.deadline_hit_rate),
-            "p50_latency_s": num(self.latency_percentile(50)),
-            "p95_latency_s": num(self.latency_percentile(95)),
+            "deadline_hit_rate": json_number(self.deadline_hit_rate),
+            "p50_latency_s": json_number(self.latency_percentile(50)),
+            "p95_latency_s": json_number(self.latency_percentile(95)),
             "devices": [
                 {
                     "name": d.name,

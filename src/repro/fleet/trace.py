@@ -10,29 +10,38 @@ device-seconds, energy, SLO attainment, latency percentiles) plus one
 sha256 *digest* per device over its served-outcome columns, so two runs
 are byte-comparable without serializing a million rows.
 
-Byte-identity contract: the vector trace driver
-(:meth:`~repro.fleet.gateway.FleetGateway.run_trace`) and the scalar
-oracle (via :func:`trace_report_from_fleet`) both feed
-:func:`assemble_trace_report` with per-device columns, so every float
-reduction happens once, in one place, in device-name order — chunked
-vs unchunked streams, thread vs process executors, and vector vs scalar
-cores all render byte-identical :meth:`FleetTraceReport.to_json`
-documents.  Deliberately, the report does *not* record which core
-produced it: a "mode" field would break exactly the cross-core
-comparison the digests exist for.
+One fold, one dedup rule: every fleet aggregate of either report type
+comes from :func:`_fold` over per-device *winner* columns.  The vector
+trace driver (:meth:`~repro.fleet.gateway.FleetGateway.run_trace`)
+hands it the drain's columns through :func:`assemble_trace_report`;
+the scalar oracle hands it a :class:`~repro.fleet.report.FleetReport`'s
+winner columns through :func:`trace_report_from_fleet`; and a
+``FleetReport`` reads its own aggregates from the same fold.  The
+winners are the report's earliest finish per request id, so
+``run_trace`` on a hedged gateway counts each request once, exactly as
+``run`` does.  Every float reduction happens once, in one place, in
+device-name order — chunked vs unchunked streams, thread vs process
+executors, and vector vs scalar cores all render byte-identical
+:meth:`FleetTraceReport.to_json` documents.  Deliberately, the report
+does *not* record which core produced it: a "mode" field would break
+exactly the cross-core comparison the digests exist for.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.stats import nan_percentile, slo_attainment
-from repro.fleet.report import FleetReport
+from repro.core.stats import json_number, nan_percentile, slo_attainment
+
+if TYPE_CHECKING:
+    from repro.fleet.report import FleetReport
 
 
 @dataclass(frozen=True)
@@ -85,47 +94,12 @@ class FleetTraceReport:
 
     # -- canonical serialization ---------------------------------------
     def to_dict(self) -> dict:
-        """A plain-data rendering with a stable field order."""
-
-        def num(value: float) -> float | str:
-            return "nan" if isinstance(value, float) and math.isnan(
-                value) else value
-
-        return {
-            "policy": self.policy,
-            "offered": self.offered,
-            "completed": self.completed,
-            "shed": self.shed,
-            "failed": self.failed,
-            "lost": self.lost,
-            "wallclock_s": self.wallclock_s,
-            "device_seconds": self.device_seconds,
-            "energy_joules": self.energy_joules,
-            "total_tokens": self.total_tokens,
-            "total_output_tokens": self.total_output_tokens,
-            "achieved_qps": self.achieved_qps,
-            "tokens_per_second": self.tokens_per_second,
-            "energy_per_request_j": num(self.energy_per_request_j),
-            "deadline_hit_rate": num(self.deadline_hit_rate),
-            "p50_latency_s": num(self.p50_latency_s),
-            "p95_latency_s": num(self.p95_latency_s),
-            "p99_latency_s": num(self.p99_latency_s),
-            "devices": [
-                {
-                    "name": d.name,
-                    "model": d.model,
-                    "power_mode": d.power_mode,
-                    "offered": d.offered,
-                    "completed": d.completed,
-                    "wallclock_s": d.wallclock_s,
-                    "energy_joules": d.energy_joules,
-                    "prefix_hits": d.prefix_hits,
-                    "prefix_misses": d.prefix_misses,
-                    "served_digest": d.served_digest,
-                }
-                for d in self.devices
-            ],
-        }
+        """A plain-data rendering: every field in declaration order
+        (device summaries as dicts), then ``lost``."""
+        payload = {key: json_number(value)
+                   for key, value in dataclasses.asdict(self).items()}
+        payload["lost"] = self.lost
+        return payload
 
     def to_json(self) -> str:
         """Canonical JSON: byte-identical for identical runs."""
@@ -192,17 +166,26 @@ def served_columns_digest(data: TraceDeviceData) -> str:
     return h.hexdigest()
 
 
-def assemble_trace_report(policy: str, offered: int, shed: int,
-                          failed: int,
-                          devices: "list[TraceDeviceData]"
-                          ) -> FleetTraceReport:
-    """Fold per-device outcome columns into one trace report.
+def _fold(policy: str, offered: int, shed: int, failed: int,
+          devices: Sequence[TraceDeviceData]
+          ) -> tuple[FleetTraceReport, np.ndarray]:
+    """The fleet's one outcome reduction: winner columns to aggregates.
 
-    The single reduction site both cores share: sums walk the devices
-    in the given (name-sorted) order left to right, latencies
-    concatenate in that same order, and percentiles run on the combined
-    sample — so vector and scalar inputs with bit-identical columns
-    produce bit-identical aggregates.
+    Both fleet reports read their aggregates from it:
+    :func:`assemble_trace_report` wraps it, and
+    :class:`~repro.fleet.report.FleetReport` folds its own winner
+    columns through it on first read.  Sums walk the devices in the
+    given (name-sorted) order left to right, latencies concatenate in
+    that same order, and percentiles run on the combined sample — so
+    inputs with bit-identical columns produce bit-identical aggregates.
+
+    SLO attainment counts on-time winners over the deadline-carrying
+    winners plus each device's ``unserved_with_deadline`` (requests
+    shed, failed or expired on a device).  Gateway sheds and
+    retry-exhausted failures stay outside the denominator.
+
+    Returns the report without per-device summaries, and the latency
+    column it folded.
     """
     completed = sum(d.request_id.shape[0] for d in devices)
     wallclock = max((d.wallclock_s for d in devices), default=0.0)
@@ -211,16 +194,8 @@ def assemble_trace_report(policy: str, offered: int, shed: int,
     total_tokens = sum(int(d.prompt_tokens.sum()) + int(d.output_tokens.sum())
                        for d in devices)
     total_output = sum(int(d.output_tokens.sum()) for d in devices)
-
-    if completed:
-        latency = np.concatenate(
-            [d.finish_s - d.arrival_s for d in devices])
-        p50 = nan_percentile(latency, 50)
-        p95 = nan_percentile(latency, 95)
-        p99 = nan_percentile(latency, 99)
-    else:
-        latency = np.empty(0)
-        p50 = p95 = p99 = float("nan")
+    latency = (np.concatenate([d.finish_s - d.arrival_s for d in devices])
+               if completed else np.empty(0))
 
     hits = 0
     with_deadline = 0
@@ -235,24 +210,8 @@ def assemble_trace_report(policy: str, offered: int, shed: int,
             with_deadline += int(np.count_nonzero(mask))
         cursor += n_d
         unserved += d.unserved_with_deadline
-    hit_rate = slo_attainment(hits, with_deadline, unserved, completed)
 
-    summaries = tuple(
-        TraceDeviceSummary(
-            name=d.name,
-            model=d.model,
-            power_mode=d.power_mode,
-            offered=d.offered,
-            completed=d.request_id.shape[0],
-            wallclock_s=d.wallclock_s,
-            energy_joules=d.energy_joules,
-            prefix_hits=d.prefix_hits,
-            prefix_misses=d.prefix_misses,
-            served_digest=served_columns_digest(d),
-        )
-        for d in devices
-    )
-    return FleetTraceReport(
+    report = FleetTraceReport(
         policy=policy,
         offered=offered,
         completed=completed,
@@ -268,52 +227,53 @@ def assemble_trace_report(policy: str, offered: int, shed: int,
                            if wallclock > 0 else 0.0),
         energy_per_request_j=(energy / completed
                               if completed else float("nan")),
-        deadline_hit_rate=hit_rate,
-        p50_latency_s=p50,
-        p95_latency_s=p95,
-        p99_latency_s=p99,
-        devices=summaries,
+        deadline_hit_rate=slo_attainment(hits, with_deadline, unserved,
+                                         completed),
+        p50_latency_s=nan_percentile(latency, 50),
+        p95_latency_s=nan_percentile(latency, 95),
+        p99_latency_s=nan_percentile(latency, 99),
+        devices=(),
     )
+    return report, latency
+
+
+def assemble_trace_report(policy: str, offered: int, shed: int,
+                          failed: int,
+                          devices: Sequence[TraceDeviceData]
+                          ) -> FleetTraceReport:
+    """Fold per-device outcome columns into one trace report.
+
+    Every aggregate comes from :func:`_fold`; this adds one summary
+    per device, its served digest included.
+    """
+    report, _ = _fold(policy, offered, shed, failed, devices)
+    return dataclasses.replace(report, devices=tuple(
+        TraceDeviceSummary(
+            name=d.name,
+            model=d.model,
+            power_mode=d.power_mode,
+            offered=d.offered,
+            completed=d.request_id.shape[0],
+            wallclock_s=d.wallclock_s,
+            energy_joules=d.energy_joules,
+            prefix_hits=d.prefix_hits,
+            prefix_misses=d.prefix_misses,
+            served_digest=served_columns_digest(d),
+        )
+        for d in devices
+    ))
 
 
 def trace_report_from_fleet(report: FleetReport) -> FleetTraceReport:
-    """Render a scalar-oracle :class:`FleetReport` as a trace report.
+    """Render a :class:`~repro.fleet.report.FleetReport` as a trace report.
 
     The equivalence bridge: a small-scale scalar run converted here must
-    byte-match the vector trace driver's report for the same stream —
-    per-device served rows become the same canonical columns (sorted by
-    request id inside the digest), and every aggregate flows through
-    :func:`assemble_trace_report`.
+    byte-match the vector trace driver's report for the same stream.
+    The report's :attr:`~repro.fleet.report.FleetReport.winner_columns`
+    — each device's winning served rows, hedge losers dropped — flow
+    through :func:`assemble_trace_report`, so a device's summary covers
+    the requests whose outcome it supplied.
     """
-    rows = []
-    for d in report.devices:
-        served = d.report.served
-        n = len(served)
-        rows.append(TraceDeviceData(
-            d.name, d.model, d.power_mode,
-            offered=d.report.offered,
-            wallclock_s=d.report.wallclock_s,
-            energy_joules=d.report.energy_joules,
-            prefix_hits=d.prefix_hits,
-            prefix_misses=d.prefix_misses,
-            unserved_with_deadline=d.report.unserved_with_deadline,
-            request_id=np.fromiter((r.request_id for r in served),
-                                   np.int64, n),
-            arrival_s=np.fromiter((r.arrival_s for r in served),
-                                  np.float64, n),
-            start_s=np.fromiter((r.start_s for r in served),
-                                np.float64, n),
-            finish_s=np.fromiter((r.finish_s for r in served),
-                                 np.float64, n),
-            prompt_tokens=np.fromiter((r.prompt_tokens for r in served),
-                                      np.int64, n),
-            output_tokens=np.fromiter((r.output_tokens for r in served),
-                                      np.int64, n),
-            deadline_s=np.fromiter(
-                (r.deadline_s if r.deadline_s is not None else np.nan
-                 for r in served), np.float64, n),
-            deadline_mask=np.fromiter(
-                (r.deadline_s is not None for r in served), bool, n),
-        ))
     return assemble_trace_report(report.policy, report.offered,
-                                 report.shed, report.failed, rows)
+                                 report.shed, report.failed,
+                                 report.winner_columns)

@@ -424,14 +424,10 @@ class DagRun:
         config = self.config
         served_model: dict[int, str] = {}
         served_tokens: dict[int, int] = {}
-        finish: dict[int, float] = {}
-        for outcome in report.devices:
-            for record in outcome.report.served:
-                rid = record.request_id
-                if rid not in finish or record.finish_s < finish[rid]:
-                    finish[rid] = record.finish_s
-                    served_model[rid] = outcome.model
-                    served_tokens[rid] = int(record.output_tokens)
+        for outcome, winners in zip(report.devices, report.winners):
+            for record in winners:
+                served_model[record.request_id] = outcome.model
+                served_tokens[record.request_id] = int(record.output_tokens)
 
         job_ids = sorted(self.dags)
         job_pos = {job_id: idx for idx, job_id in enumerate(job_ids)}
