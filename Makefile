@@ -49,9 +49,10 @@ chaos-pipeline:
 
 ## Fleet chaos: kill 2 of 4 devices mid-run under seeded faults; exits
 ## nonzero unless every request reached a terminal outcome, the kills
-## actually fired, and a rerun reproduced the report byte-for-byte.
+## actually fired, and a rerun reproduced the report byte-for-byte.  The
+## gateway tests gate what a crash re-route and a hedge re-inject.
 chaos-fleet:
-	$(PYTHON) -m pytest tests/test_fleet_chaos.py
+	$(PYTHON) -m pytest tests/test_fleet_chaos.py tests/test_fleet_gateway.py
 	$(PYTHON) -m repro chaos --fleet --seed 0
 
 ## Overload survival: 3x-capacity flash crowd into a flapping,

@@ -55,8 +55,10 @@ from repro.engine.state import (
     RequestArrays,
     RequestState,
     RunCounters,
+    offered_qps,
     require_finite_arrivals,
 )
+from repro.engine.vector_run import VectorServingRun, run_core
 from repro.workloads.arrivals import poisson_arrivals
 
 if TYPE_CHECKING:  # imported lazily to keep repro.faults decoupled
@@ -383,26 +385,14 @@ class ServingSimulator:
             raise ValueError("the edf policy requires deadlines")
         arrivals = np.asarray(arrival_times, dtype=np.float64)
         require_finite_arrivals(arrivals)
-        if self.mode != "scalar":
-            from repro.engine.vector_run import (
-                VectorFallback,
-                VectorServingRun,
-            )
-            if not self.vector_eligible():
-                if self.mode == "vector":
-                    raise ValueError(
-                        "mode='vector' requires an eligible configuration "
-                        "(no faults, thermal, degradation, or power noise)")
-            else:
-                try:
-                    report = VectorServingRun(self, arrays=RequestArrays(
-                        requests, arrivals, deadlines)).execute()
-                    self.last_mode = "vector"
-                    return report
-                except VectorFallback:
-                    pass  # EDF or KV pressure: serve on the scalar core
-        self.last_mode = "scalar"
-        return _ServingRun(self, requests, arrivals, deadlines).execute()
+        return run_core(
+            self, self.vector_eligible(),
+            "an eligible configuration (no faults, thermal, degradation, "
+            "or power noise)",
+            lambda: VectorServingRun(self, arrays=RequestArrays(
+                requests, arrivals, deadlines)).execute(),
+            lambda: _ServingRun(self, requests, arrivals,
+                                deadlines).execute())
 
     # ------------------------------------------------------------------
     def run_poisson(self, rng: np.random.Generator, qps: float,
@@ -1190,7 +1180,7 @@ class _ServingRun:
     def execute(self) -> ResilienceReport:
         try:
             self.drain()
-            return self._report()
+            return self.report()
         finally:
             # A shared engine cache must come back clean, even on error.
             self.release()
@@ -1198,25 +1188,14 @@ class _ServingRun:
     def report(self) -> ResilienceReport:
         """The run's report so far (an incremental driver reads this
         after draining; :meth:`execute` wraps it with cleanup)."""
-        return self._report()
-
-    def _report(self) -> ResilienceReport:
         n = len(self.states)
-        span = (max(s.first_arrival_s for s in self.states.values())
-                if n else 0.0)
-        if span > 0:
-            offered_qps = n / span
-        elif self.now > 0:
-            # Simultaneous burst (or single request): rate over the run
-            # instead of the old 1/0 = inf that poisoned cost math.
-            offered_qps = n / self.now
-        else:
-            offered_qps = 0.0
         return ResilienceReport(
             served=sorted(self.served, key=lambda r: r.request_id),
             wallclock_s=self.now,
             energy_joules=self.energy,
-            offered_qps=offered_qps,
+            offered_qps=offered_qps(n, max(
+                (s.first_arrival_s for s in self.states.values()),
+                default=0.0), self.now),
             prefill_stall_s=self.prefill_stall_s,
             offered=n,
             throttle_residency_s=self.counters.throttle_residency_s,

@@ -190,12 +190,16 @@ class RequestArrays:
         """
         return np.argsort(self.ready_s, kind="stable")
 
-    def offered_qps(self, now: float) -> float:
-        """The scalar report's offered-rate rule over this population."""
-        n = self.n
-        span = float(self.arrival_s.max()) if n else 0.0
-        if span > 0:
-            return n / span
-        if now > 0:
-            return n / now
-        return 0.0
+
+def offered_qps(n: int, last_arrival_s: float, now: float) -> float:
+    """The offered rate both cores report: ``n`` arrivals over the last
+    arrival time.
+
+    A burst at time 0 (or a single request) rates over the run clock
+    ``now`` instead of 1/0 = inf; an empty run at time 0 offers 0.0.
+    """
+    if last_arrival_s > 0:
+        return n / last_arrival_s
+    if now > 0:
+        return n / now
+    return 0.0

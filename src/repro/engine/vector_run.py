@@ -74,7 +74,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from repro.engine.pricing import integrate_span
-from repro.engine.state import RequestArrays
+from repro.engine.state import RequestArrays, offered_qps
 
 if TYPE_CHECKING:
     from repro.engine.server import ResilienceReport, ServingSimulator
@@ -110,6 +110,31 @@ class VectorFallback(Exception):
     grids would be outsized.  The caller reruns the workload on the
     scalar core.
     """
+
+
+def run_core(owner, eligible: bool, needs: str, vector, scalar):
+    """Run one of two cores by ``owner.mode`` and ``eligible``.
+
+    ``mode="scalar"`` calls ``scalar``.  An ineligible configuration
+    raises under ``mode="vector"`` (the error says it requires
+    ``needs``) and otherwise calls ``scalar``.  An eligible one calls
+    ``vector`` and reruns ``scalar`` on :class:`VectorFallback`, which a
+    vector core raises before touching any state the rerun reads.
+    ``owner.last_mode`` records the core that runs; returns its result.
+    """
+    if owner.mode != "scalar":
+        if eligible:
+            try:
+                report = vector()
+            except VectorFallback:
+                pass
+            else:
+                owner.last_mode = "vector"
+                return report
+        elif owner.mode == "vector":
+            raise ValueError(f"mode='vector' requires {needs}")
+    owner.last_mode = "scalar"
+    return scalar()
 
 
 def _guess_resets(service: np.ndarray, ready: np.ndarray,
@@ -811,7 +836,9 @@ class VectorServingRun:
             served=served,
             wallclock_s=self.now,
             energy_joules=self.energy,
-            offered_qps=arrays.offered_qps(self.now),
+            offered_qps=offered_qps(
+                arrays.n, float(arrays.arrival_s.max()) if arrays.n else 0.0,
+                self.now),
             prefill_stall_s=self.prefill_stall_s,
             offered=arrays.n,
         )

@@ -6,9 +6,9 @@ arrivals and scheduled device outages (crashes and flap cycles) — are
 processed in time order; before each event every device is advanced to
 the event time through the incremental serving seam (``run_until``),
 then the event either routes a request or downs a device (evacuating
-its in-flight work for immediate re-routing, with the original arrival
-time and deadline preserved and a small re-dispatch backoff added).
-After the last event, every device drains to completion.
+its in-flight work, each request re-injected as first routed after a
+small re-dispatch backoff).  After the last event, every device drains
+to completion.
 
 Self-healing (this layer's additions over plain routing):
 
@@ -45,7 +45,12 @@ invariant ``offered == completed + shed + failed`` holds even with
 hedged duplicates in flight (duplicate completions are deduplicated by
 request id in :class:`~repro.fleet.report.FleetReport`).  A permanent
 whole-fleet outage (every device down with no finite recovery) sheds
-instead of parking, so kill-all schedules terminate cleanly.
+instead of parking, so kill-all schedules terminate cleanly.  Each
+routed request is kept once, as first routed (brownout trim applied):
+a crash re-route and a hedge both re-inject that record, so every copy
+carries the same budget, arrival, deadline, session and prefix.  Beside
+it the gateway tracks per request only its live copies, hedge targets
+(the last decides a hedge win), crash re-routes and disposition.
 
 Determinism: devices are iterated in sorted-name order everywhere, every
 policy breaks ties on the device name, prefix affinity uses rendezvous
@@ -71,11 +76,13 @@ Gateway-maintained outstanding counters replace every per-device
 outstanding scan (pressure, the autoscale tick, the drain), and the
 per-event sweep advances and folds only busy devices (exact:
 ``run_until`` is a no-op without work, and a device's unfolded outcome
-records still count as its outstanding work).  It is the gateway's
-only per-event loop: plain streams and tiered DAG runs pop the same
-event heap, a tiered run adding its job-admission arrival handler, a
-settle step that releases unblocked DAG stages after each event, and
-its tick source, which passes over ticks that provably change nothing.
+records still count as its outstanding work).  Nothing walks the stream
+ahead of the loop: a request's record is written when it is first
+routed.  It is the gateway's only per-event loop: plain streams and
+tiered DAG runs pop the same event heap, a tiered run adding its
+job-admission arrival handler, a settle step that releases unblocked
+DAG stages through the same routing after each event, and its tick
+source, which passes over ticks that provably change nothing.
 Eligible runs bypass it through :mod:`repro.fleet.partition`'s
 partition-and-drain; the gateway keeps the dispatch and assembles the
 reports.
@@ -94,7 +101,7 @@ import numpy as np
 from repro.engine.request import GenerationRequest
 from repro.engine.server import SERVING_MODES
 from repro.engine.state import require_finite_arrivals
-from repro.engine.vector_run import VectorFallback
+from repro.engine.vector_run import run_core
 from repro.faults.injector import FleetFaultSchedule
 from repro.fleet.autoscale import (
     AutoscaleConfig,
@@ -234,17 +241,16 @@ class FleetGateway:
         self.hedged = 0
         self.hedge_wins = 0
         self._rr_next = 0
-        self._session_of: dict[int, tuple[str | None, int]] = {}
+        #: request id -> the request as first routed (brownout trim
+        #: applied); every re-route and hedge re-injects it.
+        self._offers: dict[int, FleetRequest] = {}
         #: request id -> terminal disposition ("served"/"shed"/"failed").
         self._disposition: dict[int, str] = {}
         #: request id -> device names currently holding a live copy.
         self._copies: dict[int, set[str]] = {}
-        self._hedge_count: dict[int, int] = {}
-        self._hedge_target: dict[int, str] = {}
+        #: request id -> hedge targets in launch order.
+        self._hedges: dict[int, list[str]] = {}
         self._attempts: dict[int, int] = {}
-        self._arrival: dict[int, float] = {}
-        self._deadline: dict[int, float | None] = {}
-        self._request_of: dict[int, GenerationRequest] = {}
         self._latency_ewma: float | None = None
         self._served_cursor = {name: 0 for name in names}
         self._dropped_cursor = {name: 0 for name in names}
@@ -446,9 +452,7 @@ class FleetGateway:
                       deadline_s=freq.deadline_s, ready_s=ready,
                       session=freq.session, prefix_tokens=freq.prefix_tokens)
         self._count(device.name, 1)
-        self._arrival.setdefault(rid, freq.arrival_s)
-        self._deadline.setdefault(rid, freq.deadline_s)
-        self._request_of[rid] = freq.request
+        self._offers.setdefault(rid, freq)
         self._copies.setdefault(rid, set()).add(device.name)
         return device
 
@@ -502,7 +506,8 @@ class FleetGateway:
         self._disposition[rid] = "served"
         if self._dag is not None:
             self._dag.note_served(rid, int(record.output_tokens))
-        if self._hedge_target.get(rid) == device.name:
+        hedges = self._hedges.get(rid)
+        if hedges and hedges[-1] == device.name:
             self.hedge_wins += 1
         copies = self._copies.pop(rid, set())
         copies.discard(device.name)
@@ -532,15 +537,10 @@ class FleetGateway:
                 return False  # a hedge copy survives elsewhere
         return rid not in self._disposition
 
-    def _reroute(self, request: GenerationRequest, state, t: float) -> None:
-        """Re-route an evacuated request after the re-dispatch backoff."""
-        session, prefix = self._session_of.get(request.request_id,
-                                               (None, 0))
-        self._route(FleetRequest(request=request,
-                                 arrival_s=state.first_arrival_s,
-                                 deadline_s=state.deadline_s,
-                                 session=session, prefix_tokens=prefix),
-                    t, ready_s=t + REROUTE_BACKOFF_S)
+    def _reroute(self, rid: int, t: float) -> None:
+        """Re-inject an evacuated request, as first routed, after the
+        re-dispatch backoff."""
+        self._route(self._offers[rid], t, ready_s=t + REROUTE_BACKOFF_S)
 
     def _sweep(self, t: float) -> None:
         """The per-event step: advance the fleet to ``t``, collect, hedge.
@@ -636,9 +636,10 @@ class FleetGateway:
             copies = self._copies[rid]
             if rid in self._disposition or not copies:
                 continue
-            if self._hedge_count.get(rid, 0) >= MAX_HEDGES:
+            if len(self._hedges.get(rid, ())) >= MAX_HEDGES:
                 continue
-            if t - self._arrival.get(rid, t) < threshold:
+            offer = self._offers[rid]
+            if t - offer.arrival_s < threshold:
                 continue
             candidates = [d for d in self._routable(t)
                           if d.name not in copies and not d.is_down(t)]
@@ -646,15 +647,14 @@ class FleetGateway:
                 continue
             device = min(candidates,
                          key=lambda d: (d.outstanding_requests, d.name))
-            session, prefix = self._session_of.get(rid, (None, 0))
-            device.inject(self._request_of[rid], self._arrival[rid],
-                          deadline_s=self._deadline.get(rid), ready_s=t,
-                          session=session, prefix_tokens=prefix)
+            device.inject(offer.request, offer.arrival_s,
+                          deadline_s=offer.deadline_s, ready_s=t,
+                          session=offer.session,
+                          prefix_tokens=offer.prefix_tokens)
             self._count(device.name, 1)
             self._consume_probe(device.name, t)
             copies.add(device.name)
-            self._hedge_count[rid] = self._hedge_count.get(rid, 0) + 1
-            self._hedge_target[rid] = device.name
+            self._hedges.setdefault(rid, []).append(device.name)
             self.hedged += 1
 
     # -- autoscaling ------------------------------------------------------
@@ -697,9 +697,9 @@ class FleetGateway:
         self._count(name, -len(orphans))
         device.evacuated += len(orphans)
         self.autoscale.drain_evacuated(len(orphans))
-        for request, state in orphans:
+        for request, _ in orphans:
             if self._orphaned(request.request_id, name):
-                self._reroute(request, state, t)
+                self._reroute(request.request_id, t)
 
     # -- event handlers --------------------------------------------------
     def _on_down_event(self, fault, t: float) -> None:
@@ -720,7 +720,7 @@ class FleetGateway:
             # re-routed below through PR 5's evacuation path); a crash
             # during WAKING aborts the wake.
             self.autoscale.on_crash(t, device.name)
-        for request, state in orphans:
+        for request, _ in orphans:
             rid = request.request_id
             breaker.record_failure(t)
             if not self._orphaned(rid, device.name):
@@ -731,12 +731,10 @@ class FleetGateway:
                 self._finish(rid, "failed")
                 continue
             self.rerouted += 1
-            self._reroute(request, state, t)
+            self._reroute(rid, t)
 
     def _on_arrival(self, freq: FleetRequest, t: float) -> None:
         rid = freq.request.request_id
-        self._arrival[rid] = freq.arrival_s
-        self._deadline[rid] = freq.deadline_s
         if self.brownout is not None:
             self._observe_brownout(t)
             if self.brownout.should_shed():
@@ -801,30 +799,6 @@ class FleetGateway:
                 and self.autoscale is None
                 and all(d.vector_eligible for d in self.devices))
 
-    def _vector(self, eligible: bool, needs: str, drain):
-        """Run ``drain`` when ``mode`` and eligibility allow.
-
-        Returns its report, or None when the scalar oracle must run
-        instead: ``mode="scalar"``, an ineligible configuration, or a
-        :class:`~repro.engine.vector_run.VectorFallback` (the drain runs
-        on device clones, so the rerun starts from pristine state).
-        ``mode="vector"`` raises on ineligibility, naming ``needs``.
-        """
-        if self.mode == "scalar":
-            return None
-        if not eligible:
-            if self.mode == "vector":
-                raise ValueError(f"mode='vector' requires {needs} and no "
-                                 "faults, brownout, hedging, autoscaling, "
-                                 "or ineligible devices")
-            return None
-        try:
-            report = drain()
-        except VectorFallback:
-            return None
-        self.last_mode = "vector"
-        return report
-
     def _fleet_report(self, stream) -> FleetReport:
         """The vector path of :meth:`run`: stream → columns → drain."""
         drained = _drain(self.policy, [d.spec for d in self.devices],
@@ -869,15 +843,13 @@ class FleetGateway:
         # A trace carries every column a chunk does.
         chunks = (trace,) if hasattr(trace, "chunks") else trace
         columns, head = _collect_trace(chunks)
-        report = self._vector(
-            self.vector_eligible(),
-            "round-robin or prefix-affinity routing",
-            lambda: self._trace_report(columns, head, jobs, executor))
-        if report is not None:
-            return report
-        self.last_mode = "scalar"
-        return trace_report_from_fleet(
-            self._run_scalar(self._trace_stream(columns)))
+        return run_core(
+            self, self.vector_eligible(),
+            "round-robin or prefix-affinity routing and no faults, "
+            "brownout, hedging, autoscaling, or ineligible devices",
+            lambda: self._trace_report(columns, head, jobs, executor),
+            lambda: trace_report_from_fleet(
+                self._run_scalar(self._trace_stream(columns))))
 
     def _trace_report(self, columns: dict, head, jobs: int,
                       executor: str) -> FleetTraceReport:
@@ -974,16 +946,6 @@ class FleetGateway:
                     raise ValueError(f"request id {rid} repeats; every "
                                      "request in a stream needs its own id")
                 seen.add(rid)
-        report = self._vector(
-            tiering is None and self.vector_eligible()
-            and (self.policy != "prefix-affinity"
-                 or all(freq.session is not None for freq in stream)),
-            "round-robin routing or prefix-affinity routing with a "
-            "session on every request (a stateless request routes by "
-            "live load), no tiering,",
-            lambda: self._fleet_report(stream))
-        if report is not None:
-            return report
         dag = None
         if tiering is not None:
             from repro.tiering.dag import DagRun
@@ -995,8 +957,17 @@ class FleetGateway:
                     "the gateway with brownout=None, hedge=None, "
                     "autoscale=None")
             dag = DagRun(tiering, energy_quote=self._tier_energy_quote)
-        self.last_mode = "scalar"
-        return self._run_scalar(stream, dag)
+        return run_core(
+            self,
+            tiering is None and self.vector_eligible()
+            and (self.policy != "prefix-affinity"
+                 or all(freq.session is not None for freq in stream)),
+            "round-robin routing or prefix-affinity routing with a "
+            "session on every request (a stateless request routes by "
+            "live load), no tiering, and no faults, brownout, hedging, "
+            "autoscaling, or ineligible devices",
+            lambda: self._fleet_report(stream),
+            lambda: self._run_scalar(stream, dag))
 
     def _run_scalar(self, stream, dag=None) -> FleetReport:
         """The scalar oracle: the gateway's one per-event loop.
@@ -1015,9 +986,6 @@ class FleetGateway:
         seq = itertools.count()
         if dag is None:
             arrivals = _arrival_order(stream)
-            for freq in arrivals:
-                self._session_of[freq.request.request_id] = (
-                    freq.session, freq.prefix_tokens)
             on_arrival = self._on_arrival
         else:
             arrivals = sorted(stream, key=lambda j: (j.arrival_s, j.job_id))
@@ -1119,11 +1087,6 @@ class FleetGateway:
             pool = list(self.devices)
         return min(d.predicted_energy_j(request, 0.0) for d in pool)
 
-    def _tier_inject(self, freq: FleetRequest, t: float) -> None:
-        self._session_of[freq.request.request_id] = (freq.session,
-                                                     freq.prefix_tokens)
-        self._route(freq, t)
-
     def _on_job(self, job, t: float) -> None:
         """Admit one DAG job through the tier policy, or shed it whole."""
         verdict, out = self._dag.admit(job, t, self._pressure(t))
@@ -1132,7 +1095,7 @@ class FleetGateway:
                 self._finish(rid, "shed")
         else:
             for freq in out:
-                self._tier_inject(freq, t)
+                self._route(freq, t)
 
     def _settle_dag(self, dag, t: float, events: list, seq,
                     limit: float) -> bool:
@@ -1154,7 +1117,7 @@ class FleetGateway:
         released = dag.ready_children(self._disposition, t)
         settled = len(self._disposition)
         for freq in released:
-            self._tier_inject(freq, t)
+            self._route(freq, t)
         if dag.done() and not self._outstanding_total:
             return False
         if t > limit:

@@ -14,6 +14,7 @@ from repro.engine.request import GenerationRequest
 from repro.faults import DeviceFault, FleetFaultConfig, FleetFaultSchedule
 from repro.fleet import (
     ROUTING_POLICIES,
+    BrownoutConfig,
     FleetGateway,
     FleetRequest,
     HedgeConfig,
@@ -364,3 +365,65 @@ class TestCrashMidDecode:
         replay.drain()
         assert replay.report().to_json() == b.report.to_json()
         assert b.report.energy_joules > spent
+
+
+class TestReinjection:
+    """A re-routed or hedged copy is the request as first routed: the
+    brownout-trimmed budget, the original arrival and deadline, and the
+    session whose prefix the landing device looks up."""
+
+    @staticmethod
+    def _fleet(slow_b=False):
+        return [FleetDevice(DeviceSpec(
+            name=name, max_batch_size=1, prefix_cache_mb=256.0,
+            power_mode="15W" if slow_b and name == "b" else "MAXN"))
+            for name in ("a", "b")]
+
+    @staticmethod
+    def _turn():
+        # "s0"'s rendezvous winner is "b" (see TestCrashMidDecode).
+        return FleetRequest(GenerationRequest(0, 2000, 256), 0.0,
+                            deadline_s=120.0, session="s0",
+                            prefix_tokens=1600)
+
+    def test_reroute_keeps_the_routed_request(self):
+        # Pressure is never negative, so tier 1 engages at the first
+        # arrival and stays: every admitted budget is trimmed.
+        brownout = BrownoutConfig(enter_pressure=(0.0, 100.0, 200.0),
+                                  exit_pressure=(-1.0, 50.0, 150.0))
+        faults = FleetFaultSchedule(
+            ("a", "b"), FleetFaultConfig(device_crashes=0),
+            events=[DeviceFault("b", "crash", 3.0, 7.0)])
+        gateway = FleetGateway(self._fleet(), policy="prefix-affinity",
+                               faults=faults, brownout=brownout,
+                               mode="scalar")
+        report = gateway.run([self._turn()])
+        assert report.budget_trims == 1
+        assert report.rerouted == 1
+        assert report.completed == 1 and report.lost == 0
+        a, b = report.devices
+        assert b.evacuated == 1 and not b.report.served
+        (served,) = a.report.served
+        assert served.output_tokens == int(256 * brownout.trim_fraction)
+        assert served.arrival_s == 0.0
+        assert served.deadline_s == 120.0
+        assert a.prefix_misses + a.prefix_hits == 1
+
+    @pytest.mark.parametrize("slow_b, wins", [(False, 0), (True, 1)])
+    def test_hedge_keeps_the_session(self, slow_b, wins):
+        gateway = FleetGateway(self._fleet(slow_b),
+                               policy="prefix-affinity",
+                               hedge=HedgeConfig(min_age_s=1.0),
+                               mode="scalar")
+        report = gateway.run([self._turn()])
+        assert report.hedged == 1
+        assert report.completed == 1 and report.lost == 0
+        a, b = report.devices
+        # The hedge copy on "a" looks its prefix up like the original.
+        assert a.prefix_misses + a.prefix_hits == 1
+        assert b.prefix_misses + b.prefix_hits == 1
+        served_on = [d.name for d in report.devices for r in d.report.served
+                     if r.finish_s == report.served[0].finish_s]
+        assert served_on == (["a"] if wins else ["b"])
+        # Only a win by the hedge target ("a") counts.
+        assert report.hedge_wins == wins
