@@ -67,7 +67,7 @@ if TYPE_CHECKING:  # imported lazily to keep repro.faults decoupled
     from repro.hardware.thermal import ThermalConfig
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServedRequest:
     """Latency accounting of one request through the server."""
 

@@ -94,6 +94,7 @@ import dataclasses
 import heapq
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,6 +221,10 @@ class FleetGateway:
         #: Core that executed the most recent :meth:`run` ("scalar" or
         #: "vector"); None before the first run.
         self.last_mode: str | None = None
+        #: Wall seconds of the most recent vector :meth:`run` or
+        #: :meth:`run_trace` by stage ("collect", "drain", "assemble");
+        #: None after a scalar run and before the first run.
+        self.last_stages: dict[str, float] | None = None
         self.drain_limit_s = drain_limit_s
         self.breakers = {d.name: CircuitBreaker(
             health, seed=breaker_seed(seed, d.name)) for d in self.devices}
@@ -801,16 +806,24 @@ class FleetGateway:
 
     def _fleet_report(self, stream) -> FleetReport:
         """The vector path of :meth:`run`: stream → columns → drain."""
+        start = time.perf_counter()
+        columns = _stream_columns(stream)
+        collected = time.perf_counter()
         drained = _drain(self.policy, [d.spec for d in self.devices],
-                         *_stream_columns(stream), objects=True)
+                         *columns, objects=True)
+        drained_at = time.perf_counter()
         outcomes = tuple(
             DeviceOutcome(d.name, d.spec.model, d.spec.power_mode, report,
                           crashes=0, evacuated=0, prefix_hits=hits,
                           prefix_misses=misses)
             for d, (_, (report, _, _, hits, misses))
             in zip(self.devices, drained))
-        return FleetReport(policy=self.policy, offered=len(stream),
-                           rerouted=0, devices=outcomes)
+        report = FleetReport(policy=self.policy, offered=len(stream),
+                             rerouted=0, devices=outcomes)
+        self.last_stages = {"collect": collected - start,
+                            "drain": drained_at - collected,
+                            "assemble": time.perf_counter() - drained_at}
+        return report
 
     # -- the population-scale trace driver -------------------------------
     def run_trace(self, trace, *, jobs: int = 1,
@@ -842,27 +855,33 @@ class FleetGateway:
             raise ValueError("executor must be 'thread' or 'process'")
         # A trace carries every column a chunk does.
         chunks = (trace,) if hasattr(trace, "chunks") else trace
+        self.last_stages = None
+        start = time.perf_counter()
         columns, head = _collect_trace(chunks)
+        collect_s = time.perf_counter() - start
         return run_core(
             self, self.vector_eligible(),
             "round-robin or prefix-affinity routing and no faults, "
             "brownout, hedging, autoscaling, or ineligible devices",
-            lambda: self._trace_report(columns, head, jobs, executor),
+            lambda: self._trace_report(columns, head, jobs, executor,
+                                       collect_s),
             lambda: trace_report_from_fleet(
                 self._run_scalar(self._trace_stream(columns))))
 
     def _trace_report(self, columns: dict, head, jobs: int,
-                      executor: str) -> FleetTraceReport:
+                      executor: str, collect_s: float) -> FleetTraceReport:
         """The vector path of :meth:`run_trace`: drain, then assemble.
 
         Outcomes stay in array columns — no per-request object exists —
         and flow through :func:`~repro.fleet.trace.assemble_trace_report`
         like the scalar oracle's.
         """
+        start = time.perf_counter()
+        drained = _drain(self.policy, [d.spec for d in self.devices],
+                         columns, head, False, jobs, executor)
+        drained_at = time.perf_counter()
         rows = []
-        for device, (share, outcome) in zip(self.devices, _drain(
-                self.policy, [d.spec for d in self.devices], columns, head,
-                False, jobs, executor)):
+        for device, (share, outcome) in zip(self.devices, drained):
             (start_s, finish_s, context), now, energy, hits, misses = outcome
             rows.append(TraceDeviceData(
                 device.name, device.spec.model, device.spec.power_mode,
@@ -881,9 +900,13 @@ class FleetGateway:
                 deadline_s=share["deadline_s"],
                 deadline_mask=share["deadline_mask"],
             ))
-        return assemble_trace_report(self.policy,
-                                     int(columns["request_id"].shape[0]),
-                                     0, 0, rows)
+        report = assemble_trace_report(self.policy,
+                                       int(columns["request_id"].shape[0]),
+                                       0, 0, rows)
+        self.last_stages = {"collect": collect_s,
+                            "drain": drained_at - start,
+                            "assemble": time.perf_counter() - drained_at}
+        return report
 
     def _trace_stream(self, columns: dict) -> "list[FleetRequest]":
         """Materialize collected columns for the scalar oracle.
@@ -957,6 +980,7 @@ class FleetGateway:
                     "the gateway with brownout=None, hedge=None, "
                     "autoscale=None")
             dag = DagRun(tiering, energy_quote=self._tier_energy_quote)
+        self.last_stages = None
         return run_core(
             self,
             tiering is None and self.vector_eligible()

@@ -339,7 +339,7 @@ def _paced_fleet_run(mode: str, devices: int, requests: int,
     """One single-stream fleet run paced below closed-form capacity.
 
     Pacing keeps queues short, so the run times the serving cores
-    rather than queueing.  Returns ``(report, last_mode, qps)``.
+    rather than queueing.  Returns ``(report, gateway, qps)``.
     """
     import numpy as np
 
@@ -353,7 +353,7 @@ def _paced_fleet_run(mode: str, devices: int, requests: int,
     stream = poisson_stream(np.random.default_rng(seed), qps=qps,
                             num_requests=requests)
     report = gateway.run(stream)
-    return report, gateway.last_mode, qps
+    return report, gateway, qps
 
 
 def bench_fleet_vector_speedup(repeats: int) -> BenchResult:
@@ -388,9 +388,9 @@ def _vector_speedup(name: str, floor: float, repeats: int,
     devices, requests = 8, 2000
 
     def run(mode: str) -> None:
-        report, last_mode, _ = _paced_fleet_run(
+        report, gateway, _ = _paced_fleet_run(
             mode, devices, requests, max_batch_size=max_batch_size)
-        if mode == "vector" and last_mode != "vector":
+        if mode == "vector" and gateway.last_mode != "vector":
             raise RuntimeError(
                 f"{name} stream fell back to scalar; "
                 "the ratio would be meaningless")
@@ -422,22 +422,27 @@ def bench_fleet_100k(repeats: int) -> BenchResult:
     """
     devices, requests = 64, 100_000
     qps_box: list[float] = []
+    stages_box: list[dict[str, float]] = []
 
     def run() -> None:
-        report, last_mode, qps = _paced_fleet_run("vector", devices,
-                                                  requests)
+        report, gateway, qps = _paced_fleet_run("vector", devices,
+                                                requests)
         qps_box.append(qps)
-        if last_mode != "vector":
+        stages_box.append(gateway.last_stages)
+        if gateway.last_mode != "vector":
             raise RuntimeError("fleet_100k fell back to the scalar path")
         if report.completed != requests:
             raise RuntimeError(
                 f"fleet_100k served {report.completed} of {requests}")
 
     median, times = _median_time(run, repeats)
+    middle = sorted(range(len(times)), key=times.__getitem__)[
+        len(times) // 2]
     return BenchResult("fleet_100k", "fleet100k", median, times,
                        meta={"devices": devices, "requests": requests,
                              "max_batch_size": 1, "qps": qps_box[0],
                              "mode": "vector",
+                             "stages": stages_box[middle],
                              "budget_s": FLEET_100K_BUDGET_S})
 
 
@@ -550,12 +555,14 @@ def bench_fleet_diurnal_1m(repeats: int) -> BenchResult:
     trace = _population_trace(requests)
     generate_s = time.perf_counter() - generate_start
     times = []
+    stages = []
     for _ in range(max(repeats, 1)):
         gateway = FleetGateway(_population_fleet(),
                                policy="prefix-affinity")
         start = time.perf_counter()
         report = gateway.run_trace(trace)
         times.append(time.perf_counter() - start)
+        stages.append(gateway.last_stages)
         if gateway.last_mode != "vector":
             raise RuntimeError("fleet_diurnal_1m fell back to the "
                                "scalar path")
@@ -574,6 +581,7 @@ def bench_fleet_diurnal_1m(repeats: int) -> BenchResult:
                              "prefix_cache_mb": 32.0,
                              "mode": "vector", "jobs": 1,
                              "generate_s": generate_s,
+                             "stages": stages[times.index(min(times))],
                              "p99_latency_s": report.p99_latency_s,
                              "budget_s": FLEET_DIURNAL_1M_BUDGET_S})
 

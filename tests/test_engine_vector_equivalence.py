@@ -281,3 +281,30 @@ class TestAcceptanceWorkloads:
         first = run_vector_equivalence_points(seed=0)
         assert first["identical"] and first["auto_mode"] == "vector"
         assert run_vector_equivalence_points(seed=0) == first
+
+
+#: Request fields no validation rejects, each applied to every third
+#: request of a sticky-session stream (prompts are 150 tokens).
+MALFORMED = {
+    "prefix_over_prompt": {"prefix_tokens": 200},
+    "negative_prefix": {"prefix_tokens": -5},
+    "nan_deadline": {"deadline_s": float("nan")},
+    "negative_deadline": {"deadline_s": -1.0},
+    "infinite_deadline": {"deadline_s": float("inf")},
+}
+
+
+class TestMalformedSessionRequests:
+    """Malformed fields under prefix affinity with prefix caches: the
+    vector drain still runs and matches the oracle byte for byte."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_auto_runs_vector_and_matches_scalar(self, case):
+        stream = _session_stream(5)
+        for i in range(0, len(stream), 3):
+            stream[i] = dataclasses.replace(stream[i], **MALFORMED[case])
+        auto = _session_gateway("auto", "prefix-affinity", 8.0)
+        report = auto.run(stream)
+        assert auto.last_mode == "vector"
+        scalar = _session_gateway("scalar", "prefix-affinity", 8.0)
+        assert report.to_json() == scalar.run(stream).to_json()

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -427,3 +428,68 @@ class TestReinjection:
         assert served_on == (["a"] if wins else ["b"])
         # Only a win by the hedge target ("a") counts.
         assert report.hedge_wins == wins
+
+
+STAGES = {"collect", "drain", "assemble"}
+
+
+def _timed(call):
+    start = time.perf_counter()
+    result = call()
+    return result, time.perf_counter() - start
+
+
+class TestStageTimes:
+    """``last_stages``: wall seconds per stage of a vector run, None
+    after a scalar one.  Only relations are checked, no absolute time."""
+
+    def _check(self, stages, wall_s):
+        assert set(stages) == STAGES
+        assert all(value >= 0.0 for value in stages.values())
+        assert sum(stages.values()) <= wall_s
+
+    def test_none_before_the_first_run(self):
+        assert FleetGateway(build_fleet(2)).last_stages is None
+
+    def test_vector_run(self):
+        stream = _stream(seed=3, count=40)
+        gateway = FleetGateway(build_fleet(4), policy="round-robin")
+        report, wall_s = _timed(lambda: gateway.run(stream))
+        assert gateway.last_mode == "vector"
+        self._check(gateway.last_stages, wall_s)
+        scalar = FleetGateway(build_fleet(4), policy="round-robin",
+                              mode="scalar")
+        assert report.to_json() == scalar.run(stream).to_json()
+        assert scalar.last_stages is None
+
+    def test_vector_run_trace(self):
+        config = PopulationConfig(requests=200, mean_turns=6.0, users=60,
+                                  base_sessions_per_s=0.4,
+                                  peak_sessions_per_s=0.56, period_s=600.0)
+        trace = population_trace(np.random.default_rng(2), config)
+
+        def gateway(mode):
+            return FleetGateway(build_fleet(4, max_batch_size=1,
+                                            prefix_cache_mb=8.0),
+                                policy="prefix-affinity", mode=mode)
+
+        vector = gateway("auto")
+        report, wall_s = _timed(lambda: vector.run_trace(trace))
+        assert vector.last_mode == "vector"
+        self._check(vector.last_stages, wall_s)
+        scalar = gateway("scalar")
+        assert report.to_json() == scalar.run_trace(trace).to_json()
+        assert scalar.last_stages is None
+
+    def test_scalar_rerun_clears_the_stages(self):
+        gateway = FleetGateway(build_fleet(4, prefix_cache_mb=8.0),
+                               policy="prefix-affinity")
+        stream = _stream(seed=1, count=24, sessions=4, prefix_tokens=64)
+        gateway.run(stream)
+        assert gateway.last_mode == "vector"
+        assert gateway.last_stages is not None
+        stream[3] = dataclasses.replace(stream[3], session=None,
+                                        prefix_tokens=0)
+        gateway.run(stream)
+        assert gateway.last_mode == "scalar"
+        assert gateway.last_stages is None

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import repro.perf.harness as harness
 from repro.perf.harness import (
     BENCH_FILES,
     BenchResult,
@@ -182,3 +183,14 @@ class TestBudgetGate:
         under = _result("fleet_100k", "fleet100k", 6.0,
                         meta={"budget_s": 30.0})
         assert compare_to_baseline([under], tmp_path) == []
+
+
+class TestStageMeta:
+    def test_fleet_100k_copies_the_gateway_stages(self, monkeypatch):
+        from types import SimpleNamespace
+
+        stages = {"collect": 0.5, "drain": 2.0, "assemble": 0.25}
+        monkeypatch.setattr(harness, "_paced_fleet_run", lambda *_: (
+            SimpleNamespace(completed=100_000),
+            SimpleNamespace(last_mode="vector", last_stages=stages), 1.0))
+        assert harness.bench_fleet_100k(1).meta["stages"] == stages
