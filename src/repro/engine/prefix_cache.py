@@ -35,7 +35,9 @@ class PrefixCache:
 
     Entries hold only token counts; :meth:`lookup` and :meth:`insert`
     build the :class:`PrefixEntry` they return, and :meth:`reuse`, the
-    serving loops' one call per prefilled request, builds none.
+    scalar serving loop's one call per prefilled request, and
+    :meth:`reuse_all`, the vector core's one call per share, build
+    none.
     """
 
     def __init__(self, capacity_bytes: float, kv_bytes_per_token: float):
@@ -88,25 +90,42 @@ class PrefixCache:
 
     def reuse(self, key: str, token_count: int) -> bool:
         """Whether ``key`` holds exactly a ``token_count``-token prefix:
-        a serving loop's lookup, compare and insert-on-miss in one call.
+        a serving loop's lookup, compare and insert-on-miss in one call
+        (the one-key case of :meth:`reuse_all`)."""
+        return self.reuse_all((key,), (token_count,))[0]
 
-        Any entry of ``key`` is refreshed.  On a miss the prefix is
-        cached as :meth:`insert` caches it, unless it exceeds the whole
-        cache: then it is served uncached and the cache keeps its
-        entries.
+    def reuse_all(self, keys, token_counts) -> list[bool]:
+        """:meth:`reuse` of each ``(key, token_count)`` pair, in order.
+
+        A pair hits when ``key`` holds exactly a ``token_count``-token
+        prefix.  Any entry of ``key`` is refreshed.  On a miss the
+        prefix is cached as :meth:`insert` caches it, unless it exceeds
+        the whole cache: then it is served uncached and the cache keeps
+        its entries.  A replay of a whole admission order in one call
+        (the vector core's prefill pre-pass) takes the same steps as
+        one call per request.
         """
-        if token_count <= 0:
-            raise ValueError("token_count must be positive")
         entries = self._entries
-        cached = entries.get(key)
-        if cached is not None:
-            entries.move_to_end(key)
-            if cached == token_count:
-                return True
-        kv_bytes = token_count * self.kv_bytes_per_token
-        if kv_bytes <= self.capacity_bytes:
-            self._store(key, token_count, kv_bytes)
-        return False
+        get, refresh = entries.get, entries.move_to_end
+        per_token = self.kv_bytes_per_token
+        capacity = self.capacity_bytes
+        store = self._store
+        hits = []
+        hit = hits.append
+        for key, token_count in zip(keys, token_counts):
+            if token_count <= 0:
+                raise ValueError("token_count must be positive")
+            cached = get(key)
+            if cached is not None:
+                refresh(key)
+                if cached == token_count:
+                    hit(True)
+                    continue
+            kv_bytes = token_count * per_token
+            if kv_bytes <= capacity:
+                store(key, token_count, kv_bytes)
+            hit(False)
+        return hits
 
     def _store(self, key: str, token_count: int, kv_bytes: float) -> None:
         """Make ``key`` the newest entry, evicting the oldest to fit.

@@ -16,9 +16,12 @@ pin this), which is only possible because every accumulation is kept
   tables whenever its configuration is pure and it is not the oracle
   (``mode="scalar"`` keeps pricing spans directly, so every
   auto-vs-scalar byte comparison checks the tables end to end);
-* clocks, energy and prefill stall are sequential ``cumsum`` passes
-  (strictly left to right, unlike ``np.sum``'s pairwise tree) that
-  reproduce the scalar ``now +=`` / ``energy +=`` chain bit for bit;
+* clocks, energy and prefill stall are sequential ``add.accumulate``
+  passes (strictly left to right, unlike ``np.sum``'s pairwise tree)
+  that reproduce the scalar ``now +=`` / ``energy +=`` chains bit for
+  bit; the clock and the energy share one pass over a complex128
+  buffer (real parts seconds, imaginary parts joules), since IEEE
+  complex addition adds the two parts separately;
 * admissions run in the scalar FCFS pop order, a stable argsort on
   ready time.
 
@@ -33,11 +36,11 @@ Two busy-period kernels serve FCFS shares:
 * at batch 1, :meth:`VectorServingRun._drain_busy_periods`: a batch-1
   FCFS server is a single-server queue, ``start_k = max(ready_k,
   finish_{k-1})``, and inside a busy period the clock is one sequential
-  ``cumsum`` over the period's prefill and decode steps;
+  ``add.accumulate`` over the period's prefill and decode steps;
 * above batch 1, :meth:`VectorServingRun._drain_batched`: it walks the
   scalar loop's events in Python on a guessed clock, prices every step
-  with one gather per chunk, takes energy, stall and the clock from
-  sequential ``cumsum`` passes shared with the batch-1 kernel, and
+  with one gather per chunk, takes the clock and energy from the
+  sequential pass shared with the batch-1 kernel, and
   verifies every decision that read the clock against the exact
   clocks, rerunning a wrong guess exactly.
 
@@ -85,12 +88,13 @@ if TYPE_CHECKING:
 #: whole requests; batched chunks end with the first epoch past it.
 _CHUNK_STEPS = 1 << 16
 
-#: Busy periods of at least this many steps get one in-place ``cumsum``
-#: of their slice of the clock; shorter ones are summed together, one
-#: column pass per step index (see :func:`_segment_clocks`).  A slice
-#: costs about 1.5 µs of call overhead and a pass about 5 µs, so a chunk
-#: takes at most ``steps / _SLICE_STEPS`` slices and ``_SLICE_STEPS -
-#: 2`` passes.
+#: Busy periods of at least this many steps get one in-place
+#: ``add.accumulate`` of their slice of the clock and energy; shorter
+#: ones are summed together, one column pass per step index (see
+#: :func:`_segment_clocks`).  A slice costs about 1.5 µs of call
+#: overhead and a pass about 5 µs, so a chunk takes at most ``steps /
+#: _SLICE_STEPS`` slices, as many energy runs plus one, and
+#: ``_SLICE_STEPS - 2`` passes.
 _SLICE_STEPS = 32
 
 
@@ -155,33 +159,72 @@ def _guess_resets(service: np.ndarray, ready: np.ndarray,
     return ready > np.concatenate(([carry], finish[:-1]))
 
 
-def _segment_clocks(steps: np.ndarray, first: np.ndarray,
-                    begin: np.ndarray) -> np.ndarray:
-    """Exact running clocks of consecutive periods of ``steps``.
+def _step_chains(seconds: np.ndarray, watts: np.ndarray,
+                 energy: float) -> np.ndarray:
+    """One complex buffer of a chunk's steps for :func:`_segment_clocks`:
+    real parts the step seconds, imaginary parts the step joules
+    (seconds times watts), with ``energy``, the total carried in,
+    folded into the first step (the scalar loop's first ``energy +=``).
+    """
+    path = np.empty(seconds.shape[0], dtype=np.complex128)
+    path.real = seconds
+    joules = path.imag
+    np.multiply(seconds, watts, out=joules)
+    joules[0] += energy
+    return path
 
-    Period ``i`` owns ``steps[first[i]:first[i+1]]`` and starts at
-    ``begin[i]`` (``first`` strictly increasing from 0).  Returns one
-    array in step order: ``clock[t]`` is the clock after step ``t``.
+
+def _segment_clocks(path: np.ndarray, first: np.ndarray,
+                    begin: np.ndarray) -> None:
+    """Run the clocks of consecutive periods of ``path``, in place.
+
+    ``path`` holds step seconds: as a real array, or as the real parts
+    of a complex one whose imaginary parts hold step joules
+    (:func:`_step_chains`).  Period ``i`` owns ``path[first[i]:
+    first[i+1]]`` and starts at ``begin[i]`` (``first`` strictly
+    increasing from 0).  Afterwards ``path.real[t]`` is the clock after
+    step ``t`` and, on a complex path, ``path.imag[t]`` the energy.
+
     Each period's start is folded into its first step (the scalar loop's
     first ``now +=``), then every period is summed strictly left to
-    right — the rest of the ``now +=`` chain — in place on one copy of
-    ``steps``: a period of at least ``_SLICE_STEPS`` steps by one
-    ``cumsum`` of its slice, shorter ones together, one column at a
-    time: pass ``j`` adds the clock after step ``j - 1`` to step ``j``
-    of every short period longer than ``j``.  So a call takes at most
-    ``steps / _SLICE_STEPS`` slices and ``_SLICE_STEPS - 2`` passes.
+    right — the rest of the ``now +=`` chain: a period of at least
+    ``_SLICE_STEPS`` steps by one ``add.accumulate`` of its slice,
+    shorter ones together, one column at a time: pass ``j`` adds the
+    clock after step ``j - 1`` to step ``j`` of every short period
+    longer than ``j``.  The energy never resets.  A long period's slice
+    carries it too, with the energy before it folded into its first
+    step: IEEE complex addition adds real and imaginary parts
+    separately, so each part is its own sequential chain, bit for bit.
+    Each maximal run of short periods takes one energy-only accumulate,
+    so the chain stays strictly in step order.  A call takes one
+    accumulate per long period, one per short run, and at most
+    ``_SLICE_STEPS - 2`` column passes.
     """
-    clock = steps.copy()
+    clock = path.real
     clock[first] += begin
-    stop = np.append(first[1:], steps.shape[0])
+    stop = np.append(first[1:], path.shape[0])
     length = stop - first
     sliced = length >= _SLICE_STEPS
     # ``add.accumulate`` is ``cumsum`` without its Python-level wrapper,
     # which would cost more than the sum on short slices.
     accumulate = np.add.accumulate
+    joules = path.imag if path.dtype.kind == "c" else None
+    # Steps before ``done`` hold their final energy.
+    done = 0
     for lo, hi in zip(first[sliced].tolist(), stop[sliced].tolist()):
-        part = clock[lo:hi]
+        if joules is not None and lo:
+            if lo > done:
+                # The short run before it, through its first step.
+                run = joules[max(done - 1, 0):lo + 1]
+                accumulate(run, out=run)
+            else:
+                joules[lo] += joules[lo - 1]
+        part = path[lo:hi]
         accumulate(part, out=part)
+        done = hi
+    if joules is not None and done < path.shape[0]:
+        run = joules[max(done - 1, 0):]
+        accumulate(run, out=run)
     short = np.flatnonzero(~sliced & (length > 1))
     if short.size:
         # Longest first, so the periods longer than j are a prefix.
@@ -191,24 +234,25 @@ def _segment_clocks(steps: np.ndarray, first: np.ndarray,
         for j, count in enumerate(longer.tolist(), 1):
             at = heads[:count] + j
             clock[at] += clock[at - 1]
-    return clock
 
 
-def _period_clocks(steps: np.ndarray, off: np.ndarray, ready: np.ndarray,
+def _period_clocks(path: np.ndarray, off: np.ndarray, ready: np.ndarray,
                    reset: np.ndarray, carry: float
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Exact ``(start, finish)`` clocks of consecutive batch-1 requests.
 
-    Request ``k`` owns ``steps[off[k]:off[k+1]]`` (its prefill, then its
+    Request ``k`` owns ``path[off[k]:off[k+1]]`` (its prefill, then its
     decode steps).  It opens a busy period at ``ready[k]`` when
     ``reset[k]``, else it starts at its predecessor's finish (``carry``
-    for the first); the periods run through :func:`_segment_clocks`.
+    for the first); the periods run through :func:`_segment_clocks`,
+    in place on ``path``.
     """
     opens = reset.copy()
     opens[0] = True
     heads = np.flatnonzero(opens)
     begin = np.where(reset[heads], ready[heads], carry)
-    finish = _segment_clocks(steps, off[heads], begin)[off[1:] - 1]
+    _segment_clocks(path, off[heads], begin)
+    finish = path.real[off[1:] - 1]
     start = np.empty_like(finish)
     start[1:] = finish[:-1]
     start[heads] = begin
@@ -357,12 +401,12 @@ class VectorServingRun:
         """``(2, n)`` prefill seconds and watts in admission order.
 
         The LRU pre-pass: the admission order is fixed up front, so
-        walking it with :meth:`~repro.engine.prefix_cache.PrefixCache.
-        reuse` replays the scalar ``_DeviceRun._prefill_cost``'s exact
-        cache sequence (keyed by session ids, a bijective relabelling of
-        the scalar path's session strings) and fixes each request's
-        cached prefix.  Each distinct ``(prompt, cached prefix)`` pair
-        is then priced once and the prices gathered back.
+        one :meth:`~repro.engine.prefix_cache.PrefixCache.reuse_all`
+        call over it replays the scalar ``_DeviceRun._prefill_cost``'s
+        exact cache sequence (keyed by session ids, a bijective
+        relabelling of the scalar path's session strings) and fixes
+        each request's cached prefix.  Each distinct ``(prompt, cached
+        prefix)`` pair is then priced once and the prices gathered back.
         """
         cached = np.zeros_like(prompt)
         cache = self._prefix_cache
@@ -370,10 +414,9 @@ class VectorServingRun:
             order = self._order
             prefix = np.minimum(self._prefix_tokens[order], prompt - 1)
             rows = np.flatnonzero(prefix > 0)
-            hit = np.fromiter(
-                map(cache.reuse, self._session_ids[order[rows]].tolist(),
-                    prefix[rows].tolist()),
-                dtype=bool, count=rows.shape[0])
+            hit = np.array(cache.reuse_all(
+                self._session_ids[order[rows]].tolist(),
+                prefix[rows].tolist()), dtype=bool)
             hits = int(np.count_nonzero(hit))
             self.prefix_hits += hits
             self.prefix_misses += rows.shape[0] - hits
@@ -387,10 +430,11 @@ class VectorServingRun:
             (pairs // width).tolist(), (pairs % width).tolist())])
         return costs[inverse].T
 
-    def _exact_clocks(self, steps: np.ndarray, off: np.ndarray,
-                      ready: np.ndarray, carry: float
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Start and finish clocks of one chunk, guessed then verified.
+    def _exact_clocks(self, steps: np.ndarray, watts: np.ndarray,
+                      off: np.ndarray, ready: np.ndarray, carry: float,
+                      energy: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """Start and finish clocks of one chunk, guessed then verified,
+        and the energy after it (``energy`` before).
 
         Busy periods are independent given their ready times, so the
         float guess only has to pick the boundaries.  Every boundary is
@@ -400,23 +444,27 @@ class VectorServingRun:
         and the clocks recomputed from it; requests before it keep
         theirs, since a clock depends only on its own period's prefix.
         A boundary wrong again after its flip raises ``RuntimeError``.
+
+        The first pass runs the energy chain with the clocks
+        (:func:`_step_chains`).  Energy never resets, so it does not
+        depend on the boundaries: a repair reruns only the clocks.
         """
         reset = _guess_resets(np.add.reduceat(steps, off[:-1]), ready,
                               carry)
         start = np.empty(ready.shape[0])
         finish = np.empty(ready.shape[0])
+        fused = path = _step_chains(steps, watts, energy)
         lo = 0
         flipped = -1
         while True:
             base = off[lo]
             start[lo:], finish[lo:] = _period_clocks(
-                steps[base:], off[lo:] - base, ready[lo:], reset[lo:],
-                carry)
+                path, off[lo:] - base, ready[lo:], reset[lo:], carry)
             prev = np.concatenate(([carry], finish[lo:-1]))
             bad = np.flatnonzero(np.where(reset[lo:], ready[lo:] < prev,
                                           ready[lo:] > prev))
             if not bad.size:
-                return start, finish
+                return start, finish, float(fused.imag[-1])
             k = int(bad[0])
             carry = float(prev[k])
             lo += k
@@ -425,6 +473,7 @@ class VectorServingRun:
             reset[lo] = not reset[lo]
             flipped = lo
             self.boundary_repairs += 1
+            path = steps[off[lo]:].copy()
 
     def _decode_grids(self, prefill: np.ndarray, lo: list[int],
                       hi: list[int], gen_hi: list[int]
@@ -466,8 +515,9 @@ class VectorServingRun:
         ``stop_tokens == 0`` still takes one step), so one fill of the
         pricing tables and one gather per chunk price every step.  The
         steps lie in admission order as ``[prefill_k, decode steps of
-        k...]``: energy never resets, so it is one ``cumsum`` carried
-        across chunks; the clock is :meth:`_exact_clocks`.
+        k...]``, and :meth:`_exact_clocks` runs the clock and the energy
+        (which never resets, carried across chunks) over them in one
+        sequential pass.
         """
         arrays = self.arrays
         n = arrays.n
@@ -510,8 +560,8 @@ class VectorServingRun:
             steps, step_watts = _gather(
                 stride[runs], length[runs], (seconds, ctx_first[runs]),
                 (watts, gen_first[runs]))
-            energy = _accumulate(energy, steps, step_watts)
-            start, finish = self._exact_clocks(steps, off, ready[a:b], now)
+            start, finish, energy = self._exact_clocks(
+                steps, step_watts, off, ready[a:b], now, energy)
             arrays.start_s[order[a:b]] = start
             arrays.finish_s[order[a:b]] = finish
             now = float(finish[-1])
@@ -563,10 +613,10 @@ class VectorServingRun:
           arrival cuts, completions and idle jumps with the scalar
           loop's exact integer bookkeeping and a float guess of the
           clock;
-        * **exact**: one gather prices every step (:func:`_gather`);
-          energy is one sequential ``cumsum`` carried across chunks
-          (:func:`_accumulate`), and the clock is
-          :func:`_segment_clocks` with a period reset at each idle jump;
+        * **exact**: one gather prices every step (:func:`_gather`), and
+          :func:`_segment_clocks` runs the clock, with a period reset at
+          each idle jump, and the energy, carried across chunks, in one
+          sequential pass (:func:`_step_chains`);
         * **verify and repair**: every decision that read the clock is
           checked against the exact clocks — each admission must be
           ready by its start, each arrival left waiting (the last step
@@ -623,7 +673,9 @@ class VectorServingRun:
                 begin = np.array([now] + chunk.reset_val)
                 keep = np.append(first[1:] != first[:-1], True)
                 first, begin = first[keep], begin[keep]
-                clock = _segment_clocks(steps, first, begin)
+                path = _step_chains(steps, step_watts, energy)
+                _segment_clocks(path, first, begin)
+                clock = path.real
                 p0, p1 = state[0], after[0]
                 # An admission starts at its period's begin at a head,
                 # else at the clock after the step before it.
@@ -648,7 +700,7 @@ class VectorServingRun:
                 self.boundary_repairs += 1
                 exact = (lambda col, clock=clock, carry=now:
                          carry if col == 0 else float(clock[col - 1]))
-            energy = _accumulate(energy, steps, step_watts)
+            energy = float(path.imag[-1])
             arrays.start_s[order[p0:p1]] = start
             arrays.finish_s[order[chunk.fin]] = clock[
                 np.array(chunk.fin_col, dtype=np.int64) - 1]

@@ -119,6 +119,7 @@ from repro.fleet.health import (
 )
 from repro.fleet.partition import (
     _arrival_order,
+    _assign,
     _collect_trace,
     _drain,
     _rendezvous_winners,
@@ -222,8 +223,8 @@ class FleetGateway:
         #: "vector"); None before the first run.
         self.last_mode: str | None = None
         #: Wall seconds of the most recent vector :meth:`run` or
-        #: :meth:`run_trace` by stage ("collect", "drain", "assemble");
-        #: None after a scalar run and before the first run.
+        #: :meth:`run_trace` by stage ("collect", "assign", "drain",
+        #: "assemble"); None after a scalar run and before the first run.
         self.last_stages: dict[str, float] | None = None
         self.drain_limit_s = drain_limit_s
         self.breakers = {d.name: CircuitBreaker(
@@ -807,10 +808,12 @@ class FleetGateway:
     def _fleet_report(self, stream) -> FleetReport:
         """The vector path of :meth:`run`: stream → columns → drain."""
         start = time.perf_counter()
-        columns = _stream_columns(stream)
+        columns, head = _stream_columns(stream)
         collected = time.perf_counter()
-        drained = _drain(self.policy, [d.spec for d in self.devices],
-                         *columns, objects=True)
+        assign = self._partition(columns, head)
+        assigned = time.perf_counter()
+        drained = _drain([d.spec for d in self.devices], columns, assign,
+                         True)
         drained_at = time.perf_counter()
         outcomes = tuple(
             DeviceOutcome(d.name, d.spec.model, d.spec.power_mode, report,
@@ -821,9 +824,16 @@ class FleetGateway:
         report = FleetReport(policy=self.policy, offered=len(stream),
                              rerouted=0, devices=outcomes)
         self.last_stages = {"collect": collected - start,
-                            "drain": drained_at - collected,
+                            "assign": assigned - collected,
+                            "drain": drained_at - assigned,
                             "assemble": time.perf_counter() - drained_at}
         return report
+
+    def _partition(self, columns: dict, head) -> np.ndarray:
+        """Each collected row's device index: the vector partition."""
+        return _assign(self.policy,
+                       [d.spec.name.encode() for d in self.devices],
+                       columns["session"], head)
 
     # -- the population-scale trace driver -------------------------------
     def run_trace(self, trace, *, jobs: int = 1,
@@ -877,8 +887,10 @@ class FleetGateway:
         like the scalar oracle's.
         """
         start = time.perf_counter()
-        drained = _drain(self.policy, [d.spec for d in self.devices],
-                         columns, head, False, jobs, executor)
+        assign = self._partition(columns, head)
+        assigned = time.perf_counter()
+        drained = _drain([d.spec for d in self.devices], columns, assign,
+                         False, jobs, executor)
         drained_at = time.perf_counter()
         rows = []
         for device, (share, outcome) in zip(self.devices, drained):
@@ -904,7 +916,8 @@ class FleetGateway:
                                        int(columns["request_id"].shape[0]),
                                        0, 0, rows)
         self.last_stages = {"collect": collect_s,
-                            "drain": drained_at - start,
+                            "assign": assigned - start,
+                            "drain": drained_at - assigned,
                             "assemble": time.perf_counter() - drained_at}
         return report
 

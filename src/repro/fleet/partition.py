@@ -217,13 +217,12 @@ def _last_argmax(weights: np.ndarray) -> np.ndarray:
 
 
 # -- the drain ----------------------------------------------------------
-def _drain(policy: str, specs, columns: dict, head, objects: bool,
+def _drain(specs, columns: dict, assign: np.ndarray, objects: bool,
            jobs: int = 1, executor: str = "thread") -> list:
-    """Partition ``columns`` over the fleet and drain each device's share
-    on the vector core.
+    """Drain each device's share of ``columns`` on the vector core.
 
-    ``specs`` are the fleet's device specs in name order and ``head``
-    the columns' session head (:func:`_assign`).  Given the partition,
+    ``specs`` are the fleet's device specs in name order and ``assign``
+    each row's device index (:func:`_assign`).  Given the partition,
     each device drains its share independently: ``run_until`` segments
     compose bitwise when nothing is injected between them, so the
     per-arrival ping-pong of the scalar loop prices the very same
@@ -239,8 +238,6 @@ def _drain(policy: str, specs, columns: dict, head, objects: bool,
     share has no busy-period kernel (EDF devices, a batch that could
     meet KV pressure or need outsized price grids).
     """
-    assign = _assign(policy, [spec.name.encode() for spec in specs],
-                     columns["session"], head)
     order = np.argsort(assign, kind="stable")
     counts = np.bincount(assign, minlength=len(specs))
     shares = []

@@ -333,27 +333,31 @@ def bench_fleet_diurnal(repeats: int) -> BenchResult:
                              "crowd_requests": 70, "crowd_factor": 1.8})
 
 
-def _paced_fleet_run(mode: str, devices: int, requests: int,
-                     utilization: float = 0.6, seed: int = 7,
-                     max_batch_size: int = 1):
-    """One single-stream fleet run paced below closed-form capacity.
+def _paced_fleet(mode: str, devices: int, utilization: float = 0.6,
+                 max_batch_size: int = 1):
+    """A fresh single-stream round-robin fleet gateway and the request
+    rate that paces it below closed-form capacity.
 
-    Pacing keeps queues short, so the run times the serving cores
-    rather than queueing.  Returns ``(report, gateway, qps)``.
+    Pacing keeps queues short, so a run times the serving cores rather
+    than queueing.  Returns ``(gateway, qps)``.
     """
-    import numpy as np
-
     from repro.experiments.resilience import _fleet_capacity_qps
-    from repro.fleet import FleetGateway, build_fleet, poisson_stream
+    from repro.fleet import FleetGateway, build_fleet
 
     fleet = build_fleet(devices, mix="balanced",
                         max_batch_size=max_batch_size)
     qps = utilization * _fleet_capacity_qps(fleet, 150, 192)
-    gateway = FleetGateway(fleet, policy="round-robin", mode=mode)
-    stream = poisson_stream(np.random.default_rng(seed), qps=qps,
-                            num_requests=requests)
-    report = gateway.run(stream)
-    return report, gateway, qps
+    return FleetGateway(fleet, policy="round-robin", mode=mode), qps
+
+
+def _paced_stream(qps: float, requests: int, seed: int = 7):
+    """The seeded Poisson request stream a paced fleet serves."""
+    import numpy as np
+
+    from repro.fleet import poisson_stream
+
+    return poisson_stream(np.random.default_rng(seed), qps=qps,
+                          num_requests=requests)
 
 
 def bench_fleet_vector_speedup(repeats: int) -> BenchResult:
@@ -388,8 +392,9 @@ def _vector_speedup(name: str, floor: float, repeats: int,
     devices, requests = 8, 2000
 
     def run(mode: str) -> None:
-        report, gateway, _ = _paced_fleet_run(
-            mode, devices, requests, max_batch_size=max_batch_size)
+        gateway, qps = _paced_fleet(mode, devices,
+                                    max_batch_size=max_batch_size)
+        report = gateway.run(_paced_stream(qps, requests))
         if mode == "vector" and gateway.last_mode != "vector":
             raise RuntimeError(
                 f"{name} stream fell back to scalar; "
@@ -418,31 +423,38 @@ def bench_fleet_100k(repeats: int) -> BenchResult:
     minutes at this scale — its correctness is pinned at smaller sizes
     by the equivalence tests and the fleet_vector_speedup ratio).  The
     run must genuinely stay on the vector path and serve every request,
-    else the timing is rejected rather than silently recorded.
+    else the timing is rejected rather than silently recorded.  Only
+    ``gateway.run`` is timed: the stream is built once, outside the
+    timed region (``meta.generate_s``), and each repeat serves it on a
+    fresh gateway.
     """
     devices, requests = 64, 100_000
-    qps_box: list[float] = []
-    stages_box: list[dict[str, float]] = []
-
-    def run() -> None:
-        report, gateway, qps = _paced_fleet_run("vector", devices,
-                                                requests)
-        qps_box.append(qps)
-        stages_box.append(gateway.last_stages)
+    _, qps = _paced_fleet("vector", devices)
+    generate_start = time.perf_counter()
+    stream = _paced_stream(qps, requests)
+    generate_s = time.perf_counter() - generate_start
+    times = []
+    stages = []
+    for _ in range(max(repeats, 1)):
+        gateway, _ = _paced_fleet("vector", devices)
+        start = time.perf_counter()
+        report = gateway.run(stream)
+        times.append(time.perf_counter() - start)
+        stages.append(gateway.last_stages)
         if gateway.last_mode != "vector":
             raise RuntimeError("fleet_100k fell back to the scalar path")
         if report.completed != requests:
             raise RuntimeError(
                 f"fleet_100k served {report.completed} of {requests}")
-
-    median, times = _median_time(run, repeats)
     middle = sorted(range(len(times)), key=times.__getitem__)[
         len(times) // 2]
-    return BenchResult("fleet_100k", "fleet100k", median, times,
+    return BenchResult("fleet_100k", "fleet100k",
+                       float(statistics.median(times)), tuple(times),
                        meta={"devices": devices, "requests": requests,
-                             "max_batch_size": 1, "qps": qps_box[0],
+                             "max_batch_size": 1, "qps": qps,
                              "mode": "vector",
-                             "stages": stages_box[middle],
+                             "generate_s": generate_s,
+                             "stages": stages[middle],
                              "budget_s": FLEET_100K_BUDGET_S})
 
 

@@ -4,15 +4,15 @@ At batch > 1 under FCFS, when every live set fits the free KV pool
 (:meth:`~repro.engine.vector_run.VectorServingRun._fits_batched_kernel`),
 :class:`~repro.engine.vector_run.VectorServingRun` drains a share in
 a few passes per chunk: a schedule pass walks the scalar loop's events
-on a float guess of the clock, one gather and one ``cumsum`` per chunk
-give the exact clocks, and every decision that read the clock is
-verified against them.  These tests aim at that argument: a hypothesis
-property over batch sizes, stop lengths, arrival shapes, span caps and
-chunk sizes; arrivals on, and one ulp either side of, a step boundary;
-a full batch; a wrong guess; the static KV bound at and one block past
-its edge; and the price-grid cap.  A share past either bound raises
-:class:`~repro.engine.vector_run.VectorFallback` and ``auto`` serves it
-on the scalar core.
+on a float guess of the clock, one gather and one sequential pass per
+chunk give the exact clocks and energy, and every decision that read
+the clock is verified against them.  These tests aim at that argument:
+a hypothesis property over batch sizes, stop lengths, arrival shapes,
+span caps and chunk sizes; arrivals on, and one ulp either side of, a
+step boundary; a full batch; a wrong guess; the static KV bound at and
+one block past its edge; and the price-grid cap.  A share past either
+bound raises :class:`~repro.engine.vector_run.VectorFallback` and
+``auto`` serves it on the scalar core.
 
 Every kernel run is checked against the scalar loop twice: on the
 shared price tables (the core a fallback runs) and as the directly
@@ -214,11 +214,12 @@ class TestBoundaries:
         segment_clocks = vector_run._segment_clocks
         calls = []
 
-        def late(steps, first, begin):
+        def late(path, first, begin):
             calls.append(None)
             if len(calls) > 100:
                 pytest.fail("the repair loop did not stop")
-            return segment_clocks(steps, first, begin) + 1.0
+            segment_clocks(path, first, begin)
+            path.real += 1.0
 
         monkeypatch.setattr(vector_run, "_segment_clocks", late)
         rng = np.random.default_rng(8)

@@ -2,8 +2,9 @@
 
 At batch 1 under FCFS, :class:`~repro.engine.vector_run.VectorServingRun`
 drains the whole population in one busy-period pass: a float Lindley
-pass guesses the busy periods, one sequential ``cumsum`` per period
-gives the exact clocks, and every boundary is verified against them.
+pass guesses the busy periods, one sequential pass per period gives
+the exact clocks (and the energy, in the same complex128 pass), and
+every boundary is verified against them.
 These tests aim at the corners of that argument — boundary ties one ulp
 either side, a wrong guess, the static KV check, span caps, degenerate
 shares — at the shares that must keep the scalar core's epoch loop
@@ -102,12 +103,12 @@ class TestBoundaryTies:
         period_clocks = vector_run._period_clocks
         calls = []
 
-        def undoing(steps, off, ready, reset, carry):
+        def undoing(path, off, ready, reset, carry):
             calls.append(None)
             if len(calls) > 100:
                 pytest.fail("the repair loop did not stop")
             reset[:] = True
-            return period_clocks(steps, off, ready, reset, carry)
+            return period_clocks(path, off, ready, reset, carry)
 
         monkeypatch.setattr(vector_run, "_period_clocks", undoing)
         with pytest.raises(RuntimeError,
@@ -277,54 +278,103 @@ class TestGather:
             assert out.tolist() == expected
 
 
-def _reference_clocks(steps, first, begin):
-    """The scalar ``now +=`` chain, one period at a time."""
+def _reference_clocks(steps, first, begin, watts=None, energy=0.0):
+    """The scalar ``now +=`` chain, one period at a time, and with
+    ``watts`` the ``energy += seconds * watts`` chain over every step."""
     stops = list(first[1:]) + [len(steps)]
     clock = []
+    joules = []
     for lo, hi, now in zip(first, stops, begin):
-        for step in steps[lo:hi]:
-            now += step
+        for t in range(lo, hi):
+            now += steps[t]
             clock.append(now)
-    return np.array(clock)
+            if watts is not None:
+                energy += steps[t] * watts[t]
+                joules.append(energy)
+    return np.array(clock), np.array(joules)
 
 
 SLICE = vector_run._SLICE_STEPS
 
-
-class TestSegmentClocks:
-    """``_segment_clocks`` in step order against the scalar chain."""
-
-    @given(st.lists(st.one_of(st.just(1), st.integers(2, 20),
+_PERIODS = st.lists(st.one_of(st.just(1), st.integers(2, 20),
                               st.integers(SLICE - 2, SLICE + 2),
                               st.integers(SLICE, 8 * SLICE)),
-                    min_size=1, max_size=25),
-           st.sampled_from(["mixed", "short", "long"]),
+                    min_size=1, max_size=25)
+
+
+def _shaped(lengths, shape):
+    """Period lengths of one shape: all short, all long, short runs of
+    three between long periods, or as drawn."""
+    if shape == "short":
+        return [1 + n % (SLICE - 1) for n in lengths]
+    if shape == "long":
+        return [SLICE + n for n in lengths]
+    if shape == "runs":
+        return [1 + n % (SLICE - 1) if i % 4 < 3 else SLICE + n
+                for i, n in enumerate(lengths)]
+    return lengths
+
+
+class TestSegmentClocks:
+    """``_segment_clocks`` in step order against the scalar chains."""
+
+    @given(_PERIODS, st.sampled_from(["mixed", "short", "long", "runs"]),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=120, deadline=None)
     def test_matches_the_scalar_chain(self, lengths, shape, seed):
-        if shape == "short":
-            lengths = [1 + n % (SLICE - 1) for n in lengths]
-        elif shape == "long":
-            lengths = [SLICE + n for n in lengths]
+        """A real path (a boundary repair's rerun) runs the clock only."""
+        lengths = _shaped(lengths, shape)
         rng = np.random.default_rng(seed)
         first = np.cumsum([0] + lengths[:-1])
         steps = rng.exponential(0.01, sum(lengths))
         begin = np.cumsum(rng.exponential(50.0, len(lengths)))
-        got = vector_run._segment_clocks(steps, first, begin)
-        assert got.tobytes() == _reference_clocks(
-            steps.tolist(), first.tolist(), begin.tolist()).tobytes()
+        clock = steps.copy()
+        vector_run._segment_clocks(clock, first, begin)
+        expected, _ = _reference_clocks(steps.tolist(), first.tolist(),
+                                        begin.tolist())
+        assert clock.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("lengths", [
-        [SLICE] * 9, [1, SLICE, 3 * SLICE + 5, 2, SLICE - 1, SLICE + 1],
-        [2] * 500, [5 * SLICE]])
-    def test_slices_are_bounded_by_the_steps(self, monkeypatch, lengths):
-        slices = []
+    @given(_PERIODS, st.sampled_from(["mixed", "short", "long", "runs"]),
+           st.integers(0, 2**32 - 1),
+           st.one_of(st.just(0.0), st.floats(1e-3, 1e7)))
+    @settings(max_examples=200, deadline=None)
+    def test_fused_chains_match_the_scalar_chains(self, lengths, shape,
+                                                  seed, energy):
+        """A complex path runs the clock and the energy in one pass;
+        each part is its own sequential chain, bit for bit, with the
+        energy carried in from earlier chunks."""
+        lengths = _shaped(lengths, shape)
+        rng = np.random.default_rng(seed)
+        first = np.cumsum([0] + lengths[:-1])
+        steps = rng.exponential(0.01, sum(lengths))
+        watts = rng.uniform(5.0, 30.0, sum(lengths))
+        begin = np.cumsum(rng.exponential(50.0, len(lengths)))
+        path = vector_run._step_chains(steps, watts, energy)
+        vector_run._segment_clocks(path, first, begin)
+        clock, joules = _reference_clocks(
+            steps.tolist(), first.tolist(), begin.tolist(), watts.tolist(),
+            energy)
+        assert path.real.tobytes() == clock.tobytes()
+        assert path.imag.tobytes() == joules.tobytes()
+        assert float(path.imag[-1]) == joules[-1]
+
+    @pytest.mark.parametrize("lengths,short_runs", [
+        ([SLICE] * 9, 0),
+        ([1, SLICE, 3 * SLICE + 5, 2, SLICE - 1, SLICE + 1], 2),
+        ([2] * 500, 1), ([5 * SLICE], 0),
+        ([3, SLICE, 4, 1, 7], 2)])
+    def test_slices_are_bounded_by_the_steps(
+            self, monkeypatch, lengths, short_runs):
+        """Each long period takes one accumulate of both chains, each
+        maximal run of short periods one energy-only accumulate."""
+        fused, energy_only = [], []
 
         class CountingAdd:
             @staticmethod
             def accumulate(a, *args, **kwargs):
                 if kwargs.get("out") is a:
-                    slices.append(a.shape[0])
+                    (fused if a.dtype.kind == "c"
+                     else energy_only).append(a.shape[0])
                 return np.add.accumulate(a, *args, **kwargs)
 
         class Numpy:
@@ -335,10 +385,33 @@ class TestSegmentClocks:
 
         monkeypatch.setattr(vector_run, "np", Numpy())
         steps = np.full(sum(lengths), 0.25)
-        vector_run._segment_clocks(steps, np.cumsum([0] + lengths[:-1]),
+        path = vector_run._step_chains(steps, np.full(steps.shape, 2.0),
+                                       0.0)
+        vector_run._segment_clocks(path, np.cumsum([0] + lengths[:-1]),
                                    np.zeros(len(lengths)))
-        assert len(slices) <= steps.shape[0] // SLICE
-        assert slices == [n for n in lengths if n >= SLICE]
+        assert fused == [n for n in lengths if n >= SLICE]
+        assert len(energy_only) == short_runs
+        assert path.imag.tolist() == (np.arange(1, steps.shape[0] + 1)
+                                      * 0.5).tolist()
+
+
+class TestChunkedDrain:
+    """The batch-1 drain carries the clock and the energy across chunk
+    boundaries: one request per chunk, a few, or the default."""
+
+    @pytest.mark.parametrize("chunk_steps", [1, 37, vector_run._CHUNK_STEPS])
+    @pytest.mark.parametrize("gap_s", [0.3, 3.0])
+    def test_chunks_match_the_oracle(self, engine, monkeypatch, chunk_steps,
+                                     gap_s):
+        requests, arrivals = _stream(12, n=60, gap_s=gap_s)
+        monkeypatch.setattr(vector_run, "_CHUNK_STEPS", chunk_steps)
+        got, run = _kernel_run(engine, requests, arrivals, max_batch_size=1)
+        assert got == _scalar_json(engine, requests, arrivals,
+                                   max_batch_size=1)
+        scalar = ServingSimulator(engine, max_batch_size=1, mode="scalar")
+        report = scalar.run(requests, arrivals)
+        assert run.energy == report.energy_joules
+        assert run.now == report.wallclock_s
 
 
 class TestPrefillPricing:

@@ -122,16 +122,33 @@ class TestReuse:
         capacity = 1_000_000 * per_token / 1000
         reused = PrefixCache(capacity, per_token)
         stepped = PrefixCache(capacity, per_token)
+        # Replays each run of consecutive reuses in one reuse_all call.
+        bulk = PrefixCache(capacity, per_token)
         reference = _ReferenceLru(capacity, per_token)
-        caches = (reused, stepped, reference)
+        caches = (reused, stepped, bulk, reference)
+        pending = []
+
+        def replay_pending():
+            if pending:
+                keys, counts, hits = zip(*pending)
+                assert bulk.reuse_all(keys, counts) == list(hits)
+                pending.clear()
+            assert bulk.used_bytes == reference.used_bytes
+            assert list(bulk._entries.items()) == [
+                (k, count) for k, (count, _) in reference._entries.items()]
+
         for kind, key, tokens in ops:
+            if kind != "reuse":
+                replay_pending()
             if kind == "reuse":
                 hit = _lookup_compare_insert(reference, key, tokens)
                 assert reused.reuse(key, tokens) is hit
                 assert _lookup_compare_insert(stepped, key, tokens) is hit
+                pending.append((key, tokens, hit))
             elif kind == "lookup":
                 entry = reference.lookup(key)
-                assert reused.lookup(key) == stepped.lookup(key) == entry
+                assert (reused.lookup(key) == stepped.lookup(key)
+                        == bulk.lookup(key) == entry)
             elif kind == "evict":
                 for cache in caches:
                     cache.evict(key)
@@ -142,13 +159,20 @@ class TestReuse:
             else:
                 entry = reference.insert(key, tokens)
                 assert (reused.insert(key, tokens)
-                        == stepped.insert(key, tokens) == entry)
+                        == stepped.insert(key, tokens)
+                        == bulk.insert(key, tokens) == entry)
             assert (reused.used_bytes == stepped.used_bytes
                     == reference.used_bytes)
             order = [(k, count) for k, (count, _) in
                      reference._entries.items()]
             assert list(reused._entries.items()) == order
             assert list(stepped._entries.items()) == order
+        replay_pending()
+
+    def test_reuse_all_of_nothing(self, cache):
+        cache.reuse("a", 300)
+        assert cache.reuse_all([], []) == []
+        assert list(cache._entries.items()) == [("a", 300)]
 
     def test_hit_refreshes_recency(self, cache):
         assert cache.reuse("a", 400) is False
@@ -181,6 +205,8 @@ class TestReuse:
     def test_nonpositive_tokens_rejected(self, cache):
         with pytest.raises(ValueError):
             cache.reuse("a", 0)
+        with pytest.raises(ValueError):
+            cache.reuse_all(["a", "b"], [300, -1])
 
 
 class TestSuffixPrefill:

@@ -430,7 +430,7 @@ class TestReinjection:
         assert report.hedge_wins == wins
 
 
-STAGES = {"collect", "drain", "assemble"}
+STAGES = {"collect", "assign", "drain", "assemble"}
 
 
 def _timed(call):

@@ -189,8 +189,28 @@ class TestStageMeta:
     def test_fleet_100k_copies_the_gateway_stages(self, monkeypatch):
         from types import SimpleNamespace
 
-        stages = {"collect": 0.5, "drain": 2.0, "assemble": 0.25}
-        monkeypatch.setattr(harness, "_paced_fleet_run", lambda *_: (
-            SimpleNamespace(completed=100_000),
-            SimpleNamespace(last_mode="vector", last_stages=stages), 1.0))
-        assert harness.bench_fleet_100k(1).meta["stages"] == stages
+        stages = {"collect": 0.5, "assign": 0.1, "drain": 2.0,
+                  "assemble": 0.25}
+        built = []
+
+        def paced_fleet(*_):
+            gateway = SimpleNamespace(last_mode=None, last_stages=None)
+
+            def run(stream):
+                gateway.last_mode, gateway.last_stages = "vector", stages
+                return SimpleNamespace(completed=len(stream))
+
+            gateway.run = run
+            return gateway, 1.0
+
+        def paced_stream(qps, requests):
+            built.append(requests)
+            return range(requests)
+
+        monkeypatch.setattr(harness, "_paced_fleet", paced_fleet)
+        monkeypatch.setattr(harness, "_paced_stream", paced_stream)
+        meta = harness.bench_fleet_100k(3).meta
+        assert meta["stages"] == stages
+        # One stream for every repeat, built outside the timed region.
+        assert built == [100_000]
+        assert meta["generate_s"] >= 0.0
