@@ -103,28 +103,39 @@ class PrefixCache:
         the whole cache: then it is served uncached and the cache keeps
         its entries.  A replay of a whole admission order in one call
         (the vector core's prefill pre-pass) takes the same steps as
-        one call per request.
+        one call per request.  The store is :meth:`_store` inlined, in
+        its order, with the byte ledger kept in a local between pairs.
         """
         entries = self._entries
         get, refresh = entries.get, entries.move_to_end
+        pop, oldest = entries.pop, entries.popitem
         per_token = self.kv_bytes_per_token
         capacity = self.capacity_bytes
-        store = self._store
+        used = self._used
         hits = []
         hit = hits.append
-        for key, token_count in zip(keys, token_counts):
-            if token_count <= 0:
-                raise ValueError("token_count must be positive")
-            cached = get(key)
-            if cached is not None:
-                refresh(key)
-                if cached == token_count:
-                    hit(True)
-                    continue
-            kv_bytes = token_count * per_token
-            if kv_bytes <= capacity:
-                store(key, token_count, kv_bytes)
-            hit(False)
+        try:
+            for key, token_count in zip(keys, token_counts):
+                if token_count <= 0:
+                    raise ValueError("token_count must be positive")
+                cached = get(key)
+                if cached is not None:
+                    refresh(key)
+                    if cached == token_count:
+                        hit(True)
+                        continue
+                kv_bytes = token_count * per_token
+                if kv_bytes <= capacity:
+                    while entries and used + kv_bytes > capacity:
+                        used -= oldest(last=False)[1] * per_token
+                    previous = pop(key, None)
+                    if previous is not None:
+                        used -= previous * per_token
+                    entries[key] = token_count
+                    used += kv_bytes
+                hit(False)
+        finally:
+            self._used = used
         return hits
 
     def _store(self, key: str, token_count: int, kv_bytes: float) -> None:
@@ -132,11 +143,13 @@ class PrefixCache:
 
         ``_used`` adds and subtracts each entry's ``token_count *
         kv_bytes_per_token`` product, so it tracks the cache bit for
-        bit however it is driven.
+        bit however it is driven.  Those sums round when the products
+        are not integers, so an emptied cache may keep a residue of a
+        few ulps: eviction stops at an empty cache rather than read one.
         """
         entries = self._entries
         per_token = self.kv_bytes_per_token
-        while self._used + kv_bytes > self.capacity_bytes:
+        while entries and self._used + kv_bytes > self.capacity_bytes:
             _, evicted = entries.popitem(last=False)
             self._used -= evicted * per_token
         previous = entries.pop(key, None)

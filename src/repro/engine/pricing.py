@@ -17,7 +17,13 @@ function of integer inputs:
   very ufunc a direct evaluation calls (scalar and array calls agree
   bitwise);
 * prefill: the kernel jitter is a stateless hash, so a batch-1 prefill
-  prices equally for equal ``(prompt, cached prefix)``.
+  prices equally for equal ``(prompt, cached prefix)``, and dense tables
+  hold those prices: one ``(2, size)`` (seconds, watts) table per cached
+  prefix, indexed by prompt, NaN = unset, each priced key computed once
+  by the calls a direct evaluation makes.  They cost 16 bytes per
+  prompt up to the largest prompt seen (at most twice that after a
+  geometric growth), per cached prefix value; prompts past
+  ``_TABLE_KEY_LIMIT`` are priced directly and stored nowhere.
 """
 
 from __future__ import annotations
@@ -98,7 +104,11 @@ class Pricing:
     def __init__(self, engine, pure: bool):
         self.engine = engine
         self.pure = pure
-        self._prefill: dict[tuple[int, int], tuple[float, float]] = {}
+        #: Per cached prefix, the batch-1 prefill table: a ``(2, size)``
+        #: (seconds, watts) array indexed by prompt, NaN = unset, and a
+        #: memoryview of each row, whose reads give Python floats.
+        self.prefill_tables: dict[
+            int, tuple[np.ndarray, memoryview, memoryview]] = {}
         #: Per-batch (seconds, watts) arrays keyed by the integer
         #: numerator of the mean context / generated count; NaN = unset.
         self.tables: tuple[dict, dict] = ({}, {})
@@ -125,16 +135,67 @@ class Pricing:
 
     def prefill(self, prompt: int, prefix: int = 0) -> tuple[float, float]:
         """(base seconds, watts) of a batch-1 prefill of ``prompt``
-        tokens whose first ``prefix`` tokens are cached."""
-        key = (prompt, prefix)
-        cost = self._prefill.get(key)
-        if cost is None:
-            stats = prefill_with_prefix(self.engine, prompt, prefix)
-            cost = (stats.seconds,
-                    self.engine.power.prefill_power(prompt - prefix))
-            if self.pure:
-                self._prefill[key] = cost
+        tokens whose first ``prefix`` tokens are cached: a one-key read
+        of the prefill tables (a miss prices and stores the key)."""
+        try:
+            _, seconds, watts = self.prefill_tables[prefix]
+            cost = seconds[prompt]
+        except (KeyError, IndexError):
+            cost = math.nan
+        if cost == cost:
+            return cost, watts[prompt]
+        cost = self._price_prefill(prompt, prefix)
+        if self.pure and prompt < _TABLE_KEY_LIMIT:
+            self._prefill_table(prefix, prompt)[:, prompt] = cost
         return cost
+
+    def prefills(self, prompt: np.ndarray,
+                 cached: np.ndarray) -> np.ndarray:
+        """``(2, n)`` prefill (seconds, watts): :meth:`prefill` of each
+        ``(prompt[k], cached[k])``, bit for bit, with one gather per
+        distinct cached prefix.  Each never-seen key is priced once."""
+        prices = np.empty((2, prompt.shape[0]))
+        if not prompt.shape[0]:
+            return prices
+        if not self.pure or int(prompt.max()) >= _TABLE_KEY_LIMIT:
+            prefill = self.prefill
+            for k, key in enumerate(zip(prompt.tolist(), cached.tolist())):
+                prices[:, k] = prefill(*key)
+            return prices
+        # Cached prefixes are shorter than their prompts: a small count.
+        values = np.flatnonzero(np.bincount(cached)).tolist()
+        for value in values:
+            rows = (np.flatnonzero(cached == value) if len(values) > 1
+                    else slice(None))
+            keys = prompt[rows]
+            table = self._prefill_table(value, int(keys.max()))
+            got = table[:, keys]
+            total = _sum(got[0])  # nan probe, as in ``_lookup``
+            if total != total:
+                for key in np.unique(keys[np.isnan(got[0])]).tolist():
+                    table[:, key] = self._price_prefill(key, value)
+                got = table[:, keys]
+            prices[:, rows] = got
+        return prices
+
+    def _price_prefill(self, prompt: int, cached: int) -> tuple[float, float]:
+        """A batch-1 prefill's (seconds, watts), priced directly."""
+        return (prefill_with_prefix(self.engine, prompt, cached).seconds,
+                self.engine.power.prefill_power(prompt - cached))
+
+    def _prefill_table(self, cached: int, last: int) -> np.ndarray:
+        """The prefill table of ``cached``, grown to hold prompt
+        ``last`` (geometrically, as :meth:`_lookup` grows)."""
+        entry = self.prefill_tables.get(cached)
+        if entry is not None and last < entry[0].shape[1]:
+            return entry[0]
+        size = max(last + 257, 0 if entry is None else 2 * entry[0].shape[1])
+        table = np.full((2, size), np.nan)
+        if entry is not None:
+            table[:, :entry[0].shape[1]] = entry[0]
+        self.prefill_tables[cached] = (table, memoryview(table[0]),
+                                       memoryview(table[1]))
+        return table
 
     def span(self, batch: int, ctx_sum: int, gen_sum: int, steps: int,
              stride: int | None = None) -> tuple[np.ndarray, np.ndarray]:

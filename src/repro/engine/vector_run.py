@@ -11,8 +11,8 @@ pin this), which is only possible because every accumulation is kept
 *sequential*:
 
 * decode spans and prefills are priced through the simulator's
-  :class:`~repro.engine.pricing.Pricing` — exact integer-grid tables
-  and prefill memos shared with the scalar loop, which reads the same
+  :class:`~repro.engine.pricing.Pricing` — exact integer-grid decode
+  and prefill tables shared with the scalar loop, which reads the decode
   tables whenever its configuration is pure and it is not the oracle
   (``mode="scalar"`` keeps pricing spans directly, so every
   auto-vs-scalar byte comparison checks the tables end to end);
@@ -71,6 +71,7 @@ import bisect
 import heapq
 import itertools
 import math
+import threading
 from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -159,14 +160,46 @@ def _guess_resets(service: np.ndarray, ready: np.ndarray,
     return ready > np.concatenate(([carry], finish[:-1]))
 
 
-def _step_chains(seconds: np.ndarray, watts: np.ndarray,
-                 energy: float) -> np.ndarray:
+class _WorkArrays(threading.local):
+    """The batch-1 drain's per-step arrays, kept per thread across
+    chunks and shares.
+
+    A chunk's gathered step seconds and watts and its complex clock and
+    energy buffer take 32 bytes a step, about 2 MB at ``_CHUNK_STEPS``.
+    Allocated afresh for each share, that memory went back to the
+    kernel between shares and was faulted in again page by page: about
+    25k minor faults and a fifth of a 40k-request prefix-affinity round
+    over 32 devices (2-core x86_64 host).  Kept per thread, so drains
+    on a thread pool never share one; each thread keeps the largest
+    chunk it has drained.
+    """
+
+    size = 0
+
+    def take(self, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``size``-entry views: step seconds, step watts, and the
+        complex buffer of :func:`_step_chains`."""
+        if size > self.size:
+            self.size = size
+            self.seconds = np.empty(size)
+            self.watts = np.empty(size)
+            self.path = np.empty(size, dtype=np.complex128)
+        return self.seconds[:size], self.watts[:size], self.path[:size]
+
+
+_WORK = _WorkArrays()
+
+
+def _step_chains(seconds: np.ndarray, watts: np.ndarray, energy: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """One complex buffer of a chunk's steps for :func:`_segment_clocks`:
     real parts the step seconds, imaginary parts the step joules
     (seconds times watts), with ``energy``, the total carried in,
     folded into the first step (the scalar loop's first ``energy +=``).
+    Written into ``out`` when given, else into a new array.
     """
-    path = np.empty(seconds.shape[0], dtype=np.complex128)
+    path = (np.empty(seconds.shape[0], dtype=np.complex128) if out is None
+            else out)
     path.real = seconds
     joules = path.imag
     np.multiply(seconds, watts, out=joules)
@@ -259,8 +292,9 @@ def _period_clocks(path: np.ndarray, off: np.ndarray, ready: np.ndarray,
     return start, finish
 
 
-def _gather(stride: np.ndarray, length: np.ndarray,
-            *tables: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+def _gather(stride: np.ndarray | None, length: np.ndarray,
+            *tables: tuple[np.ndarray, np.ndarray],
+            out: tuple[np.ndarray, ...] | None = None) -> list[np.ndarray]:
     """Read runs of flat price tables, one gather per table.
 
     Run ``s`` reads ``length[s]`` entries from index ``first[s]`` in
@@ -269,17 +303,26 @@ def _gather(stride: np.ndarray, length: np.ndarray,
     ``t`` of the concatenation, ``t - head[s]`` into run ``s``, reads
     ``first[s] + (t - head[s]) * stride[s]``: a per-run base ``first -
     head * stride`` plus ``t * stride``, all elementwise, with no
-    sequential pass over the steps.
+    sequential pass over the steps.  ``stride=None`` reads every run at
+    unit stride (a one-step run reads ``first[s]`` at any stride), which
+    skips the per-step stride pass.  With ``out`` (one array per table,
+    each as long as the reads) the reads land there: ``take`` in
+    ``"wrap"`` mode writes straight into it, where the default mode
+    would copy through a new buffer, and every index is in range, so
+    nothing wraps.
     """
-    head_step = (np.cumsum(length) - length) * stride
+    head_step = np.cumsum(length) - length
     step = np.arange(int(length.sum()), dtype=np.int64)
-    step *= np.repeat(stride, length)
-    out = []
-    for flat, first in tables:
+    if stride is not None:
+        head_step *= stride
+        step *= np.repeat(stride, length)
+    reads = []
+    for t, (flat, first) in enumerate(tables):
         index = np.repeat(first - head_step, length)
         index += step
-        out.append(flat[index])
-    return out
+        reads.append(flat[index] if out is None
+                     else flat.take(index, out=out[t], mode="wrap"))
+    return reads
 
 
 def _accumulate(total: float, a: np.ndarray, b: np.ndarray) -> float:
@@ -395,6 +438,9 @@ class VectorServingRun:
         #: Busy-period boundaries the kernel's float guess got wrong and
         #: re-derived from the exact clocks.
         self.boundary_repairs = 0
+        #: Times the server went from idle to busy (it starts idle): a
+        #: busy-period kernel's periods.
+        self.busy_periods = 0
 
     # -- the batch-1 busy-period kernel --------------------------------
     def _prefill_prices(self, prompt: np.ndarray) -> np.ndarray:
@@ -405,8 +451,10 @@ class VectorServingRun:
         call over it replays the scalar ``_DeviceRun._prefill_cost``'s
         exact cache sequence (keyed by session ids, a bijective
         relabelling of the scalar path's session strings) and fixes
-        each request's cached prefix.  Each distinct ``(prompt, cached
-        prefix)`` pair is then priced once and the prices gathered back.
+        each request's cached prefix.  One
+        :meth:`~repro.engine.pricing.Pricing.prefills` call then reads
+        every price from the dense prefill tables, one gather per
+        distinct cached prefix (a never-seen key is priced once).
         """
         cached = np.zeros_like(prompt)
         cache = self._prefix_cache
@@ -421,39 +469,39 @@ class VectorServingRun:
             self.prefix_hits += hits
             self.prefix_misses += rows.shape[0] - hits
             cached[rows[hit]] = prefix[rows[hit]]
-        # A cached prefix is shorter than its prompt: one integer key.
-        width = int(prompt.max()) + 1
-        pairs, inverse = np.unique(prompt * width + cached,
-                                   return_inverse=True)
-        prefill = self.pricing.prefill
-        costs = np.array([prefill(p, c) for p, c in zip(
-            (pairs // width).tolist(), (pairs % width).tolist())])
-        return costs[inverse].T
+        return self.pricing.prefills(prompt, cached)
 
     def _exact_clocks(self, steps: np.ndarray, watts: np.ndarray,
                       off: np.ndarray, ready: np.ndarray, carry: float,
-                      energy: float) -> tuple[np.ndarray, np.ndarray, float]:
+                      energy: float, service: np.ndarray, path: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, float]:
         """Start and finish clocks of one chunk, guessed then verified,
-        and the energy after it (``energy`` before).
+        and the energy after it (``energy`` before); ``path`` is the
+        complex work array the two chains run in.
 
         Busy periods are independent given their ready times, so the
-        float guess only has to pick the boundaries.  Every boundary is
-        checked against the exact clocks: a reset needs ``ready_k >=
-        finish_{k-1}``, a continuation ``ready_k <= finish_{k-1}`` (at
-        equality both give the same float).  A wrong guess is flipped
-        and the clocks recomputed from it; requests before it keep
-        theirs, since a clock depends only on its own period's prefix.
-        A boundary wrong again after its flip raises ``RuntimeError``.
+        float guess (:func:`_guess_resets`) only has to pick the
+        boundaries.  It reads ``service``, each request's service time
+        as :meth:`_drain_busy_periods` sums it from the price tables,
+        which rounds differently from the steps' own sum.  So every
+        boundary is checked against the exact clocks: a reset needs
+        ``ready_k >= finish_{k-1}``, a continuation ``ready_k <=
+        finish_{k-1}`` (at equality both give the same float).  A wrong
+        guess is flipped and the clocks recomputed from it; requests
+        before it keep theirs, since a clock depends only on its own
+        period's prefix.  A boundary wrong again after its flip raises
+        ``RuntimeError``.
 
         The first pass runs the energy chain with the clocks
         (:func:`_step_chains`).  Energy never resets, so it does not
-        depend on the boundaries: a repair reruns only the clocks.
+        depend on the boundaries: a repair reruns only the clocks, on a
+        real copy of ``steps`` (the one read of the raw step seconds
+        after that first pass).
         """
-        reset = _guess_resets(np.add.reduceat(steps, off[:-1]), ready,
-                              carry)
+        reset = _guess_resets(service, ready, carry)
         start = np.empty(ready.shape[0])
         finish = np.empty(ready.shape[0])
-        fused = path = _step_chains(steps, watts, energy)
+        fused = path = _step_chains(steps, watts, energy, path)
         lo = 0
         flipped = -1
         while True:
@@ -513,11 +561,15 @@ class VectorServingRun:
         At batch 1, step ``j`` of a request prices at context key
         ``prompt + j`` and generated key ``1 + j`` (a request with
         ``stop_tokens == 0`` still takes one step), so one fill of the
-        pricing tables and one gather per chunk price every step.  The
-        steps lie in admission order as ``[prefill_k, decode steps of
-        k...]``, and :meth:`_exact_clocks` runs the clock and the energy
-        (which never resets, carried across chunks) over them in one
-        sequential pass.
+        pricing tables and one gather per chunk price every step: each
+        request reads its prefill, then a unit-stride run of decode keys.
+        The same keys give each request's service guess for
+        :meth:`_exact_clocks` from one prefix sum of the decode seconds:
+        its prefill plus the sum's difference over its keys.  The steps
+        lie in admission order as ``[prefill_k, decode steps of k...]``,
+        and :meth:`_exact_clocks` runs the clock and the energy (which
+        never resets, carried across chunks) over them in one sequential
+        pass.
         """
         arrays = self.arrays
         n = arrays.n
@@ -534,11 +586,15 @@ class VectorServingRun:
         if int(((final + block - 1) // block).max()) > self._free:
             raise VectorFallback("KV exhaustion: a request outgrows the pool")
         prefill = self._prefill_prices(prompt)
+        lo = int(prompt.min())
         seconds, watts, ctx_base, gen_base = self._decode_grids(
-            prefill, [0, int(prompt.min())], [0, int(final.max()) - 1],
+            prefill, [0, lo], [0, int(final.max()) - 1],
             [0, int(count.max())])
+        # Exclusive prefix sums of the decode seconds from key ``lo``.
+        sums = np.zeros(seconds.shape[0] - n + 1)
+        np.cumsum(seconds[n:], out=sums[1:])
+        service = prefill[0] + (sums[final - lo] - sums[prompt - lo])
         # Two runs per request: its prefill, then its decode steps.
-        stride = np.tile(np.array([0, 1]), n)
         length = np.ones(2 * n, dtype=np.int64)
         length[1::2] = count
         ctx_first = np.repeat(np.arange(n), 2)
@@ -549,6 +605,8 @@ class VectorServingRun:
         ends = np.cumsum(size)
         energy = 0.0
         now = 0.0
+        # The server starts idle: the first request opens a period.
+        self.busy_periods += 1
         a = 0
         while a < n:
             done = int(ends[a - 1]) if a else 0
@@ -557,11 +615,15 @@ class VectorServingRun:
             off = np.zeros(b - a + 1, dtype=np.int64)
             np.cumsum(size[a:b], out=off[1:])
             runs = slice(2 * a, 2 * b)
+            *work, path = _WORK.take(int(off[-1]))
             steps, step_watts = _gather(
-                stride[runs], length[runs], (seconds, ctx_first[runs]),
-                (watts, gen_first[runs]))
+                None, length[runs], (seconds, ctx_first[runs]),
+                (watts, gen_first[runs]), out=work)
             start, finish, energy = self._exact_clocks(
-                steps, step_watts, off, ready[a:b], now, energy)
+                steps, step_watts, off, ready[a:b], now, energy,
+                service[a:b], path)
+            self.busy_periods += int(np.count_nonzero(
+                start[1:] > finish[:-1])) + bool(a and start[0] > now)
             arrays.start_s[order[a:b]] = start
             arrays.finish_s[order[a:b]] = finish
             now = float(finish[-1])
@@ -655,6 +717,9 @@ class VectorServingRun:
         waited = np.empty(n)
         done: list[int] = []
         energy = now = 0.0
+        # The server starts idle; a first arrival after time 0 opens
+        # its period with an idle jump, counted with the others.
+        self.busy_periods += int(ready[0] <= now)
         # (next admission, decode steps so far, live heap, summed
         # context, summed prompt, clock)
         state = (0, 0, [], 0, 0, 0.0)
@@ -701,6 +766,7 @@ class VectorServingRun:
                 exact = (lambda col, clock=clock, carry=now:
                          carry if col == 0 else float(clock[col - 1]))
             energy = float(path.imag[-1])
+            self.busy_periods += len(chunk.reset_col)
             arrays.start_s[order[p0:p1]] = start
             arrays.finish_s[order[chunk.fin]] = clock[
                 np.array(chunk.fin_col, dtype=np.int64) - 1]

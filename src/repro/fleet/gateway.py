@@ -121,7 +121,9 @@ from repro.fleet.partition import (
     _arrival_order,
     _assign,
     _collect_trace,
+    _counter_totals,
     _drain,
+    _keys,
     _rendezvous_winners,
     _session_head,
     _stream_columns,
@@ -211,6 +213,10 @@ class FleetGateway:
         if len(set(names)) != len(names):
             raise ValueError("device names must be unique")
         self._by_name = {d.name: d for d in self.devices}
+        #: Each device name's rendezvous key (:func:`~repro.fleet.
+        #: partition._keys`), hashed once: names never change.
+        self._name_keys = dict(zip(names, _keys(
+            name.encode() for name in names).tolist()))
         self.policy = policy
         self.faults = faults
         self.max_reroutes = max_reroutes
@@ -226,6 +232,12 @@ class FleetGateway:
         #: :meth:`run_trace` by stage ("collect", "assign", "drain",
         #: "assemble"); None after a scalar run and before the first run.
         self.last_stages: dict[str, float] | None = None
+        #: Work counters of the most recent vector :meth:`run` or
+        #: :meth:`run_trace`, summed over shares: busy-period boundaries
+        #: the kernels' float guesses got wrong ("boundary_repairs") and
+        #: idle-to-busy transitions ("busy_periods").  Machine- and
+        #: executor-independent; None whenever ``last_stages`` is.
+        self.last_counters: dict[str, int] | None = None
         self.drain_limit_s = drain_limit_s
         self.breakers = {d.name: CircuitBreaker(
             health, seed=breaker_seed(seed, d.name)) for d in self.devices}
@@ -392,9 +404,10 @@ class FleetGateway:
         # prefix-affinity: rendezvous hash pins a session to one device
         # (stable under fleet changes); stateless requests balance.
         if freq.session is not None:
+            keys = self._name_keys
             return up[int(_rendezvous_winners(
                 (_session_head(freq.session),),
-                [d.name.encode() for d in up])[0])]
+                np.array([keys[d.name] for d in up], dtype=np.uint64))[0])]
         return min(up, key=lambda d: (d.outstanding_requests, d.name))
 
     def _park_target(self) -> FleetDevice | None:
@@ -819,7 +832,7 @@ class FleetGateway:
             DeviceOutcome(d.name, d.spec.model, d.spec.power_mode, report,
                           crashes=0, evacuated=0, prefix_hits=hits,
                           prefix_misses=misses)
-            for d, (_, (report, _, _, hits, misses))
+            for d, (_, (report, _, _, hits, misses, _))
             in zip(self.devices, drained))
         report = FleetReport(policy=self.policy, offered=len(stream),
                              rerouted=0, devices=outcomes)
@@ -827,12 +840,14 @@ class FleetGateway:
                             "assign": assigned - collected,
                             "drain": drained_at - assigned,
                             "assemble": time.perf_counter() - drained_at}
+        self.last_counters = _counter_totals(drained)
         return report
 
     def _partition(self, columns: dict, head) -> np.ndarray:
         """Each collected row's device index: the vector partition."""
         return _assign(self.policy,
-                       [d.spec.name.encode() for d in self.devices],
+                       np.array([self._name_keys[d.name]
+                                 for d in self.devices], dtype=np.uint64),
                        columns["session"], head)
 
     # -- the population-scale trace driver -------------------------------
@@ -865,7 +880,7 @@ class FleetGateway:
             raise ValueError("executor must be 'thread' or 'process'")
         # A trace carries every column a chunk does.
         chunks = (trace,) if hasattr(trace, "chunks") else trace
-        self.last_stages = None
+        self.last_stages = self.last_counters = None
         start = time.perf_counter()
         columns, head = _collect_trace(chunks)
         collect_s = time.perf_counter() - start
@@ -894,7 +909,8 @@ class FleetGateway:
         drained_at = time.perf_counter()
         rows = []
         for device, (share, outcome) in zip(self.devices, drained):
-            (start_s, finish_s, context), now, energy, hits, misses = outcome
+            (start_s, finish_s, context), now, energy, hits, misses, _ = (
+                outcome)
             rows.append(TraceDeviceData(
                 device.name, device.spec.model, device.spec.power_mode,
                 offered=share["request_id"].shape[0],
@@ -919,6 +935,7 @@ class FleetGateway:
                             "assign": assigned - start,
                             "drain": drained_at - assigned,
                             "assemble": time.perf_counter() - drained_at}
+        self.last_counters = _counter_totals(drained)
         return report
 
     def _trace_stream(self, columns: dict) -> "list[FleetRequest]":
@@ -993,7 +1010,7 @@ class FleetGateway:
                     "the gateway with brownout=None, hedge=None, "
                     "autoscale=None")
             dag = DagRun(tiering, energy_quote=self._tier_energy_quote)
-        self.last_stages = None
+        self.last_stages = self.last_counters = None
         return run_core(
             self,
             tiering is None and self.vector_eligible()

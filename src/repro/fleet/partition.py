@@ -20,8 +20,9 @@ Prefix affinity ranks through :func:`_rendezvous_winners`, the one
 routine both cores share: the scalar gateway ranks its routable pool
 with it per arrival, :func:`_assign` the whole fleet per distinct
 session.  The ranking is rendezvous (highest-random-weight) hashing
-with one sha256 per session and per device name, and a candidate's
-weight is the splitmix64 finalizer of the two keys' XOR.
+with one sha256 per session and per device name (a gateway hashes
+its names once), and a candidate's weight is the splitmix64 finalizer
+of the two keys' XOR.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ from repro.fleet.device import FleetDevice
 #: Weight-matrix bytes :func:`_rendezvous_winners` holds per block of
 #: sessions (8 per session and candidate).
 _RENDEZVOUS_BLOCK_BYTES = 1 << 18
+
+#: The vector core's work counters (attributes of
+#: :class:`~repro.engine.vector_run.VectorServingRun`) that
+#: :func:`_drain_share` returns and a gateway sums over shares.
+_COUNTERS = ("boundary_repairs", "busy_periods")
 
 #: The partition columns each device's share carries.
 _SHARE_DTYPE = np.dtype([
@@ -151,10 +157,12 @@ def _collect_trace(chunks) -> tuple[dict, Callable[[int], bytes]]:
 
 
 # -- the partition ------------------------------------------------------
-def _assign(policy: str, names, session: np.ndarray, head) -> np.ndarray:
+def _assign(policy: str, name_keys: np.ndarray, session: np.ndarray,
+            head) -> np.ndarray:
     """Per-row device index: the partition both entry points drain.
 
-    ``names`` are the fleet's device name bytes in ascending name order.
+    ``name_keys`` are the rendezvous keys (:func:`_keys`) of the fleet's
+    device names in ascending name order.
     With round-robin routing and no faults the scalar event loop is
     exactly equivalent to assigning the k-th arrival (in arrival
     order, ties by stream position — the scalar sort) to the k-th
@@ -165,31 +173,31 @@ def _assign(policy: str, names, session: np.ndarray, head) -> np.ndarray:
     the ranking hashes each session once, not each request.
     """
     if policy != "prefix-affinity":
-        return np.arange(session.shape[0], dtype=np.int64) % len(names)
+        return np.arange(session.shape[0], dtype=np.int64) % len(name_keys)
     uniq, inverse = np.unique(session, return_inverse=True)
-    lut = _rendezvous_winners(map(head, uniq.tolist()), names)
+    lut = _rendezvous_winners(map(head, uniq.tolist()), name_keys)
     return lut[inverse]
 
 
-def _rendezvous_winners(heads, names) -> np.ndarray:
-    """Index of each session's rendezvous winner among ``names``.
+def _rendezvous_winners(heads, name_keys: np.ndarray) -> np.ndarray:
+    """Index of each session's rendezvous winner among the candidates.
 
     Each of ``heads`` is a session's head (:func:`_session_head`) and
-    ``names`` are the candidates' name bytes in ascending name order.
-    A candidate's weight is the splitmix64 finalizer of
-    ``key(head) ^ key(name)`` (:func:`_keys`), and the winner holds the
-    largest weight, the largest name among equals
+    ``name_keys`` are the candidates' name keys (:func:`_keys` of their
+    name bytes) in ascending name order.  A candidate's weight is the
+    splitmix64 finalizer of ``key(head) ^ key(name)``, and the winner
+    holds the largest weight, the largest name among equals
     (:func:`_last_argmax`).  Both cores rank through it: the scalar
     gateway's ``_pick`` over its routable pool, :func:`_assign` over
     the whole fleet (with no failure source the scalar pool provably
-    stays the full fleet).
+    stays the full fleet).  Names never change, so callers hash each
+    one once.
 
-    Each session and name is hashed once; the weights are ``uint64``
-    array arithmetic, which wraps as the finalizer needs, over blocks
-    of sessions whose weight matrix fits ``_RENDEZVOUS_BLOCK_BYTES``.
+    Each session is hashed once; the weights are ``uint64`` array
+    arithmetic, which wraps as the finalizer needs, over blocks of
+    sessions whose weight matrix fits ``_RENDEZVOUS_BLOCK_BYTES``.
     """
-    name_keys = _keys(names)
-    block = max(1, _RENDEZVOUS_BLOCK_BYTES // (8 * len(names)))
+    block = max(1, _RENDEZVOUS_BLOCK_BYTES // (8 * len(name_keys)))
     heads = iter(heads)
     winners = [np.empty(0, dtype=np.int64)]
     while (keys := _keys(itertools.islice(heads, block))).size:
@@ -230,7 +238,7 @@ def _drain(specs, columns: dict, assign: np.ndarray, objects: bool,
     over a fresh clone of the device — so shares may execute on any
     executor in any order without changing a byte.  Each clone prices
     through its spec's process-wide :meth:`~repro.engine.pricing.
-    Pricing.shared` memo, so a device spec's prefill memo and decode
+    Pricing.shared` memo, so a device spec's prefill and decode
     tables are built once per process and reused by every later drain
     and fresh fleet (a process pool builds them once per worker).
     Returns ``(share columns, outcome)`` per device, in name order.
@@ -272,9 +280,11 @@ def _drain_share(spec, objects, share):
     caches included) stay untouched for a scalar fallback.  The clone
     prices through the spec's process-wide shared memo (memoized prices
     are pure, so sharing changes no bit).  Returns ``(result, now,
-    energy, prefix hits, prefix misses)``: with ``objects`` the result
-    is the core's :class:`~repro.engine.server.ResilienceReport`,
-    otherwise the outcome columns ``(start_s, finish_s, context)``.
+    energy, prefix hits, prefix misses, counters)``: with ``objects``
+    the result is the core's :class:`~repro.engine.server.
+    ResilienceReport`, otherwise the outcome columns ``(start_s,
+    finish_s, context)``; ``counters`` maps each of ``_COUNTERS`` to
+    the run's count.
     Raises :class:`~repro.engine.vector_run.VectorFallback` (picklable
     across a process boundary) when no busy-period kernel serves the
     share (EDF, KV pressure, outsized price grids).
@@ -292,4 +302,12 @@ def _drain_share(spec, objects, share):
     else:
         vrun.execute_arrays()
         result = (arrays.start_s, arrays.finish_s, arrays.context)
-    return result, vrun.now, vrun.energy, vrun.prefix_hits, vrun.prefix_misses
+    return (result, vrun.now, vrun.energy, vrun.prefix_hits,
+            vrun.prefix_misses,
+            {name: getattr(vrun, name) for name in _COUNTERS})
+
+
+def _counter_totals(drained) -> dict[str, int]:
+    """Each work counter summed over :func:`_drain`'s shares."""
+    return {name: sum(outcome[5][name] for _, outcome in drained)
+            for name in _COUNTERS}

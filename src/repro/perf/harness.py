@@ -441,6 +441,7 @@ def bench_fleet_100k(repeats: int) -> BenchResult:
         report = gateway.run(stream)
         times.append(time.perf_counter() - start)
         stages.append(gateway.last_stages)
+        counters = gateway.last_counters
         if gateway.last_mode != "vector":
             raise RuntimeError("fleet_100k fell back to the scalar path")
         if report.completed != requests:
@@ -455,6 +456,7 @@ def bench_fleet_100k(repeats: int) -> BenchResult:
                              "mode": "vector",
                              "generate_s": generate_s,
                              "stages": stages[middle],
+                             "counters": counters,
                              "budget_s": FLEET_100K_BUDGET_S})
 
 
@@ -575,6 +577,7 @@ def bench_fleet_diurnal_1m(repeats: int) -> BenchResult:
         report = gateway.run_trace(trace)
         times.append(time.perf_counter() - start)
         stages.append(gateway.last_stages)
+        counters = gateway.last_counters
         if gateway.last_mode != "vector":
             raise RuntimeError("fleet_diurnal_1m fell back to the "
                                "scalar path")
@@ -594,6 +597,7 @@ def bench_fleet_diurnal_1m(repeats: int) -> BenchResult:
                              "mode": "vector", "jobs": 1,
                              "generate_s": generate_s,
                              "stages": stages[times.index(min(times))],
+                             "counters": counters,
                              "p99_latency_s": report.p99_latency_s,
                              "budget_s": FLEET_DIURNAL_1M_BUDGET_S})
 

@@ -94,6 +94,31 @@ class TestBoundaryTies:
         assert got == _scalar_json(engine, requests, arrivals,
                                    max_batch_size=1)
 
+    @pytest.mark.parametrize("gap_s", [0.4, 3.0])
+    def test_the_guess_reads_table_sums(self, engine, monkeypatch, gap_s):
+        """Each request's service guess is its prefill plus a prefix-sum
+        difference of the decode seconds: within rounding of the sum of
+        the very steps its clock runs over, and no repair needed on a
+        random share."""
+        requests, arrivals = _stream(6, n=80, gap_s=gap_s)
+        seen = []
+        exact_clocks = VectorServingRun._exact_clocks
+
+        def spy(run, steps, watts, off, ready, carry, energy, service,
+                path):
+            seen.append((np.add.reduceat(steps, off[:-1]), service.copy()))
+            return exact_clocks(run, steps, watts, off, ready, carry,
+                                energy, service, path)
+
+        monkeypatch.setattr(VectorServingRun, "_exact_clocks", spy)
+        got, run = _kernel_run(engine, requests, arrivals, max_batch_size=1)
+        assert got == _scalar_json(engine, requests, arrivals,
+                                   max_batch_size=1)
+        (steps_sum, service), = seen
+        assert service.shape == (len(requests),)
+        np.testing.assert_allclose(service, steps_sum, rtol=1e-12)
+        assert run.boundary_repairs == 0
+
     def test_a_boundary_wrong_after_its_repair_raises(self, engine,
                                                       monkeypatch):
         """An exact pass that undoes each flip (it opens a period at
@@ -277,6 +302,23 @@ class TestGather:
                 for j in range(n)]
             assert out.tolist() == expected
 
+    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=40),
+                              st.integers(min_value=0, max_value=50)),
+                    min_size=1, max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_unit_stride_skips_the_stride_pass(self, runs):
+        """``stride=None`` reads what unit strides read (the batch-1
+        drain's one-step prefill runs read their first entry either
+        way)."""
+        length, first = (np.array(column, dtype=np.int64)
+                         for column in zip(*runs))
+        flat = np.random.default_rng(len(runs)).random(
+            int((first + length).max()))
+        (got,) = vector_run._gather(None, length, (flat, first))
+        (unit,) = vector_run._gather(np.ones_like(length), length,
+                                     (flat, first))
+        assert got.tobytes() == unit.tobytes()
+
 
 def _reference_clocks(steps, first, begin, watts=None, energy=0.0):
     """The scalar ``now +=`` chain, one period at a time, and with
@@ -414,6 +456,84 @@ class TestChunkedDrain:
         assert run.now == report.wallclock_s
 
 
+class TestWorkArrays:
+    """The batch-1 drain's per-step arrays are kept per thread."""
+
+    def test_reused_across_drains(self, engine):
+        requests, arrivals = _stream(12, n=60, gap_s=0.3)
+        first, _ = _kernel_run(engine, requests, arrivals, max_batch_size=1)
+        work = vector_run._WORK
+        path, size = work.path, work.size
+        assert size > 0
+        _kernel_run(engine, requests[:20], arrivals[:20], max_batch_size=1)
+        assert work.path is path and work.size == size
+        # A drain leaves nothing in the work arrays that a report reads.
+        again, _ = _kernel_run(engine, requests, arrivals, max_batch_size=1)
+        assert again == first == _scalar_json(engine, requests, arrivals,
+                                              max_batch_size=1)
+
+    def test_threads_drain_on_their_own_arrays(self, engine):
+        streams = [_stream(seed, n=50, gap_s=0.5) for seed in range(8)]
+        serial = [_kernel_run(engine, *stream, max_batch_size=1)[0]
+                  for stream in streams]
+
+        main_path = vector_run._WORK.path
+
+        def drain(stream):
+            got = _kernel_run(engine, *stream, max_batch_size=1)[0]
+            return got, vector_run._WORK.path
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded, paths = zip(*pool.map(drain, streams, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert list(threaded) == serial
+        assert all(path is not main_path for path in paths)
+        assert vector_run._WORK.path is main_path
+
+
+def _periods_from_report(report) -> int:
+    """Idle-to-busy transitions read off a served report: requests that
+    start after every earlier-started request has finished, the first
+    one included (the server starts idle)."""
+    served = sorted(report.served, key=lambda r: (r.start_s, r.request_id))
+    periods, busy_until = 0, -np.inf
+    for r in served:
+        periods += r.start_s > busy_until
+        busy_until = max(busy_until, r.finish_s)
+    return periods
+
+
+class TestBusyPeriodCounter:
+    """``busy_periods``: idle-to-busy transitions, on either kernel and
+    across chunk boundaries, as the scalar report shows them."""
+
+    @pytest.mark.parametrize("max_batch_size", [1, 4])
+    @pytest.mark.parametrize("chunk_steps", [1, 37, vector_run._CHUNK_STEPS])
+    @pytest.mark.parametrize("first_at_zero", [False, True])
+    def test_matches_the_report(self, engine, monkeypatch, max_batch_size,
+                                chunk_steps, first_at_zero):
+        requests, arrivals = _stream(14, n=70, gap_s=1.5)
+        if first_at_zero:
+            arrivals = arrivals - arrivals[0]
+        monkeypatch.setattr(vector_run, "_CHUNK_STEPS", chunk_steps)
+        got, run = _kernel_run(engine, requests, arrivals,
+                               max_batch_size=max_batch_size)
+        scalar = ServingSimulator(engine, max_batch_size=max_batch_size,
+                                  mode="scalar")
+        report = scalar.run(requests, arrivals)
+        assert got == report.to_json()
+        assert 1 < run.busy_periods < len(requests)
+        assert run.busy_periods == _periods_from_report(report)
+
+    def test_empty_share_has_none(self, engine):
+        _, run = _kernel_run(engine, [], np.zeros(0), max_batch_size=1)
+        assert run.busy_periods == 0
+
+
 class TestPrefillPricing:
     def test_each_distinct_prompt_priced_once(self, engine, monkeypatch):
         rng = np.random.default_rng(8)
@@ -423,10 +543,12 @@ class TestPrefillPricing:
         requests = [GenerationRequest(i, int(prompt[i]), 20)
                     for i in range(n)]
         sim = ServingSimulator(engine, max_batch_size=1)
+        # A fresh memo: the shared one may hold these keys already.
+        sim.pricing = Pricing(sim.engine, pure=True)
         calls = []
-        prefill = Pricing.prefill
-        monkeypatch.setattr(Pricing, "prefill", lambda self, *key: (
-            calls.append(key) or prefill(self, *key)))
+        price = Pricing._price_prefill
+        monkeypatch.setattr(Pricing, "_price_prefill", lambda self, *key: (
+            calls.append(key) or price(self, *key)))
         run = VectorServingRun(sim, arrays=RequestArrays(requests, arrivals))
         got = run.execute().to_json()
         assert sorted(calls) == [(64, 0), (200, 0), (333, 0)]

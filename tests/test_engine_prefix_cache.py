@@ -209,6 +209,106 @@ class TestReuse:
             cache.reuse_all(["a", "b"], [300, -1])
 
 
+class _StoringLoop:
+    """The bulk replay as one ``_store`` call per miss: refresh the
+    key, evict the oldest while the old entry still counts, drop the
+    old entry, then insert, with the ledger on the instance.  Eviction
+    stops at an empty cache (a rounded ledger can keep a residue)."""
+
+    def __init__(self, capacity_bytes, kv_bytes_per_token):
+        self.capacity_bytes = capacity_bytes
+        self.kv_bytes_per_token = kv_bytes_per_token
+        self.entries = OrderedDict()
+        self.used_bytes = 0.0
+
+    def reuse_all(self, keys, token_counts):
+        hits = []
+        for key, token_count in zip(keys, token_counts):
+            if token_count <= 0:
+                raise ValueError("token_count must be positive")
+            cached = self.entries.get(key)
+            if cached is not None:
+                self.entries.move_to_end(key)
+                if cached == token_count:
+                    hits.append(True)
+                    continue
+            kv_bytes = token_count * self.kv_bytes_per_token
+            if kv_bytes <= self.capacity_bytes:
+                self._store(key, token_count, kv_bytes)
+            hits.append(False)
+        return hits
+
+    def _store(self, key, token_count, kv_bytes):
+        per_token = self.kv_bytes_per_token
+        while self.entries and (self.used_bytes + kv_bytes
+                                > self.capacity_bytes):
+            _, evicted = self.entries.popitem(last=False)
+            self.used_bytes -= evicted * per_token
+        previous = self.entries.pop(key, None)
+        if previous is not None:
+            self.used_bytes -= previous * per_token
+        self.entries[key] = token_count
+        self.used_bytes += kv_bytes
+
+
+class TestReuseAllInlinesTheStore:
+    """``reuse_all`` stores inline; it must take the per-miss
+    ``_store`` loop's steps, ledger bits included."""
+
+    # Few keys and counts, so the same key returns with another count;
+    # counts past the ~1000-token capacity are served uncached.
+    _CALLS = st.lists(st.lists(st.tuples(
+        st.sampled_from("abcde"),
+        st.one_of(st.sampled_from([100, 300, 301, 999, 1000]),
+                  st.integers(min_value=1, max_value=1300))),
+        max_size=40), min_size=1, max_size=8)
+
+    @given(_CALLS, st.sampled_from([1000.0, 1000.3, 114688.7]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_storing_loop(self, calls, per_token):
+        capacity = 1_000_000 * per_token / 1000
+        cache = PrefixCache(capacity, per_token)
+        loop = _StoringLoop(capacity, per_token)
+        for pairs in calls:
+            keys = [key for key, _ in pairs]
+            counts = [count for _, count in pairs]
+            assert cache.reuse_all(keys, counts) == loop.reuse_all(
+                keys, counts)
+            assert list(cache._entries.items()) == list(loop.entries.items())
+            assert cache.used_bytes == loop.used_bytes
+
+    def test_same_key_new_count_and_oversize(self):
+        cache = PrefixCache(1_000_000, 1000.3)
+        loop = _StoringLoop(1_000_000, 1000.3)
+        keys = ["a", "b", "a", "c", "a", "huge", "b", "a"]
+        counts = [300, 300, 301, 400, 301, 1200, 300, 999]
+        assert cache.reuse_all(keys, counts) == loop.reuse_all(keys, counts)
+        assert list(cache._entries.items()) == list(loop.entries.items())
+        assert cache.used_bytes == loop.used_bytes
+        assert "huge" not in cache
+
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_an_emptied_cache_with_a_rounded_ledger(self, bulk):
+        # 300 * 1000.3 + 301 * 1000.3 - ... leaves a residue once the
+        # cache empties; a full-capacity prefix then evicts everything
+        # and is stored, where a read of the empty cache used to raise.
+        cache = PrefixCache(1_000_300.0, 1000.3)
+        keys, counts = ["a", "b", "a", "a"], [300, 301, 43, 1000]
+        if bulk:
+            hits = cache.reuse_all(keys, counts)
+        else:
+            hits = [cache.reuse(k, c) for k, c in zip(keys, counts)]
+        assert hits == [False] * 4
+        assert list(cache._entries.items()) == [("a", 1000)]
+
+    def test_the_ledger_survives_a_rejected_pair(self):
+        cache = PrefixCache(1_000_000, 1000.3)
+        with pytest.raises(ValueError):
+            cache.reuse_all(["a", "b", "c"], [300, 200, 0])
+        assert list(cache._entries.items()) == [("a", 300), ("b", 200)]
+        assert cache.used_bytes == 300 * 1000.3 + 200 * 1000.3
+
+
 class TestSuffixPrefill:
     def test_warm_prefix_is_faster(self, engine_8b):
         cold = engine_8b.kernels.prefill(engine_8b.profile, 2048).seconds

@@ -22,10 +22,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.engine.pricing as pricing_module
 import repro.engine.server as server
 from repro.engine.engine import EngineConfig, InferenceEngine
 from repro.engine.kv_cache import KVCacheConfig, PagedKVCache
+from repro.engine.prefix_cache import prefill_with_prefix
 from repro.engine.pricing import (
     _TABLE_KEY_LIMIT,
     Pricing,
@@ -111,6 +114,112 @@ class TestTablesMatchDirectPricing:
         assert all(pricing.tables[0]) and all(pricing.tables[1])
 
 
+#: A small stand-in for ``_TABLE_KEY_LIMIT``, so keys at and past it
+#: stay cheap to price and to store.
+_LIMIT = 700
+
+#: Batches of ``(prompt, cached)`` keys: prompts up to past the limit,
+#: cached prefixes 0 or one of a few lengths below the prompt.
+_PREFILL_BATCHES = st.lists(st.lists(st.tuples(
+    st.one_of(st.integers(1, 300), st.integers(_LIMIT - 3, _LIMIT + 3)),
+    st.sampled_from([0, 0, 16, 64, 250])), max_size=30),
+    min_size=1, max_size=6)
+
+
+def _direct_prefill(engine, prompt, cached):
+    """A batch-1 prefill priced as a direct evaluation prices it."""
+    return (prefill_with_prefix(engine, prompt, cached).seconds,
+            engine.power.prefill_power(prompt - cached))
+
+
+class TestPrefillTables:
+    """``prefills`` is :meth:`Pricing.prefill` of each key, bit for
+    bit, and both read one set of dense per-cached-prefix tables."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        return _engine(MODEL, "MAXN")
+
+    @given(batches=_PREFILL_BATCHES, pure=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_equals_per_key_and_direct(self, engine, batches, pure):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pricing_module, "_TABLE_KEY_LIMIT", _LIMIT)
+            bulk = Pricing(engine, pure=pure)
+            single = Pricing(engine, pure=pure)
+            for batch in batches:
+                keys = [(p, min(c, p - 1)) for p, c in batch]
+                prompt = np.array([p for p, _ in keys], dtype=np.int64)
+                cached = np.array([c for _, c in keys], dtype=np.int64)
+                got = bulk.prefills(prompt, cached)
+                assert got.shape == (2, len(keys))
+                direct = [_direct_prefill(engine, p, c) for p, c in keys]
+                per_key = [single.prefill(p, c) for p, c in keys]
+                assert all(type(v) is float for pair in per_key
+                           for v in pair)
+                assert _bits(got.T) == _bits(direct) == _bits(per_key)
+                # A second read is a table read and changes nothing.
+                assert _bits(bulk.prefills(prompt, cached)) == _bits(got)
+            for pricing in (bulk, single):
+                if not pure:
+                    assert pricing.prefill_tables == {}
+                for table, seconds, watts in (
+                        pricing.prefill_tables.values()):
+                    assert table.shape[1] <= 2 * (_LIMIT + 256)
+                    assert seconds.obj.base is table
+                    assert watts.obj.base is table
+
+    def test_keys_at_and_past_the_limit_grow_no_table(self, engine,
+                                                      monkeypatch):
+        monkeypatch.setattr(pricing_module, "_TABLE_KEY_LIMIT", _LIMIT)
+        pricing = Pricing(engine, pure=True)
+        pricing.prefills(np.array([10, _LIMIT - 1]), np.array([0, 16]))
+        shapes = {c: t.shape for c, (t, _, _) in
+                  pricing.prefill_tables.items()}
+        assert shapes == {0: (2, 267), 16: (2, _LIMIT + 256)}
+        keys = [(_LIMIT, 0), (_LIMIT + 5, 16), (_LIMIT + 1, 300)]
+        prompt = np.array([p for p, _ in keys])
+        cached = np.array([c for _, c in keys])
+        got = pricing.prefills(prompt, cached)
+        assert _bits(got.T) == _bits(
+            [_direct_prefill(engine, p, c) for p, c in keys])
+        assert [pricing.prefill(p, c) for p, c in keys] == [
+            tuple(pair) for pair in got.T.tolist()]
+        assert {c: t.shape for c, (t, _, _) in
+                pricing.prefill_tables.items()} == shapes
+
+    def test_tables_grow_geometrically_and_keep_their_prices(self, engine):
+        pricing = Pricing(engine, pure=True)
+        first = pricing.prefills(np.array([5, 40]), np.array([0, 0]))
+        (table, _, _), = pricing.prefill_tables.values()
+        assert table.shape == (2, 297)
+        assert np.isnan(table[0]).sum() == 297 - 2
+        pricing.prefill(300)
+        table, _, _ = pricing.prefill_tables[0]
+        assert table.shape == (2, 594)
+        assert _bits(table[:, [5, 40]]) == _bits(first)
+        assert np.count_nonzero(~np.isnan(table[0])) == 3
+
+    def test_each_new_key_is_priced_once(self, engine, monkeypatch):
+        calls = []
+        price = Pricing._price_prefill
+        monkeypatch.setattr(Pricing, "_price_prefill", lambda self, *key: (
+            calls.append(key) or price(self, *key)))
+        pricing = Pricing(engine, pure=True)
+        prompt = np.array([64, 200, 64, 200, 333, 64])
+        cached = np.array([0, 0, 0, 16, 16, 0])
+        pricing.prefills(prompt, cached)
+        pricing.prefills(prompt, cached)
+        pricing.prefill(64)
+        pricing.prefill(333, 16)
+        assert sorted(calls) == [(64, 0), (200, 0), (200, 16), (333, 16)]
+
+    def test_empty(self, engine):
+        got = Pricing(engine, pure=True).prefills(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert got.shape == (2, 0)
+
+
 def _stream(seed: int, n: int = 60):
     rng = np.random.default_rng(seed)
     requests = [GenerationRequest(i, int(rng.integers(16, 600)),
@@ -177,7 +286,7 @@ class TestSharedPricing:
             assert sim.pricing.engine is sim.engine
             sim.run_poisson(np.random.default_rng(5), qps=3.0,
                             num_requests=20)
-            assert sim.pricing._prefill == {}
+            assert sim.pricing.prefill_tables == {}
             assert sim.pricing.tables == ({}, {})
         assert len({id(s.pricing) for s in sims}) == len(sims)
         with pytest.raises(ValueError, match="noisy"):
@@ -209,7 +318,7 @@ class TestSharedPricing:
             requests, arrivals = _stream(seed)
             sim.run(requests, arrivals, np.full(len(requests), 30.0))
         shared = Pricing.shared(_engine(MODEL, "MAXN"))
-        assert shared.tables[0] and shared.tables[1] and shared._prefill
+        assert shared.tables[0] and shared.tables[1] and shared.prefill_tables
         for policy, core in (("fcfs", "vector"), ("edf", "scalar")):
             runs = {}
             for name in ("warm", "fresh"):

@@ -331,7 +331,7 @@ class TestCrashMidDecode:
 
         # "s0"'s rendezvous winner is "b"; the crash cuts turn 0 there.
         assert partition_module._rendezvous_winners(
-            (b"s0:",), [b"a", b"b"]).tolist() == [1]
+            (b"s0:",), partition_module._keys([b"a", b"b"])).tolist() == [1]
         faults = FleetFaultSchedule(
             ("a", "b"), FleetFaultConfig(device_crashes=0),
             events=[DeviceFault("b", "crash", 3.0, 7.0)])
@@ -493,3 +493,61 @@ class TestStageTimes:
         gateway.run(stream)
         assert gateway.last_mode == "scalar"
         assert gateway.last_stages is None
+        assert gateway.last_counters is None
+
+
+class TestWorkCounters:
+    """``last_counters``: the vector core's work counts summed over
+    shares, None whenever ``last_stages`` is; exact and machine- and
+    executor-independent, so runs and executors must agree."""
+
+    @staticmethod
+    def _trace():
+        config = PopulationConfig(requests=600, mean_turns=6.0, users=120,
+                                  base_sessions_per_s=0.6,
+                                  peak_sessions_per_s=0.84, period_s=600.0)
+        return population_trace(np.random.default_rng(4), config)
+
+    @staticmethod
+    def _gateway(mode="auto"):
+        return FleetGateway(build_fleet(4, max_batch_size=1,
+                                        prefix_cache_mb=8.0),
+                            policy="prefix-affinity", mode=mode)
+
+    def test_none_before_a_run_and_after_a_scalar_one(self):
+        assert self._gateway().last_counters is None
+        scalar = self._gateway("scalar")
+        scalar.run_trace(self._trace())
+        assert scalar.last_counters is None
+
+    def test_identical_across_runs_and_executors(self):
+        trace = self._trace()
+        counters = []
+        for jobs, executor in ((1, "thread"), (1, "thread"), (2, "thread"),
+                               (2, "process")):
+            gateway = self._gateway()
+            gateway.run_trace(trace, jobs=jobs, executor=executor)
+            assert gateway.last_mode == "vector"
+            counters.append(gateway.last_counters)
+        assert set(counters[0]) == {"boundary_repairs", "busy_periods"}
+        assert counters[0]["busy_periods"] > len(build_fleet(4))
+        assert all(c == counters[0] for c in counters)
+
+    @pytest.mark.parametrize("max_batch_size", [1, 4])
+    def test_busy_periods_sum_the_devices(self, max_batch_size):
+        # Idle-to-busy transitions read off each device's served list.
+        stream = _stream(seed=5, qps=0.6, count=80)
+        gateway = FleetGateway(build_fleet(3, max_batch_size=max_batch_size),
+                               policy="round-robin")
+        report = gateway.run(stream)
+        assert gateway.last_mode == "vector"
+        periods = 0
+        for outcome in report.devices:
+            busy_until = -math.inf
+            for r in sorted(outcome.report.served,
+                            key=lambda r: (r.start_s, r.request_id)):
+                periods += r.start_s > busy_until
+                busy_until = max(busy_until, r.finish_s)
+        assert gateway.last_counters == {"boundary_repairs": 0,
+                                         "busy_periods": periods}
+        assert periods > 3

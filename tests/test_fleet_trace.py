@@ -97,6 +97,11 @@ def _reference_key(data):
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
 
+def _name_keys(names):
+    """The candidates' rendezvous name keys, as a gateway hashes them."""
+    return partition_module._keys([n.encode() for n in names])
+
+
 def _reference_winner(session, names):
     """The rendezvous winner by definition, in plain Python ints: the
     largest splitmix64 finalizer of ``key(f"{session}:") ^ key(name)``,
@@ -214,7 +219,7 @@ class TestRoutingFastPath:
             # The trace partition inlines the key bytes as b"s%d:".
             assert b"s%d:" % session == key.encode() + b":"
             winner = partition_module._rendezvous_winners(
-                (b"s%d:" % session,), [n.encode() for n in names])[0]
+                (b"s%d:" % session,), _name_keys(names))[0]
             assert names[winner] == _reference_winner(key, names)
             # The scalar loop routes a turn to the same device.
             turn = FleetRequest(request=GenerationRequest(0, 64, 16),
@@ -236,16 +241,17 @@ class TestRoutingFastPath:
                         rng.integers(0, 10 ** 6, 4 * count)})[:count]
         sessions = rng.integers(0, 10 ** 9, 250).tolist()
         winners = partition_module._rendezvous_winners(
-            [b"s%d:" % s for s in sessions], [n.encode() for n in names])
+            [b"s%d:" % s for s in sessions], _name_keys(names))
         assert winners.dtype == np.int64
         assert [names[w] for w in winners.tolist()] == [
             _reference_winner(session_key(s), names) for s in sessions]
         assert [partition_module._rendezvous_winners(
-            (b"s%d:" % s,), [n.encode() for n in names])[0]
+            (b"s%d:" % s,), _name_keys(names))[0]
             for s in sessions[:20]] == winners[:20].tolist()
 
     def test_no_sessions(self):
-        assert partition_module._rendezvous_winners([], [b"a"]).shape == (0,)
+        assert partition_module._rendezvous_winners(
+            [], _name_keys(["a"])).shape == (0,)
 
     def test_ties_go_to_the_last_maximum(self):
         # The scalar ``>=`` rule: among equal best weights the largest
@@ -296,9 +302,9 @@ class TestRoutingFastPath:
         rest = [n for n in names if n != gone]
         heads = [b"s%d:" % s for s in sessions]
         before = [names[w] for w in partition_module._rendezvous_winners(
-            heads, [n.encode() for n in names]).tolist()]
+            heads, _name_keys(names)).tolist()]
         after = [rest[w] for w in partition_module._rendezvous_winners(
-            heads, [n.encode() for n in rest]).tolist()]
+            heads, _name_keys(rest)).tolist()]
         assert [b != a for b, a in zip(before, after)] == [
             b == gone for b in before]
         gateway = FleetGateway(
@@ -322,7 +328,8 @@ class TestRoutingFastPath:
             population_trace(np.random.default_rng(0), config).chunks(
                 10_000))
         assign = partition_module._assign(
-            "prefix-affinity", [b"edge-%02d" % i for i in range(32)],
+            "prefix-affinity",
+            _name_keys([f"edge-{i:02d}" for i in range(32)]),
             columns["session"], head)
         offered = np.bincount(assign, minlength=32)
         assert offered.max() / offered.mean() <= 1.10

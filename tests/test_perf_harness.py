@@ -191,13 +191,16 @@ class TestStageMeta:
 
         stages = {"collect": 0.5, "assign": 0.1, "drain": 2.0,
                   "assemble": 0.25}
+        counters = {"boundary_repairs": 0, "busy_periods": 7}
         built = []
 
         def paced_fleet(*_):
-            gateway = SimpleNamespace(last_mode=None, last_stages=None)
+            gateway = SimpleNamespace(last_mode=None, last_stages=None,
+                                      last_counters=None)
 
             def run(stream):
                 gateway.last_mode, gateway.last_stages = "vector", stages
+                gateway.last_counters = counters
                 return SimpleNamespace(completed=len(stream))
 
             gateway.run = run
@@ -211,6 +214,7 @@ class TestStageMeta:
         monkeypatch.setattr(harness, "_paced_stream", paced_stream)
         meta = harness.bench_fleet_100k(3).meta
         assert meta["stages"] == stages
+        assert meta["counters"] == counters
         # One stream for every repeat, built outside the timed region.
         assert built == [100_000]
         assert meta["generate_s"] >= 0.0
