@@ -10,7 +10,7 @@ OUTPUT ?= outputs
 # without an editable install.
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: setup test lint bench chaos chaos-pipeline chaos-fleet chaos-overload chaos-autoscale chaos-tiering perf perf-100k perf-1m perf-tiering perf-baseline reproduce reproduce-fast examples fidelity takeaways clean
+.PHONY: setup test callcov lint bench chaos chaos-pipeline chaos-fleet chaos-overload chaos-autoscale chaos-tiering perf perf-100k perf-1m perf-tiering perf-baseline reproduce reproduce-fast examples fidelity takeaways clean
 
 ## Install the package in editable mode (legacy path works offline).
 setup:
@@ -19,6 +19,16 @@ setup:
 ## Run the tier-1 test suite.
 test:
 	$(PYTHON) -m pytest -x -q
+
+## Call coverage, outside tier-1: the tier-1 suite under a stdlib
+## call-only tracer (about twice its wall time).  Fails when a function
+## in src/repro/{fleet,engine,tiering} is never entered and is not on
+## tools/callcov_allowlist.txt, or when an allowlist entry is stale.
+## Process-pool workers are separate interpreters and are not traced,
+## so a function that only a process worker runs counts as never
+## entered.
+callcov:
+	$(PYTHON) tools/callcov.py
 
 ## Static checks (style, imports, bugbear) over src/ and tests/.
 lint:

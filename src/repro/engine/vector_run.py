@@ -38,21 +38,27 @@ Two busy-period kernels serve FCFS shares:
   finish_{k-1})``, and inside a busy period the clock is one sequential
   ``add.accumulate`` over the period's prefill and decode steps;
 * above batch 1, :meth:`VectorServingRun._drain_batched`: it walks the
-  scalar loop's events in Python on a guessed clock, prices every step
-  with one gather per chunk, takes the clock and energy from the
-  sequential pass shared with the batch-1 kernel, and
-  verifies every decision that read the clock against the exact
-  clocks, rerunning a wrong guess exactly.
+  scalar loop's events in Python on a guessed clock and verifies every
+  decision that read the clock against the exact clocks, rerunning a
+  wrong guess exactly.
+
+Both kernels share one path around their own chunk planning and
+verification.  :meth:`VectorServingRun._serve_all` computes the
+admission-order columns and prefill prices they read, and writes the
+prefill and context columns back.  Each chunk's steps are gathered
+from flat price tables (:func:`_gather`) into per-thread work arrays
+(:class:`_WorkArrays`), and one complex pass runs the clock and the
+energy over them (:func:`_step_chains`, :func:`_segment_clocks`).
 
 Neither kernel models the paged allocator's dynamic response (admission
-stall, preemption, recompute-on-resume), so each checks up front, on
-the request columns and a snapshot of the free pool, that no allocator
-branch of the scalar loop can fire.  Every share a kernel cannot serve
-raises :class:`VectorFallback` before any state is touched — EDF
-admission, a request whose final context outgrows the pool, a batch
-whose live set could meet KV pressure, a batch whose price grids would
-outgrow ``_GRID_KEYS`` — and the caller reruns the whole workload on the
-scalar path, which is deterministic and therefore safe to restart.
+stall, preemption, recompute-on-resume), so :meth:`VectorServingRun.
+_serve_all` checks up front, on the request columns and the free pool,
+that no allocator branch of the scalar loop can fire.  Every share a
+kernel cannot serve raises :class:`VectorFallback` before any state is
+touched — EDF admission, a share whose live set could meet KV pressure,
+a share whose price grids would outgrow ``_GRID_KEYS`` — and the caller
+reruns the whole workload on the scalar path, which is deterministic
+and therefore safe to restart.
 
 Outcomes land in the :class:`~repro.engine.state.RequestArrays` outcome
 columns.  :meth:`VectorServingRun.execute_arrays` returns those columns
@@ -161,17 +167,17 @@ def _guess_resets(service: np.ndarray, ready: np.ndarray,
 
 
 class _WorkArrays(threading.local):
-    """The batch-1 drain's per-step arrays, kept per thread across
+    """The busy-period kernels' per-step arrays, kept per thread across
     chunks and shares.
 
-    A chunk's gathered step seconds and watts and its complex clock and
-    energy buffer take 32 bytes a step, about 2 MB at ``_CHUNK_STEPS``.
-    Allocated afresh for each share, that memory went back to the
-    kernel between shares and was faulted in again page by page: about
-    25k minor faults and a fifth of a 40k-request prefix-affinity round
-    over 32 devices (2-core x86_64 host).  Kept per thread, so drains
-    on a thread pool never share one; each thread keeps the largest
-    chunk it has drained.
+    Both kernels gather a chunk's step seconds and watts here and run
+    its clock and energy in the complex buffer: 32 bytes a step, about
+    2 MB at ``_CHUNK_STEPS``.  Allocated afresh for each share, that
+    memory went back to the kernel between shares and was faulted in
+    again page by page: about 25k minor faults and a fifth of a
+    40k-request prefix-affinity round over 32 devices (2-core x86_64
+    host).  Kept per thread, so drains on a thread pool never share
+    one; each thread keeps the largest chunk it has drained.
     """
 
     size = 0
@@ -191,32 +197,29 @@ _WORK = _WorkArrays()
 
 
 def _step_chains(seconds: np.ndarray, watts: np.ndarray, energy: float,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """One complex buffer of a chunk's steps for :func:`_segment_clocks`:
-    real parts the step seconds, imaginary parts the step joules
-    (seconds times watts), with ``energy``, the total carried in,
-    folded into the first step (the scalar loop's first ``energy +=``).
-    Written into ``out`` when given, else into a new array.
+                 path: np.ndarray) -> None:
+    """Fill ``path``, a complex buffer of steps for
+    :func:`_segment_clocks`: real parts the step seconds, imaginary
+    parts the step joules (seconds times watts), with ``energy``, the
+    total carried in, folded into the first step (the scalar loop's
+    first ``energy +=``).
     """
-    path = (np.empty(seconds.shape[0], dtype=np.complex128) if out is None
-            else out)
     path.real = seconds
     joules = path.imag
     np.multiply(seconds, watts, out=joules)
     joules[0] += energy
-    return path
 
 
 def _segment_clocks(path: np.ndarray, first: np.ndarray,
                     begin: np.ndarray) -> None:
-    """Run the clocks of consecutive periods of ``path``, in place.
+    """Run the clocks and the energy of consecutive periods of ``path``,
+    in place.
 
-    ``path`` holds step seconds: as a real array, or as the real parts
-    of a complex one whose imaginary parts hold step joules
-    (:func:`_step_chains`).  Period ``i`` owns ``path[first[i]:
-    first[i+1]]`` and starts at ``begin[i]`` (``first`` strictly
-    increasing from 0).  Afterwards ``path.real[t]`` is the clock after
-    step ``t`` and, on a complex path, ``path.imag[t]`` the energy.
+    ``path`` holds step seconds in its real parts and step joules in
+    its imaginary parts (:func:`_step_chains`).  Period ``i`` owns
+    ``path[first[i]:first[i+1]]`` and starts at ``begin[i]`` (``first``
+    strictly increasing from 0).  Afterwards ``path.real[t]`` is the
+    clock after step ``t`` and ``path.imag[t]`` the energy.
 
     Each period's start is folded into its first step (the scalar loop's
     first ``now +=``), then every period is summed strictly left to
@@ -233,7 +236,7 @@ def _segment_clocks(path: np.ndarray, first: np.ndarray,
     accumulate per long period, one per short run, and at most
     ``_SLICE_STEPS - 2`` column passes.
     """
-    clock = path.real
+    clock, joules = path.real, path.imag
     clock[first] += begin
     stop = np.append(first[1:], path.shape[0])
     length = stop - first
@@ -241,21 +244,19 @@ def _segment_clocks(path: np.ndarray, first: np.ndarray,
     # ``add.accumulate`` is ``cumsum`` without its Python-level wrapper,
     # which would cost more than the sum on short slices.
     accumulate = np.add.accumulate
-    joules = path.imag if path.dtype.kind == "c" else None
     # Steps before ``done`` hold their final energy.
     done = 0
     for lo, hi in zip(first[sliced].tolist(), stop[sliced].tolist()):
-        if joules is not None and lo:
-            if lo > done:
-                # The short run before it, through its first step.
-                run = joules[max(done - 1, 0):lo + 1]
-                accumulate(run, out=run)
-            else:
-                joules[lo] += joules[lo - 1]
+        if lo > done:
+            # The short run before it, through its first step.
+            run = joules[max(done - 1, 0):lo + 1]
+            accumulate(run, out=run)
+        elif lo:
+            joules[lo] += joules[lo - 1]
         part = path[lo:hi]
         accumulate(part, out=part)
         done = hi
-    if joules is not None and done < path.shape[0]:
+    if done < path.shape[0]:
         run = joules[max(done - 1, 0):]
         accumulate(run, out=run)
     short = np.flatnonzero(~sliced & (length > 1))
@@ -293,36 +294,31 @@ def _period_clocks(path: np.ndarray, off: np.ndarray, ready: np.ndarray,
 
 
 def _gather(stride: np.ndarray | None, length: np.ndarray,
-            *tables: tuple[np.ndarray, np.ndarray],
-            out: tuple[np.ndarray, ...] | None = None) -> list[np.ndarray]:
+            *reads: tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
     """Read runs of flat price tables, one gather per table.
 
     Run ``s`` reads ``length[s]`` entries from index ``first[s]`` in
-    steps of ``stride[s]`` (0 repeats one entry); each ``(flat, first)``
-    pair gives one array of every run's reads, runs concatenated.  Entry
-    ``t`` of the concatenation, ``t - head[s]`` into run ``s``, reads
-    ``first[s] + (t - head[s]) * stride[s]``: a per-run base ``first -
-    head * stride`` plus ``t * stride``, all elementwise, with no
-    sequential pass over the steps.  ``stride=None`` reads every run at
-    unit stride (a one-step run reads ``first[s]`` at any stride), which
-    skips the per-step stride pass.  With ``out`` (one array per table,
-    each as long as the reads) the reads land there: ``take`` in
-    ``"wrap"`` mode writes straight into it, where the default mode
-    would copy through a new buffer, and every index is in range, so
-    nothing wraps.
+    steps of ``stride[s]`` (0 repeats one entry); each ``(flat, first,
+    out)`` triple writes every run's reads of ``flat``, runs
+    concatenated, into ``out`` (as long as the reads).  Entry ``t`` of
+    the concatenation, ``t - head[s]`` into run ``s``, reads ``first[s]
+    + (t - head[s]) * stride[s]``: a per-run base ``first - head *
+    stride`` plus ``t * stride``, all elementwise, with no sequential
+    pass over the steps.  ``stride=None`` reads every run at unit stride
+    (a one-step run reads ``first[s]`` at any stride), which skips the
+    per-step stride pass.  ``take`` in ``"wrap"`` mode writes straight
+    into ``out``, where the default mode would copy through a new
+    buffer, and every index is in range, so nothing wraps.
     """
     head_step = np.cumsum(length) - length
-    step = np.arange(int(length.sum()), dtype=np.int64)
+    step = np.arange(reads[0][2].shape[0], dtype=np.int64)
     if stride is not None:
         head_step *= stride
         step *= np.repeat(stride, length)
-    reads = []
-    for t, (flat, first) in enumerate(tables):
+    for flat, first, out in reads:
         index = np.repeat(first - head_step, length)
         index += step
-        reads.append(flat[index] if out is None
-                     else flat.take(index, out=out[t], mode="wrap"))
-    return reads
+        flat.take(index, out=out, mode="wrap")
 
 
 def _accumulate(total: float, a: np.ndarray, b: np.ndarray) -> float:
@@ -426,10 +422,6 @@ class VectorServingRun:
         self.now = 0.0
         self.energy = 0.0
         self.prefill_stall_s = 0.0
-        # Snapshot of the free pool for the static KV checks: the real
-        # cache is never touched, so a fallback leaves no state to unwind.
-        self._free = self.kv.free_blocks
-        self._block = self.kv.config.block_tokens
         self.pricing = sim.pricing
         # Admission order: stable sort on (ready time, injection order)
         # — exactly the scalar FCFS pending-heap pop order.
@@ -492,27 +484,30 @@ class VectorServingRun:
         period's prefix.  A boundary wrong again after its flip raises
         ``RuntimeError``.
 
-        The first pass runs the energy chain with the clocks
-        (:func:`_step_chains`).  Energy never resets, so it does not
-        depend on the boundaries: a repair reruns only the clocks, on a
-        real copy of ``steps`` (the one read of the raw step seconds
-        after that first pass).
+        A repair re-chains the path's tail from the flipped request, in
+        place (:func:`_step_chains`: ``steps`` and ``watts`` still hold
+        the raw steps), with the energy before the tail carried in.
+        Energy never resets, so the first pass's energy there is exact,
+        and the tail's first step adds it as ``s·w + E`` where the
+        first pass added ``E + s·w``: IEEE addition is commutative and
+        the chain stays in step order, so no energy bit changes.
         """
         reset = _guess_resets(service, ready, carry)
         start = np.empty(ready.shape[0])
         finish = np.empty(ready.shape[0])
-        fused = path = _step_chains(steps, watts, energy, path)
         lo = 0
         flipped = -1
         while True:
             base = off[lo]
+            tail = path[base:]
+            _step_chains(steps[base:], watts[base:], energy, tail)
             start[lo:], finish[lo:] = _period_clocks(
-                path, off[lo:] - base, ready[lo:], reset[lo:], carry)
+                tail, off[lo:] - base, ready[lo:], reset[lo:], carry)
             prev = np.concatenate(([carry], finish[lo:-1]))
             bad = np.flatnonzero(np.where(reset[lo:], ready[lo:] < prev,
                                           ready[lo:] > prev))
             if not bad.size:
-                return start, finish, float(fused.imag[-1])
+                return start, finish, float(path.imag[-1])
             k = int(bad[0])
             carry = float(prev[k])
             lo += k
@@ -521,7 +516,8 @@ class VectorServingRun:
             reset[lo] = not reset[lo]
             flipped = lo
             self.boundary_repairs += 1
-            path = steps[off[lo]:].copy()
+            if lo:
+                energy = float(path.imag[off[lo] - 1])
 
     def _decode_grids(self, prefill: np.ndarray, lo: list[int],
                       hi: list[int], gen_hi: list[int]
@@ -555,7 +551,8 @@ class VectorServingRun:
         return (np.concatenate(seconds), np.concatenate(watts), ctx_base,
                 gen_base)
 
-    def _drain_busy_periods(self) -> None:
+    def _drain_busy_periods(self, prompt: np.ndarray, count: np.ndarray,
+                            final: np.ndarray, prefill: np.ndarray) -> None:
         """Serve a batch-1 FCFS population in one busy-period pass.
 
         At batch 1, step ``j`` of a request prices at context key
@@ -573,19 +570,8 @@ class VectorServingRun:
         """
         arrays = self.arrays
         n = arrays.n
-        if not n:
-            return
         order = self._order
         ready = self._ready_sorted
-        prompt = arrays.prompt_tokens[order]
-        count = np.maximum(arrays.stop_tokens[order], 1)
-        final = prompt + count
-        # Each admission finds the whole pool free, so the scalar loop would
-        # meet KV exhaustion exactly when some final context outgrows it.
-        block = self._block
-        if int(((final + block - 1) // block).max()) > self._free:
-            raise VectorFallback("KV exhaustion: a request outgrows the pool")
-        prefill = self._prefill_prices(prompt)
         lo = int(prompt.min())
         seconds, watts, ctx_base, gen_base = self._decode_grids(
             prefill, [0, lo], [0, int(final.max()) - 1],
@@ -615,10 +601,9 @@ class VectorServingRun:
             off = np.zeros(b - a + 1, dtype=np.int64)
             np.cumsum(size[a:b], out=off[1:])
             runs = slice(2 * a, 2 * b)
-            *work, path = _WORK.take(int(off[-1]))
-            steps, step_watts = _gather(
-                None, length[runs], (seconds, ctx_first[runs]),
-                (watts, gen_first[runs]), out=work)
+            steps, step_watts, path = _WORK.take(int(off[-1]))
+            _gather(None, length[runs], (seconds, ctx_first[runs], steps),
+                    (watts, gen_first[runs], step_watts))
             start, finish, energy = self._exact_clocks(
                 steps, step_watts, off, ready[a:b], now, energy,
                 service[a:b], path)
@@ -628,48 +613,19 @@ class VectorServingRun:
             arrays.finish_s[order[a:b]] = finish
             now = float(finish[-1])
             a = b
-        arrays.prefill_s[order] = prefill[0]
-        arrays.context[order] = final
         self.now = now
         self.energy = energy
         self._done = order.tolist()
 
     # -- the batched busy-period kernel --------------------------------
-    def _fits_batched_kernel(self) -> bool:
-        """Whether the batched kernel may serve this share.
-
-        Two static bounds.  **KV**: ``max_batch_size`` requests at the
-        largest final context fit the free pool together.  Then the
-        scalar loop never touches KV pressure: a live sequence holds
-        ``blocks_for(context)`` blocks and its context never exceeds its
-        final ``prompt + max(stop, 1)``, so at most ``max_batch_size``
-        live sequences hold at most the bound, hence at most the pool,
-        at every instant — before and after any growth of up to their
-        remaining steps.  So an admission (the others hold at most
-        ``(max_batch_size - 1)`` maxima) always finds its prompt's
-        blocks, ``span_growth_cap`` always returns the whole span, and a
-        single step that opens a block always finds one free: no branch
-        of the scalar loop that reads the allocator can fire.  **Grid**:
-        the dense price grids of :meth:`_decode_grids` (at most ``b``
-        times the largest final context keys per batch size ``b``) stay
-        within ``_GRID_KEYS``.
-        """
-        arrays = self.arrays
-        if not arrays.n:
-            return True
-        final = int((arrays.prompt_tokens
-                     + np.maximum(arrays.stop_tokens, 1)).max())
-        batch = self.sim.max_batch_size
-        return (batch * self.kv.blocks_for(final) <= self._free
-                and batch * (batch + 1) // 2 * final <= _GRID_KEYS)
-
-    def _drain_batched(self) -> None:
+    def _drain_batched(self, prompt: np.ndarray, count: np.ndarray,
+                       final: np.ndarray, prefill: np.ndarray) -> None:
         """Serve a batch > 1 FCFS population in a few passes per chunk.
 
         FCFS admits in the fixed :meth:`admission_order`, and under
-        :meth:`_fits_batched_kernel` nothing else reads the allocator, so
-        the run is a pure function of the clock decisions.  Each chunk
-        of about ``_CHUNK_STEPS`` steps runs three passes:
+        :meth:`_serve_all`'s static bound nothing else reads the
+        allocator, so the run is a pure function of the clock decisions.
+        Each chunk of about ``_CHUNK_STEPS`` steps runs three passes:
 
         * **schedule** (:meth:`_schedule`): a lean walk over admissions,
           arrival cuts, completions and idle jumps with the scalar
@@ -686,21 +642,17 @@ class VectorServingRun:
           run) must still be ahead of the clock.  The first iteration
           holding a wrong guess is rerun on the exact clock and the
           chunk rescheduled (``boundary_repairs`` counts these); one
-          wrong again after its repair raises ``RuntimeError``.
+          wrong again after its repair raises ``RuntimeError``.  The
+          rerun reads the exact clock before the next gather overwrites
+          the work arrays.
 
         ``prefill_stall_s`` is one more sequential ``cumsum``: each
         prefill times the live count that waited on it.
         """
         arrays = self.arrays
         n = arrays.n
-        if not n:
-            return
         order = self._order
         ready = self._ready_sorted
-        prompt = arrays.prompt_tokens[order]
-        count = np.maximum(arrays.stop_tokens[order], 1)
-        final = prompt + count
-        prefill = self._prefill_prices(prompt)
         # Key bounds per batch size b: the live contexts sum at least the
         # b smallest prompts and at most the b largest contexts before a
         # last step; the generated counts sum at most the b largest.
@@ -728,17 +680,18 @@ class VectorServingRun:
             exact = None
             while True:
                 chunk, after = self._schedule(state, columns, forced, exact)
-                steps, step_watts = _gather(
-                    np.array(chunk.stride), np.array(chunk.length),
-                    (seconds, np.array(chunk.ctx_first)),
-                    (watts, np.array(chunk.gen_first)))
+                length = np.array(chunk.length)
+                steps, step_watts, path = _WORK.take(int(length.sum()))
+                _gather(np.array(chunk.stride), length,
+                        (seconds, np.array(chunk.ctx_first), steps),
+                        (watts, np.array(chunk.gen_first), step_watts))
                 # An idle jump at column 0 replaces the carry: the last
                 # begin at a column wins.
                 first = np.array([0] + chunk.reset_col)
                 begin = np.array([now] + chunk.reset_val)
                 keep = np.append(first[1:] != first[:-1], True)
                 first, begin = first[keep], begin[keep]
-                path = _step_chains(steps, step_watts, energy)
+                _step_chains(steps, step_watts, energy, path)
                 _segment_clocks(path, first, begin)
                 clock = path.real
                 p0, p1 = state[0], after[0]
@@ -774,8 +727,6 @@ class VectorServingRun:
             done += chunk.fin
             now = float(clock[-1])
             state = after[:5] + (now,)
-        arrays.prefill_s[order] = prefill[0]
-        arrays.context[order] = final
         self.now = now
         self.energy = energy
         self.prefill_stall_s = _accumulate(0.0, prefill[0], waited)
@@ -898,26 +849,59 @@ class VectorServingRun:
     def _serve_all(self) -> RequestArrays:
         """Run to completion; every request must be served.
 
+        FCFS shares take a busy-period kernel, :meth:`_drain_busy_periods`
+        at batch 1, else :meth:`_drain_batched`, which read the
+        admission-order columns and prefill prices computed here.  EDF,
+        and any share past one static bound, raise
+        :class:`VectorFallback` before the prefix cache is touched:
+
+        * **KV**: ``max_batch_size`` requests at the largest final
+          context fit the free pool together.  Then the scalar loop
+          never touches KV pressure: a live sequence holds
+          ``blocks_for(context)`` blocks and its context never exceeds
+          its final ``prompt + max(stop, 1)``, so at most
+          ``max_batch_size`` live sequences hold at most the bound,
+          hence at most the pool, at every instant — before and after
+          any growth of up to their remaining steps.  So an admission
+          (the others hold at most ``(max_batch_size - 1)`` maxima)
+          always finds its prompt's blocks, ``span_growth_cap`` always
+          returns the whole span, and a single step that opens a block
+          always finds one free: no branch of the scalar loop that
+          reads the allocator can fire.  At batch 1 each admission
+          finds the whole pool free, so this is exactly the scalar
+          loop's hazard: KV exhaustion fires when some final context
+          outgrows the pool (``blocks_for`` is monotone).
+        * **Grid**: the dense price grids of :meth:`_decode_grids` (at
+          most ``b`` times the largest final context keys per batch
+          size ``b``) stay within ``_GRID_KEYS``.
+
         The vector core has no drop path, so a short count is a bug.
-        FCFS runs take a busy-period kernel: the batch-1 one, or the
-        batched one when :meth:`_fits_batched_kernel`.  Every other share
-        (EDF, a batch that could meet KV pressure or need outsized price
-        grids) raises :class:`VectorFallback` for the scalar core.
         """
         if self.sim.policy == "edf":
             raise VectorFallback("EDF admission runs on the scalar core")
-        if self.sim.max_batch_size == 1:
-            self._drain_busy_periods()
-        elif self._fits_batched_kernel():
-            self._drain_batched()
-        else:
-            raise VectorFallback("the batch could meet KV pressure or need "
-                                 "outsized price grids")
-        if len(self._done) != self.arrays.n:
+        arrays = self.arrays
+        if arrays.n:
+            order = self._order
+            prompt = arrays.prompt_tokens[order]
+            count = np.maximum(arrays.stop_tokens[order], 1)
+            final = prompt + count
+            batch = self.sim.max_batch_size
+            largest = int(final.max())
+            if (batch * self.kv.blocks_for(largest) > self.kv.free_blocks
+                    or batch * (batch + 1) // 2 * largest > _GRID_KEYS):
+                raise VectorFallback("the share could meet KV pressure or "
+                                     "need outsized price grids")
+            prefill = self._prefill_prices(prompt)
+            drain = (self._drain_busy_periods if batch == 1
+                     else self._drain_batched)
+            drain(prompt, count, final, prefill)
+            arrays.prefill_s[order] = prefill[0]
+            arrays.context[order] = final
+        if len(self._done) != arrays.n:
             raise RuntimeError(
                 f"vector run finished {len(self._done)} of "
-                f"{self.arrays.n} requests")
-        return self.arrays
+                f"{arrays.n} requests")
+        return arrays
 
     def execute_arrays(self) -> RequestArrays:
         """Run to completion with outcomes in the array columns only.

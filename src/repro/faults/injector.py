@@ -437,10 +437,6 @@ class FaultInjector:
         return injector
 
     # ------------------------------------------------------------------
-    def active(self, t: float) -> tuple[FaultEvent, ...]:
-        """Episodes covering time ``t``."""
-        return tuple(e for e in self.events if e.active_at(t))
-
     def speed_factor(self, t: float) -> float:
         """Composed clock-speed multiplier at time ``t``.
 

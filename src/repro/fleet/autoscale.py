@@ -290,10 +290,6 @@ class AutoscaleController:
         """When a WAKING device starts serving (undefined otherwise)."""
         return self._ledgers[name].wake_ready_s
 
-    def power_mode(self, name: str) -> str:
-        """The controller's view of one device's current DVFS mode."""
-        return self._ledgers[name].mode
-
     def active_count(self) -> int:
         """Devices currently accepting routes."""
         return sum(1 for led in self._ledgers.values()

@@ -822,33 +822,45 @@ class FleetGateway:
         """The vector path of :meth:`run`: stream → columns → drain."""
         start = time.perf_counter()
         columns, head = _stream_columns(stream)
-        collected = time.perf_counter()
-        assign = self._partition(columns, head)
+        return self._vector_report(
+            columns, head, time.perf_counter() - start, True,
+            lambda drained: FleetReport(
+                policy=self.policy, offered=len(stream), rerouted=0,
+                devices=tuple(
+                    DeviceOutcome(d.name, d.spec.model, d.spec.power_mode,
+                                  outcome.result, crashes=0, evacuated=0,
+                                  prefix_hits=outcome.prefix_hits,
+                                  prefix_misses=outcome.prefix_misses)
+                    for d, (_, outcome) in zip(self.devices, drained))))
+
+    def _vector_report(self, columns: dict, head, collect_s: float,
+                       objects: bool, assemble, jobs: int = 1,
+                       executor: str = "thread"):
+        """Partition and drain collected columns, then ``assemble``.
+
+        The one tail of both vector paths: :func:`_assign` partitions
+        the rows, :func:`_drain` drains each share (building
+        per-request objects when ``objects``), and ``assemble`` turns
+        its ``(share, outcome)`` pairs into the report.  Records the
+        stage times in :attr:`last_stages` (``collect_s`` from the
+        caller) and the summed work counters in :attr:`last_counters`.
+        """
+        start = time.perf_counter()
+        assign = _assign(self.policy,
+                         np.array([self._name_keys[d.name]
+                                   for d in self.devices], dtype=np.uint64),
+                         columns["session"], head)
         assigned = time.perf_counter()
         drained = _drain([d.spec for d in self.devices], columns, assign,
-                         True)
+                         objects, jobs, executor)
         drained_at = time.perf_counter()
-        outcomes = tuple(
-            DeviceOutcome(d.name, d.spec.model, d.spec.power_mode, report,
-                          crashes=0, evacuated=0, prefix_hits=hits,
-                          prefix_misses=misses)
-            for d, (_, (report, _, _, hits, misses, _))
-            in zip(self.devices, drained))
-        report = FleetReport(policy=self.policy, offered=len(stream),
-                             rerouted=0, devices=outcomes)
-        self.last_stages = {"collect": collected - start,
-                            "assign": assigned - collected,
+        report = assemble(drained)
+        self.last_stages = {"collect": collect_s,
+                            "assign": assigned - start,
                             "drain": drained_at - assigned,
                             "assemble": time.perf_counter() - drained_at}
         self.last_counters = _counter_totals(drained)
         return report
-
-    def _partition(self, columns: dict, head) -> np.ndarray:
-        """Each collected row's device index: the vector partition."""
-        return _assign(self.policy,
-                       np.array([self._name_keys[d.name]
-                                 for d in self.devices], dtype=np.uint64),
-                       columns["session"], head)
 
     # -- the population-scale trace driver -------------------------------
     def run_trace(self, trace, *, jobs: int = 1,
@@ -888,55 +900,39 @@ class FleetGateway:
             self, self.vector_eligible(),
             "round-robin or prefix-affinity routing and no faults, "
             "brownout, hedging, autoscaling, or ineligible devices",
-            lambda: self._trace_report(columns, head, jobs, executor,
-                                       collect_s),
+            lambda: self._vector_report(
+                columns, head, collect_s, False,
+                lambda drained: assemble_trace_report(
+                    self.policy, int(columns["request_id"].shape[0]), 0, 0,
+                    self._trace_rows(drained)),
+                jobs, executor),
             lambda: trace_report_from_fleet(
                 self._run_scalar(self._trace_stream(columns))))
 
-    def _trace_report(self, columns: dict, head, jobs: int,
-                      executor: str, collect_s: float) -> FleetTraceReport:
-        """The vector path of :meth:`run_trace`: drain, then assemble.
-
-        Outcomes stay in array columns — no per-request object exists —
-        and flow through :func:`~repro.fleet.trace.assemble_trace_report`
-        like the scalar oracle's.
-        """
-        start = time.perf_counter()
-        assign = self._partition(columns, head)
-        assigned = time.perf_counter()
-        drained = _drain([d.spec for d in self.devices], columns, assign,
-                         False, jobs, executor)
-        drained_at = time.perf_counter()
-        rows = []
-        for device, (share, outcome) in zip(self.devices, drained):
-            (start_s, finish_s, context), now, energy, hits, misses, _ = (
-                outcome)
-            rows.append(TraceDeviceData(
+    def _trace_rows(self, drained) -> "list[TraceDeviceData]":
+        """The vector path of :meth:`run_trace`: each device's drained
+        outcome columns, no per-request object, as the rows
+        :func:`~repro.fleet.trace.assemble_trace_report` folds like the
+        scalar oracle's."""
+        return [
+            TraceDeviceData(
                 device.name, device.spec.model, device.spec.power_mode,
                 offered=share["request_id"].shape[0],
-                wallclock_s=now,
-                energy_joules=energy,
-                prefix_hits=hits,
-                prefix_misses=misses,
+                wallclock_s=outcome.now,
+                energy_joules=outcome.energy,
+                prefix_hits=outcome.prefix_hits,
+                prefix_misses=outcome.prefix_misses,
                 unserved_with_deadline=0,
                 request_id=share["request_id"],
                 arrival_s=share["arrival_s"],
-                start_s=start_s,
-                finish_s=finish_s,
+                start_s=outcome.result[0],
+                finish_s=outcome.result[1],
                 prompt_tokens=share["prompt_tokens"],
-                output_tokens=context - share["prompt_tokens"],
+                output_tokens=outcome.result[2] - share["prompt_tokens"],
                 deadline_s=share["deadline_s"],
                 deadline_mask=share["deadline_mask"],
-            ))
-        report = assemble_trace_report(self.policy,
-                                       int(columns["request_id"].shape[0]),
-                                       0, 0, rows)
-        self.last_stages = {"collect": collect_s,
-                            "assign": assigned - start,
-                            "drain": drained_at - assigned,
-                            "assemble": time.perf_counter() - drained_at}
-        self.last_counters = _counter_totals(drained)
-        return report
+            )
+            for device, (share, outcome) in zip(self.devices, drained)]
 
     def _trace_stream(self, columns: dict) -> "list[FleetRequest]":
         """Materialize collected columns for the scalar oracle.

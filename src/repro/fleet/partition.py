@@ -32,6 +32,7 @@ import hashlib
 import itertools
 import math
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,25 @@ _RENDEZVOUS_BLOCK_BYTES = 1 << 18
 #: :class:`~repro.engine.vector_run.VectorServingRun`) that
 #: :func:`_drain_share` returns and a gateway sums over shares.
 _COUNTERS = ("boundary_repairs", "busy_periods")
+
+
+class _ShareOutcome(NamedTuple):
+    """What :func:`_drain_share` returns for one device's share.
+
+    Module level, so a process executor can pickle it.
+    """
+
+    #: The core's :class:`~repro.engine.server.ResilienceReport` when
+    #: the drain builds objects, else the outcome columns ``(start_s,
+    #: finish_s, context)``.
+    result: object
+    now: float
+    energy: float
+    prefix_hits: int
+    prefix_misses: int
+    #: Each of ``_COUNTERS`` mapped to the run's count.
+    counters: dict[str, int]
+
 
 #: The partition columns each device's share carries.
 _SHARE_DTYPE = np.dtype([
@@ -241,7 +261,8 @@ def _drain(specs, columns: dict, assign: np.ndarray, objects: bool,
     Pricing.shared` memo, so a device spec's prefill and decode
     tables are built once per process and reused by every later drain
     and fresh fleet (a process pool builds them once per worker).
-    Returns ``(share columns, outcome)`` per device, in name order.
+    Returns ``(share columns, outcome)`` per device, in name order, each
+    outcome a :class:`_ShareOutcome`.
     Raises :class:`~repro.engine.vector_run.VectorFallback` when a
     share has no busy-period kernel (EDF devices, a batch that could
     meet KV pressure or need outsized price grids).
@@ -269,7 +290,7 @@ def _drain(specs, columns: dict, assign: np.ndarray, objects: bool,
     return list(zip(shares, outcomes))
 
 
-def _drain_share(spec, objects, share):
+def _drain_share(spec, objects, share) -> _ShareOutcome:
     """Serve one device's partition share on a fresh clone.
 
     A pure task (module level, so a process executor can pickle it): it
@@ -279,12 +300,10 @@ def _drain_share(spec, objects, share):
     work on identical fresh state, and the gateway's own devices (prefix
     caches included) stay untouched for a scalar fallback.  The clone
     prices through the spec's process-wide shared memo (memoized prices
-    are pure, so sharing changes no bit).  Returns ``(result, now,
-    energy, prefix hits, prefix misses, counters)``: with ``objects``
-    the result is the core's :class:`~repro.engine.server.
-    ResilienceReport`, otherwise the outcome columns ``(start_s,
-    finish_s, context)``; ``counters`` maps each of ``_COUNTERS`` to
-    the run's count.
+    are pure, so sharing changes no bit).  With ``objects`` the
+    outcome's result is the core's report (:meth:`~repro.engine.
+    vector_run.VectorServingRun.execute`), otherwise its outcome
+    columns.
     Raises :class:`~repro.engine.vector_run.VectorFallback` (picklable
     across a process boundary) when no busy-period kernel serves the
     share (EDF, KV pressure, outsized price grids).
@@ -302,12 +321,12 @@ def _drain_share(spec, objects, share):
     else:
         vrun.execute_arrays()
         result = (arrays.start_s, arrays.finish_s, arrays.context)
-    return (result, vrun.now, vrun.energy, vrun.prefix_hits,
-            vrun.prefix_misses,
-            {name: getattr(vrun, name) for name in _COUNTERS})
+    return _ShareOutcome(result, vrun.now, vrun.energy, vrun.prefix_hits,
+                         vrun.prefix_misses,
+                         {name: getattr(vrun, name) for name in _COUNTERS})
 
 
 def _counter_totals(drained) -> dict[str, int]:
     """Each work counter summed over :func:`_drain`'s shares."""
-    return {name: sum(outcome[5][name] for _, outcome in drained)
+    return {name: sum(outcome.counters[name] for _, outcome in drained)
             for name in _COUNTERS}

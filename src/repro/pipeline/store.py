@@ -253,8 +253,3 @@ class ArtifactStore:
         """Fold a worker process's counters into this store's stats."""
         with self._master:
             self._stats.merge(other)
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory tier (disk survives); counters keep counting."""
-        with self._master:
-            self._entries.clear()

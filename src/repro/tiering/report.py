@@ -9,7 +9,6 @@ accounting so untiered reports stay byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -86,6 +85,3 @@ class TieringReport:
             "mean_branches": _num(self.mean_branches),
             "tier_counts": {k: int(v) for k, v in sorted(self.tier_counts.items())},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -1,7 +1,8 @@
 """The batched busy-period kernel against the scalar core, byte for byte.
 
 At batch > 1 under FCFS, when every live set fits the free KV pool
-(:meth:`~repro.engine.vector_run.VectorServingRun._fits_batched_kernel`),
+(the static bound of :meth:`~repro.engine.vector_run.VectorServingRun.
+_serve_all`),
 :class:`~repro.engine.vector_run.VectorServingRun` drains a share in
 a few passes per chunk: a schedule pass walks the scalar loop's events
 on a float guess of the clock, one gather and one sequential pass per
@@ -259,9 +260,9 @@ class TestFleetPath:
         calls = []
         drain = VectorServingRun._drain_batched
 
-        def spy(run):
+        def spy(run, *columns):
             calls.append(run.arrays.n)
-            return drain(run)
+            return drain(run, *columns)
 
         monkeypatch.setattr(VectorServingRun, "_drain_batched", spy)
         reports = {}

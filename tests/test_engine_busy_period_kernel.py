@@ -82,9 +82,15 @@ class TestBoundaryTies:
                 repairs += run.boundary_repairs
         assert repairs > 0
 
+    @pytest.mark.parametrize("chunk_steps", [37, vector_run._CHUNK_STEPS])
     @pytest.mark.parametrize("guess", ["all-resets", "no-resets"])
-    def test_a_wrong_guess_is_repaired(self, engine, monkeypatch, guess):
+    def test_a_wrong_guess_is_repaired(self, engine, monkeypatch, guess,
+                                       chunk_steps):
+        """Each repair re-chains the path's tail from the energy before
+        it; with small chunks some repair lands on a later chunk's first
+        request, so its re-chain starts from the energy carried in."""
         requests, arrivals = _stream(8, n=50, gap_s=2.0)
+        monkeypatch.setattr(vector_run, "_CHUNK_STEPS", chunk_steps)
         monkeypatch.setattr(
             vector_run, "_guess_resets",
             lambda service, ready, carry: np.full(ready.shape[0],
@@ -293,8 +299,9 @@ class TestGather:
                     + stride * (length - 1)).max()) + 1
         seconds = np.random.default_rng(len(runs)).random(size)
         watts = -np.arange(size, dtype=np.float64)
-        got = vector_run._gather(stride, length, (seconds, first_a),
-                                 (watts, first_b))
+        got = np.empty((2, int(length.sum())))
+        vector_run._gather(stride, length, (seconds, first_a, got[0]),
+                           (watts, first_b, got[1]))
         for flat, first, out in ((seconds, first_a, got[0]),
                                  (watts, first_b, got[1])):
             expected = [flat[f + s * j] for f, s, n in zip(
@@ -314,9 +321,9 @@ class TestGather:
                          for column in zip(*runs))
         flat = np.random.default_rng(len(runs)).random(
             int((first + length).max()))
-        (got,) = vector_run._gather(None, length, (flat, first))
-        (unit,) = vector_run._gather(np.ones_like(length), length,
-                                     (flat, first))
+        got, unit = np.empty((2, int(length.sum())))
+        vector_run._gather(None, length, (flat, first, got))
+        vector_run._gather(np.ones_like(length), length, (flat, first, unit))
         assert got.tobytes() == unit.tobytes()
 
 
@@ -361,22 +368,6 @@ class TestSegmentClocks:
     """``_segment_clocks`` in step order against the scalar chains."""
 
     @given(_PERIODS, st.sampled_from(["mixed", "short", "long", "runs"]),
-           st.integers(0, 2**32 - 1))
-    @settings(max_examples=120, deadline=None)
-    def test_matches_the_scalar_chain(self, lengths, shape, seed):
-        """A real path (a boundary repair's rerun) runs the clock only."""
-        lengths = _shaped(lengths, shape)
-        rng = np.random.default_rng(seed)
-        first = np.cumsum([0] + lengths[:-1])
-        steps = rng.exponential(0.01, sum(lengths))
-        begin = np.cumsum(rng.exponential(50.0, len(lengths)))
-        clock = steps.copy()
-        vector_run._segment_clocks(clock, first, begin)
-        expected, _ = _reference_clocks(steps.tolist(), first.tolist(),
-                                        begin.tolist())
-        assert clock.tobytes() == expected.tobytes()
-
-    @given(_PERIODS, st.sampled_from(["mixed", "short", "long", "runs"]),
            st.integers(0, 2**32 - 1),
            st.one_of(st.just(0.0), st.floats(1e-3, 1e7)))
     @settings(max_examples=200, deadline=None)
@@ -391,7 +382,8 @@ class TestSegmentClocks:
         steps = rng.exponential(0.01, sum(lengths))
         watts = rng.uniform(5.0, 30.0, sum(lengths))
         begin = np.cumsum(rng.exponential(50.0, len(lengths)))
-        path = vector_run._step_chains(steps, watts, energy)
+        path = np.empty(steps.shape[0], dtype=np.complex128)
+        vector_run._step_chains(steps, watts, energy, path)
         vector_run._segment_clocks(path, first, begin)
         clock, joules = _reference_clocks(
             steps.tolist(), first.tolist(), begin.tolist(), watts.tolist(),
@@ -427,8 +419,8 @@ class TestSegmentClocks:
 
         monkeypatch.setattr(vector_run, "np", Numpy())
         steps = np.full(sum(lengths), 0.25)
-        path = vector_run._step_chains(steps, np.full(steps.shape, 2.0),
-                                       0.0)
+        path = np.empty(steps.shape[0], dtype=np.complex128)
+        vector_run._step_chains(steps, np.full(steps.shape, 2.0), 0.0, path)
         vector_run._segment_clocks(path, np.cumsum([0] + lengths[:-1]),
                                    np.zeros(len(lengths)))
         assert fused == [n for n in lengths if n >= SLICE]
@@ -457,37 +449,47 @@ class TestChunkedDrain:
 
 
 class TestWorkArrays:
-    """The batch-1 drain's per-step arrays are kept per thread."""
+    """Both kernels' per-step arrays are kept per thread."""
 
     def test_reused_across_drains(self, engine):
         requests, arrivals = _stream(12, n=60, gap_s=0.3)
-        first, _ = _kernel_run(engine, requests, arrivals, max_batch_size=1)
-        work = vector_run._WORK
-        path, size = work.path, work.size
-        assert size > 0
-        _kernel_run(engine, requests[:20], arrivals[:20], max_batch_size=1)
-        assert work.path is path and work.size == size
-        # A drain leaves nothing in the work arrays that a report reads.
-        again, _ = _kernel_run(engine, requests, arrivals, max_batch_size=1)
-        assert again == first == _scalar_json(engine, requests, arrivals,
-                                              max_batch_size=1)
+        for max_batch_size in (1, 8):
+            first, _ = _kernel_run(engine, requests, arrivals,
+                                   max_batch_size=max_batch_size)
+            work = vector_run._WORK
+            path, size = work.path, work.size
+            assert size > 0
+            _kernel_run(engine, requests[:20], arrivals[:20],
+                        max_batch_size=max_batch_size)
+            assert work.path is path and work.size == size
+            # A drain leaves nothing in the work arrays that a report
+            # reads.
+            again, _ = _kernel_run(engine, requests, arrivals,
+                                   max_batch_size=max_batch_size)
+            assert again == first == _scalar_json(
+                engine, requests, arrivals, max_batch_size=max_batch_size)
 
     def test_threads_drain_on_their_own_arrays(self, engine):
-        streams = [_stream(seed, n=50, gap_s=0.5) for seed in range(8)]
-        serial = [_kernel_run(engine, *stream, max_batch_size=1)[0]
-                  for stream in streams]
+        streams = [(_stream(seed, n=50, gap_s=0.5), max_batch_size)
+                   for max_batch_size in (1, 8) for seed in range(8)]
 
+        def drain(task):
+            stream, max_batch_size = task
+            return _kernel_run(engine, *stream,
+                               max_batch_size=max_batch_size)[0]
+
+        serial = [drain(task) for task in streams]
         main_path = vector_run._WORK.path
 
-        def drain(stream):
-            got = _kernel_run(engine, *stream, max_batch_size=1)[0]
-            return got, vector_run._WORK.path
+        def threaded_drain(task):
+            return drain(task), vector_run._WORK.path
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                threaded, paths = zip(*pool.map(drain, streams, timeout=120))
+                threaded, paths = zip(*pool.map(threaded_drain, streams,
+                                                timeout=120))
         finally:
             sys.setswitchinterval(interval)
         assert list(threaded) == serial
@@ -605,9 +607,9 @@ class TestFleetPaths:
         calls = []
         drain = VectorServingRun._drain_busy_periods
 
-        def spy(run):
+        def spy(run, *columns):
             calls.append(run.arrays.n)
-            return drain(run)
+            return drain(run, *columns)
 
         monkeypatch.setattr(VectorServingRun, "_drain_busy_periods", spy)
         reports = {}

@@ -8,6 +8,7 @@ zero-loss scale-safety gate rests on.
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -491,3 +492,65 @@ class TestGatewayIntegration:
         assert device.dvfs_switches == 1
         with pytest.raises(ValueError):
             device.set_power_mode("9000W")
+
+
+class TestWakingClamp:
+    """Work routed onto a WAKING device starts at its wake-ready time.
+
+    The only ACTIVE device crashes while its peer sleeps.  The first
+    arrival cold-wakes the sleeper, and ``_route`` clamps its admission
+    to the wake-ready time.  The next arrivals queue on the device
+    already waking: the emergency ladder's second rung picks it by
+    wake-ready time, and ``_route`` clamps them too.
+    """
+
+    CONFIG = AutoscaleConfig(hold_up_s=0.0, hold_down_s=5.0,
+                             economy_mode=None)
+    LATE = (100, 101, 102)
+
+    def _run(self, mode):
+        fleet = build_fleet(2, mix="maxn", max_batch_size=4)
+        names = [d.name for d in fleet]
+        # A trickle lets edge-00 cordon, drain and sleep by t = 7 s;
+        # edge-01, the survivor, then crashes at t = 40 s.
+        faults = FleetFaultSchedule(
+            names, FleetFaultConfig(device_crashes=0),
+            events=[DeviceFault(names[1], "crash", 40.0, 20.0)])
+        gateway = FleetGateway(fleet, policy="round-robin", faults=faults,
+                               autoscale=self.CONFIG, mode=mode, seed=0)
+        stream = [FleetRequest(GenerationRequest(i, 64, 16),
+                               arrival_s=2.0 + 3.0 * i) for i in range(8)]
+        stream += [FleetRequest(GenerationRequest(rid, 64, 16),
+                                arrival_s=41.0 + 0.5 * k)
+                   for k, rid in enumerate(self.LATE)]
+        return gateway, gateway.run(stream)
+
+    def test_admission_waits_for_wake_ready(self, monkeypatch):
+        callers = []
+        wake_ready_s = AutoscaleController.wake_ready_s
+
+        def spy(ctrl, name):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name == "<lambda>":
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
+            return wake_ready_s(ctrl, name)
+
+        monkeypatch.setattr(AutoscaleController, "wake_ready_s", spy)
+        gateway, report = self._run("auto")
+        assert set(callers) == {"_route", "_autoscale_emergency"}
+        (woke_at,) = [t for t, _, src, dst in gateway.autoscale.transitions
+                      if src is LifecycleState.ASLEEP
+                      and dst is LifecycleState.WAKING]
+        ready = woke_at + self.CONFIG.wake_latency_s
+        served = {r.request_id: (d.name, r) for d in report.devices
+                  for r in d.report.served}
+        late = [served[rid] for rid in self.LATE]
+        assert {name for name, _ in late} == {"edge-00"}
+        assert all(r.start_s >= ready > r.arrival_s for _, r in late)
+        assert late[0][1].start_s == ready
+        assert report.lost == 0
+        assert report.offered == (report.completed + report.shed
+                                  + report.failed) == 11
+        _, scalar = self._run("scalar")
+        assert report.to_json() == scalar.to_json()
